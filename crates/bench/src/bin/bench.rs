@@ -1,24 +1,9 @@
-//! `bench` — bench-trajectory and trace-validation tooling.
+//! `bench` — trace and telemetry validation tooling.
 //!
 //! ```text
-//! bench trend [--dir D] [--max-regress F] [--ratchet EXP]
 //! bench validate-trace <trace.json> [--jsonl <journal.jsonl>]
 //! bench validate-telemetry <scrape1.json> [scrape2.json] [--events <path>]
 //! ```
-//!
-//! `trend` reads the `trend` block of every `BENCH_*.json` under `--dir`
-//! (default `.`), compares wall-clock and coverage against the entries
-//! stored in `BENCH_trend.json` by the previous invocation, rewrites
-//! that file, and prints a markdown delta table. It exits non-zero when
-//! any experiment got more than `--max-regress` (default `0.20`, i.e.
-//! 20%) slower or lost more than that fraction of coverage — CI gates
-//! on the exit status.
-//!
-//! `--ratchet EXP` additionally *requires* experiment `EXP` to be
-//! strictly faster than the baseline recorded by the previous `trend`
-//! invocation: a PR claiming a speedup runs the old code, `bench trend`
-//! (recording the baseline), the new code, then
-//! `bench trend --ratchet EXP` — which fails unless wall-clock improved.
 //!
 //! `validate-trace` checks a Perfetto `trace_event` export structurally
 //! (JSON parses, `traceEvents` is a non-empty array, complete events
@@ -35,97 +20,25 @@
 //! strictly increasing seq). CI scrapes a serving fleet twice and gates
 //! on the exit status.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dft_bench::json::Json;
-use dft_bench::trend;
 use dft_core::telemetry::{validate_events, STATS_SCHEMA};
 use dft_core::trace::validate_journal;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("trend") => run_trend(&args[1..]),
         Some("validate-trace") => run_validate(&args[1..]),
         Some("validate-telemetry") => run_validate_telemetry(&args[1..]),
         _ => {
             eprintln!(
-                "usage: bench <trend [--dir D] [--max-regress F] | \
-                 validate-trace <trace.json> [--jsonl <journal.jsonl>] | \
+                "usage: bench <validate-trace <trace.json> [--jsonl <journal.jsonl>] | \
                  validate-telemetry <scrape1.json> [scrape2.json] [--events <path>]>"
             );
             ExitCode::from(2)
         }
     }
-}
-
-fn run_trend(args: &[String]) -> ExitCode {
-    let mut dir = PathBuf::from(".");
-    let mut max_regress = 0.20f64;
-    let mut ratchet: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dir" => match it.next() {
-                Some(d) => dir = PathBuf::from(d),
-                None => return usage("--dir requires a path"),
-            },
-            "--max-regress" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => max_regress = f,
-                None => return usage("--max-regress requires a fraction, e.g. 0.20"),
-            },
-            "--ratchet" => match it.next() {
-                Some(e) => ratchet = Some(e.clone()),
-                None => return usage("--ratchet requires an experiment id"),
-            },
-            other => return usage(&format!("unknown trend argument `{other}`")),
-        }
-    }
-    let (report, skipped) = match trend::run(&dir, max_regress) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench trend: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    for path in &skipped {
-        eprintln!("bench trend: note: {} has no trend block", path.display());
-    }
-    print!("{}", report.markdown());
-    if report.deltas.is_empty() {
-        eprintln!(
-            "bench trend: no BENCH_*.json with trend blocks under {}",
-            dir.display()
-        );
-        return ExitCode::from(2);
-    }
-    println!(
-        "\nwrote {} ({} experiments, threshold {:.0}%)",
-        dir.join("BENCH_trend.json").display(),
-        report.deltas.len(),
-        max_regress * 100.0
-    );
-    if report.regressed {
-        eprintln!(
-            "bench trend: REGRESSION over {:.0}% threshold",
-            max_regress * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(exp) = ratchet {
-        match trend::check_ratchet(&report, &exp) {
-            Ok(delta) => println!(
-                "ratchet `{exp}`: improved, wall-clock {:+.1}% vs baseline",
-                delta * 100.0
-            ),
-            Err(reason) => {
-                eprintln!("bench trend: RATCHET failed: {reason}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn run_validate(args: &[String]) -> ExitCode {

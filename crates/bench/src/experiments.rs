@@ -22,7 +22,6 @@ use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{
     benchmark_suite, decoder, mac_pe, systolic_array, SystolicConfig,
 };
-use dft_core::netlist::Netlist;
 use dft_core::scan::{insert_scan, ScanConfig, TestTimeModel};
 use dft_core::DftFlow;
 
@@ -587,8 +586,6 @@ pub fn metrics_report() {
         "{:<10} {:>9} {:>12} {:>12} {:>10}",
         "circuit", "patterns", "backtracks", "gate evals", "edt cubes"
     );
-    let wall_start = Instant::now();
-    let mut coverage_sum = 0.0f64;
     for c in &circuits {
         let before = handle.snapshot().unwrap();
         let report = DftFlow::new(&c.netlist)
@@ -597,7 +594,6 @@ pub fn metrics_report() {
             .run();
         let after = handle.snapshot().unwrap();
         let delta = |k: &str| after.counter(k) - before.counter(k);
-        coverage_sum += report.test_coverage;
         println!(
             "{:<10} {:>9} {:>12} {:>12} {:>10}",
             c.name,
@@ -607,16 +603,9 @@ pub fn metrics_report() {
             delta("edt_cubes_attempted"),
         );
     }
-    let wall_ns = wall_start.elapsed().as_nanos();
-    let coverage = coverage_sum / circuits.len() as f64;
     let snap = handle.snapshot().unwrap();
-    // The trend block feeds `bench trend` (see trend.rs); the snapshot
-    // keeps the metrics schema documented in EXPERIMENTS.md.
-    let json = format!(
-        "{{\n\"trend\": {{\"experiment\":\"metrics\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{coverage:.6}}},\n\"snapshot\": {}}}\n",
-        snap.to_json().trim_end()
-    );
+    // The snapshot keeps the metrics schema documented in EXPERIMENTS.md.
+    let json = format!("{{\n\"snapshot\": {}}}\n", snap.to_json().trim_end());
     std::fs::write("BENCH_metrics.json", json).expect("write BENCH_metrics.json");
     println!(
         "wrote BENCH_metrics.json ({} counters, {} timers)",
@@ -627,8 +616,7 @@ pub fn metrics_report() {
 
 /// PPSFP: headline fault-simulation throughput of the gate-tape kernel
 /// on the two headline circuits (mult8, sys2x2): 1024 random patterns
-/// over the full stuck-at universe. Writes `BENCH_ppsfp_tape.json` with
-/// a `trend` block for `bench trend`.
+/// over the full stuck-at universe. Writes `BENCH_ppsfp_tape.json`.
 pub fn ppsfp_report() {
     println!("PPSFP: gate-tape fault-simulation throughput");
     let num_patterns = 1024usize;
@@ -647,17 +635,14 @@ pub fn ppsfp_report() {
         "circuit", "faults", "patterns", "tape ms", "tape Mf·p/s"
     );
     let mut rows = Vec::new();
-    let mut wall_ns = 0u64;
-    let mut coverage_sum = 0.0f64;
     for c in &circuits {
         let nl = &c.netlist;
         let ps = PatternSet::random(nl, num_patterns, 0xF5);
         let universe = universe_stuck_at(nl);
         // Best-of-`reps`, compile included.
         let mut tape_ns = u64::MAX;
-        let mut list = FaultList::new(universe.clone());
         for _ in 0..reps {
-            list = FaultList::new(universe.clone());
+            let mut list = FaultList::new(universe.clone());
             let t = Instant::now();
             TapeKernel::compile(nl).fault_batch(&ps, &mut list, &exec());
             tape_ns = tape_ns.min(t.elapsed().as_nanos() as u64);
@@ -671,8 +656,6 @@ pub fn ppsfp_report() {
             tape_ns as f64 / 1e6,
             fp_per_sec
         );
-        wall_ns += tape_ns;
-        coverage_sum += list.fault_coverage();
         rows.push(format!(
             "{{\"circuit\":\"{}\",\"faults\":{},\"patterns\":{},\"tape_ns\":{}}}",
             c.name,
@@ -681,12 +664,7 @@ pub fn ppsfp_report() {
             tape_ns
         ));
     }
-    let coverage = coverage_sum / circuits.len() as f64;
-    let json = format!(
-        "{{\n\"trend\": {{\"experiment\":\"ppsfp\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{coverage:.6}}},\n\"circuits\": [{}]\n}}\n",
-        rows.join(",")
-    );
+    let json = format!("{{\n\"circuits\": [{}]\n}}\n", rows.join(","));
     std::fs::write("BENCH_ppsfp_tape.json", json).expect("write BENCH_ppsfp_tape.json");
     println!("wrote BENCH_ppsfp_tape.json");
 }
@@ -703,7 +681,6 @@ pub fn repair_report() {
     };
 
     let handle = MetricsHandle::enabled();
-    let wall_start = Instant::now();
 
     // Table 1: SRAM repair yield vs injected fault density.
     let geom = SramGeometry { rows: 16, cols: 16 };
@@ -813,13 +790,8 @@ pub fn repair_report() {
         "shape: accuracy holds while throughput degrades linearly; past the floor the die scraps."
     );
 
-    let wall_ns = wall_start.elapsed().as_nanos();
-    let mean_yield =
-        sweep.iter().map(|p| p.yield_fraction()).sum::<f64>() / sweep.len().max(1) as f64;
     let json = format!(
-        "{{\n  \"trend\": {{\"experiment\":\"repair\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{mean_yield:.6}}},\n  \
-         \"sram\": {{\"rows\":{},\"cols\":{},\"spare_rows\":{},\"spare_cols\":{}}},\n  \
+        "{{\n  \"sram\": {{\"rows\":{},\"cols\":{},\"spare_rows\":{},\"spare_cols\":{}}},\n  \
          \"yield_sweep\": [{}],\n  \"soc\": {{\"cores\":{},\"max_bad_cores\":{},\
          \"per_core_cycles\":{}}},\n  \"degradation\": [{}]\n}}\n",
         geom.rows,
@@ -846,10 +818,7 @@ pub fn repair_report() {
 /// signatures/sec, and the adaptive-retest rate. A telemetry session
 /// rides along (sampler only — no scrape endpoint, no event stream) to
 /// measure peak rolling throughput and the p99 window round-trip.
-/// Writes `BENCH_serve.json`; the `trend` block carries total wall
-/// clock, the fleet pass fraction as coverage, peak dies/sec (higher-
-/// better), and p99 window latency (lower-better), all gated by
-/// `bench trend`.
+/// Writes `BENCH_serve.json`.
 pub fn serve_report() {
     use dft_core::serve::{run_fleet, ServeConfig, ServeOpts};
     use dft_core::telemetry::{TelemetryConfig, TelemetrySession};
@@ -857,7 +826,6 @@ pub fn serve_report() {
     let circuits = selected_circuits(&["mac4"]);
     let nl = &circuits[0].netlist;
     let handle = MetricsHandle::enabled();
-    let wall_start = Instant::now();
     let cfg = ServeConfig {
         dies: 32,
         client_threads: match threads() {
@@ -877,7 +845,6 @@ pub fn serve_report() {
         ..ServeOpts::default()
     };
     let report = run_fleet(nl, &cfg, &opts).expect("serve fleet");
-    let wall_ns = wall_start.elapsed().as_nanos();
     let tele_final = tele.finish();
 
     let s = report.summary;
@@ -885,23 +852,23 @@ pub fn serve_report() {
     let dies_per_sec = s.tested as f64 / serve_secs;
     let sigs_per_sec = s.signatures as f64 / serve_secs;
     let retest_rate = s.retested as f64 / s.tested.max(1) as f64;
-    let pass_fraction = s.passed as f64 / s.tested.max(1) as f64;
     let snap = handle.snapshot().expect("metrics enabled");
     // A short run can outpace the 25 ms sampler (peak gauge 0) or
     // settle every window between ticks (p99 NaN); fall back to the
-    // whole-run figures so the trend block always has a number.
-    let peak_dies_per_sec = if tele_final.peak_dies_per_sec > 0.0 {
-        tele_final.peak_dies_per_sec
+    // whole-run figures so the telemetry section stays valid JSON.
+    let fin = &tele_final.final_sample;
+    let peak_dies_per_sec = if fin.peak_dies_per_sec > 0.0 {
+        fin.peak_dies_per_sec
     } else {
         dies_per_sec
     };
-    let p99_window_us = if tele_final.p99_window_latency_us.is_finite() {
-        tele_final.p99_window_latency_us
+    let p99_window_us = if fin.window_p99_us.is_finite() {
+        fin.window_p99_us
     } else {
         0.0
     };
-    let sig_p99_us = if tele_final.final_sample.signature_p99_us.is_finite() {
-        tele_final.final_sample.signature_p99_us
+    let sig_p99_us = if fin.signature_p99_us.is_finite() {
+        fin.signature_p99_us
     } else {
         0.0
     };
@@ -929,11 +896,7 @@ pub fn serve_report() {
     println!("shape: defective dies always mismatch, retest, and route to harvest/scrap.");
 
     let json = format!(
-        "{{\n  \"trend\": {{\"experiment\":\"serve\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{pass_fraction:.6},\
-         \"peak_dies_per_sec\":{peak_dies_per_sec:.2},\
-         \"p99_window_latency_us\":{p99_window_us:.2}}},\n  \
-         \"fleet\": {{\"design\":\"mac4\",\"dies\":{},\"windows_per_die\":{},\
+        "{{\n  \"fleet\": {{\"design\":\"mac4\",\"dies\":{},\"windows_per_die\":{},\
          \"window_patterns\":{},\"patterns\":{},\"edt_encoded\":{},\"edt_flat\":{},\
          \"client_threads\":{}}},\n  \
          \"summary\": {{\"tested\":{},\"passed\":{},\"failed\":{},\"defective\":{},\
@@ -992,8 +955,3 @@ fn selected_circuits(names: &[&str]) -> Vec<dft_core::netlist::generators::Named
         .filter(|c| names.contains(&c.name))
         .collect()
 }
-
-// Silence the unused warning for Netlist (used in signatures above via
-// generics resolution).
-#[allow(unused)]
-fn _t(_: &Netlist) {}

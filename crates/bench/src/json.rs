@@ -1,10 +1,10 @@
 //! A minimal recursive-descent JSON reader for the bench tooling.
 //!
-//! The toolkit is dependency-free, so the `bench trend` and
-//! `validate-trace` commands parse their inputs (`BENCH_*.json`, Perfetto
-//! trace files) with this small reader instead of a vendored serde. It
-//! accepts standard JSON; numbers are held as `f64`, which is exact for
-//! every integer the bench files contain (< 2^53).
+//! The toolkit is dependency-free, so the `validate-trace` and
+//! `validate-telemetry` commands parse their inputs (Perfetto trace
+//! files, `aidft fleet-stats` scrapes) with this small reader instead of
+//! a vendored serde. It accepts standard JSON; numbers are held as
+//! `f64`, which is exact for every integer those files contain (< 2^53).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

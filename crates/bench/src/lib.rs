@@ -1,9 +1,7 @@
 //! Bench-side tooling that is useful as a library: the dependency-free
-//! JSON reader and the bench-trajectory (trend) tracker consumed by the
-//! `bench` binary and by CI.
+//! JSON reader consumed by the `bench` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod trend;

@@ -497,8 +497,8 @@ fn main() -> ExitCode {
                     fin.samples,
                     fin.scrapes,
                     fin.events,
-                    fin.peak_dies_per_sec,
-                    fin.p99_window_latency_us
+                    fin.final_sample.peak_dies_per_sec,
+                    fin.final_sample.window_p99_us
                 );
             }
             let report = report.map_err(|e| lift_serve_error(nl.name(), e))?;

@@ -13,7 +13,7 @@
 //!
 //! We additionally accept `BUF`/`BUFF`, `MUX`, `CONST0`, `CONST1`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 use crate::{GateId, GateKind, Netlist, NetlistError};
@@ -47,8 +47,12 @@ pub fn load_bench(path: impl AsRef<Path>) -> Result<Netlist, NetlistError> {
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] for malformed lines,
-/// [`NetlistError::UnknownGateType`] for unsupported gate types, and
-/// [`NetlistError::UndefinedNet`] if a referenced net is never defined.
+/// [`NetlistError::UnknownGateType`] for unsupported gate types,
+/// [`NetlistError::DuplicateName`] for a net defined twice,
+/// [`NetlistError::BadArity`] for a gate with the wrong fanin count,
+/// [`NetlistError::UndefinedNet`] if a referenced net is never defined,
+/// and [`NetlistError::CombinationalLoop`] if gates feed each other
+/// without a flip-flop in between.
 pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
     enum Def {
         Input,
@@ -127,24 +131,21 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
         }
     }
 
-    // Pass 1: create all gates with placeholder fanins resolved in pass 2.
-    // To keep ids topological where possible we create inputs first, then
-    // iterate definitions repeatedly until all are placed (handles forward
-    // references without recursion).
+    // Inputs first, then DFFs: a Q net is a source, so other gates may
+    // reference it before the gate feeding D exists. D is wired once every
+    // gate is placed. Combinational gates are placed by iterating to a
+    // fixpoint, which resolves forward references without recursion and
+    // keeps ids topological where possible.
     let mut nl = Netlist::new(name);
     let mut placed: HashMap<String, GateId> = HashMap::new();
     for (net, def) in &defs {
         if let Def::Input = def {
-            if placed.contains_key(net) {
+            if placed.insert(net.clone(), nl.add_input(net)).is_some() {
                 return Err(NetlistError::DuplicateName(net.clone()));
             }
-            placed.insert(net.clone(), nl.add_input(net));
         }
     }
-    // DFFs next: their Q net is a source, so other gates may reference it
-    // before its D driver exists. Temporarily wire D to a const; fix later.
     let mut dff_fixups: Vec<(GateId, String)> = Vec::new();
-    let tmp_const = nl.add_gate(GateKind::Const0, vec![], "__bench_tmp0");
     for (net, def) in &defs {
         if let Def::Gate(GateKind::Dff, args) = def {
             if args.len() != 1 {
@@ -154,15 +155,13 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
                     got: args.len(),
                 });
             }
-            if placed.contains_key(net) {
+            let q = nl.add_dff_unwired(net);
+            if placed.insert(net.clone(), q).is_some() {
                 return Err(NetlistError::DuplicateName(net.clone()));
             }
-            let q = nl.add_dff(tmp_const, net);
-            placed.insert(net.clone(), q);
             dff_fixups.push((q, args[0].clone()));
         }
     }
-    // Remaining combinational gates, iterated until fixpoint.
     let mut remaining: Vec<(String, GateKind, Vec<String>)> = defs
         .into_iter()
         .filter_map(|(net, def)| match def {
@@ -172,33 +171,22 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
         .collect();
     while !remaining.is_empty() {
         let before = remaining.len();
-        remaining.retain(|(net, kind, args)| {
-            let fanins: Option<Vec<GateId>> = args.iter().map(|a| placed.get(a).copied()).collect();
-            match fanins {
-                Some(f) => {
-                    if placed.contains_key(net) {
-                        return false; // duplicate handled below via validate
-                    }
-                    match nl.try_add_gate(*kind, f, net) {
-                        Ok(id) => {
-                            placed.insert(net.clone(), id);
-                            false
-                        }
-                        Err(_) => true,
+        let mut waiting = Vec::with_capacity(before);
+        for (net, kind, args) in remaining {
+            match args.iter().map(|a| placed.get(a).copied()).collect() {
+                Some(fanins) => {
+                    let id = nl.try_add_gate(kind, fanins, &net)?;
+                    if let Some(first) = placed.insert(net, id) {
+                        return Err(NetlistError::DuplicateName(nl.gate(first).name.clone()));
                     }
                 }
-                None => true,
+                None => waiting.push((net, kind, args)),
             }
-        });
-        if remaining.len() == before {
-            let (net, _, args) = &remaining[0];
-            let missing = args
-                .iter()
-                .find(|a| !placed.contains_key(*a))
-                .cloned()
-                .unwrap_or_else(|| net.clone());
-            return Err(NetlistError::UndefinedNet(missing));
         }
+        if waiting.len() == before {
+            return Err(unplaceable(&waiting, &placed));
+        }
+        remaining = waiting;
     }
     for (q, dname) in dff_fixups {
         let d = *placed
@@ -213,6 +201,37 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
         nl.add_output(src, &format!("{o}_po"));
     }
     Ok(nl)
+}
+
+/// Names why no waiting gate could be placed: a fanin that nothing
+/// defines, or else a gate on the combinational cycle every waiting
+/// gate leads into.
+fn unplaceable(
+    waiting: &[(String, GateKind, Vec<String>)],
+    placed: &HashMap<String, GateId>,
+) -> NetlistError {
+    let fanins: HashMap<&str, &[String]> = waiting
+        .iter()
+        .map(|(net, _, args)| (net.as_str(), args.as_slice()))
+        .collect();
+    let unplaced = |net: &str| fanins[net].iter().filter(|a| !placed.contains_key(*a));
+    if let Some(missing) = waiting
+        .iter()
+        .flat_map(|(net, _, _)| unplaced(net))
+        .find(|a| !fanins.contains_key(a.as_str()))
+    {
+        return NetlistError::UndefinedNet(missing.clone());
+    }
+    // Every unplaced fanin is itself waiting, so following them from any
+    // gate must revisit one, and the first revisited gate is on a cycle.
+    let mut seen = HashSet::new();
+    let mut net = waiting[0].0.as_str();
+    while seen.insert(net) {
+        net = unplaced(net)
+            .next()
+            .expect("a waiting gate has an unplaced fanin");
+    }
+    NetlistError::CombinationalLoop(net.to_owned())
 }
 
 /// Serializes a netlist to `.bench` text.
@@ -275,8 +294,8 @@ G23 = NAND(G16, G19)
         let nl = parse_bench("c17", C17).unwrap();
         assert_eq!(nl.num_inputs(), 5);
         assert_eq!(nl.num_outputs(), 2);
-        // 5 PI + 6 NAND + 2 PO markers + 1 temp const = 14
-        assert_eq!(nl.num_gates(), 14);
+        // 5 PI + 6 NAND + 2 PO markers = 13
+        assert_eq!(nl.num_gates(), 13);
         nl.validate().unwrap();
     }
 
@@ -307,8 +326,7 @@ G23 = NAND(G16, G19)
         let nl2 = parse_bench("c17rt", &text).unwrap();
         assert_eq!(nl2.num_inputs(), nl.num_inputs());
         assert_eq!(nl2.num_outputs(), nl.num_outputs());
-        // Gate count may differ by the parser's temp const gate only.
-        assert!(nl2.num_gates() >= nl.num_gates() - 1);
+        assert_eq!(nl2.num_gates(), nl.num_gates());
     }
 
     #[test]
@@ -316,6 +334,34 @@ G23 = NAND(G16, G19)
         let text = "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n";
         let err = parse_bench("bad", text).unwrap_err();
         assert!(matches!(err, NetlistError::UndefinedNet(n) if n == "ghost"));
+    }
+
+    #[test]
+    fn wrong_fanin_count_is_bad_arity() {
+        let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n";
+        let err = parse_bench("bad", text).unwrap_err();
+        assert!(matches!(
+            err,
+            NetlistError::BadArity {
+                kind: "NOT",
+                expected: 1,
+                got: 2
+            }
+        ));
+    }
+
+    #[test]
+    fn combinational_cycle_is_a_loop() {
+        let text = "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = BUF(y)\n";
+        let err = parse_bench("bad", text).unwrap_err();
+        assert!(matches!(err, NetlistError::CombinationalLoop(n) if n == "y"));
+    }
+
+    #[test]
+    fn second_definition_is_a_duplicate() {
+        let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n";
+        let err = parse_bench("bad", text).unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateName("y".into()));
     }
 
     #[test]

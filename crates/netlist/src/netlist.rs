@@ -167,6 +167,17 @@ impl Netlist {
         id
     }
 
+    /// Adds a D flip-flop whose D pin reads its own Q net, for a caller
+    /// that wires D with [`Netlist::rewire_fanin`] once its source exists.
+    pub(crate) fn add_dff_unwired(&mut self, name: &str) -> GateId {
+        let id = self.push_gate(GateKind::Dff, Vec::new(), name);
+        let gate = &mut self.gates[id.index()];
+        gate.fanins.push(id);
+        gate.fanouts.push(id);
+        self.dffs.push(id);
+        id
+    }
+
     /// Adds a combinational gate and returns its id.
     ///
     /// # Panics

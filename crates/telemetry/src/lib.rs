@@ -315,13 +315,9 @@ pub struct TelemetryFinal {
     pub scrapes: u64,
     /// Events emitted to the stream.
     pub events: u64,
-    /// High-water rolling dies/sec (0 when the run outpaced the
-    /// sampler).
-    pub peak_dies_per_sec: f64,
-    /// Final p99 window latency estimate, microseconds (NaN when no
-    /// windows were timed).
-    pub p99_window_latency_us: f64,
-    /// The last published sample, in full.
+    /// The last published sample, in full: its `peak_dies_per_sec` is 0
+    /// when the run outpaced the sampler, and its `window_p99_us` is NaN
+    /// when no windows were timed.
     pub final_sample: TelemetrySample,
 }
 
@@ -386,14 +382,11 @@ impl TelemetrySession {
         if let Some(s) = self.server.take() {
             s.stop();
         }
-        let final_sample = self.inner.published_sample();
         TelemetryFinal {
             samples: self.inner.samples.load(Ordering::Relaxed),
             scrapes: self.inner.scrapes(),
             events: self.inner.events().map(EventLog::emitted).unwrap_or(0),
-            peak_dies_per_sec: final_sample.peak_dies_per_sec,
-            p99_window_latency_us: final_sample.window_p99_us,
-            final_sample,
+            final_sample: self.inner.published_sample(),
         }
     }
 }
@@ -552,7 +545,7 @@ mod tests {
         let fin = session.finish();
         assert!(fin.scrapes >= 3);
         assert!(fin.samples >= 2);
-        assert!(fin.p99_window_latency_us > 100.0);
+        assert!(fin.final_sample.window_p99_us > 100.0);
         // Endpoint is down after finish.
         assert!(scrape(addr, "/metrics").is_err());
     }
