@@ -16,8 +16,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dft_checkpoint::{
-    fnv1a, CancelToken, ChaosConfig, ChaosSite, CkptError, CkptPhase, CkptSection, CkptState,
-    CkptStatus, Journal,
+    fnv1a, verify_identity, CancelToken, ChaosConfig, ChaosSite, CkptError, CkptPhase, CkptSection,
+    CkptState, CkptStatus, FramedJournal,
 };
 use dft_fault::{collapse_equivalent, universe_stuck_at, Fault, FaultList, FaultStatus};
 use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel, TestCube};
@@ -26,6 +26,10 @@ use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::{compact_cubes, AtpgResult, DAlgorithm, Podem, PodemStats};
+
+/// Backtrack limit of the D-algorithm retry that
+/// [`AtpgConfig::escalate_aborts`] runs on a PODEM-aborted fault.
+pub const ESCALATION_BACKTRACKS: u32 = 512;
 
 /// How the driver compacts deterministic cubes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,19 +65,10 @@ pub struct AtpgConfig {
     /// results (see [`dft_logicsim::Executor`]).
     pub threads: usize,
     /// Retry a PODEM-aborted fault once with the D-algorithm (at
-    /// [`AtpgConfig::escalation_backtracks`]) before classifying it
-    /// aborted. The structural D-algorithm often closes hard faults the
+    /// [`ESCALATION_BACKTRACKS`]) before classifying it aborted. The
+    /// structural D-algorithm often closes hard faults the
     /// path-oriented search gives up on, at a bounded extra cost.
     pub escalate_aborts: bool,
-    /// Backtrack limit for the D-algorithm escalation retry.
-    pub escalation_backtracks: u32,
-    /// Per-fault wall-clock budget in milliseconds: when the PODEM
-    /// attempt has already consumed the budget, the escalation retry is
-    /// skipped and the fault is classified aborted immediately. `0` (the
-    /// default) means unlimited. **Wall-clock-based**, so a non-zero
-    /// budget can classify differently across machines/runs — leave it
-    /// at 0 whenever reproducibility matters (golden tests do).
-    pub fault_budget_ms: u64,
     /// Per-phase wall-clock deadline in milliseconds for durable runs
     /// (`0` = none). Each phase — random, top-off, sign-off — re-arms
     /// the deadline on entry; when it expires the run drains
@@ -104,8 +99,6 @@ impl Default for AtpgConfig {
             dynamic_targets: 16,
             threads: 0,
             escalate_aborts: true,
-            escalation_backtracks: 512,
-            fault_budget_ms: 0,
             deadline_ms: 0,
             poison_fault: None,
         }
@@ -170,20 +163,6 @@ impl AtpgConfig {
         self
     }
 
-    /// Sets the backtrack limit for the D-algorithm escalation retry.
-    pub fn escalation_backtracks(mut self, limit: u32) -> AtpgConfig {
-        self.escalation_backtracks = limit;
-        self
-    }
-
-    /// Sets the per-fault wall-clock budget in milliseconds (`0` =
-    /// unlimited). See [`AtpgConfig::fault_budget_ms`] for the
-    /// reproducibility caveat.
-    pub fn fault_budget_ms(mut self, ms: u64) -> AtpgConfig {
-        self.fault_budget_ms = ms;
-        self
-    }
-
     /// Sets the per-phase deadline in milliseconds for durable runs
     /// (`0` = none). See [`AtpgConfig::deadline_ms`].
     pub fn deadline_ms(mut self, ms: u64) -> AtpgConfig {
@@ -205,10 +184,13 @@ impl AtpgConfig {
     /// original run. Durability-only knobs (`threads`, `deadline_ms`,
     /// and the checkpoint cadence) are excluded — any thread count
     /// produces bit-identical results, and a resumed run may legitimately
-    /// drop the deadline that interrupted it.
+    /// drop the deadline that interrupted it. The last two slots are
+    /// fixed at the escalation backtrack limit and `0`, the values they
+    /// had while they were configurable, so checkpoints written then
+    /// still resume.
     pub fn fingerprint(&self, design: &str, universe_len: usize) -> u64 {
         let text = format!(
-            "{design}|{universe_len}|{}|{}|{}|{:?}|{}|{}|{}|{}|{}",
+            "{design}|{universe_len}|{}|{}|{}|{:?}|{}|{}|{}|{ESCALATION_BACKTRACKS}|0",
             self.random_patterns,
             self.seed,
             self.backtrack_limit,
@@ -216,8 +198,6 @@ impl AtpgConfig {
             self.guided_backtrace,
             self.dynamic_targets,
             self.escalate_aborts,
-            self.escalation_backtracks,
-            self.fault_budget_ms
         );
         fnv1a(text.as_bytes())
     }
@@ -311,7 +291,7 @@ impl TopoffTally {
 #[derive(Debug)]
 pub struct Durability {
     cancel: CancelToken,
-    journal: Option<Journal>,
+    journal: Option<FramedJournal>,
     /// Checkpoint cadence: a record every N top-off faults (0 = phase
     /// boundaries only).
     every_faults: u64,
@@ -345,9 +325,12 @@ impl Durability {
         }
     }
 
-    /// Attaches an `aidft-ckpt-v1` journal; the run appends periodic
-    /// checkpoints and a final record on interruption.
-    pub fn with_journal(mut self, journal: Journal) -> Durability {
+    /// Attaches a checkpoint journal — a [`FramedJournal`] opened with
+    /// [`dft_checkpoint::CKPT_FORMAT`]; the run appends periodic
+    /// [`CkptState`] records and a final one on interruption. Torn and
+    /// rotted writes come from the journal's own disk chaos
+    /// ([`FramedJournal::with_disk_chaos`]).
+    pub fn with_journal(mut self, journal: FramedJournal) -> Durability {
         self.journal = Some(journal);
         self
     }
@@ -359,19 +342,18 @@ impl Durability {
         self
     }
 
-    /// Attaches the chaos harness: checkpoint-write failures and
-    /// deadline clock skips inject here; worker panics and batch delays
-    /// are forwarded to the fault simulator.
+    /// Attaches the chaos harness: deadline clock skips inject here;
+    /// worker panics and batch delays are forwarded to the fault
+    /// simulator.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Durability {
         self.chaos = chaos.is_active().then_some(chaos);
         self
     }
 
-    /// Resumes from `state` (typically
-    /// [`Journal::load_last`]) instead of starting fresh. The run
-    /// verifies the design name and configuration fingerprint before
-    /// touching any state and refuses a mismatch with
-    /// [`AtpgError::Resume`].
+    /// Resumes from `state` (typically [`CkptState::load_last`])
+    /// instead of starting fresh. The run verifies the design name and
+    /// configuration fingerprint before touching any state and refuses
+    /// a mismatch with [`AtpgError::Resume`].
     pub fn resume_from(mut self, state: CkptState) -> Durability {
         self.resume = Some(state);
         self
@@ -382,7 +364,7 @@ impl Durability {
         &self.cancel
     }
 
-    /// Checkpoint writes that failed (chaos-injected or real I/O). The
+    /// Checkpoint writes that failed (disk chaos or real I/O). The
     /// run continues past a failed periodic write — the journal still
     /// holds the previous record.
     pub fn checkpoint_write_failures(&self) -> u64 {
@@ -573,17 +555,8 @@ impl DurCtx<'_> {
             }
         }
         let state = self.state_of(phase, w, pre);
-        let torn = self
-            .d
-            .chaos
-            .is_some_and(|c| c.fires(ChaosSite::CkptIo, seq));
         let t0 = Instant::now();
-        let result = if torn {
-            journal.append_torn(&state, seq)
-        } else {
-            journal.append(&state, seq)
-        };
-        match result {
+        match journal.append(seq, &state.to_body()) {
             Ok(bytes) => {
                 self.d.has_record = true;
                 if let Some(m) = self.metrics.get() {
@@ -605,7 +578,7 @@ impl DurCtx<'_> {
 
     /// The interrupt-time record must land if at all possible: retry a
     /// few times, each attempt under a fresh sequence number (so a
-    /// chaos-injected I/O failure rolls fresh dice).
+    /// disk-chaos failure rolls fresh dice).
     fn write_final(&mut self, phase: CkptPhase, w: &Working, pre: Option<&Snapshot>) {
         if self.d.journal.is_none() {
             return;
@@ -824,9 +797,13 @@ impl<'a> Atpg<'a> {
         let mut pre_compaction: Option<Snapshot> = None;
         if let Some(ctx) = &mut dur {
             if let Some(state) = ctx.d.resume.take() {
-                state
-                    .verify(&ctx.design, ctx.config_hash)
-                    .map_err(AtpgError::Resume)?;
+                verify_identity(
+                    &state.design,
+                    state.config_hash,
+                    &ctx.design,
+                    ctx.config_hash,
+                )
+                .map_err(AtpgError::Resume)?;
                 if state.main.statuses.len() != w.reps.len() || state.width != w.patterns.width() {
                     return Err(AtpgError::Resume(CkptError::Mismatch {
                         what: "shape",
@@ -1125,31 +1102,24 @@ impl<'a> Atpg<'a> {
             } else {
                 None
             };
-            let target_start = Instant::now();
             let (result, st) = podem.generate(target, config.backtrack_limit);
             w.podem_stats.backtracks += st.backtracks;
             w.podem_stats.simulations += st.simulations;
             w.podem_stats.decisions += st.decisions;
             // Escalation: retry a PODEM abort once with the structural
             // D-algorithm (stem faults only — it has no branch-fault
-            // model), unless this fault already blew its time budget.
+            // model).
             let mut escalated = false;
             let result = match result {
                 AtpgResult::Aborted if config.escalate_aborts && target.site.pin.is_none() => {
-                    let within_budget = config.fault_budget_ms == 0
-                        || target_start.elapsed().as_millis() < u128::from(config.fault_budget_ms);
-                    if within_budget {
-                        escalated = true;
-                        w.tally.escalated += 1;
-                        let _dalg_span = if sampled {
-                            Some(self.trace.span_arg("dalg_escalation", target_idx as u64))
-                        } else {
-                            None
-                        };
-                        dalg.generate(target, config.escalation_backtracks)
+                    escalated = true;
+                    w.tally.escalated += 1;
+                    let _dalg_span = if sampled {
+                        Some(self.trace.span_arg("dalg_escalation", target_idx as u64))
                     } else {
-                        AtpgResult::Aborted
-                    }
+                        None
+                    };
+                    dalg.generate(target, ESCALATION_BACKTRACKS)
                 }
                 other => other,
             };
@@ -1383,7 +1353,7 @@ mod tests {
     #[test]
     fn zero_fault_budget_means_unlimited_escalation() {
         let nl = ripple_adder(4);
-        let run = Atpg::new(&nl).run(&AtpgConfig::default().fault_budget_ms(0));
+        let run = Atpg::new(&nl).run(&AtpgConfig::default());
         assert!((run.test_coverage() - 1.0).abs() < 1e-9);
         assert_eq!(run.failed_sim_batches, 0);
     }
@@ -1422,6 +1392,16 @@ mod tests {
     }
 
     // ---- durable execution --------------------------------------------
+
+    fn journal(path: &std::path::Path) -> FramedJournal {
+        FramedJournal::new(path, dft_checkpoint::CKPT_FORMAT)
+    }
+
+    fn last_state(path: &std::path::Path) -> CkptState {
+        CkptState::load_last(&journal(path))
+            .expect("valid record")
+            .0
+    }
 
     fn ckpt_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("aidft-atpg-dur-{}", std::process::id()));
@@ -1465,7 +1445,7 @@ mod tests {
         let plain = Atpg::new(&nl).run(&cfg);
         let path = ckpt_path("clean.ckpt");
         let mut dur = Durability::new(CancelToken::new())
-            .with_journal(Journal::new(&path))
+            .with_journal(journal(&path))
             .checkpoint_every(8);
         let run = Atpg::new(&nl)
             .run_durable(&cfg, &mut dur)
@@ -1473,7 +1453,7 @@ mod tests {
         assert_same_result(&run, &plain, "clean durable run");
         assert_eq!(dur.checkpoint_write_failures(), 0);
         // The journal closed with a sign-off-phase record.
-        let last = Journal::new(&path).load_last().expect("valid record");
+        let last = last_state(&path);
         assert_eq!(last.phase, CkptPhase::Signoff);
         let _ = std::fs::remove_file(&path);
     }
@@ -1491,7 +1471,7 @@ mod tests {
             let cancel = CancelToken::new();
             cancel.trip_after_polls(kill);
             let mut dur = Durability::new(cancel)
-                .with_journal(Journal::new(&path))
+                .with_journal(journal(&path))
                 .checkpoint_every(4);
             let run = match Atpg::new(&nl).run_durable(&cfg, &mut dur) {
                 Err(AtpgError::Interrupted(int)) => {
@@ -1499,9 +1479,9 @@ mod tests {
                         int.checkpoint.is_some(),
                         "interrupt at kill point {kill} wrote no checkpoint"
                     );
-                    let state = Journal::new(&path).load_last().expect("valid record");
+                    let state = last_state(&path);
                     let mut resumed = Durability::new(CancelToken::new())
-                        .with_journal(Journal::new(&path))
+                        .with_journal(journal(&path))
                         .checkpoint_every(4)
                         .resume_from(state);
                     Atpg::new(&nl)
@@ -1525,7 +1505,7 @@ mod tests {
         };
         let path = ckpt_path("deadline.ckpt");
         let mut dur = Durability::new(CancelToken::new())
-            .with_journal(Journal::new(&path))
+            .with_journal(journal(&path))
             .checkpoint_every(16);
         let err = Atpg::new(&nl).run_durable(&cfg, &mut dur);
         let int = match err {
@@ -1538,9 +1518,9 @@ mod tests {
         // durability knobs, so this is the "same run".
         let plain_cfg = AtpgConfig::default();
         let plain = Atpg::new(&nl).run(&plain_cfg);
-        let state = Journal::new(&path).load_last().expect("valid record");
+        let state = last_state(&path);
         let mut resumed = Durability::new(CancelToken::new())
-            .with_journal(Journal::new(&path))
+            .with_journal(journal(&path))
             .resume_from(state);
         let run = Atpg::new(&nl)
             .run_durable(&plain_cfg, &mut resumed)
@@ -1557,10 +1537,10 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.trip_after_polls(2);
         let mut dur = Durability::new(cancel)
-            .with_journal(Journal::new(&path))
+            .with_journal(journal(&path))
             .checkpoint_every(2);
         let _ = Atpg::new(&nl).run_durable(&cfg, &mut dur);
-        let state = Journal::new(&path).load_last().expect("valid record");
+        let state = last_state(&path);
         let other = AtpgConfig {
             seed: 0xBAD,
             ..AtpgConfig::default()

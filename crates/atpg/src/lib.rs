@@ -28,6 +28,9 @@ mod twoframe;
 
 pub use compact::{compact_cubes, reverse_order_compaction};
 pub use dalg::DAlgorithm;
-pub use driver::{Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability};
+pub use driver::{
+    Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability,
+    ESCALATION_BACKTRACKS,
+};
 pub use podem::{AtpgResult, Podem, PodemStats};
 pub use twoframe::{expand_two_frames, TransitionAtpg, TransitionAtpgRun, TwoFrame};

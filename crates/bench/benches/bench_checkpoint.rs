@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dft_core::atpg::{Atpg, AtpgConfig, Durability};
-use dft_core::checkpoint::{fsck, replica_path, scrub, CancelToken, FramedJournal, Journal};
+use dft_core::checkpoint::{fsck, replica_path, scrub, CancelToken, FramedJournal, CKPT_FORMAT};
 use dft_core::netlist::generators::mac_pe;
 
 fn bench_checkpoint_overhead(c: &mut Criterion) {
@@ -34,7 +34,8 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
     group.bench_function("durable_journal_every64", |b| {
         b.iter(|| {
             std::fs::remove_file(&path).ok();
-            let mut dur = Durability::new(CancelToken::new()).with_journal(Journal::new(&path));
+            let mut dur = Durability::new(CancelToken::new())
+                .with_journal(FramedJournal::new(&path, CKPT_FORMAT));
             atpg.run_durable(&cfg, &mut dur).expect("uninterrupted")
         });
     });

@@ -18,10 +18,6 @@ pub enum ChaosSite {
     /// Delay a worker batch by [`ChaosConfig::delay`] (exercises
     /// stragglers and deadline drains).
     DelayBatch,
-    /// Fail a checkpoint journal write with a synthetic I/O error,
-    /// leaving a torn partial record behind (exercises journal
-    /// recovery).
-    CkptIo,
     /// Skip the deadline clock forward by [`ChaosConfig::clock_skip`]
     /// (exercises spurious deadline firings).
     ClockSkip,
@@ -51,8 +47,9 @@ pub enum ChaosSite {
     /// sibling replica).
     DiskEio,
     /// Write only a deterministic prefix of a journal record, then
-    /// fail (exercises torn-record skipping under real truncation
-    /// lengths, not just the half-record `CkptIo` tear).
+    /// fail — the torn tail a kill mid-write leaves (exercises
+    /// torn-record skipping and realignment under real truncation
+    /// lengths).
     DiskShortWrite,
     /// Flip one deterministically-chosen bit of a journal record and
     /// report *success* — silent corruption, detected only by the
@@ -68,7 +65,6 @@ impl ChaosSite {
         match self {
             ChaosSite::WorkerPanic => 0x9E37_79B9_7F4A_7C15,
             ChaosSite::DelayBatch => 0xBF58_476D_1CE4_E5B9,
-            ChaosSite::CkptIo => 0x94D0_49BB_1331_11EB,
             ChaosSite::ClockSkip => 0xD6E8_FEB8_6659_FD93,
             ChaosSite::DropConn => 0xC2B2_AE3D_27D4_EB4F,
             ChaosSite::TornFrame => 0x1656_67B1_9E37_79F9,
@@ -89,7 +85,7 @@ impl ChaosSite {
 /// The environment variable is a comma-separated `key=value` list:
 ///
 /// ```text
-/// AIDFT_CHAOS="panic=0.02,delay=0.01,delay_ms=5,io=0.2,clock=0.01,clock_ms=50,seed=7"
+/// AIDFT_CHAOS="panic=0.02,delay=0.01,delay_ms=5,shortwrite=0.2,clock=0.01,clock_ms=50,seed=7"
 /// ```
 ///
 /// | key        | meaning                                             | default |
@@ -97,7 +93,6 @@ impl ChaosSite {
 /// | `panic`    | probability a fault batch panics                    | 0.0     |
 /// | `delay`    | probability a worker chunk is delayed               | 0.0     |
 /// | `delay_ms` | delay length in milliseconds                        | 2       |
-/// | `io`       | probability a checkpoint write fails (torn record)  | 0.0     |
 /// | `clock`    | probability a checkpoint boundary skips the clock   | 0.0     |
 /// | `clock_ms` | clock-skip length in milliseconds                   | 100     |
 /// | `drop`     | probability a tester↔die connection is dropped      | 0.0     |
@@ -107,7 +102,7 @@ impl ChaosSite {
 /// | `corrupt`  | probability a signature upload is corrupted         | 0.0     |
 /// | `stall_ms` | how long a stalled/half-open peer holds the socket  | 250     |
 /// | `eio`      | probability a journal write fails with EIO          | 0.0     |
-/// | `shortwrite` | probability a journal write is cut short          | 0.0     |
+/// | `shortwrite` | probability a journal write is cut short (torn record) | 0.0 |
 /// | `bitrot`   | probability a journal record lands with one bit flipped | 0.0 |
 /// | `fsync_fail` | probability a journal flush reports failure       | 0.0     |
 /// | `seed`     | decision seed (replays are exact)                   | 0       |
@@ -127,8 +122,6 @@ pub struct ChaosConfig {
     pub delay_prob: f64,
     /// Injected delay length.
     pub delay: Duration,
-    /// Probability a checkpoint journal write fails torn.
-    pub io_prob: f64,
     /// Probability a checkpoint boundary skips the deadline clock.
     pub clock_skip_prob: f64,
     /// Injected clock-skip length.
@@ -150,7 +143,7 @@ pub struct ChaosConfig {
     pub stall: Duration,
     /// Probability a journal write fails with EIO before any byte
     /// reaches the file.
-    pub eio_prob: f64,
+    pub eio_fail_prob: f64,
     /// Probability a journal write is cut short at a deterministic
     /// prefix, then fails.
     pub shortwrite_prob: f64,
@@ -170,7 +163,6 @@ impl Default for ChaosConfig {
             panic_prob: 0.0,
             delay_prob: 0.0,
             delay: Duration::from_millis(2),
-            io_prob: 0.0,
             clock_skip_prob: 0.0,
             clock_skip: Duration::from_millis(100),
             drop_prob: 0.0,
@@ -179,7 +171,7 @@ impl Default for ChaosConfig {
             halfopen_prob: 0.0,
             corrupt_prob: 0.0,
             stall: Duration::from_millis(250),
-            eio_prob: 0.0,
+            eio_fail_prob: 0.0,
             shortwrite_prob: 0.0,
             bitrot_prob: 0.0,
             fsync_fail_prob: 0.0,
@@ -198,7 +190,6 @@ impl ChaosConfig {
     pub fn is_active(&self) -> bool {
         self.panic_prob > 0.0
             || self.delay_prob > 0.0
-            || self.io_prob > 0.0
             || self.clock_skip_prob > 0.0
             || self.drop_prob > 0.0
             || self.tear_prob > 0.0
@@ -211,7 +202,7 @@ impl ChaosConfig {
     /// `true` when any of the disk-fault knobs can fire (the subset
     /// the journal writer's [`crate::ChaosWriter`] layer cares about).
     pub fn has_disk_faults(&self) -> bool {
-        self.eio_prob > 0.0
+        self.eio_fail_prob > 0.0
             || self.shortwrite_prob > 0.0
             || self.bitrot_prob > 0.0
             || self.fsync_fail_prob > 0.0
@@ -259,7 +250,6 @@ impl ChaosConfig {
                 "panic" => cfg.panic_prob = fval()?,
                 "delay" => cfg.delay_prob = fval()?,
                 "delay_ms" => cfg.delay = Duration::from_millis(uval()?),
-                "io" => cfg.io_prob = fval()?,
                 "clock" => cfg.clock_skip_prob = fval()?,
                 "clock_ms" => cfg.clock_skip = Duration::from_millis(uval()?),
                 "drop" => cfg.drop_prob = fval()?,
@@ -268,7 +258,7 @@ impl ChaosConfig {
                 "halfopen" => cfg.halfopen_prob = fval()?,
                 "corrupt" => cfg.corrupt_prob = fval()?,
                 "stall_ms" => cfg.stall = Duration::from_millis(uval()?),
-                "eio" => cfg.eio_prob = fval()?,
+                "eio" => cfg.eio_fail_prob = fval()?,
                 "shortwrite" => cfg.shortwrite_prob = fval()?,
                 "bitrot" => cfg.bitrot_prob = fval()?,
                 "fsync_fail" => cfg.fsync_fail_prob = fval()?,
@@ -286,7 +276,6 @@ impl ChaosConfig {
         let prob = match site {
             ChaosSite::WorkerPanic => self.panic_prob,
             ChaosSite::DelayBatch => self.delay_prob,
-            ChaosSite::CkptIo => self.io_prob,
             ChaosSite::ClockSkip => self.clock_skip_prob,
             ChaosSite::DropConn => self.drop_prob,
             ChaosSite::TornFrame => self.tear_prob,
@@ -294,7 +283,7 @@ impl ChaosConfig {
             ChaosSite::StallServer => self.stall_prob,
             ChaosSite::HalfOpenConn => self.halfopen_prob,
             ChaosSite::CorruptFrame => self.corrupt_prob,
-            ChaosSite::DiskEio => self.eio_prob,
+            ChaosSite::DiskEio => self.eio_fail_prob,
             ChaosSite::DiskShortWrite => self.shortwrite_prob,
             ChaosSite::DiskBitRot => self.bitrot_prob,
             ChaosSite::DiskFsyncFail => self.fsync_fail_prob,
@@ -327,14 +316,13 @@ mod tests {
     #[test]
     fn parse_full_knob_list() {
         let c = ChaosConfig::parse(
-            "panic=0.02,delay=0.01,delay_ms=5,io=0.2,clock=0.01,clock_ms=50,drop=0.1,tear=0.05,\
+            "panic=0.02,delay=0.01,delay_ms=5,clock=0.01,clock_ms=50,drop=0.1,tear=0.05,\
              stall=0.04,halfopen=0.03,corrupt=0.02,stall_ms=80,seed=7",
         )
         .unwrap();
         assert_eq!(c.panic_prob, 0.02);
         assert_eq!(c.delay_prob, 0.01);
         assert_eq!(c.delay, Duration::from_millis(5));
-        assert_eq!(c.io_prob, 0.2);
         assert_eq!(c.clock_skip_prob, 0.01);
         assert_eq!(c.clock_skip, Duration::from_millis(50));
         assert_eq!(c.drop_prob, 0.1);
@@ -356,7 +344,7 @@ mod tests {
     fn parse_disk_fault_knobs() {
         let c =
             ChaosConfig::parse("eio=0.1,shortwrite=0.2,bitrot=0.3,fsync_fail=0.4,seed=11").unwrap();
-        assert_eq!(c.eio_prob, 0.1);
+        assert_eq!(c.eio_fail_prob, 0.1);
         assert_eq!(c.shortwrite_prob, 0.2);
         assert_eq!(c.bitrot_prob, 0.3);
         assert_eq!(c.fsync_fail_prob, 0.4);
@@ -366,7 +354,7 @@ mod tests {
             assert!(one.is_active(), "{knob} should activate chaos");
             assert!(one.has_disk_faults(), "{knob} is a disk fault");
         }
-        assert!(!ChaosConfig::parse("io=0.5").unwrap().has_disk_faults());
+        assert!(!ChaosConfig::parse("panic=0.5").unwrap().has_disk_faults());
         assert!(ChaosConfig::parse("bitrot=2.0").is_err());
     }
 
@@ -375,6 +363,8 @@ mod tests {
         assert!(ChaosConfig::parse("panic").is_err());
         assert!(ChaosConfig::parse("panic=2.0").is_err());
         assert!(ChaosConfig::parse("warp=0.5").is_err());
+        // The torn-write knob is `shortwrite`; `io` is not a knob.
+        assert!(ChaosConfig::parse("io=0.2").is_err());
         assert!(ChaosConfig::parse("seed=x").is_err());
         assert!(!ChaosConfig::parse("").unwrap().is_active());
     }
@@ -383,7 +373,7 @@ mod tests {
     fn decisions_are_deterministic_and_sites_independent() {
         let c = ChaosConfig {
             panic_prob: 0.5,
-            io_prob: 0.5,
+            delay_prob: 0.5,
             seed: 42,
             ..ChaosConfig::default()
         };
@@ -394,9 +384,8 @@ mod tests {
             );
         }
         // With both probs at 0.5 the two sites should disagree somewhere.
-        assert!(
-            (0..64).any(|i| c.fires(ChaosSite::WorkerPanic, i) != c.fires(ChaosSite::CkptIo, i))
-        );
+        assert!((0..64)
+            .any(|i| c.fires(ChaosSite::WorkerPanic, i) != c.fires(ChaosSite::DelayBatch, i)));
     }
 
     #[test]

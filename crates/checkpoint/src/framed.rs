@@ -1,13 +1,16 @@
-//! Generic framed, checksummed journal records.
+//! The one journal type: framed, checksummed, append-only records.
 //!
-//! The `aidft-ckpt-v1` journal ([`crate::Journal`]) frames every record
-//! as a `ckpt <format> <seq>` header, a line-oriented body, and an
-//! `end <crc>` trailer whose FNV-1a checksum covers everything above it.
-//! That framing is useful beyond ATPG state — the serve fleet journal
-//! (`aidft-serve-v2`) needs exactly the same torn-tail-tolerant,
-//! append-only durability — so the format-agnostic half lives here:
-//! frame a body, validate a candidate record, and scan a journal file
-//! newest-first for the latest record that checks out.
+//! Every durable stream in the toolkit is a [`FramedJournal`]: the ATPG
+//! checkpoints (`aidft-ckpt-v1`), the serve fleet state
+//! (`aidft-serve-v2`) and the telemetry event stream
+//! (`aidft-telemetry-v1`). Each record is a `ckpt <format> <seq>`
+//! header, a line-oriented body, and an `end <crc>` trailer whose FNV-1a
+//! checksum covers everything above it. This module owns the framing
+//! and the storage — torn-tail realignment, replicas, disk chaos, and
+//! newest-first recovery — while each producer owns its body codec
+//! (`CkptState::to_body`/`parse_body`, the fleet state's, the event
+//! lines) and hands a body parser to [`FramedJournal::load_last_parsed`]
+//! so a record counts only when its framing *and* its body check out.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -121,16 +124,9 @@ pub(crate) fn needs_realignment(path: &Path) -> io::Result<bool> {
 
 /// Appends `record` (already framed) to one replica file, realigning
 /// after a torn tail, with `fault` injected through the
-/// [`ChaosWriter`] layer. When `torn` is set only the first half of
-/// the record is written and a synthetic I/O error is returned — the
-/// legacy `CkptIo` chaos hook that models a kill mid-write.
-fn append_one(
-    path: &Path,
-    record: &str,
-    torn: bool,
-    fault: DiskFault,
-    key: u64,
-) -> io::Result<u64> {
+/// [`ChaosWriter`] layer (a `shortwrite` fault leaves exactly the torn
+/// tail a kill mid-write does).
+fn append_one(path: &Path, record: &str, fault: DiskFault, key: u64) -> io::Result<()> {
     let realign = needs_realignment(path)?;
     let f = std::fs::OpenOptions::new()
         .create(true)
@@ -140,57 +136,8 @@ fn append_one(
     if realign {
         w.write_all(b"\n")?;
     }
-    if torn {
-        w.write_all(&record.as_bytes()[..record.len() / 2])?;
-        w.flush()?;
-        return Err(io::Error::other("chaos: injected checkpoint write failure"));
-    }
     w.write_all(record.as_bytes())?;
-    w.flush()?;
-    Ok(record.len() as u64)
-}
-
-/// Appends `record` to every replica of the journal at `path`,
-/// drawing an independent disk-fault decision per replica (ordinal
-/// mixes `seq` with the replica index). The append succeeds when at
-/// least one replica took the full record — that is the durability
-/// contract replica fallback recovery restores from — and a success
-/// also notes the record in the scrub-index sidecar. Returns the
-/// record length, or the last per-replica error when every replica
-/// failed.
-pub(crate) fn append_replicated(
-    path: &Path,
-    record: &str,
-    torn: bool,
-    replicas: u32,
-    chaos: &ChaosConfig,
-    seq: u64,
-) -> io::Result<u64> {
-    let n = replicas.max(1);
-    let mut ok = false;
-    let mut last_err: Option<io::Error> = None;
-    for r in 0..n {
-        let ordinal = io_chaos::disk_ordinal(seq, r);
-        let fault = if chaos.has_disk_faults() {
-            io_chaos::decide(chaos, ordinal)
-        } else {
-            DiskFault::None
-        };
-        let key = io_chaos::fault_key(chaos, ordinal);
-        match append_one(&replica_path(path, r), record, torn, fault, key) {
-            Ok(_) => ok = true,
-            Err(e) => last_err = Some(e),
-        }
-    }
-    if ok {
-        if let Some(entry) = ScrubEntry::for_record(seq, record) {
-            scrub::note_append(path, &entry);
-        }
-        Ok(record.len() as u64)
-    } else {
-        Err(last_err
-            .unwrap_or_else(|| io::Error::other("checkpoint append failed on every replica")))
-    }
+    w.flush()
 }
 
 /// Splits `text` into candidate record regions for `header` (e.g.
@@ -217,8 +164,8 @@ pub(crate) fn record_regions(text: &str, header: &str) -> Vec<(usize, usize)> {
 
 /// Scans `text` oldest-first and returns *every* record of `format`
 /// that `parse` accepts, in file order. Torn tails and corrupt records
-/// are skipped silently, like [`scan_last`] — a journal is allowed to
-/// carry damage, never to propagate it.
+/// are skipped silently, as [`FramedJournal::load_last_parsed`] skips
+/// them — a journal is allowed to carry damage, never to propagate it.
 pub(crate) fn scan_all<T>(text: &str, format: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
     let header = format!("ckpt {format} ");
     record_regions(text, &header)
@@ -227,81 +174,12 @@ pub(crate) fn scan_all<T>(text: &str, format: &str, parse: impl Fn(&str) -> Opti
         .collect()
 }
 
-/// Loads the newest intact record across every replica of the journal
-/// at `path`. Per replica the newest parse-clean record wins (file
-/// order, matching [`scan_last`]); across replicas the highest seq
-/// wins, ties to the lowest replica index — so a rotted primary falls
-/// back to an intact sibling instead of refusing. `parse` must return
-/// the record's `(seq, value)`.
-///
-/// Error shape matches the single-file loaders: [`CkptError::Io`]
-/// only when *no* replica file could be read at all,
-/// [`CkptError::NoValidRecord`] when files exist but hold no intact
-/// record of this format.
-pub(crate) fn load_last_replicated<T>(
-    path: &Path,
-    format: &str,
-    replicas: u32,
-    parse: impl Fn(&str) -> Option<(u64, T)>,
-) -> Result<(T, RecoveryReport), CkptError> {
-    let header = format!("ckpt {format} ");
-    let mut best: Option<(u64, u32, T)> = None;
-    let mut damaged = 0u64;
-    let mut scanned = 0u32;
-    let mut primary_err: Option<io::Error> = None;
-    for r in 0..replicas.max(1) {
-        let text = match read_text_lossy(&replica_path(path, r)) {
-            Ok(t) => t,
-            Err(e) => {
-                if r == 0 {
-                    primary_err = Some(e);
-                }
-                continue;
-            }
-        };
-        scanned += 1;
-        let mut newest: Option<(u64, T)> = None;
-        for &(start, end) in &record_regions(&text, &header) {
-            match parse(&text[start..end]) {
-                Some(v) => newest = Some(v),
-                None => damaged += 1,
-            }
-        }
-        if let Some((seq, value)) = newest {
-            if best.as_ref().is_none_or(|(s, _, _)| seq > *s) {
-                best = Some((seq, r, value));
-            }
-        }
-    }
-    if scanned == 0 {
-        return Err(CkptError::Io {
-            path: path.display().to_string(),
-            source: primary_err
-                .unwrap_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no replica readable")),
-        });
-    }
-    match best {
-        Some((seq, replica, value)) => Ok((
-            value,
-            RecoveryReport {
-                replicas_scanned: scanned,
-                damaged,
-                source_replica: replica,
-                seq,
-            },
-        )),
-        None => Err(CkptError::NoValidRecord {
-            path: path.display().to_string(),
-        }),
-    }
-}
-
 /// An append-only journal of [`frame_record`]-framed records for one
-/// format id. The generic counterpart of [`crate::Journal`]: same
-/// torn-tail realignment on append, same newest-first recovery on load,
-/// but the body is opaque text owned by the caller. Optionally writes
-/// N-way replicas ([`FramedJournal::with_replicas`]) and injects
-/// seeded disk faults ([`FramedJournal::with_disk_chaos`]).
+/// format id: torn-tail realignment on append, newest-first recovery
+/// on load, and a body that is opaque text owned by the caller's
+/// codec. Optionally writes N-way replicas
+/// ([`FramedJournal::with_replicas`]) and injects seeded disk faults
+/// ([`FramedJournal::with_disk_chaos`]).
 #[derive(Debug, Clone)]
 pub struct FramedJournal {
     path: PathBuf,
@@ -345,40 +223,62 @@ impl FramedJournal {
         &self.path
     }
 
-    /// The format id this journal frames records with.
-    pub fn format(&self) -> &'static str {
-        self.format
-    }
-
-    /// The configured replica count.
-    pub fn replicas(&self) -> u32 {
-        self.replicas
-    }
-
-    /// Appends one framed record to every replica; returns the bytes
-    /// written. Succeeds when at least one replica took the record.
+    /// Appends one framed record to every replica, drawing an
+    /// independent disk-fault decision per replica (the ordinal mixes
+    /// `seq` with the replica index). Succeeds when at least one
+    /// replica took the full record — the durability contract replica
+    /// fallback recovery restores from — and a success also notes the
+    /// record in the scrub-index sidecar. Returns the record length, or
+    /// the last per-replica error when every replica failed.
     pub fn append(&self, seq: u64, body: &str) -> io::Result<u64> {
-        append_replicated(
-            &self.path,
-            &frame_record(self.format, seq, body),
-            false,
-            self.replicas,
-            &self.chaos,
-            seq,
-        )
+        let record = frame_record(self.format, seq, body);
+        let mut ok = false;
+        let mut last_err = None;
+        for r in 0..self.replicas {
+            let ordinal = io_chaos::disk_ordinal(seq, r);
+            let fault = if self.chaos.has_disk_faults() {
+                io_chaos::decide(&self.chaos, ordinal)
+            } else {
+                DiskFault::None
+            };
+            let key = io_chaos::fault_key(&self.chaos, ordinal);
+            match append_one(&replica_path(&self.path, r), &record, fault, key) {
+                Ok(()) => ok = true,
+                Err(e) => last_err = Some(e),
+            }
+        }
+        if !ok {
+            return Err(last_err
+                .unwrap_or_else(|| io::Error::other("checkpoint append failed on every replica")));
+        }
+        if let Some(entry) = ScrubEntry::for_record(seq, &record) {
+            scrub::note_append(&self.path, &entry);
+        }
+        Ok(record.len() as u64)
     }
 
-    /// Chaos hook: appends only a torn prefix of the record, then
-    /// returns an error. The previous record stays recoverable.
-    pub fn append_torn(&self, seq: u64, body: &str) -> io::Result<u64> {
-        append_replicated(
-            &self.path,
-            &frame_record(self.format, seq, body),
-            true,
-            self.replicas,
-            &self.chaos,
-            seq,
-        )
+    /// Every readable replica as `(replica, text)`, primary first. Only
+    /// a journal with no readable replica at all is an error:
+    /// [`CkptError::Io`] carrying the primary's failure.
+    fn read_replicas(&self) -> Result<Vec<(u32, String)>, CkptError> {
+        let mut texts = Vec::new();
+        let mut primary_err = None;
+        for r in 0..self.replicas {
+            match read_text_lossy(&replica_path(&self.path, r)) {
+                Ok(text) => texts.push((r, text)),
+                Err(e) if r == 0 => primary_err = Some(e),
+                Err(_) => {}
+            }
+        }
+        if texts.is_empty() {
+            return Err(CkptError::Io {
+                path: self.path.display().to_string(),
+                source: primary_err.unwrap_or_else(|| {
+                    io::Error::new(io::ErrorKind::NotFound, "no replica readable")
+                }),
+            });
+        }
+        Ok(texts)
     }
 
     /// Loads *every* complete, checksum-valid record as `(seq, body)`,
@@ -390,23 +290,10 @@ impl FramedJournal {
     /// an auditor wants the whole history. Replays the first readable
     /// replica (primary preferred) so history keeps its file order.
     pub fn load_all(&self) -> Result<Vec<(u64, String)>, CkptError> {
-        let mut primary_err: Option<io::Error> = None;
-        for r in 0..self.replicas {
-            match read_text_lossy(&replica_path(&self.path, r)) {
-                Ok(text) => {
-                    return Ok(scan_all(&text, self.format, |t| {
-                        parse_framed(t, self.format)
-                    }))
-                }
-                Err(e) if r == 0 => primary_err = Some(e),
-                Err(_) => {}
-            }
-        }
-        Err(CkptError::Io {
-            path: self.path.display().to_string(),
-            source: primary_err
-                .unwrap_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no replica readable")),
-        })
+        let (_, text) = &self.read_replicas()?[0];
+        Ok(scan_all(text, self.format, |t| {
+            parse_framed(t, self.format)
+        }))
     }
 
     /// Loads the newest complete, checksum-valid record as
@@ -415,17 +302,71 @@ impl FramedJournal {
     /// wins; only a journal with *no* valid record on any replica is
     /// an error.
     pub fn load_last(&self) -> Result<(u64, String), CkptError> {
-        self.load_last_report().map(|(rec, _)| rec)
+        self.load_last_parsed(|body| Some(body.to_owned()))
+            .map(|(rec, _)| rec)
     }
 
-    /// [`FramedJournal::load_last`] plus the [`RecoveryReport`]
-    /// describing how hard the load had to work — the hook the
-    /// self-healing path uses to record scrub repairs.
-    pub fn load_last_report(&self) -> Result<((u64, String), RecoveryReport), CkptError> {
-        load_last_replicated(&self.path, self.format, self.replicas, |t| {
-            parse_framed(t, self.format).map(|(seq, body)| (seq, (seq, body)))
-        })
+    /// Loads the newest record whose framing checks out *and* whose
+    /// body `parse` accepts, as `(seq, parsed body)`, plus the
+    /// [`RecoveryReport`] describing how hard the load had to work —
+    /// every record that fails its framing, or the body check on the
+    /// way to the newest good one, counts as damaged. Per replica the
+    /// last such record in file order wins; across replicas the highest
+    /// seq wins, ties to the lowest replica index, so a rotted primary
+    /// falls back to an intact sibling. This is how a producer resumes
+    /// through its body codec, and the hook the self-healing path uses
+    /// to record scrub repairs.
+    ///
+    /// Errors: [`CkptError::Io`] only when *no* replica file could be
+    /// read, [`CkptError::NoValidRecord`] when the files hold no
+    /// record that passes both checks.
+    pub fn load_last_parsed<T>(
+        &self,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<((u64, T), RecoveryReport), CkptError> {
+        let texts = self.read_replicas()?;
+        let header = format!("ckpt {} ", self.format);
+        let mut best: Option<(u32, (u64, T))> = None;
+        let mut damaged = 0u64;
+        for (r, text) in &texts {
+            // Newest-first, so only the winner's body (and any damaged
+            // newer one) is parsed; framing is checked on every record.
+            let mut newest = None;
+            for &(start, end) in record_regions(text, &header).iter().rev() {
+                match parse_framed(&text[start..end], self.format) {
+                    Some((seq, body)) if newest.is_none() => match parse(&body) {
+                        Some(value) => newest = Some((seq, value)),
+                        None => damaged += 1,
+                    },
+                    Some(_) => {}
+                    None => damaged += 1,
+                }
+            }
+            if let Some(record) = newest {
+                if best.as_ref().is_none_or(|(_, (seq, _))| record.0 > *seq) {
+                    best = Some((*r, record));
+                }
+            }
+        }
+        let (source_replica, record) = best.ok_or_else(|| CkptError::NoValidRecord {
+            path: self.path.display().to_string(),
+        })?;
+        let report = RecoveryReport {
+            replicas_scanned: texts.len() as u32,
+            damaged,
+            source_replica,
+            seq: record.0,
+        };
+        Ok((record, report))
     }
+}
+
+/// A journal on the same file whose every append is cut short at a
+/// deterministic prefix and fails: the torn tail of a kill mid-write.
+#[cfg(test)]
+pub(crate) fn tearing(j: &FramedJournal) -> FramedJournal {
+    j.clone()
+        .with_disk_chaos(ChaosConfig::parse("shortwrite=1.0,seed=1").unwrap())
 }
 
 #[cfg(test)]
@@ -457,7 +398,7 @@ mod tests {
     fn journal_recovers_newest_after_torn_tail() {
         let j = FramedJournal::new(temp("framed.ckpt"), "test-v1");
         j.append(0, "state a\n").unwrap();
-        assert!(j.append_torn(1, "state b\n").is_err());
+        assert!(tearing(&j).append(1, "state b\n").is_err());
         assert_eq!(j.load_last().unwrap(), (0, "state a\n".to_owned()));
         // Realignment keeps the next record loadable.
         j.append(2, "state c\n").unwrap();
@@ -470,7 +411,7 @@ mod tests {
         let j = FramedJournal::new(temp("framed-all.ckpt"), "test-v1");
         j.append(0, "a\n").unwrap();
         j.append(1, "b\n").unwrap();
-        assert!(j.append_torn(2, "torn\n").is_err());
+        assert!(tearing(&j).append(2, "torn\n").is_err());
         j.append(3, "c\n").unwrap();
         let all = j.load_all().unwrap();
         assert_eq!(
@@ -497,7 +438,7 @@ mod tests {
         // Rot the whole primary: the load falls back to replica 1 and
         // reports the recovery as degraded.
         std::fs::write(j.path(), "garbage where a journal used to be\n").unwrap();
-        let ((seq, body), report) = j.load_last_report().unwrap();
+        let ((seq, body), report) = j.load_last_parsed(|b| Some(b.to_owned())).unwrap();
         assert_eq!((seq, body.as_str()), (1, "state b\n"));
         assert_eq!(report.source_replica, 1);
         assert!(report.degraded());
@@ -517,7 +458,7 @@ mod tests {
     fn undamaged_replicated_load_is_not_degraded() {
         let j = FramedJournal::new(temp("replicated-clean.ckpt"), "test-v1").with_replicas(2);
         j.append(0, "state a\n").unwrap();
-        let ((seq, _), report) = j.load_last_report().unwrap();
+        let ((seq, _), report) = j.load_last_parsed(|_| Some(())).unwrap();
         assert_eq!(seq, 0);
         assert_eq!(report.replicas_scanned, 2);
         assert_eq!(report.damaged, 0);
@@ -556,7 +497,7 @@ mod tests {
             .with_replicas(2)
             .with_disk_chaos(partial);
         j2.append(0, "state a\n").unwrap();
-        let ((seq, body), report) = j2.load_last_report().unwrap();
+        let ((seq, body), report) = j2.load_last_parsed(|b| Some(b.to_owned())).unwrap();
         assert_eq!((seq, body.as_str()), (0, "state a\n"));
         assert_eq!(report.damaged, 1, "the rotted copy is detected");
         for p in [

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::framed::{frame_record, parse_framed, read_text_lossy, record_regions};
+use crate::framed::{frame_record, parse_framed, read_text_lossy, record_regions, scan_all};
 use crate::journal::CkptError;
 use crate::scrub::{self, ScrubEntry};
 
@@ -275,17 +275,14 @@ pub fn repair(path: &Path) -> Result<FsckReport, CkptError> {
         path: path.display().to_string(),
         source: e,
     })?;
-    let header = format!("ckpt {fmt} ");
     let mut clean = String::new();
     let mut entries = Vec::new();
-    for &(start, end) in &record_regions(&text, &header) {
-        if let Some((seq, body)) = parse_framed(&text[start..end], &fmt) {
-            let record = frame_record(&fmt, seq, &body);
-            if let Some(e) = ScrubEntry::for_record(seq, &record) {
-                entries.push(e);
-            }
-            clean.push_str(&record);
+    for (seq, body) in scan_all(&text, &fmt, |t| parse_framed(t, &fmt)) {
+        let record = frame_record(&fmt, seq, &body);
+        if let Some(e) = ScrubEntry::for_record(seq, &record) {
+            entries.push(e);
         }
+        clean.push_str(&record);
     }
     if entries.is_empty() {
         return Err(CkptError::Corrupt {
@@ -344,7 +341,7 @@ mod tests {
         let j = FramedJournal::new(temp("damaged.ckpt"), "test-v1");
         j.append(0, "a\n").unwrap();
         j.append(1, "b\n").unwrap();
-        assert!(j.append_torn(2, "torn\n").is_err());
+        assert!(crate::framed::tearing(&j).append(2, "torn\n").is_err());
         // Rot one byte of record 1's body in place.
         let mut bytes = std::fs::read(j.path()).unwrap();
         let pos = bytes

@@ -2,7 +2,7 @@
 //!
 //! The network and compute chaos sites fail *operations*; this module
 //! fails *storage*. A journal append wraps its file handle in a
-//! [`ChaosWriter`], a `Write`/`Seek` layer that injects exactly one
+//! [`ChaosWriter`], a `Write` layer that injects exactly one
 //! decided [`DiskFault`] per record: an EIO before any byte lands, a
 //! short write cut at a deterministic prefix, a single silently
 //! flipped bit, or an fsync that reports failure after the bytes were
@@ -12,7 +12,7 @@
 //! ([`disk_ordinal`]) so sibling replicas of the same record fail
 //! independently — the property replica fallback recovery relies on.
 
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 
 use crate::chaos::{splitmix64, ChaosConfig, ChaosSite};
 
@@ -67,7 +67,7 @@ pub fn fault_key(chaos: &ChaosConfig, ordinal: u64) -> u64 {
     splitmix64(chaos.seed ^ ordinal.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x5851_F42D_4C95_7F2D)
 }
 
-/// A `Write`/`Seek` layer that injects one [`DiskFault`] into a
+/// A `Write` layer that injects one [`DiskFault`] into a
 /// stream of `planned` bytes. Construct it per journal append: the
 /// fault and its parameters are fixed at construction so the same
 /// `(fault, key, planned)` triple always damages the file the same
@@ -87,7 +87,8 @@ pub struct ChaosWriter<W> {
 
 impl<W> ChaosWriter<W> {
     /// Wraps `inner` for a write of `planned` bytes under `fault`,
-    /// with fault parameters derived from `key` (see [`fault_key`]).
+    /// with fault parameters derived from `key` (the journal draws it
+    /// per write from the chaos seed and the write's ordinal).
     pub fn new(inner: W, fault: DiskFault, key: u64, planned: u64) -> ChaosWriter<W> {
         let planned = planned.max(1);
         ChaosWriter {
@@ -97,11 +98,6 @@ impl<W> ChaosWriter<W> {
             flip: key % (planned * 8),
             written: 0,
         }
-    }
-
-    /// Bytes accepted so far (for callers that report write progress).
-    pub fn written(&self) -> u64 {
-        self.written
     }
 
     /// Unwraps the inner writer.
@@ -152,12 +148,6 @@ impl<W: Write> Write for ChaosWriter<W> {
             return Err(io::Error::other("chaos: injected fsync failure"));
         }
         Ok(())
-    }
-}
-
-impl<W: Write + Seek> Seek for ChaosWriter<W> {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.inner.seek(pos)
     }
 }
 

@@ -1,17 +1,18 @@
-//! The `aidft-ckpt-v1` append-only checkpoint journal.
+//! The `aidft-ckpt-v1` checkpoint body: the ATPG resume state and its
+//! codec.
 //!
-//! A journal file is a sequence of framed, checksummed records. Each
-//! record is a complete resumable snapshot; the file only ever grows, so
-//! a process killed mid-write can at worst leave one *torn* record at
-//! the tail. [`Journal::load_last`] scans records newest-first and
-//! returns the newest record whose frame is complete and whose FNV-1a
-//! checksum matches — torn tails and flipped bytes are skipped, never
-//! fatal.
+//! An ATPG checkpoint journal is a [`FramedJournal`] opened with
+//! [`CKPT_FORMAT`]. The framing layer owns everything durable — the
+//! `ckpt aidft-ckpt-v1 <seq>` header, the `end <crc>` trailer, torn-tail
+//! realignment, replicas, disk chaos, newest-first recovery — and this
+//! module owns only the body between header and trailer
+//! ([`CkptState::to_body`] / [`CkptState::parse_body`]). Each record is
+//! a complete resumable snapshot, so a process killed mid-write loses
+//! at most the record it was writing.
 //!
-//! Record grammar (line-oriented text; `\n` separators):
+//! Body grammar (line-oriented text; `\n` separators):
 //!
 //! ```text
-//! ckpt aidft-ckpt-v1 <seq>
 //! design <name>
 //! config <hex16>            # caller-computed configuration hash
 //! phase <init | topoff <round> | signoff>
@@ -28,12 +29,12 @@
 //! ncube <count>
 //! cube <0/1/X bits>         # one line per cube
 //! [section pre_compaction]  # optional second section, same layout
-//! end <hex16>               # FNV-1a of every line above, incl. header
 //! ```
 
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+
+use crate::framed::{FramedJournal, RecoveryReport};
 
 /// The on-disk format identifier; bump on any incompatible change.
 pub const CKPT_FORMAT: &str = "aidft-ckpt-v1";
@@ -65,9 +66,10 @@ pub enum CkptStatus {
 }
 
 /// Where a resumed run picks up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CkptPhase {
     /// Nothing durable happened yet; resume re-runs from scratch.
+    #[default]
     Init,
     /// Mid deterministic top-off, in compaction round `round`.
     Topoff(u32),
@@ -94,7 +96,7 @@ pub struct CkptSection {
 
 /// A complete `aidft-ckpt-v1` record: everything a run needs to resume
 /// bit-identically.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CkptState {
     /// Design name (resume refuses a mismatch).
     pub design: String,
@@ -184,31 +186,39 @@ impl std::error::Error for CkptError {
     }
 }
 
-impl CkptState {
-    /// Refuses resume when `design`/`config_hash` disagree with this
-    /// record.
-    pub fn verify(&self, design: &str, config_hash: u64) -> Result<(), CkptError> {
-        if self.design != design {
-            return Err(CkptError::Mismatch {
-                what: "design",
-                expected: self.design.clone(),
-                found: design.to_owned(),
-            });
-        }
-        if self.config_hash != config_hash {
-            return Err(CkptError::Mismatch {
-                what: "config",
-                expected: format!("{:016x}", self.config_hash),
-                found: format!("{config_hash:016x}"),
-            });
-        }
-        Ok(())
+/// Refuses a resume whose run identity differs from the checkpoint's:
+/// `ckpt_design`/`ckpt_config` as recorded, `design`/`config` of the
+/// resuming run. The one mismatch check every journal format shares —
+/// resuming another design's or another configuration's record would
+/// silently diverge from the original run.
+pub fn verify_identity(
+    ckpt_design: &str,
+    ckpt_config: u64,
+    design: &str,
+    config: u64,
+) -> Result<(), CkptError> {
+    if ckpt_design != design {
+        return Err(CkptError::Mismatch {
+            what: "design",
+            expected: ckpt_design.to_owned(),
+            found: design.to_owned(),
+        });
     }
+    if ckpt_config != config {
+        return Err(CkptError::Mismatch {
+            what: "config",
+            expected: format!("{ckpt_config:016x}"),
+            found: format!("{config:016x}"),
+        });
+    }
+    Ok(())
+}
 
-    /// Renders the record (header through `end` line, trailing newline).
-    pub fn to_record(&self, seq: u64) -> String {
+impl CkptState {
+    /// Renders the record body (the lines between the framing header
+    /// and trailer, each newline-terminated).
+    pub fn to_body(&self) -> String {
         let mut body = String::new();
-        body.push_str(&format!("ckpt {CKPT_FORMAT} {seq}\n"));
         body.push_str(&format!("design {}\n", self.design));
         body.push_str(&format!("config {:016x}\n", self.config_hash));
         match self.phase {
@@ -225,41 +235,15 @@ impl CkptState {
         if let Some(pre) = &self.pre_compaction {
             write_section(&mut body, "pre_compaction", pre);
         }
-        let crc = fnv1a(body.as_bytes());
-        body.push_str(&format!("end {crc:016x}\n"));
         body
     }
 
-    /// Parses one record (header line through `end`). `None` on any
-    /// framing, field, or checksum problem — the journal treats a bad
-    /// record as absent, not fatal.
-    pub fn parse_record(text: &str) -> Option<CkptState> {
-        let end_pos = text.rfind("\nend ")?;
-        let body = &text[..end_pos + 1];
-        let crc_line = text[end_pos + 1..].lines().next()?;
-        let crc = u64::from_str_radix(crc_line.strip_prefix("end ")?.trim(), 16).ok()?;
-        if fnv1a(body.as_bytes()) != crc {
-            return None;
-        }
-        let mut lines = body.lines();
-        let header = lines.next()?;
-        let mut h = header.split_whitespace();
-        if h.next()? != "ckpt" || h.next()? != CKPT_FORMAT {
-            return None;
-        }
-        let mut state = CkptState {
-            design: String::new(),
-            config_hash: 0,
-            phase: CkptPhase::Init,
-            seed: 0,
-            fill_seed: 0,
-            fault_ordinal: 0,
-            random_detected: 0,
-            width: 0,
-            main: CkptSection::default(),
-            pre_compaction: None,
-        };
-        let mut lines = lines.peekable();
+    /// Parses a record body back. `None` on any field problem — the
+    /// journal treats a record whose body does not parse as damaged,
+    /// like one whose checksum fails.
+    pub fn parse_body(body: &str) -> Option<CkptState> {
+        let mut state = CkptState::default();
+        let mut lines = body.lines().peekable();
         while let Some(line) = lines.next() {
             let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
             match key {
@@ -290,6 +274,17 @@ impl CkptState {
             }
         }
         Some(state)
+    }
+
+    /// Loads the newest record of `journal` (a [`FramedJournal`] opened
+    /// with [`CKPT_FORMAT`]) whose framing and body both parse, plus
+    /// the [`RecoveryReport`] counting the damaged records the load
+    /// stepped over. Only a journal with no such record on any replica
+    /// is an error.
+    pub fn load_last(journal: &FramedJournal) -> Result<(CkptState, RecoveryReport), CkptError> {
+        journal
+            .load_last_parsed(CkptState::parse_body)
+            .map(|((_, state), report)| (state, report))
     }
 }
 
@@ -375,102 +370,10 @@ fn parse_section<'a, I: Iterator<Item = &'a str>>(
     Some(s)
 }
 
-/// Handle to an `aidft-ckpt-v1` journal file. Optionally writes N-way
-/// replicas ([`Journal::with_replicas`]) and injects seeded disk
-/// faults ([`Journal::with_disk_chaos`]), sharing the storage layer
-/// with [`crate::FramedJournal`].
-#[derive(Debug, Clone)]
-pub struct Journal {
-    path: PathBuf,
-    replicas: u32,
-    chaos: crate::ChaosConfig,
-}
-
-impl Journal {
-    /// A journal at `path` (created on first append), unreplicated and
-    /// chaos-free.
-    pub fn new(path: impl Into<PathBuf>) -> Journal {
-        Journal {
-            path: path.into(),
-            replicas: 1,
-            chaos: crate::ChaosConfig::disabled(),
-        }
-    }
-
-    /// Writes every record to `n` replica files (clamped to at least
-    /// 1); loads fall back to the newest intact record across them.
-    pub fn with_replicas(mut self, n: u32) -> Journal {
-        self.replicas = n.max(1);
-        self
-    }
-
-    /// Routes every append through the disk-fault chaos layer driven
-    /// by `chaos` (the `eio=`/`shortwrite=`/`bitrot=`/`fsync_fail=`
-    /// knobs), keyed per `(seq, replica)`.
-    pub fn with_disk_chaos(mut self, chaos: crate::ChaosConfig) -> Journal {
-        self.chaos = chaos;
-        self
-    }
-
-    /// The journal path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one complete record; returns the bytes written.
-    /// Torn-tail realignment is shared with [`crate::FramedJournal`],
-    /// and with replicas configured the append succeeds when at least
-    /// one replica took the full record.
-    pub fn append(&self, state: &CkptState, seq: u64) -> io::Result<u64> {
-        crate::framed::append_replicated(
-            &self.path,
-            &state.to_record(seq),
-            false,
-            self.replicas,
-            &self.chaos,
-            seq,
-        )
-    }
-
-    /// Chaos hook: simulates a write failure by appending only a torn
-    /// prefix of the record, then returning an error. The previous
-    /// record stays recoverable — exactly what a kill mid-write leaves
-    /// behind.
-    pub fn append_torn(&self, state: &CkptState, seq: u64) -> io::Result<u64> {
-        crate::framed::append_replicated(
-            &self.path,
-            &state.to_record(seq),
-            true,
-            self.replicas,
-            &self.chaos,
-            seq,
-        )
-    }
-
-    /// Loads the newest complete, checksum-valid record. Torn tails and
-    /// corrupt records are skipped, and with replicas configured the
-    /// newest intact record on *any* replica wins; only a journal with
-    /// no valid record anywhere is an error.
-    pub fn load_last(&self) -> Result<CkptState, CkptError> {
-        self.load_last_report().map(|(state, _)| state)
-    }
-
-    /// [`Journal::load_last`] plus the [`crate::RecoveryReport`]
-    /// describing the damage the load stepped over and which replica
-    /// served the record — any intact record resumes bit-identically,
-    /// so a degraded report is an observability signal, not an error.
-    pub fn load_last_report(&self) -> Result<(CkptState, crate::RecoveryReport), CkptError> {
-        crate::framed::load_last_replicated(&self.path, CKPT_FORMAT, self.replicas, |t| {
-            let state = CkptState::parse_record(t)?;
-            let seq: u64 = t.lines().next()?.split_whitespace().nth(2)?.parse().ok()?;
-            Some((seq, state))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::{frame_record, parse_framed, tearing};
 
     fn sample(seq: u64) -> CkptState {
         CkptState {
@@ -502,45 +405,98 @@ mod tests {
         }
     }
 
+    fn journal(name: &str) -> FramedJournal {
+        let dir = std::env::temp_dir().join(format!("aidft-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let j = FramedJournal::new(dir.join(name), CKPT_FORMAT);
+        let _ = std::fs::remove_file(j.path());
+        j
+    }
+
+    fn cleanup(j: &FramedJournal) {
+        let _ = std::fs::remove_file(j.path());
+        let _ = std::fs::remove_file(crate::scrub::scrub_path(j.path()));
+    }
+
     #[test]
     fn record_roundtrip() {
         let s = sample(3);
-        let text = s.to_record(3);
-        let back = CkptState::parse_record(&text).expect("parses");
-        assert_eq!(back, s);
+        let text = frame_record(CKPT_FORMAT, 3, &s.to_body());
+        let (seq, body) = parse_framed(&text, CKPT_FORMAT).expect("frame parses");
+        assert_eq!(seq, 3);
+        assert_eq!(CkptState::parse_body(&body), Some(s));
+    }
+
+    /// A record written before the body codec was split from the
+    /// framing: it must still parse, and re-framing the parsed state
+    /// must reproduce it byte for byte.
+    #[test]
+    fn framed_body_matches_the_ckpt_v1_record_format() {
+        let record = "ckpt aidft-ckpt-v1 3\n\
+            design mac4\n\
+            config deadbeef0badf00d\n\
+            phase topoff 1\n\
+            seed 24301\n\
+            fill_seed 45\n\
+            ordinal 17\n\
+            random_detected 301\n\
+            width 5\n\
+            section main\n\
+            tally 1 2 3 4\n\
+            status u,d7,x,a\n\
+            npat 1\n\
+            pat 10110\n\
+            ncube 1\n\
+            cube 1X0XX\n\
+            section pre_compaction\n\
+            tally 0 0 0 0\n\
+            status d0\n\
+            npat 1\n\
+            pat 00000\n\
+            ncube 0\n\
+            end feb3453b6ac05399\n";
+        let (seq, body) = parse_framed(record, CKPT_FORMAT).expect("ckpt-v1 record parses");
+        let state = CkptState::parse_body(&body).expect("ckpt-v1 body parses");
+        assert_eq!((seq, &state), (3, &sample(3)));
+        assert_eq!(frame_record(CKPT_FORMAT, seq, &state.to_body()), record);
     }
 
     #[test]
     fn checksum_rejects_bit_flips() {
-        let text = sample(0).to_record(0);
+        let text = frame_record(CKPT_FORMAT, 0, &sample(0).to_body());
         let tampered = text.replace("fill_seed 42", "fill_seed 43");
-        assert!(CkptState::parse_record(&tampered).is_none());
-        assert!(CkptState::parse_record(&text[..text.len() / 2]).is_none());
+        assert!(parse_framed(&tampered, CKPT_FORMAT).is_none());
+        assert!(parse_framed(&text[..text.len() / 2], CKPT_FORMAT).is_none());
+        // A body that frames cleanly but is not a checkpoint is refused
+        // by the codec.
+        assert!(CkptState::parse_body("phase sideways\n").is_none());
+        assert!(CkptState::parse_body("section main\ntally 1 2\n").is_none());
     }
 
     #[test]
     fn journal_returns_newest_valid_record() {
-        let dir = std::env::temp_dir().join(format!("aidft-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = Journal::new(dir.join("newest.ckpt"));
-        let _ = std::fs::remove_file(j.path());
-        j.append(&sample(0), 0).unwrap();
-        j.append(&sample(1), 1).unwrap();
-        assert_eq!(j.load_last().unwrap().fill_seed, 43);
-        std::fs::remove_file(j.path()).unwrap();
+        let j = journal("newest.ckpt");
+        j.append(0, &sample(0).to_body()).unwrap();
+        j.append(1, &sample(1).to_body()).unwrap();
+        let (state, report) = CkptState::load_last(&j).unwrap();
+        assert_eq!(state.fill_seed, 43);
+        assert!(!report.degraded());
+        // A newer record whose frame checks out but whose body is not a
+        // checkpoint is skipped and counted as damage.
+        j.append(2, "design mac4\nbogus line\n").unwrap();
+        let (state, report) = CkptState::load_last(&j).unwrap();
+        assert_eq!((state.fill_seed, report.seq, report.damaged), (43, 1, 1));
+        cleanup(&j);
     }
 
     #[test]
     fn torn_tail_recovers_previous_record() {
-        let dir = std::env::temp_dir().join(format!("aidft-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = Journal::new(dir.join("torn.ckpt"));
-        let _ = std::fs::remove_file(j.path());
-        j.append(&sample(0), 0).unwrap();
-        assert!(j.append_torn(&sample(1), 1).is_err());
+        let j = journal("torn.ckpt");
+        j.append(0, &sample(0).to_body()).unwrap();
+        assert!(tearing(&j).append(1, &sample(1).to_body()).is_err());
         // The torn record is skipped; the complete one survives.
-        assert_eq!(j.load_last().unwrap().fill_seed, 42);
-        std::fs::remove_file(j.path()).unwrap();
+        assert_eq!(CkptState::load_last(&j).unwrap().0.fill_seed, 42);
+        cleanup(&j);
     }
 
     #[test]
@@ -548,46 +504,50 @@ mod tests {
         // A torn tail ends mid-line; the next append must put its
         // header back on a line boundary or the new record would be
         // glued into the torn one and become unloadable.
-        let dir = std::env::temp_dir().join(format!("aidft-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = Journal::new(dir.join("realign.ckpt"));
-        let _ = std::fs::remove_file(j.path());
-        assert!(j.append_torn(&sample(0), 0).is_err());
-        assert!(j.append_torn(&sample(1), 1).is_err());
-        j.append(&sample(2), 2).unwrap();
-        assert_eq!(j.load_last().unwrap().fill_seed, 44);
+        let j = journal("realign.ckpt");
+        assert!(tearing(&j).append(0, &sample(0).to_body()).is_err());
+        assert!(tearing(&j).append(1, &sample(1).to_body()).is_err());
+        let torn = std::fs::read(j.path()).unwrap();
+        assert!(
+            !torn.is_empty() && !torn.ends_with(b"\n"),
+            "tail is torn mid-line"
+        );
+        j.append(2, &sample(2).to_body()).unwrap();
+        assert_eq!(CkptState::load_last(&j).unwrap().0.fill_seed, 44);
         // And a torn tail *after* a realigned record still recovers it.
-        assert!(j.append_torn(&sample(3), 3).is_err());
-        assert_eq!(j.load_last().unwrap().fill_seed, 44);
-        std::fs::remove_file(j.path()).unwrap();
+        assert!(tearing(&j).append(3, &sample(3).to_body()).is_err());
+        assert_eq!(CkptState::load_last(&j).unwrap().0.fill_seed, 44);
+        cleanup(&j);
     }
 
     #[test]
     fn empty_or_missing_journal_is_a_clean_error() {
-        let j = Journal::new("/nonexistent/aidft.ckpt");
-        assert!(matches!(j.load_last(), Err(CkptError::Io { .. })));
-        let dir = std::env::temp_dir().join(format!("aidft-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("empty.ckpt");
-        std::fs::write(&p, "garbage\n").unwrap();
-        let j = Journal::new(&p);
+        let j = FramedJournal::new("/nonexistent/aidft.ckpt", CKPT_FORMAT);
         assert!(matches!(
-            j.load_last(),
+            CkptState::load_last(&j),
+            Err(CkptError::Io { .. })
+        ));
+        let j = journal("empty.ckpt");
+        std::fs::write(j.path(), "garbage\n").unwrap();
+        assert!(matches!(
+            CkptState::load_last(&j),
             Err(CkptError::NoValidRecord { .. })
         ));
-        std::fs::remove_file(&p).unwrap();
+        cleanup(&j);
     }
 
     #[test]
     fn verify_checks_design_and_config() {
         let s = sample(0);
-        assert!(s.verify("mac4", 0xDEAD_BEEF_0BAD_F00D).is_ok());
+        let check =
+            |design: &str, config: u64| verify_identity(&s.design, s.config_hash, design, config);
+        assert!(check("mac4", 0xDEAD_BEEF_0BAD_F00D).is_ok());
         assert!(matches!(
-            s.verify("sys2x2", 0xDEAD_BEEF_0BAD_F00D),
+            check("sys2x2", 0xDEAD_BEEF_0BAD_F00D),
             Err(CkptError::Mismatch { what: "design", .. })
         ));
         assert!(matches!(
-            s.verify("mac4", 1),
+            check("mac4", 1),
             Err(CkptError::Mismatch { what: "config", .. })
         ));
     }

@@ -9,16 +9,18 @@
 //! * [`CancelToken`] — cooperative cancellation with optional per-phase
 //!   deadlines. Workers poll the token at batch boundaries and drain
 //!   cleanly; nothing is ever interrupted mid-mutation.
-//! * [`Journal`] / [`CkptState`] — the `aidft-ckpt-v1` append-only
-//!   checkpoint journal. Each record is framed and checksummed, so a
-//!   process killed mid-write leaves the previous record intact and
-//!   [`Journal::load_last`] always recovers the newest *complete*
-//!   checkpoint.
+//! * [`FramedJournal`] — the one journal type: append-only, framed and
+//!   checksummed records, optionally replicated, so a process killed
+//!   mid-write leaves the previous record intact and a load always
+//!   recovers the newest *complete* one. Each producer owns its body
+//!   codec: [`CkptState`] is the `aidft-ckpt-v1` ATPG checkpoint body
+//!   ([`CkptState::to_body`]/[`CkptState::parse_body`]), and the serve
+//!   fleet and telemetry journals bring their own.
 //! * [`ChaosConfig`] — the `AIDFT_CHAOS` fault-injection harness:
 //!   seeded, deterministic decisions to panic a worker batch, delay a
-//!   batch, fail a checkpoint write, or skip the deadline clock forward.
-//!   The chaos test suite uses it to prove kill-at-any-point → resume →
-//!   identical-output.
+//!   batch, tear or rot a journal write, or skip the deadline clock
+//!   forward. The chaos test suite uses it to prove kill-at-any-point →
+//!   resume → identical-output.
 //!
 //! The serialized state model ([`CkptState`]) is plain data (strings,
 //! integers, bit vectors) so this crate stays at the bottom of the
@@ -41,5 +43,5 @@ pub use chaos::{ChaosConfig, ChaosSite};
 pub use framed::{frame_record, parse_framed, replica_path, FramedJournal, RecoveryReport};
 pub use io_chaos::{decide as decide_disk_fault, disk_ordinal, ChaosWriter, DiskFault};
 pub use journal::{
-    fnv1a, CkptError, CkptPhase, CkptSection, CkptState, CkptStatus, Journal, CKPT_FORMAT,
+    fnv1a, verify_identity, CkptError, CkptPhase, CkptSection, CkptState, CkptStatus, CKPT_FORMAT,
 };

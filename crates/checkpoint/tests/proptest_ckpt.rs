@@ -1,10 +1,14 @@
-//! Property tests for the `aidft-ckpt-v1` record codec and journal:
-//! serialize → parse is the identity for arbitrary states, and the
-//! newest complete record always survives torn tails and garbage.
+//! Property tests for the `aidft-ckpt-v1` body codec on a
+//! `FramedJournal`: frame → parse is the identity for arbitrary states,
+//! and the newest complete record always survives torn tails, bit rot
+//! and garbage.
 
 use proptest::prelude::*;
 
-use dft_checkpoint::{CkptPhase, CkptSection, CkptState, CkptStatus, Journal};
+use dft_checkpoint::{
+    frame_record, parse_framed, ChaosConfig, CkptPhase, CkptSection, CkptState, CkptStatus,
+    FramedJournal, CKPT_FORMAT,
+};
 
 /// SplitMix64: one seed → an arbitrary-but-deterministic state, the
 /// same construction idiom the engines use.
@@ -84,25 +88,36 @@ impl Gen {
     }
 }
 
-fn temp_journal(tag: &str, case: u64) -> Journal {
+fn temp_journal(tag: &str, case: u64) -> FramedJournal {
     let dir = std::env::temp_dir().join(format!("aidft-ckpt-prop-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let journal = Journal::new(dir.join(format!("{tag}-{case}.ckpt")));
+    let journal = FramedJournal::new(dir.join(format!("{tag}-{case}.ckpt")), CKPT_FORMAT);
     std::fs::remove_file(journal.path()).ok();
     journal
+}
+
+fn load_last(journal: &FramedJournal) -> Option<CkptState> {
+    CkptState::load_last(journal).ok().map(|(state, _)| state)
+}
+
+fn cleanup(journal: &FramedJournal) {
+    std::fs::remove_file(journal.path()).ok();
+    std::fs::remove_file(dft_checkpoint::scrub::scrub_path(journal.path())).ok();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// to_record → parse_record is the identity: the resumable frontier
-    /// (fault partitions, pattern set, cubes, tallies, seeds) survives a
-    /// serialization roundtrip bit-for-bit.
+    /// Framing `to_body` and parsing it back is the identity: the
+    /// resumable frontier (fault partitions, pattern set, cubes,
+    /// tallies, seeds) survives a serialization roundtrip bit-for-bit.
     #[test]
     fn record_roundtrip_is_identity(seed in 0u64..1_000_000, seq in 0u64..1000) {
         let state = Gen(seed).state();
-        let record = state.to_record(seq);
-        let parsed = CkptState::parse_record(&record).expect("own record parses");
+        let record = frame_record(CKPT_FORMAT, seq, &state.to_body());
+        let (back_seq, body) = parse_framed(&record, CKPT_FORMAT).expect("own record frames");
+        let parsed = CkptState::parse_body(&body).expect("own body parses");
+        prop_assert_eq!(back_seq, seq);
         prop_assert_eq!(parsed, state);
     }
 
@@ -114,26 +129,29 @@ proptest! {
         let states: Vec<CkptState> = (0..n).map(|_| gen.state()).collect();
         let journal = temp_journal("newest", seed);
         for (i, s) in states.iter().enumerate() {
-            journal.append(s, i as u64).unwrap();
+            journal.append(i as u64, &s.to_body()).unwrap();
         }
-        let loaded = journal.load_last().expect("complete records on disk");
+        let loaded = load_last(&journal).expect("complete records on disk");
         prop_assert_eq!(&loaded, states.last().unwrap());
-        std::fs::remove_file(journal.path()).ok();
+        cleanup(&journal);
     }
 
-    /// A torn (half-written) tail — the crash-mid-write case — never
-    /// hides the previous complete record.
+    /// A torn tail — the crash-mid-write case, cut by `shortwrite`
+    /// chaos at a seeded length anywhere in the record — never hides
+    /// the previous complete record.
     #[test]
     fn torn_tail_is_skipped(seed in 0u64..1_000_000) {
         let mut gen = Gen(seed);
         let good = gen.state();
         let torn = gen.state();
         let journal = temp_journal("torn", seed);
-        journal.append(&good, 0).unwrap();
-        let _ = journal.append_torn(&torn, 1);
-        let loaded = journal.load_last().expect("first record intact");
+        journal.append(0, &good.to_body()).unwrap();
+        let chaos = ChaosConfig::parse(&format!("shortwrite=1.0,seed={seed}")).unwrap();
+        let tearing = journal.clone().with_disk_chaos(chaos);
+        prop_assert!(tearing.append(1, &torn.to_body()).is_err());
+        let loaded = load_last(&journal).expect("first record intact");
         prop_assert_eq!(loaded, good);
-        std::fs::remove_file(journal.path()).ok();
+        cleanup(&journal);
     }
 
     /// A single bit flip at ANY byte offset — the silent-bitrot case —
@@ -151,8 +169,8 @@ proptest! {
         let a = gen.state();
         let b = gen.state();
         let journal = temp_journal("bitflip", seed);
-        journal.append(&a, 0).unwrap();
-        journal.append(&b, 1).unwrap();
+        journal.append(0, &a.to_body()).unwrap();
+        journal.append(1, &b.to_body()).unwrap();
         let mut bytes = std::fs::read(journal.path()).unwrap();
         let offset = offset_pick % bytes.len();
         bytes[offset] ^= 1 << bit;
@@ -162,11 +180,10 @@ proptest! {
         // FNV trailer makes any single-byte change detectable. A flip
         // that damages the framing of both regions (e.g. the newline
         // gluing the records) is a detected `Err`, also acceptable.
-        if let Ok(loaded) = journal.load_last() {
+        if let Some(loaded) = load_last(&journal) {
             prop_assert!(loaded == b || loaded == a);
         }
-        std::fs::remove_file(journal.path()).ok();
-        std::fs::remove_file(dft_checkpoint::scrub::scrub_path(journal.path())).ok();
+        cleanup(&journal);
     }
 
     /// Arbitrary garbage appended to the journal (partial lines, bit
@@ -176,14 +193,14 @@ proptest! {
         let mut gen = Gen(seed);
         let state = gen.state();
         let journal = temp_journal("garbage", seed);
-        journal.append(&state, 7).unwrap();
+        journal.append(7, &state.to_body()).unwrap();
         let garbage: Vec<u8> = (0..glen).map(|_| (gen.below(95) + 32) as u8).collect();
         let mut bytes = std::fs::read(journal.path()).unwrap();
         bytes.extend_from_slice(&garbage);
         std::fs::write(journal.path(), &bytes).unwrap();
-        let loaded = journal.load_last().expect("complete record survives");
+        let loaded = load_last(&journal).expect("complete record survives");
         prop_assert_eq!(loaded, state);
-        std::fs::remove_file(journal.path()).ok();
+        cleanup(&journal);
     }
 }
 
@@ -196,20 +213,19 @@ fn exhaustive_bit_flip_sweep_never_yields_wrong_state() {
     let a = gen.state();
     let b = gen.state();
     let journal = temp_journal("sweep", 0);
-    journal.append(&a, 0).unwrap();
-    journal.append(&b, 1).unwrap();
+    journal.append(0, &a.to_body()).unwrap();
+    journal.append(1, &b.to_body()).unwrap();
     let pristine = std::fs::read(journal.path()).unwrap();
     for offset in 0..pristine.len() {
         let mut bytes = pristine.clone();
         bytes[offset] ^= 0x01;
         std::fs::write(journal.path(), &bytes).unwrap();
-        if let Ok(loaded) = journal.load_last() {
+        if let Some(loaded) = load_last(&journal) {
             assert!(
                 loaded == b || loaded == a,
                 "offset {offset}: flip produced a state that was never written"
             );
         }
     }
-    std::fs::remove_file(journal.path()).ok();
-    std::fs::remove_file(dft_checkpoint::scrub::scrub_path(journal.path())).ok();
+    cleanup(&journal);
 }

@@ -115,7 +115,9 @@ use std::time::Duration;
 
 use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, Durability};
 use dft_core::bist::LogicBist;
-use dft_core::checkpoint::{fsck, CancelToken, ChaosConfig, CkptError, FramedJournal, Journal};
+use dft_core::checkpoint::{
+    fsck, CancelToken, ChaosConfig, CkptError, CkptState, FramedJournal, CKPT_FORMAT,
+};
 use dft_core::diagnosis::{diagnose, FailureLog};
 use dft_core::logicsim::PatternSet;
 use dft_core::metrics::MetricsHandle;
@@ -198,11 +200,13 @@ impl DurOpts {
         self.replicas.unwrap_or(1).clamp(1, u64::from(u32::MAX)) as u32
     }
 
-    /// A checkpoint journal at `path` with the replica count and disk
-    /// chaos applied. Writes and resume loads must both go through
-    /// this so recovery scans the same replica set the appends fed.
-    fn journal(&self, path: &str) -> Journal {
-        let mut j = Journal::new(path).with_replicas(self.replica_count());
+    /// A `format` journal at `path` with the replica count and disk
+    /// chaos applied — the one constructor behind the `atpg`, `flow`
+    /// and `serve` journals. Writes and resume loads must both go
+    /// through this so recovery scans the same replica set the appends
+    /// fed.
+    fn journal(&self, path: &str, format: &'static str) -> FramedJournal {
+        let mut j = FramedJournal::new(path, format).with_replicas(self.replica_count());
         if let Some(chaos) = self.chaos {
             j = j.with_disk_chaos(chaos);
         }
@@ -217,7 +221,7 @@ impl DurOpts {
         cancel_on_signals(token.clone());
         let mut dur = Durability::new(token);
         if let Some(path) = self.checkpoint.as_ref().or(self.resume.as_ref()) {
-            dur = dur.with_journal(self.journal(path));
+            dur = dur.with_journal(self.journal(path, CKPT_FORMAT));
         }
         if let Some(n) = self.every {
             dur = dur.checkpoint_every(n);
@@ -226,7 +230,7 @@ impl DurOpts {
             dur = dur.with_chaos(chaos);
         }
         if let Some(path) = &self.resume {
-            let (state, recovery) = self.journal(path).load_last_report()?;
+            let (state, recovery) = CkptState::load_last(&self.journal(path, CKPT_FORMAT))?;
             if recovery.degraded() {
                 eprintln!(
                     "aidft: resume healed over {} damaged record(s) \
@@ -451,14 +455,7 @@ fn main() -> ExitCode {
                 .checkpoint
                 .as_ref()
                 .or(dur_opts.resume.as_ref())
-                .map(|p| {
-                    let mut j =
-                        FramedJournal::new(p, SERVE_FORMAT).with_replicas(dur_opts.replica_count());
-                    if let Some(chaos) = dur_opts.chaos {
-                        j = j.with_disk_chaos(chaos);
-                    }
-                    j
-                });
+                .map(|p| dur_opts.journal(p, SERVE_FORMAT));
             let opts = ServeOpts {
                 metrics: handle.clone(),
                 trace: trace.clone(),

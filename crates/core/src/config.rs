@@ -11,7 +11,7 @@
 
 pub use dft_aichip::SocConfig;
 pub use dft_atpg::{AtpgConfig, CompactionMode, Durability};
-pub use dft_checkpoint::{CancelToken, ChaosConfig, CkptState, Journal};
+pub use dft_checkpoint::{CancelToken, ChaosConfig, CkptState, FramedJournal};
 pub use dft_logicsim::{Executor, Parallelism, SimKernel, TapeKernel};
 pub use dft_netlist::generators::SystolicConfig;
 pub use dft_repair::{SpareConfig, SramGeometry};

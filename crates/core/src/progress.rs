@@ -1,8 +1,8 @@
 //! Terminal live-progress line for long flow runs.
 //!
 //! [`ProgressLine::spawn`] starts a background thread that polls the
-//! flow's [`TraceHandle`](dft_trace::TraceHandle) for the current phase
-//! and the [`MetricsHandle`](dft_metrics::MetricsHandle) for fault and
+//! flow's [`TraceHandle`] for the current phase
+//! and the [`MetricsHandle`] for fault and
 //! pattern counters, rewriting a single spinner line on stderr roughly
 //! ten times a second. The line is only drawn when stderr is an
 //! interactive terminal (or when forced for tests); in pipes and CI

@@ -882,7 +882,7 @@ impl TapeWorkspace {
 
     /// Loads one packed good lane (from [`GateTape::lane_values`]) as the
     /// baseline for [`GateTape::detect_lane`] injections. Call once per
-    /// (worker, block); the per-injection restore in [`Self::begin`]
+    /// (worker, block); the per-injection restore in `begin`
     /// keeps `cur` synced to it from then on.
     pub fn load_lane(&mut self, good: &[u64]) {
         self.good_lane.copy_from_slice(good);

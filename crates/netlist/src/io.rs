@@ -76,6 +76,12 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
                 line: lno,
                 message: "missing `)`".into(),
             })?;
+            if close < open {
+                return Err(NetlistError::Parse {
+                    line: lno,
+                    message: "`)` before `(`".into(),
+                });
+            }
             let func = s[..open].trim().to_uppercase();
             let args = s[open + 1..close]
                 .split(',')
@@ -392,6 +398,19 @@ G23 = NAND(G16, G19)
         let text = "INPUT(a)\ny = FROB(a)\n";
         let err = parse_bench("bad", text).unwrap_err();
         assert!(matches!(err, NetlistError::UnknownGateType { .. }));
+    }
+
+    #[test]
+    fn close_before_open_is_a_parse_error() {
+        let err = parse_bench("t", "INPUT(a)\ny = )(a").unwrap_err();
+        assert!(
+            matches!(&err, NetlistError::Parse { line: 2, message } if message.contains("before")),
+            "{err}"
+        );
+        assert!(matches!(
+            parse_bench("t", "y = )(a"),
+            Err(NetlistError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Durable fleet state: per-die outcomes, the `aidft-serve-v2`
 //! checkpoint body, and the human-facing summary.
 //!
-//! The fleet journal rides on [`dft_checkpoint::FramedJournal`], so it
-//! inherits the `aidft-ckpt-v1` durability story wholesale: framed,
-//! checksummed, append-only records; torn tails skipped on load;
-//! realignment on append. Only the body differs — a line-oriented dump
+//! The fleet journal is a [`dft_checkpoint::FramedJournal`], the same
+//! journal type as the ATPG checkpoints: framed, checksummed,
+//! append-only records; torn tails skipped on load; realignment on
+//! append. This module owns only the body codec — a line-oriented dump
 //! of every finished die, full signatures included, so a resumed run
 //! restores the exact final state without re-testing completed dies.
 
@@ -117,8 +117,9 @@ impl FleetState {
         body
     }
 
-    /// Parses a record body back; `None` on any structural problem (a
-    /// corrupt record is treated as absent, like the ATPG journal).
+    /// Parses a record body back; `None` on any structural problem (the
+    /// journal load skips such a record as damaged, like one whose
+    /// checksum fails).
     pub fn parse_body(body: &str) -> Option<FleetState> {
         let mut lines = body.lines();
         let design = lines.next()?.strip_prefix("design ")?.to_owned();
@@ -163,9 +164,10 @@ impl FleetState {
         })
     }
 
-    /// Loads the newest valid fleet record from `journal`, refusing a
-    /// design or config-fingerprint mismatch (resuming someone else's
-    /// fleet would silently ship wrong verdicts).
+    /// Loads the newest fleet record of `journal` whose framing and
+    /// body both parse, refusing a design or config-fingerprint
+    /// mismatch (resuming someone else's fleet would silently ship
+    /// wrong verdicts).
     pub fn resume(
         journal: &dft_checkpoint::FramedJournal,
         design: &str,
@@ -185,24 +187,8 @@ impl FleetState {
         design: &str,
         fingerprint: u64,
     ) -> Result<(FleetState, dft_checkpoint::RecoveryReport), CkptError> {
-        let ((_seq, body), report) = journal.load_last_report()?;
-        let state = FleetState::parse_body(&body).ok_or_else(|| CkptError::NoValidRecord {
-            path: journal.path().display().to_string(),
-        })?;
-        if state.design != design {
-            return Err(CkptError::Mismatch {
-                what: "design",
-                expected: state.design,
-                found: design.to_owned(),
-            });
-        }
-        if state.fingerprint != fingerprint {
-            return Err(CkptError::Mismatch {
-                what: "config",
-                expected: format!("{:016x}", state.fingerprint),
-                found: format!("{fingerprint:016x}"),
-            });
-        }
+        let ((_seq, state), report) = journal.load_last_parsed(FleetState::parse_body)?;
+        dft_checkpoint::verify_identity(&state.design, state.fingerprint, design, fingerprint)?;
         Ok((state, report))
     }
 

@@ -74,7 +74,7 @@ impl BackoffPolicy {
     /// reconnect is attempt 1) of `die_id`. Pure in
     /// `(seed, die_id, attempt)`; the value lies in
     /// `[slot/2, slot)` where `slot = base * 2^min(attempt-1, cap)`,
-    /// clamped to [`MAX_BACKOFF`]. A zero base disables backoff.
+    /// clamped to 200 ms. A zero base disables backoff.
     pub fn delay(&self, die_id: u32, attempt: u32) -> Duration {
         if self.base.is_zero() || attempt == 0 {
             return Duration::ZERO;

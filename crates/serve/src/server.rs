@@ -61,7 +61,8 @@ pub struct ServeOpts {
     /// Cooperative cancellation (SIGTERM lands here).
     pub cancel: dft_checkpoint::CancelToken,
     /// Chaos knobs (`drop`, `tear`, `delay`, `stall`, `halfopen`,
-    /// `corrupt`, `io` fire in the serve paths).
+    /// `corrupt` fire in the serve paths; the disk knobs act through
+    /// the journal's own [`FramedJournal::with_disk_chaos`]).
     pub chaos: dft_checkpoint::ChaosConfig,
     /// Fleet-state journal; `None` disables checkpointing.
     pub journal: Option<FramedJournal>,
@@ -158,21 +159,16 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Appends the current fleet state to the journal (chaos `io` knob
-    /// tears the write; both outcomes are non-fatal — the journal
-    /// realigns on the next append).
+    /// Appends the current fleet state to the journal. A failed
+    /// (e.g. disk-chaos torn) write is non-fatal — the journal realigns
+    /// on the next append.
     fn checkpoint(&self) {
         let Some(journal) = &self.opts.journal else {
             return;
         };
         let seq = self.ckpt_seq.fetch_add(1, Ordering::Relaxed);
         let body = self.state.lock().unwrap().to_body();
-        let torn = self.opts.chaos.fires(ChaosSite::CkptIo, seq);
-        let result = if torn {
-            journal.append_torn(seq, &body)
-        } else {
-            journal.append(seq, &body)
-        };
+        let result = journal.append(seq, &body);
         if let Some(m) = self.opts.metrics.get() {
             match &result {
                 Ok(bytes) => {

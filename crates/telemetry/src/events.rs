@@ -127,7 +127,7 @@ impl TelemetryEvent {
 }
 
 /// The buffered writer behind the event stream. `emit` is cheap (one
-/// mutex push, no I/O); the sampler tick calls [`EventLog::flush`] to
+/// mutex push, no I/O); the sampler tick calls `EventLog::flush` to
 /// append the batch as one framed record, keeping file writes off the
 /// fleet's hot paths entirely.
 #[derive(Debug)]

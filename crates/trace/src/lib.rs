@@ -29,7 +29,7 @@
 //! # Ring buffers
 //!
 //! A [`WorkerBuffer`] is written by exactly one thread (enforced by the
-//! thread-local registration in [`TraceHandle::recorder`]) and read only
+//! thread-local registration in `TraceHandle::recorder`) and read only
 //! after that thread's work is joined, so relaxed atomics are sufficient
 //! and every write is wait-free. Timestamps are monotonic nanoseconds
 //! since the owning [`TraceSession`] started, so spans from different

@@ -3,10 +3,10 @@
 //! the journal, and chaos-injected worker panics surfacing in the
 //! sign-off report.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, AtpgRun, Durability};
-use dft_core::checkpoint::{CancelToken, ChaosConfig, Journal};
+use dft_core::checkpoint::{CancelToken, ChaosConfig, CkptState, FramedJournal, CKPT_FORMAT};
 use dft_core::netlist::generators::{decoder, mac_pe, systolic_array, SystolicConfig};
 use dft_core::netlist::Netlist;
 use dft_core::{DftError, DftFlow};
@@ -17,6 +17,16 @@ fn ckpt_path(tag: &str) -> PathBuf {
     let path = dir.join(format!("{tag}.ckpt"));
     std::fs::remove_file(&path).ok();
     path
+}
+
+fn journal(path: &Path) -> FramedJournal {
+    FramedJournal::new(path, CKPT_FORMAT)
+}
+
+fn last_state(path: &Path) -> CkptState {
+    CkptState::load_last(&journal(path))
+        .expect("valid record")
+        .0
 }
 
 fn assert_same_run(run: &AtpgRun, reference: &AtpgRun, context: &str) {
@@ -69,7 +79,7 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
                 let path = ckpt_path(&context.replace(' ', "-"));
                 let token = CancelToken::new();
                 token.trip_after_polls(kill_after);
-                let mut dur = Durability::new(token).with_journal(Journal::new(&path));
+                let mut dur = Durability::new(token).with_journal(journal(&path));
                 let err = DftFlow::new(&nl)
                     .threads(threads)
                     .run_durable(&mut dur)
@@ -88,9 +98,9 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
                 // Resume on the *other* thread count: the checkpoint
                 // fingerprint deliberately excludes parallelism.
                 let resume_threads = if threads == 1 { 4 } else { 1 };
-                let state = Journal::new(&checkpoint).load_last().expect("valid record");
+                let state = last_state(&checkpoint);
                 let mut dur = Durability::new(CancelToken::new())
-                    .with_journal(Journal::new(&checkpoint))
+                    .with_journal(journal(&checkpoint))
                     .resume_from(state);
                 let resumed = DftFlow::new(&nl)
                     .threads(resume_threads)
@@ -131,25 +141,25 @@ fn randomized_kill_points_never_corrupt_the_journal() {
         let polls = 1 + (k * k * 7) % 900;
         let token = CancelToken::new();
         token.trip_after_polls(polls);
-        let mut dur = Durability::new(token)
-            .with_journal(Journal::new(&path))
-            .checkpoint_every(8);
+        let mut writes = journal(&path);
         if k % 2 == 1 {
             // Torn checkpoint writes on odd iterations: the journal must
             // still only ever expose complete records.
-            let chaos = ChaosConfig::parse(&format!("io=0.4,seed={k}")).unwrap();
-            dur = dur.with_chaos(chaos);
+            let chaos = ChaosConfig::parse(&format!("shortwrite=0.4,seed={k}")).unwrap();
+            writes = writes.with_disk_chaos(chaos);
         }
+        let mut dur = Durability::new(token)
+            .with_journal(writes)
+            .checkpoint_every(8);
         match atpg.run_durable(&cfg, &mut dur) {
             Ok(run) => assert_same_run(&run, &reference, &context),
             Err(AtpgError::Interrupted(i)) => {
                 interrupted += 1;
                 if let Some(ckpt) = i.checkpoint {
-                    let state = Journal::new(&ckpt)
-                        .load_last()
+                    let (state, _) = CkptState::load_last(&journal(&ckpt))
                         .unwrap_or_else(|e| panic!("{context}: corrupt journal: {e}"));
                     let mut dur = Durability::new(CancelToken::new())
-                        .with_journal(Journal::new(&ckpt))
+                        .with_journal(journal(&ckpt))
                         .resume_from(state);
                     let resumed = atpg
                         .run_durable(&cfg, &mut dur)
@@ -196,19 +206,18 @@ fn torn_checkpoint_writes_are_counted_and_survivable() {
     let cfg = AtpgConfig::default();
     let atpg = Atpg::new(&nl);
     let path = ckpt_path("torn-every");
-    let chaos = ChaosConfig::parse("io=1.0,seed=3").unwrap();
+    let chaos = ChaosConfig::parse("shortwrite=1.0,seed=3").unwrap();
     let token = CancelToken::new();
     token.trip_after_polls(40);
     let mut dur = Durability::new(token)
-        .with_journal(Journal::new(&path))
-        .checkpoint_every(4)
-        .with_chaos(chaos);
+        .with_journal(journal(&path).with_disk_chaos(chaos))
+        .checkpoint_every(4);
     match atpg.run_durable(&cfg, &mut dur) {
         Err(AtpgError::Interrupted(i)) => {
-            // io=1.0 tears every write: no checkpoint can exist, and the
-            // journal must hold no complete record.
+            // shortwrite=1.0 tears every write: no checkpoint can
+            // exist, and the journal must hold no complete record.
             assert!(i.checkpoint.is_none(), "all writes torn");
-            assert!(Journal::new(&path).load_last().is_err());
+            assert!(CkptState::load_last(&journal(&path)).is_err());
         }
         other => panic!("expected interrupt, got {other:?}"),
     }
@@ -223,7 +232,7 @@ fn flow_phase_deadline_interrupts_and_resumes() {
     let nl = sys2x2();
     let reference = DftFlow::new(&nl).threads(1).run();
     let path = ckpt_path("flow-deadline");
-    let mut dur = Durability::new(CancelToken::new()).with_journal(Journal::new(&path));
+    let mut dur = Durability::new(CancelToken::new()).with_journal(journal(&path));
     let err = DftFlow::new(&nl)
         .threads(1)
         .atpg_config(AtpgConfig::default().deadline_ms(1))
@@ -239,9 +248,9 @@ fn flow_phase_deadline_interrupts_and_resumes() {
         }
         other => panic!("expected checkpointed interrupt, got {other}"),
     };
-    let state = Journal::new(&checkpoint).load_last().expect("valid record");
+    let state = last_state(&checkpoint);
     let mut dur = Durability::new(CancelToken::new())
-        .with_journal(Journal::new(&checkpoint))
+        .with_journal(journal(&checkpoint))
         .resume_from(state);
     let resumed = DftFlow::new(&nl)
         .threads(1)
@@ -259,7 +268,7 @@ fn resume_refuses_a_foreign_checkpoint() {
     let path = ckpt_path("foreign");
     let token = CancelToken::new();
     token.trip_after_polls(5);
-    let mut dur = Durability::new(token).with_journal(Journal::new(&path));
+    let mut dur = Durability::new(token).with_journal(journal(&path));
     let err = DftFlow::new(&mac)
         .threads(1)
         .run_durable(&mut dur)
@@ -271,7 +280,7 @@ fn resume_refuses_a_foreign_checkpoint() {
         } => p,
         other => panic!("expected checkpointed interrupt, got {other}"),
     };
-    let state = Journal::new(&checkpoint).load_last().unwrap();
+    let state = last_state(&checkpoint);
     let other = decoder(5);
     let mut dur = Durability::new(CancelToken::new()).resume_from(state);
     match DftFlow::new(&other).threads(1).run_durable(&mut dur) {

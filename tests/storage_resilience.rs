@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use dft_core::checkpoint::{
-    fsck, replica_path, scrub, CancelToken, ChaosConfig, FramedJournal, Journal,
+    fsck, replica_path, scrub, CancelToken, ChaosConfig, CkptState, FramedJournal, CKPT_FORMAT,
 };
 use dft_core::netlist::generators::mac_pe;
 use dft_core::serve::{run_fleet, ServeConfig, ServeError, ServeOpts, SERVE_FORMAT};
@@ -21,6 +21,18 @@ fn ckpt_path(tag: &str) -> PathBuf {
     let path = dir.join(format!("{tag}.ckpt"));
     cleanup(&path);
     path
+}
+
+/// Appends record `seq`, then cuts the file back to the first half of
+/// it: the torn tail a kill mid-write leaves behind.
+fn append_then_tear(j: &FramedJournal, seq: u64, body: &str) {
+    let before = std::fs::metadata(j.path()).map_or(0, |m| m.len());
+    let len = j.append(seq, body).unwrap();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(j.path())
+        .and_then(|f| f.set_len(before + len / 2))
+        .unwrap();
 }
 
 /// Removes the journal, its replicas, and the scrub sidecars.
@@ -43,7 +55,9 @@ fn atpg_resume_with_bitrot_chaos_and_replicas_is_bit_identical() {
         let reference = DftFlow::new(&nl).threads(threads).run();
         let context = format!("mac4 t{threads} bitrot");
         let path = ckpt_path(&context.replace(' ', "-"));
-        let journal = Journal::new(&path).with_replicas(2).with_disk_chaos(chaos);
+        let journal = FramedJournal::new(&path, CKPT_FORMAT)
+            .with_replicas(2)
+            .with_disk_chaos(chaos);
         let token = CancelToken::new();
         token.trip_after_polls(40);
         let mut dur = Durability::new(token)
@@ -62,17 +76,11 @@ fn atpg_resume_with_bitrot_chaos_and_replicas_is_bit_identical() {
         };
         // Resume on the other thread count, scanning both replicas.
         let resume_threads = if threads == 1 { 4 } else { 1 };
-        let journal = Journal::new(&checkpoint).with_replicas(2);
-        let (state, recovery) = journal
-            .load_last_report()
-            .expect("an intact replica record");
+        let journal = FramedJournal::new(&checkpoint, CKPT_FORMAT).with_replicas(2);
+        let (state, recovery) = CkptState::load_last(&journal).expect("an intact replica record");
         assert_eq!(recovery.replicas_scanned, 2, "{context}");
         let mut dur = Durability::new(CancelToken::new())
-            .with_journal(
-                Journal::new(&checkpoint)
-                    .with_replicas(2)
-                    .with_disk_chaos(chaos),
-            )
+            .with_journal(journal.with_disk_chaos(chaos))
             .resume_from(state);
         let resumed = DftFlow::new(&nl)
             .threads(resume_threads)
@@ -198,7 +206,7 @@ fn fsck_scan_and_repair_roundtrip() {
     let j = FramedJournal::new(&path, SERVE_FORMAT);
     j.append(0, "alpha\n").unwrap();
     j.append(1, "beta\n").unwrap();
-    let _ = j.append_torn(2, "gamma\n");
+    append_then_tear(&j, 2, "gamma\n");
 
     let report = fsck::scan(&path).unwrap();
     assert_eq!(report.format.as_deref(), Some(SERVE_FORMAT));
@@ -230,7 +238,7 @@ fn fsck_cli_exit_codes() {
     let path = ckpt_path("fsck-cli");
     let j = FramedJournal::new(&path, SERVE_FORMAT);
     j.append(0, "alpha\n").unwrap();
-    let _ = j.append_torn(1, "beta\n");
+    append_then_tear(&j, 1, "beta\n");
     let p = path.to_str().unwrap();
 
     let out = aidft_fsck(&[p]);
