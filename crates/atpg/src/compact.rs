@@ -82,7 +82,7 @@ mod tests {
         // compacted set still detects everything the raw set did.
         use crate::{AtpgResult, Podem};
         let nl = c17();
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let faults = universe_stuck_at(&nl);
         let cubes: Vec<TestCube> = faults
             .iter()

@@ -17,7 +17,7 @@ use dft_checkpoint::CancelToken;
 use dft_fault::Fault;
 use dft_logicsim::TestCube;
 use dft_metrics::MetricsHandle;
-use dft_netlist::{GateId, GateKind, Levelization, Logic, Netlist};
+use dft_netlist::{Gate, GateId, GateKind, Levelization, Logic, Netlist};
 
 use crate::AtpgResult;
 
@@ -25,9 +25,9 @@ use crate::AtpgResult;
 #[derive(Debug)]
 pub struct DAlgorithm<'a> {
     nl: &'a Netlist,
-    #[allow(dead_code)]
-    lv: Levelization,
     source_index: Vec<Option<u32>>,
+    /// The combinational sinks, computed once.
+    sinks: Vec<GateId>,
     metrics: MetricsHandle,
     /// Cooperative cancellation, checked at each recursion step. A
     /// cancelled search aborts; the driver discards the result.
@@ -36,8 +36,11 @@ pub struct DAlgorithm<'a> {
 
 struct Search<'a> {
     nl: &'a Netlist,
+    sinks: &'a [GateId],
     fault: Fault,
     vals: Vec<Logic>,
+    /// Fanin gather buffer, reused by every gate evaluation.
+    ins: Vec<Logic>,
     backtracks: u32,
     limit: u32,
     cancel: Option<CancelToken>,
@@ -50,15 +53,15 @@ impl<'a> DAlgorithm<'a> {
     ///
     /// Panics if the netlist has a combinational loop.
     pub fn new(nl: &'a Netlist) -> DAlgorithm<'a> {
-        let lv = Levelization::compute(nl).expect("acyclic");
+        Levelization::compute(nl).expect("acyclic");
         let mut source_index = vec![None; nl.num_gates()];
         for (i, &s) in nl.combinational_sources().iter().enumerate() {
             source_index[s.index()] = Some(i as u32);
         }
         DAlgorithm {
             nl,
-            lv,
             source_index,
+            sinks: nl.combinational_sinks(),
             metrics: MetricsHandle::disabled(),
             cancel: None,
         }
@@ -88,8 +91,10 @@ impl<'a> DAlgorithm<'a> {
         );
         let mut search = Search {
             nl: self.nl,
+            sinks: &self.sinks,
             fault,
             vals: vec![Logic::X; self.nl.num_gates()],
+            ins: Vec::with_capacity(8),
             backtracks: 0,
             limit: backtrack_limit,
             cancel: self.cancel.clone(),
@@ -266,9 +271,10 @@ impl<'a> Search<'a> {
     /// Implication to fixpoint: forward evaluation plus unique backward
     /// justification. Returns `false` on conflict.
     fn imply(&mut self) -> bool {
+        let nl = self.nl;
         loop {
             let mut changed = false;
-            for (id, g) in self.nl.iter() {
+            for (id, g) in nl.iter() {
                 if !g.kind.is_logic() && !matches!(g.kind, GateKind::Output) {
                     continue;
                 }
@@ -277,8 +283,7 @@ impl<'a> Search<'a> {
                 if id == self.fault.site.gate {
                     continue;
                 }
-                let ins: Vec<Logic> = g.fanins.iter().map(|&f| self.vals[f.index()]).collect();
-                let out = Logic::eval_gate(g.kind, &ins);
+                let out = self.eval(g);
                 let cur = self.vals[id.index()];
                 if out != Logic::X {
                     if cur == Logic::X {
@@ -359,19 +364,19 @@ impl<'a> Search<'a> {
 
     /// The next unjustified binary gate output (J-frontier entry),
     /// including the fault site's good-value justification.
-    fn pick_j_frontier(&self) -> Option<GateId> {
+    fn pick_j_frontier(&mut self) -> Option<GateId> {
+        let nl = self.nl;
         // Fault-site good value first.
         let site = self.fault.site.gate;
-        let sg = self.nl.gate(site);
+        let sg = nl.gate(site);
         if sg.kind.is_logic() {
             let want = !self.fault.kind.stuck_value();
-            let ins: Vec<Logic> = sg.fanins.iter().map(|&f| self.vals[f.index()]).collect();
-            match Logic::eval_gate(sg.kind, &ins).good() {
+            match self.eval(sg).good() {
                 Some(v) if v == want => {}
                 _ => return Some(site),
             }
         }
-        for (id, g) in self.nl.iter() {
+        for (id, g) in nl.iter() {
             if !g.kind.is_logic() || id == site {
                 continue;
             }
@@ -379,18 +384,25 @@ impl<'a> Search<'a> {
             if !v.is_binary() {
                 continue;
             }
-            let ins: Vec<Logic> = g.fanins.iter().map(|&f| self.vals[f.index()]).collect();
-            if Logic::eval_gate(g.kind, &ins) != v {
+            if self.eval(g) != v {
                 return Some(id);
             }
         }
         None
     }
 
+    /// Evaluates `g` over the current values of its fanins.
+    fn eval(&mut self, g: &Gate) -> Logic {
+        self.ins.clear();
+        self.ins
+            .extend(g.fanins.iter().map(|&f| self.vals[f.index()]));
+        Logic::eval_gate(g.kind, &self.ins)
+    }
+
     /// Justify the J-frontier entry, accounting for the fault site whose
     /// target is its *good* value rather than `vals`.
     fn effect_at_sink(&self) -> bool {
-        for &s in self.nl.combinational_sinks().iter() {
+        for &s in self.sinks {
             let g = self.nl.gate(s);
             let v = if matches!(g.kind, GateKind::Dff) {
                 self.vals[g.fanins[0].index()]
@@ -460,7 +472,7 @@ mod tests {
         use crate::Podem;
         let nl = ripple_adder(4);
         let dalg = DAlgorithm::new(&nl);
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let sim = TapeKernel::compile(&nl);
         for fault in stem_faults(&nl) {
             let d = dalg.generate(fault, 2000);

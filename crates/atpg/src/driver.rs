@@ -891,7 +891,7 @@ impl<'a> Atpg<'a> {
             for round in resume_round..=compaction_rounds {
                 self.topoff(
                     config,
-                    &podem,
+                    &mut podem,
                     &dalg,
                     &sim,
                     &mut w,
@@ -1066,7 +1066,7 @@ impl<'a> Atpg<'a> {
     fn topoff(
         &self,
         config: &AtpgConfig,
-        podem: &Podem<'_>,
+        podem: &mut Podem<'_>,
         dalg: &DAlgorithm<'_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
@@ -1187,7 +1187,7 @@ impl<'a> Atpg<'a> {
     /// undetected faults while the merged cube stays consistent.
     fn extend_cube(
         &self,
-        podem: &Podem<'_>,
+        podem: &mut Podem<'_>,
         mut cube: TestCube,
         reps: &FaultList,
         primary_idx: usize,

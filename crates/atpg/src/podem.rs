@@ -2,16 +2,18 @@
 //!
 //! The search makes decisions only at combinational sources (primary
 //! inputs and scan flops), derives every internal value by five-valued
-//! simulation, and backtracks chronologically. Objectives are chosen in
-//! the textbook order: excite the fault, then drive a D-frontier gate
-//! towards an observation point; the backtrace is guided by SCOAP costs.
-//! Optional *constraints* (required values on arbitrary nets) support the
-//! launch condition of broadside transition ATPG.
+//! implication on the gate tape ([`Implication`]: one full pass per
+//! search, then only the readers of each changed source), and backtracks
+//! chronologically. Objectives are chosen in the textbook order: excite
+//! the fault, then drive a D-frontier gate towards an observation point;
+//! the backtrace is guided by SCOAP costs. Optional *constraints*
+//! (required values on arbitrary nets) support the launch condition of
+//! broadside transition ATPG.
 
 use dft_checkpoint::CancelToken;
 use dft_fault::Fault;
 use dft_logicsim::testability::{scoap, Scoap};
-use dft_logicsim::{FiveSim, TestCube};
+use dft_logicsim::{Implication, TestCube};
 use dft_metrics::MetricsHandle;
 use dft_netlist::{GateId, GateKind, Logic, Netlist};
 
@@ -38,7 +40,7 @@ impl AtpgResult {
 pub struct PodemStats {
     /// Chronological backtracks performed.
     pub backtracks: u32,
-    /// Five-valued simulation passes.
+    /// Five-valued implications: one per search iteration.
     pub simulations: u32,
     /// Decisions (source assignments) made.
     pub decisions: u32,
@@ -47,7 +49,8 @@ pub struct PodemStats {
 /// A PODEM test generator bound to one netlist.
 #[derive(Debug)]
 pub struct Podem<'a> {
-    sim: FiveSim<'a>,
+    nl: &'a Netlist,
+    engine: Implication,
     scoap: Scoap,
     /// Map from source gate to its index in the assignment vector.
     source_index: Vec<Option<u32>>,
@@ -59,9 +62,16 @@ pub struct Podem<'a> {
     /// cancelled search returns [`AtpgResult::Aborted`]; the driver
     /// discards that result rather than classifying the fault.
     cancel: Option<CancelToken>,
+    /// The decision stack and the start assignment, reused by every
+    /// search.
+    stack: Vec<Decision>,
+    start: Vec<Logic>,
 }
 
+#[derive(Debug)]
 struct Decision {
+    /// The implication trail before this decision was assigned.
+    mark: usize,
     source: usize,
     value: bool,
     flipped: bool,
@@ -74,18 +84,20 @@ impl<'a> Podem<'a> {
     ///
     /// Panics if the netlist has a combinational loop.
     pub fn new(nl: &'a Netlist) -> Podem<'a> {
-        let sim = FiveSim::new(nl);
         let mut source_index = vec![None; nl.num_gates()];
-        for (i, &s) in sim.sources().iter().enumerate() {
+        for (i, &s) in nl.combinational_sources().iter().enumerate() {
             source_index[s.index()] = Some(i as u32);
         }
         Podem {
-            sim,
+            nl,
+            engine: Implication::new(nl),
             scoap: scoap(nl),
             source_index,
             guided: true,
             metrics: MetricsHandle::disabled(),
             cancel: None,
+            stack: Vec::new(),
+            start: Vec::new(),
         }
     }
 
@@ -104,12 +116,12 @@ impl<'a> Podem<'a> {
 
     /// The netlist this generator works on.
     pub fn netlist(&self) -> &Netlist {
-        self.sim.netlist()
+        self.nl
     }
 
     /// Generates a test for `fault`, backtracking at most
     /// `backtrack_limit` times.
-    pub fn generate(&self, fault: Fault, backtrack_limit: u32) -> (AtpgResult, PodemStats) {
+    pub fn generate(&mut self, fault: Fault, backtrack_limit: u32) -> (AtpgResult, PodemStats) {
         self.generate_constrained(fault, &[], backtrack_limit, None)
     }
 
@@ -118,7 +130,7 @@ impl<'a> Podem<'a> {
     /// pre-assigned cube (for dynamic compaction). The initial assignment
     /// bits are treated as unretractable.
     pub fn generate_constrained(
-        &self,
+        &mut self,
         fault: Fault,
         constraints: &[(GateId, bool)],
         backtrack_limit: u32,
@@ -142,24 +154,29 @@ impl<'a> Podem<'a> {
 
     /// The PODEM search loop behind [`Podem::generate_constrained`].
     fn search(
-        &self,
+        &mut self,
         fault: Fault,
         constraints: &[(GateId, bool)],
         backtrack_limit: u32,
         initial: Option<&TestCube>,
     ) -> (AtpgResult, PodemStats) {
-        let num_sources = self.sim.sources().len();
-        let mut assignment = vec![Logic::X; num_sources];
+        let num_sources = self.engine.assignment().len();
+        self.start.clear();
+        self.start.resize(num_sources, Logic::X);
         if let Some(cube) = initial {
             assert_eq!(cube.width(), num_sources, "initial cube width");
             for (i, b) in cube.bits().iter().enumerate() {
                 if let Some(v) = b {
-                    assignment[i] = Logic::from_bool(*v);
+                    self.start[i] = Logic::from_bool(*v);
                 }
             }
         }
+        self.engine.start(&self.start, fault);
+        self.stack.clear();
         let mut stats = PodemStats::default();
-        let mut stack: Vec<Decision> = Vec::new();
+        // Cheap sanity guard against pathological loops (in u64: the
+        // product overflows u32 for large backtrack limits).
+        let max_decisions = 4 * (num_sources as u64 + 4) * (backtrack_limit as u64 + 4);
 
         loop {
             if let Some(c) = &self.cancel {
@@ -168,13 +185,13 @@ impl<'a> Podem<'a> {
                 }
             }
             stats.simulations += 1;
-            let vals = self.sim.simulate(&assignment, Some(fault));
+            self.engine.imply();
 
-            if self.sim.fault_observed(&vals, Some(fault))
-                && constraints_satisfiable(&vals, constraints) == Tri::Satisfied
+            if self.engine.fault_observed()
+                && constraints_satisfiable(&self.engine, constraints) == Tri::Satisfied
             {
                 let mut cube = TestCube::all_x(num_sources);
-                for (i, &v) in assignment.iter().enumerate() {
+                for (i, &v) in self.engine.assignment().iter().enumerate() {
                     if let Some(b) = v.good() {
                         cube.set(i, b);
                     }
@@ -182,62 +199,46 @@ impl<'a> Podem<'a> {
                 return (AtpgResult::Test(cube), stats);
             }
 
-            // Choose the next objective, or learn that this branch failed.
-            let objective = self.objective(fault, &vals, constraints);
-            let objective = match objective {
-                Objective::Assign(net, val) => (net, val),
-                Objective::Fail => {
-                    // Backtrack.
-                    match backtrack(&mut stack, &mut assignment) {
-                        true => {
-                            stats.backtracks += 1;
-                            if stats.backtracks > backtrack_limit {
-                                return (AtpgResult::Aborted, stats);
-                            }
-                            continue;
-                        }
-                        false => return (AtpgResult::Untestable, stats),
-                    }
-                }
+            // Choose the next objective and backtrace it to an unassigned
+            // source; a failed objective or a backtrace that finds no X
+            // path to a source is a failed branch.
+            let decision = match self.objective(fault, constraints) {
+                Objective::Assign(net, val) => self.backtrace(net, val),
+                Objective::Fail => None,
             };
-
-            // Backtrace the objective to an unassigned source.
-            match self.backtrace(objective.0, objective.1, &vals) {
+            match decision {
                 Some((src, val)) => {
                     stats.decisions += 1;
-                    assignment[src] = Logic::from_bool(val);
-                    stack.push(Decision {
+                    self.stack.push(Decision {
+                        mark: self.engine.mark(),
                         source: src,
                         value: val,
                         flipped: false,
                     });
+                    self.engine.assign(src, Logic::from_bool(val));
                 }
                 None => {
-                    // No X path to a source: treat as a failed branch.
-                    match backtrack(&mut stack, &mut assignment) {
-                        true => {
-                            stats.backtracks += 1;
-                            if stats.backtracks > backtrack_limit {
-                                return (AtpgResult::Aborted, stats);
-                            }
-                        }
-                        false => return (AtpgResult::Untestable, stats),
+                    if !backtrack(&mut self.stack, &mut self.engine) {
+                        return (AtpgResult::Untestable, stats);
+                    }
+                    stats.backtracks += 1;
+                    if stats.backtracks > backtrack_limit {
+                        return (AtpgResult::Aborted, stats);
                     }
                 }
             }
 
-            // Cheap sanity guard against pathological loops.
-            if stats.decisions > 4 * (num_sources as u32 + 4) * (backtrack_limit + 4) {
+            if stats.decisions as u64 > max_decisions {
                 return (AtpgResult::Aborted, stats);
             }
         }
     }
 
     /// Selects the next objective per the PODEM priority order.
-    fn objective(&self, fault: Fault, vals: &[Logic], constraints: &[(GateId, bool)]) -> Objective {
-        let nl = self.sim.netlist();
+    fn objective(&mut self, fault: Fault, constraints: &[(GateId, bool)]) -> Objective {
+        let nl = self.nl;
         // 0. Constraints: any violated -> fail; any unassigned -> objective.
-        match constraints_satisfiable(vals, constraints) {
+        match constraints_satisfiable(&self.engine, constraints) {
             Tri::Violated => return Objective::Fail,
             Tri::Pending(net, val) => return Objective::Assign(net, val),
             Tri::Satisfied => {}
@@ -246,7 +247,7 @@ impl<'a> Podem<'a> {
         // 1. Excitation: the fault site's driving net must carry !stuck.
         let site_net = fault.site.net(nl);
         let stuck = fault.kind.stuck_value();
-        let site_val = vals[site_net.index()];
+        let site_val = self.engine.value(site_net);
         match site_val {
             Logic::X => return Objective::Assign(site_net, !stuck),
             v if v.is_binary() => {
@@ -254,7 +255,7 @@ impl<'a> Podem<'a> {
                     return Objective::Fail;
                 }
                 // Excited at the driver. For stem faults the injected site
-                // shows D/Dbar via simulation; binary !stuck here happens
+                // shows D/Dbar via implication; binary !stuck here happens
                 // only for branch faults (driver keeps its good value).
                 if fault.site.pin.is_none() {
                     // A stem site with a binary value should be impossible
@@ -265,38 +266,14 @@ impl<'a> Podem<'a> {
             _ => {} // D or Dbar: excited.
         }
 
-        // 2. Propagation: pick a D-frontier gate and a non-controlling
-        // objective on one of its X inputs.
-        let mut best: Option<(GateId, u32)> = None;
-        for (id, g) in nl.iter() {
-            if vals[id.index()] != Logic::X || !g.kind.is_logic() {
-                continue;
-            }
-            let mut has_effect = g.fanins.iter().any(|&f| vals[f.index()].is_fault_effect());
-            // The site gate of a branch fault carries the injected effect
-            // on its pin even though the driving net shows the good value.
-            if !has_effect && fault.site.pin.is_some() && fault.site.gate == id {
-                let driver = fault.site.net(nl);
-                has_effect = vals[driver.index()].good() == Some(!stuck);
-            }
-            if !has_effect {
-                continue;
-            }
-            // X-path check: can this gate still reach a sink through X?
-            if !self.x_path_to_sink(id, vals) {
-                continue;
-            }
-            let cost = self.scoap.co[id.index()];
-            if best.map(|(_, c)| cost < c).unwrap_or(true) {
-                best = Some((id, cost));
-            }
-        }
-        // Also: a fault effect can already sit on a sink-feeding net while
-        // the D-frontier is empty (effect on a flop D pin is immediately
-        // observed). That case is caught by `fault_observed` before
-        // objective selection, so an empty D-frontier here means failure.
-        let (gate, _) = match best {
-            Some(b) => b,
+        // 2. Propagation: pick the D-frontier gate with an X path to a
+        // sink and the lowest SCOAP observability cost (ties to the
+        // lowest id), and a non-controlling objective on one of its X
+        // inputs. A fault effect already on a sink-feeding net is caught
+        // by `fault_observed` before objective selection, so an empty
+        // D-frontier here means failure.
+        let gate = match self.engine.pick_d_frontier(&self.scoap.co) {
+            Some(g) => g,
             None => return Objective::Fail,
         };
         let g = nl.gate(gate);
@@ -304,7 +281,7 @@ impl<'a> Podem<'a> {
         let noncontrolling = g.kind.controlling_value().map(|c| !c).unwrap_or(true);
         let mut candidate: Option<(GateId, u32)> = None;
         for &f in &g.fanins {
-            if vals[f.index()] == Logic::X {
+            if self.engine.value(f) == Logic::X {
                 let cost = if noncontrolling {
                     self.scoap.cc1[f.index()]
                 } else {
@@ -321,43 +298,16 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// `true` if a path of X-valued nets leads from `from` to any sink.
-    fn x_path_to_sink(&self, from: GateId, vals: &[Logic]) -> bool {
-        let nl = self.sim.netlist();
-        let mut seen = vec![false; nl.num_gates()];
-        let mut stack = vec![from];
-        seen[from.index()] = true;
-        while let Some(id) = stack.pop() {
-            let g = nl.gate(id);
-            if matches!(g.kind, GateKind::Output | GateKind::Dff) {
-                return true;
-            }
-            for &fo in &g.fanouts {
-                if seen[fo.index()] {
-                    continue;
-                }
-                seen[fo.index()] = true;
-                let fog = nl.gate(fo);
-                if matches!(fog.kind, GateKind::Output | GateKind::Dff) {
-                    return true;
-                }
-                if vals[fo.index()] == Logic::X {
-                    stack.push(fo);
-                }
-            }
-        }
-        false
-    }
-
     /// Walks an objective `(net, value)` backwards through X-valued gates
     /// to an unassigned source; returns the source index and value to
     /// assign.
-    fn backtrace(&self, mut net: GateId, mut value: bool, vals: &[Logic]) -> Option<(usize, bool)> {
-        let nl = self.sim.netlist();
+    fn backtrace(&self, mut net: GateId, mut value: bool) -> Option<(usize, bool)> {
+        let nl = self.nl;
+        let is_x = |f: &GateId| self.engine.value(*f) == Logic::X;
         loop {
             if let Some(src) = self.source_index[net.index()] {
                 // Only X sources are decidable.
-                if vals[net.index()] == Logic::X {
+                if self.engine.value(net) == Logic::X {
                     return Some((src as usize, value));
                 }
                 return None;
@@ -374,15 +324,8 @@ impl<'a> Podem<'a> {
                 value = !value;
             }
             // Choose which X input to pursue.
-            let x_inputs: Vec<GateId> = g
-                .fanins
-                .iter()
-                .copied()
-                .filter(|&f| vals[f.index()] == Logic::X)
-                .collect();
-            if x_inputs.is_empty() {
-                return None;
-            }
+            let x_inputs = || g.fanins.iter().copied().filter(is_x);
+            let first = x_inputs().next()?;
             let next = match g.kind {
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
                     // After inversion handling, `value` is the objective for
@@ -391,7 +334,7 @@ impl<'a> Podem<'a> {
                     // inputs needed, pursue the hardest first.
                     let base_and = matches!(g.kind, GateKind::And | GateKind::Nand);
                     let controlling = if base_and { !value } else { value };
-                    let cost = |f: GateId| {
+                    let cost = |f: &GateId| {
                         if value {
                             self.scoap.cc1[f.index()]
                         } else {
@@ -399,13 +342,13 @@ impl<'a> Podem<'a> {
                         }
                     };
                     if !self.guided {
-                        x_inputs[0]
+                        first
                     } else if controlling {
-                        // easiest
-                        *x_inputs.iter().min_by_key(|&&f| cost(f)).unwrap()
+                        // easiest (the first of equals)
+                        x_inputs().min_by_key(cost).unwrap_or(first)
                     } else {
-                        // hardest
-                        *x_inputs.iter().max_by_key(|&&f| cost(f)).unwrap()
+                        // hardest (the last of equals)
+                        x_inputs().max_by_key(cost).unwrap_or(first)
                     }
                 }
                 GateKind::Xor | GateKind::Xnor => {
@@ -414,19 +357,15 @@ impl<'a> Podem<'a> {
                     let known_parity = g
                         .fanins
                         .iter()
-                        .filter_map(|&f| vals[f.index()].good())
+                        .filter_map(|&f| self.engine.value(f).good())
                         .fold(false, |acc, b| acc ^ b);
                     value ^= known_parity;
                     // Remaining X inputs besides the chosen one are assumed
-                    // 0 by this heuristic; simulation corrects any error.
-                    x_inputs[0]
+                    // 0 by this heuristic; implication corrects any error.
+                    first
                 }
-                GateKind::Mux2 => {
-                    // Prefer steering through the select if it is X.
-                    x_inputs[0]
-                }
-                GateKind::Buf | GateKind::Not => x_inputs[0],
-                _ => x_inputs[0],
+                // Mux2 (steering through an X select first), Buf, Not.
+                _ => first,
             };
             net = next;
         }
@@ -445,9 +384,9 @@ enum Tri {
     Pending(GateId, bool),
 }
 
-fn constraints_satisfiable(vals: &[Logic], constraints: &[(GateId, bool)]) -> Tri {
+fn constraints_satisfiable(engine: &Implication, constraints: &[(GateId, bool)]) -> Tri {
     for &(net, want) in constraints {
-        match vals[net.index()].good() {
+        match engine.value(net).good() {
             Some(v) if v == want => {}
             Some(_) => return Tri::Violated,
             None => return Tri::Pending(net, want),
@@ -456,18 +395,20 @@ fn constraints_satisfiable(vals: &[Logic], constraints: &[(GateId, bool)]) -> Tr
     Tri::Satisfied
 }
 
-/// Flips the most recent unflipped decision; pops exhausted ones. Returns
-/// `false` when the stack empties (search space exhausted).
-fn backtrack(stack: &mut Vec<Decision>, assignment: &mut [Logic]) -> bool {
+/// Flips the most recent unflipped decision; pops exhausted ones. The
+/// flip first undoes everything implied since that decision, which also
+/// returns the popped decisions' sources to X. Returns `false` when the
+/// stack empties (search space exhausted).
+fn backtrack(stack: &mut Vec<Decision>, engine: &mut Implication) -> bool {
     while let Some(top) = stack.last_mut() {
         if top.flipped {
-            assignment[top.source] = Logic::X;
             stack.pop();
             continue;
         }
         top.flipped = true;
         top.value = !top.value;
-        assignment[top.source] = Logic::from_bool(top.value);
+        engine.undo_to(top.mark);
+        engine.assign(top.source, Logic::from_bool(top.value));
         return true;
     }
     false
@@ -484,7 +425,7 @@ mod tests {
     #[test]
     fn podem_finds_test_for_every_c17_fault() {
         let nl = c17();
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let fsim = TapeKernel::compile(&nl);
         for fault in universe_stuck_at(&nl) {
             let (result, _) = podem.generate(fault, 100);
@@ -502,6 +443,25 @@ mod tests {
     }
 
     #[test]
+    fn largest_backtrack_limits_do_not_overflow_the_loop_guard() {
+        // The guard's bound 4 * (sources + 4) * (limit + 4) overflows u32
+        // for limits near u32::MAX: a panic under debug assertions, and a
+        // bound that wraps to 0 (abort after one decision) in release.
+        let nl = c17();
+        let mut podem = Podem::new(&nl);
+        let fsim = TapeKernel::compile(&nl);
+        for fault in universe_stuck_at(&nl) {
+            for limit in [u32::MAX, u32::MAX - 3] {
+                let (result, _) = podem.generate(fault, limit);
+                let AtpgResult::Test(cube) = result else {
+                    panic!("{fault}: expected a test at limit {limit}, got {result:?}");
+                };
+                assert!(fsim.detects(&cube.random_fill(1), fault), "{fault}");
+            }
+        }
+    }
+
+    #[test]
     fn podem_proves_redundant_fault_untestable() {
         // y = OR(a, AND(a, b)): the AND output SA0 is redundant (absorbed).
         let mut nl = Netlist::new("red");
@@ -510,7 +470,7 @@ mod tests {
         let and = nl.add_gate(GateKind::And, vec![a, b], "and");
         let or = nl.add_gate(GateKind::Or, vec![a, and], "or");
         nl.add_output(or, "po");
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let (result, _) = podem.generate(Fault::stuck_at_output(and, false), 1000);
         assert_eq!(result, AtpgResult::Untestable);
         // But the AND SA1 is testable: a=0,b=1 -> or flips 0->1? AND(0,1)=0
@@ -522,7 +482,7 @@ mod tests {
     #[test]
     fn decoder_hard_faults_need_deterministic_patterns() {
         let nl = decoder(4);
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let fsim = TapeKernel::compile(&nl);
         // Output y0 SA0 requires the exact code 0 with enable: random
         // patterns rarely hit it; PODEM must.
@@ -546,7 +506,7 @@ mod tests {
         let ins: Vec<_> = (0..6).map(|i| nl.add_input(&format!("i{i}"))).collect();
         let g = nl.add_gate(GateKind::And, ins, "g");
         nl.add_output(g, "po");
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let (result, _) = podem.generate(Fault::stuck_at_input(g, 2, false), 100);
         let AtpgResult::Test(cube) = result else {
             panic!()
@@ -558,7 +518,7 @@ mod tests {
     #[test]
     fn constraint_steers_generation() {
         let nl = ripple_adder(4);
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let fsim = TapeKernel::compile(&nl);
         let cin = nl.find("cin").unwrap();
         // Any testable fault, but require cin = 1.
@@ -581,7 +541,7 @@ mod tests {
         let inv = nl.add_gate(GateKind::Not, vec![a], "inv");
         let and = nl.add_gate(GateKind::And, vec![a, inv], "and"); // always 0
         nl.add_output(and, "po");
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         // Constrain and=1: impossible.
         let b = nl.find("po").unwrap();
         let f = Fault::stuck_at_output(a, false);
@@ -592,7 +552,7 @@ mod tests {
     #[test]
     fn initial_cube_is_respected() {
         let nl = c17();
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let g1 = nl.find("G1").unwrap();
         let sources = nl.combinational_sources();
         let g1_idx = sources.iter().position(|&s| s == g1).unwrap();

@@ -155,7 +155,7 @@ impl<'a> TransitionAtpg<'a> {
         }
 
         // Phase 2: deterministic top-off on the expanded circuit.
-        let podem = Podem::new(&self.expanded.netlist);
+        let mut podem = Podem::new(&self.expanded.netlist);
         let exp_sources = self.expanded.netlist.combinational_sources();
         let mut untestable = 0;
         let mut aborted = 0;

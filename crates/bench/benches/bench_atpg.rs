@@ -10,7 +10,7 @@ fn bench_podem(c: &mut Criterion) {
     group.sample_size(10);
     let circuits = [("alu8", alu(8)), ("dec5", decoder(5)), ("mac4", mac_pe(4))];
     for (name, nl) in &circuits {
-        let podem = Podem::new(nl);
+        let mut podem = Podem::new(nl);
         let faults = universe_stuck_at(nl);
         let sample: Vec<_> = faults.iter().step_by(7).copied().collect();
         group.throughput(Throughput::Elements(sample.len() as u64));

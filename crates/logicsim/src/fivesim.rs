@@ -1,4 +1,6 @@
-//! Five-valued simulation with single-fault injection (the PODEM engine).
+//! Five-valued full-pass simulation with single-fault injection: the
+//! oracle that the tape and PODEM's [`crate::Implication`] are checked
+//! against.
 
 use dft_fault::{Fault, FaultSite};
 use dft_netlist::{GateId, GateKind, Levelization, Logic, Netlist};
@@ -9,8 +11,7 @@ use crate::{Pattern, Response};
 ///
 /// Given a (partial) assignment of the combinational sources and an
 /// optional injected fault, computes the `Logic` value of every net in
-/// Roth's D-calculus. ATPG reads fault-effect (`D`/`D̄`) reachability from
-/// the result.
+/// Roth's D-calculus, one whole levelized pass per call.
 #[derive(Debug)]
 pub struct FiveSim<'a> {
     nl: &'a Netlist,
@@ -32,21 +33,6 @@ impl<'a> FiveSim<'a> {
             sources: nl.combinational_sources(),
             sinks: nl.combinational_sinks(),
         }
-    }
-
-    /// The netlist this simulator works on.
-    pub fn netlist(&self) -> &Netlist {
-        self.nl
-    }
-
-    /// Sources in assignment order.
-    pub fn sources(&self) -> &[GateId] {
-        &self.sources
-    }
-
-    /// Sinks in observation order.
-    pub fn sinks(&self) -> &[GateId] {
-        &self.sinks
     }
 
     /// Simulates `assignment` (one `Logic` per source; `X` = unassigned)

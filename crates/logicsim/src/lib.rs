@@ -12,12 +12,17 @@
 //! ([`TapeKernel::detection_matrix`]) and the whole faulty response
 //! ([`TapeKernel::faulty_responses`]).
 //!
-//! Two engines with different algorithms remain beside it:
+//! PODEM runs on the same tape through [`Implication`]: five-valued
+//! (0, 1, X, D, D̄) values with one stuck-at fault injected, one full
+//! pass per search and event-driven updates per source decision.
 //!
-//! * [`FiveSim`] — five-valued (0, 1, X, D, D̄) simulation with
-//!   single-fault injection; the engine under PODEM.
-//! * [`DeductiveSim`] — deductive fault-list simulation, kept as the
-//!   independent oracle the tape is checked against.
+//! Two engines with different algorithms remain beside it, as the
+//! independent oracles the tape and the implication engine are checked
+//! against:
+//!
+//! * [`FiveSim`] — five-valued full-pass simulation with single-fault
+//!   injection.
+//! * [`DeductiveSim`] — deductive fault-list simulation.
 //!
 //! Plus [`testability`]: COP signal probabilities and SCOAP
 //! controllability/observability, used for ATPG backtrace guidance and
@@ -46,6 +51,7 @@ mod deductive;
 pub mod exec;
 mod fivesim;
 mod goodsim;
+mod imply;
 mod kernel;
 mod patterns;
 mod ppsfp;
@@ -57,6 +63,7 @@ pub use cube::TestCube;
 pub use deductive::DeductiveSim;
 pub use exec::{ExecError, Executor, Parallelism};
 pub use fivesim::FiveSim;
+pub use imply::Implication;
 pub use kernel::{SimKernel, TapeKernel};
 pub use patterns::{Pattern, PatternSet, Response};
 pub use ppsfp::{Defect, SimStats};

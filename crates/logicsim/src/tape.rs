@@ -100,25 +100,25 @@ fn eval_wide_ins(kind: GateKind, ins: &[WideWord]) -> WideWord {
 #[derive(Debug)]
 pub struct GateTape {
     /// Gate function per position.
-    kinds: Vec<GateKind>,
+    pub(crate) kinds: Vec<GateKind>,
     /// CSR ranges into `fanins`; position `p`'s fanins are
     /// `fanins[fanin_start[p]..fanin_start[p+1]]` (pin order preserved;
     /// a flop's single fanin is its D driver).
     fanin_start: Vec<u32>,
-    fanins: Vec<u32>,
+    pub(crate) fanins: Vec<u32>,
     /// CSR ranges into `fanouts`: the *combinational* readers of each
     /// position (flip-flop readers are excluded — their capture is
     /// observation, not propagation).
     fanout_start: Vec<u32>,
-    fanouts: Vec<u32>,
+    pub(crate) fanouts: Vec<u32>,
     /// Number of levels (`max_level + 1`).
     num_levels: usize,
     /// Position → original [`GateId`].
     orig: Vec<GateId>,
     /// Original gate index → position.
-    pos_of: Vec<u32>,
+    pub(crate) pos_of: Vec<u32>,
     /// Positions of the combinational sources, in pattern-bit order.
-    sources: Vec<u32>,
+    pub(crate) sources: Vec<u32>,
     /// Positions of the sinks themselves, in response order.
     sink_pos: Vec<u32>,
     /// Position whose value each sink reports: the sink itself for PO
@@ -126,39 +126,39 @@ pub struct GateTape {
     sink_value_pos: Vec<u32>,
     /// `true` when a change at this position is observable: the position
     /// is a PO marker, or its value is captured by a sink flop's D pin.
-    observable: Vec<bool>,
+    pub(crate) observable: Vec<bool>,
     /// Positions evaluated by a forward pass (everything but
     /// inputs/flops), in tape order.
-    eval_list: Vec<u32>,
+    pub(crate) eval_list: Vec<u32>,
     /// Hot-loop metadata packed per position (plus one sentinel record):
     /// the scalar propagation path reads `nodes[pos]`/`nodes[pos + 1]`
     /// instead of touching four parallel arrays, so one injection event
     /// costs two adjacent 12-byte loads for all of kind, observability,
     /// and both CSR ranges.
-    nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node>,
 }
 
 /// Per-position hot metadata; see [`GateTape::nodes`]. The CSR *ends*
 /// live in the following record (`nodes[p + 1]`), like the `*_start`
 /// arrays.
 #[derive(Debug, Clone, Copy)]
-struct Node {
-    fanin_start: u32,
-    fanout_start: u32,
-    kind: GateKind,
+pub(crate) struct Node {
+    pub(crate) fanin_start: u32,
+    pub(crate) fanout_start: u32,
+    pub(crate) kind: GateKind,
     observable: bool,
     /// Branchless evaluation selector: `OP_AND`/`OP_OR`/`OP_XOR` fold the
     /// fanins with one bitwise op (single-fanin kinds degenerate to a
     /// copy), `OP_OTHER` falls back to a `kind` match (Mux2, constants).
-    op: u8,
+    pub(crate) op: u8,
     /// 1 when the folded value is complemented (Nand/Nor/Xnor/Not).
-    inv: u8,
+    pub(crate) inv: u8,
 }
 
-const OP_AND: u8 = 0;
-const OP_OR: u8 = 1;
-const OP_XOR: u8 = 2;
-const OP_OTHER: u8 = 3;
+pub(crate) const OP_AND: u8 = 0;
+pub(crate) const OP_OR: u8 = 1;
+pub(crate) const OP_XOR: u8 = 2;
+pub(crate) const OP_OTHER: u8 = 3;
 
 impl Node {
     fn classify(kind: GateKind) -> (u8, u8) {
@@ -336,12 +336,12 @@ impl GateTape {
     }
 
     #[inline]
-    fn fanin_range(&self, pos: usize) -> &[u32] {
+    pub(crate) fn fanin_range(&self, pos: usize) -> &[u32] {
         &self.fanins[self.fanin_start[pos] as usize..self.fanin_start[pos + 1] as usize]
     }
 
     #[inline]
-    fn fanout_range(&self, pos: usize) -> &[u32] {
+    pub(crate) fn fanout_range(&self, pos: usize) -> &[u32] {
         &self.fanouts[self.fanout_start[pos] as usize..self.fanout_start[pos + 1] as usize]
     }
 

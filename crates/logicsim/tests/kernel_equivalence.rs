@@ -10,17 +10,23 @@
 //! - transition statuses against the launch value (five-valued) plus
 //!   capture-cycle stuck-at detection (deductive);
 //! - bridge responses against a one-pass scalar walk with both bridged
-//!   nets held at their bridged values.
+//!   nets held at their bridged values;
+//! - PODEM's event-driven [`Implication`] against a full five-valued
+//!   pass after every assign/flip/pop step of a decision stack: every
+//!   gate's value, the observed flag, and the D-frontier pick.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use dft_fault::{
     bridge_universe, universe_stuck_at, universe_transition, BridgeFault, Fault, FaultKind,
     FaultList, FaultStatus,
 };
+use dft_logicsim::testability::scoap;
 use dft_logicsim::{
-    broadside_pairs, DeductiveSim, Executor, FiveSim, GateTape, Pattern, PatternSet, Response,
-    SimKernel, TapeKernel,
+    broadside_pairs, DeductiveSim, Executor, FiveSim, GateTape, Implication, Pattern, PatternSet,
+    Response, SimKernel, TapeKernel,
 };
 use dft_netlist::generators::{counter, mac_pe, random_logic, s27};
 use dft_netlist::{GateId, GateKind, Levelization, Logic, Netlist};
@@ -68,6 +74,92 @@ fn bridge_response(nl: &Netlist, pattern: &Pattern, bridge: BridgeFault) -> Resp
             _ => vals[s.index()],
         })
         .collect()
+}
+
+/// A random netlist over every gate kind the implication engine
+/// evaluates (the random-logic kinds plus buffers, Mux2 and constants,
+/// repeated fanins allowed) with flops in the middle: a flop's D pin reads
+/// earlier logic (sometimes an input or another flop) and its Q feeds
+/// later logic. Dangling nets become primary outputs.
+fn mixed_logic(seed: u64, gates: usize) -> Netlist {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut nl = Netlist::new(format!("mixed{gates}_s{seed}"));
+    let mut nets: Vec<GateId> = (0..rng.gen_range(2..7))
+        .map(|i| nl.add_input(&format!("i{i}")))
+        .collect();
+    for g in 0..gates {
+        let pick = |rng: &mut StdRng, nets: &[GateId]| nets[rng.gen_range(0..nets.len())];
+        if rng.gen_range(0..12) == 0 {
+            let d = pick(&mut rng, &nets);
+            nets.push(nl.add_dff(d, &format!("q{g}")));
+            continue;
+        }
+        let kind = match rng.gen_range(0..13) {
+            0 => GateKind::And,
+            1 => GateKind::Nand,
+            2 => GateKind::Or,
+            3 => GateKind::Nor,
+            4 => GateKind::Xor,
+            5 => GateKind::Xnor,
+            6 => GateKind::Not,
+            7 => GateKind::Buf,
+            8 | 9 => GateKind::Mux2,
+            10 => GateKind::Const0,
+            11 => GateKind::Const1,
+            _ => GateKind::Nand,
+        };
+        let arity = kind.arity().unwrap_or_else(|| rng.gen_range(2..5));
+        let fanins = (0..arity).map(|_| pick(&mut rng, &nets)).collect();
+        nets.push(nl.add_gate(kind, fanins, &format!("g{g}")));
+    }
+    let dangling: Vec<GateId> = nl
+        .iter()
+        .filter(|(_, g)| g.fanouts.is_empty() && !matches!(g.kind, GateKind::Output))
+        .map(|(id, _)| id)
+        .collect();
+    for (i, id) in dangling.into_iter().enumerate() {
+        nl.add_output(id, &format!("o{i}"));
+    }
+    nl
+}
+
+/// The D-frontier pick PODEM made on a full five-valued pass: scan every
+/// gate in id order for X-valued logic gates with a fault effect on an
+/// input (or the injected pin of a branch fault), keep those with an
+/// X path to a PO or flop, and take the lowest `co` (first id on ties).
+fn reference_d_frontier(nl: &Netlist, vals: &[Logic], fault: Fault, co: &[u32]) -> Option<GateId> {
+    let sink = |id: GateId| matches!(nl.gate(id).kind, GateKind::Output | GateKind::Dff);
+    let x_path = |from: GateId| {
+        let mut seen = vec![false; nl.num_gates()];
+        let mut stack = vec![from];
+        seen[from.index()] = true;
+        while let Some(id) = stack.pop() {
+            for &fo in &nl.gate(id).fanouts {
+                if sink(fo) {
+                    return true;
+                }
+                if !seen[fo.index()] && vals[fo.index()] == Logic::X {
+                    stack.push(fo);
+                }
+                seen[fo.index()] = true;
+            }
+        }
+        false
+    };
+    let mut best: Option<(GateId, u32)> = None;
+    for (id, g) in nl.iter() {
+        if vals[id.index()] != Logic::X || !g.kind.is_logic() {
+            continue;
+        }
+        let branch_site = fault.site.pin.is_some()
+            && fault.site.gate == id
+            && vals[fault.site.net(nl).index()].good() == Some(!fault.kind.stuck_value());
+        let has_effect = branch_site || g.fanins.iter().any(|f| vals[f.index()].is_fault_effect());
+        if has_effect && x_path(id) && best.is_none_or(|(_, c)| co[id.index()] < c) {
+            best = Some((id, co[id.index()]));
+        }
+    }
+    best.map(|(id, _)| id)
 }
 
 proptest! {
@@ -221,6 +313,114 @@ fn tape_faulty_responses_match_fivesim_on_sequential_designs() {
                     nl.name()
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases; enough of them that multi-input gates see D, X and D̄
+    // together (where a dual-rail fold would differ from the pairwise one).
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// After every decision, backtrack and pop of a PODEM-shaped decision
+    /// stack (pops both through the undo trail and through events), the
+    /// engine holds exactly the values of a full five-valued pass on the
+    /// same assignment, reports the same observed flag, and picks the same
+    /// D-frontier gate as a full scan, for any stuck-at fault: source and
+    /// gate stems, branch pins and flop D pins.
+    #[test]
+    fn implication_matches_fivesim_after_every_step(
+        design in 0usize..5,
+        seed in 0u64..1000,
+        gates in 5usize..120,
+        run_seed in 0u64..1 << 40,
+    ) {
+        let nl = match design {
+            0 => s27(),
+            1 => counter(4),
+            2 => mac_pe(2),
+            3 => random_logic(6, gates, seed),
+            _ => mixed_logic(seed, gates),
+        };
+        let mut rng = StdRng::seed_from_u64(run_seed);
+        let faults = universe_stuck_at(&nl);
+        let fault = faults[rng.gen_range(0..faults.len())];
+        let five = FiveSim::new(&nl);
+        let co = scoap(&nl).co;
+        let mut engine = Implication::new(&nl);
+        // A partial start assignment, as dynamic compaction passes in.
+        let mut asg: Vec<Logic> = (0..nl.combinational_sources().len())
+            .map(|_| match rng.gen_range(0..4) {
+                0 => Logic::from_bool(rng.gen_bool(0.5)),
+                _ => Logic::X,
+            })
+            .collect();
+        engine.start(&asg, fault);
+        // PODEM's decision stack: the trail mark and assignment before
+        // the decision, its source and value, and whether it was flipped.
+        let mut stack: Vec<(usize, Vec<Logic>, usize, bool, bool)> = Vec::new();
+        for step in 0..rng.gen_range(1..40) {
+            match rng.gen_range(0..6) {
+                // Decide: assign an unassigned source.
+                0..=2 => {
+                    let free: Vec<usize> = (0..asg.len()).filter(|&s| asg[s] == Logic::X).collect();
+                    if !free.is_empty() {
+                        let (s, v) = (free[rng.gen_range(0..free.len())], rng.gen_bool(0.5));
+                        stack.push((engine.mark(), asg.clone(), s, v, false));
+                        asg[s] = Logic::from_bool(v);
+                        engine.assign(s, asg[s]);
+                    }
+                }
+                // PODEM's backtrack: pop flipped decisions, undo to the
+                // newest other one and flip it.
+                3 => {
+                    while let Some((mark, before, s, v, flipped)) = stack.last_mut() {
+                        if *flipped {
+                            stack.pop();
+                        } else {
+                            (*v, *flipped) = (!*v, true);
+                            engine.undo_to(*mark);
+                            asg.clone_from(before);
+                            asg[*s] = Logic::from_bool(*v);
+                            engine.assign(*s, asg[*s]);
+                            break;
+                        }
+                    }
+                }
+                // Pop the newest decision through the trail.
+                4 => {
+                    if let Some((mark, before, _, _, _)) = stack.pop() {
+                        engine.undo_to(mark);
+                        asg = before;
+                    }
+                }
+                // Pop the newest decision by returning its source to X
+                // through events.
+                _ => {
+                    if let Some((_, _, s, _, _)) = stack.pop() {
+                        asg[s] = Logic::X;
+                        engine.assign(s, Logic::X);
+                    }
+                }
+            }
+            engine.imply();
+            prop_assert_eq!(engine.assignment(), &asg[..], "{} {} step {}", nl.name(), fault, step);
+            let want = five.simulate(&asg, Some(fault));
+            for (id, _) in nl.iter() {
+                prop_assert_eq!(
+                    engine.value(id), want[id.index()],
+                    "{} {} step {}: gate {:?}", nl.name(), fault, step, id
+                );
+            }
+            prop_assert_eq!(
+                engine.fault_observed(), five.fault_observed(&want, Some(fault)),
+                "{} {} step {}", nl.name(), fault, step
+            );
+            prop_assert_eq!(
+                engine.pick_d_frontier(&co),
+                reference_d_frontier(&nl, &want, fault, &co),
+                "{} {} step {}", nl.name(), fault, step
+            );
         }
     }
 }

@@ -62,6 +62,8 @@ const GOLDEN: &[Golden] = &[
             ("atpg_patterns", 130),
             ("podem_calls", 16),
             ("podem_backtracks", 1041),
+            ("podem_simulations", 2154),
+            ("podem_decisions", 1101),
             ("faultsim_gate_evals", 36316),
             ("atpg_escalations", 3),
             ("atpg_rescued", 3),
@@ -80,6 +82,8 @@ const GOLDEN: &[Golden] = &[
         counters: &[
             ("atpg_patterns", 135),
             ("podem_backtracks", 4180),
+            ("podem_simulations", 8773),
+            ("podem_decisions", 4535),
             ("faultsim_gate_evals", 215535),
             ("atpg_escalations", 12),
             ("atpg_rescued", 12),

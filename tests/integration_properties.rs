@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn podem_cubes_always_detect(seed in 0u64..300, fill_seed in 0u64..100) {
         let nl = random_logic(8, 60, seed);
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let sim = TapeKernel::compile(&nl);
         for (i, &fault) in universe_stuck_at(&nl).iter().enumerate() {
             if i % 9 != 0 {
@@ -121,7 +121,7 @@ proptest! {
         use dft_core::atpg::DAlgorithm;
         let nl = random_logic(6, 40, seed);
         let dalg = DAlgorithm::new(&nl);
-        let podem = Podem::new(&nl);
+        let mut podem = Podem::new(&nl);
         let sim = TapeKernel::compile(&nl);
         for (i, fault) in universe_stuck_at(&nl)
             .into_iter()
