@@ -29,6 +29,12 @@ use dft_trace::TraceHandle;
 const SPINNER: [char; 4] = ['|', '/', '-', '\\'];
 const POLL: Duration = Duration::from_millis(100);
 
+/// Where the spinner and dashboard frames are drawn: stderr in the
+/// binary. Tests pass their own sink, because the test harness captures
+/// only the `print!` family, and direct stderr writes would land inside
+/// its result lines.
+pub type Sink = Box<dyn Write + Send>;
+
 /// Process-wide latch: while set, [`ProgressLine::spawn`] (and the
 /// forced variant) return no-op handles and a live reporter stops
 /// drawing. Set by commands whose own live output would fight the
@@ -60,16 +66,22 @@ impl ProgressLine {
     /// `phases_only` session when full tracing is not wanted) and
     /// `metrics` the live counters.
     pub fn spawn(trace: TraceHandle, metrics: MetricsHandle) -> ProgressLine {
-        ProgressLine::spawn_inner(trace, metrics, std::io::stderr().is_terminal())
+        let active = std::io::stderr().is_terminal();
+        ProgressLine::spawn_inner(trace, metrics, active, Box::new(std::io::stderr()))
     }
 
-    /// Like [`ProgressLine::spawn`] but with an explicit TTY decision,
-    /// so tests can exercise the thread without a terminal.
-    pub fn spawn_forced(trace: TraceHandle, metrics: MetricsHandle) -> ProgressLine {
-        ProgressLine::spawn_inner(trace, metrics, true)
+    /// Like [`ProgressLine::spawn`] but always active and drawing to
+    /// `out`, so tests can exercise the thread without a terminal.
+    pub fn spawn_forced(trace: TraceHandle, metrics: MetricsHandle, out: Sink) -> ProgressLine {
+        ProgressLine::spawn_inner(trace, metrics, true, out)
     }
 
-    fn spawn_inner(trace: TraceHandle, metrics: MetricsHandle, active: bool) -> ProgressLine {
+    fn spawn_inner(
+        trace: TraceHandle,
+        metrics: MetricsHandle,
+        active: bool,
+        mut out: Sink,
+    ) -> ProgressLine {
         if !active || !trace.is_enabled() || is_suppressed() {
             return ProgressLine {
                 stop: Arc::new(AtomicBool::new(true)),
@@ -86,17 +98,15 @@ impl ProgressLine {
                     continue;
                 }
                 let line = render(&trace, &metrics, SPINNER[tick % SPINNER.len()]);
-                let mut err = std::io::stderr().lock();
                 // Pad-and-return keeps a shrinking line from leaving
                 // stale characters behind.
-                let _ = write!(err, "\r{line:<70}\r");
-                let _ = err.flush();
+                let _ = write!(out, "\r{line:<70}\r");
+                let _ = out.flush();
                 tick += 1;
                 std::thread::sleep(POLL);
             }
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\r{:70}\r", "");
-            let _ = err.flush();
+            let _ = write!(out, "\r{:70}\r", "");
+            let _ = out.flush();
         });
         ProgressLine {
             stop,
@@ -131,32 +141,34 @@ impl Drop for ProgressLine {
 pub struct Dashboard {
     tty: bool,
     lines_drawn: usize,
+    out: Sink,
 }
 
 impl Dashboard {
     /// A dashboard that redraws in place when stderr is a terminal.
     pub fn new() -> Dashboard {
-        Dashboard::with_tty(std::io::stderr().is_terminal())
+        let tty = std::io::stderr().is_terminal();
+        Dashboard::with_tty(tty, Box::new(std::io::stderr()))
     }
 
-    /// Explicit TTY decision (tests, forced plain output).
-    pub fn with_tty(tty: bool) -> Dashboard {
+    /// Explicit TTY decision and output (tests, forced plain output).
+    pub fn with_tty(tty: bool, out: Sink) -> Dashboard {
         Dashboard {
             tty,
             lines_drawn: 0,
+            out,
         }
     }
 
     /// Draws one frame, replacing the previous one in TTY mode.
     pub fn draw(&mut self, lines: &[String]) {
-        let mut err = std::io::stderr().lock();
         if self.tty && self.lines_drawn > 0 {
-            let _ = write!(err, "\x1b[{}A\x1b[J", self.lines_drawn);
+            let _ = write!(self.out, "\x1b[{}A\x1b[J", self.lines_drawn);
         }
         for line in lines {
-            let _ = writeln!(err, "{line}");
+            let _ = writeln!(self.out, "{line}");
         }
-        let _ = err.flush();
+        let _ = self.out.flush();
         self.lines_drawn = if self.tty { lines.len() } else { 0 };
     }
 
@@ -164,9 +176,8 @@ impl Dashboard {
     /// frames are part of the log).
     pub fn clear(&mut self) {
         if self.tty && self.lines_drawn > 0 {
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\x1b[{}A\x1b[J", self.lines_drawn);
-            let _ = err.flush();
+            let _ = write!(self.out, "\x1b[{}A\x1b[J", self.lines_drawn);
+            let _ = self.out.flush();
             self.lines_drawn = 0;
         }
     }
@@ -224,7 +235,11 @@ mod tests {
 
     #[test]
     fn disabled_trace_spawns_no_thread() {
-        let p = ProgressLine::spawn_forced(TraceHandle::disabled(), MetricsHandle::disabled());
+        let p = ProgressLine::spawn_forced(
+            TraceHandle::disabled(),
+            MetricsHandle::disabled(),
+            Box::new(std::io::sink()),
+        );
         assert!(p.thread.is_none());
         p.finish();
     }
@@ -233,7 +248,11 @@ mod tests {
     fn spawned_reporter_stops_cleanly() {
         let _lock = TTY_TESTS.lock().unwrap();
         let session = TraceSession::new(TraceConfig::phases_only());
-        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled());
+        let p = ProgressLine::spawn_forced(
+            session.handle(),
+            MetricsHandle::enabled(),
+            Box::new(std::io::sink()),
+        );
         assert!(p.thread.is_some());
         std::thread::sleep(Duration::from_millis(30));
         p.finish();
@@ -245,21 +264,29 @@ mod tests {
         let session = TraceSession::new(TraceConfig::phases_only());
         set_suppressed(true);
         assert!(is_suppressed());
-        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled());
+        let p = ProgressLine::spawn_forced(
+            session.handle(),
+            MetricsHandle::enabled(),
+            Box::new(std::io::sink()),
+        );
         assert!(p.thread.is_none(), "suppressed spawn must be a no-op");
         p.finish();
         set_suppressed(false);
-        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled());
+        let p = ProgressLine::spawn_forced(
+            session.handle(),
+            MetricsHandle::enabled(),
+            Box::new(std::io::sink()),
+        );
         assert!(p.thread.is_some());
         p.finish();
     }
 
     #[test]
     fn dashboard_tracks_drawn_block_height() {
-        let mut d = Dashboard::with_tty(false);
+        let mut d = Dashboard::with_tty(false, Box::new(std::io::sink()));
         d.draw(&["a".into(), "b".into()]);
         assert_eq!(d.lines_drawn, 0, "pipes never redraw in place");
-        let mut d = Dashboard::with_tty(true);
+        let mut d = Dashboard::with_tty(true, Box::new(std::io::sink()));
         d.draw(&["a".into(), "b".into(), "c".into()]);
         assert_eq!(d.lines_drawn, 3);
         d.draw(&["a".into()]);
