@@ -85,6 +85,14 @@ impl<'a> DAlgorithm<'a> {
     /// Panics if `fault` is an input-pin (branch) fault — use PODEM for
     /// those.
     pub fn generate(&self, fault: Fault, backtrack_limit: u32) -> AtpgResult {
+        let (result, backtracks) = self.search(fault, backtrack_limit);
+        record(backtracks, &result, &self.metrics);
+        result
+    }
+
+    /// [`DAlgorithm::generate`] without recording metrics; also returns
+    /// the backtracks taken.
+    pub(crate) fn search(&self, fault: Fault, backtrack_limit: u32) -> (AtpgResult, u32) {
         assert!(
             fault.site.pin.is_none(),
             "D-algorithm implementation handles stem faults only"
@@ -127,14 +135,19 @@ impl<'a> DAlgorithm<'a> {
             Some(false) => AtpgResult::Untestable,
             None => AtpgResult::Aborted,
         };
-        if let Some(m) = self.metrics.get() {
-            m.dalg_calls.inc();
-            m.dalg_backtracks.add(search.backtracks as u64);
-            if result.is_test() {
-                m.dalg_tests.inc();
-            }
+        (result, search.backtracks)
+    }
+}
+
+/// Adds one D-algorithm search's counters to `metrics`: right after the
+/// search in [`DAlgorithm::generate`], at commit in the ATPG driver.
+pub(crate) fn record(backtracks: u32, result: &AtpgResult, metrics: &MetricsHandle) {
+    if let Some(m) = metrics.get() {
+        m.dalg_calls.inc();
+        m.dalg_backtracks.add(backtracks as u64);
+        if result.is_test() {
+            m.dalg_tests.inc();
         }
-        result
     }
 }
 

@@ -10,6 +10,13 @@
 //! at consistent boundaries (between faults, between phases); an
 //! interrupted fault-simulation pass is wholly discarded, so a resumed
 //! run re-executes it deterministically.
+//!
+//! Top-off is fault-parallel (Patil & Banerjee, ITC 1989) and still
+//! deterministic: workers search the round's targets ahead of their
+//! turn, and one committing thread applies the results strictly in
+//! target order, discarding a result whose target an earlier commit
+//! detected. Every output, counter and checkpoint is the same for any
+//! [`AtpgConfig::threads`].
 
 use std::fmt;
 use std::path::PathBuf;
@@ -25,7 +32,8 @@ use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
-use crate::{compact_cubes, AtpgResult, DAlgorithm, Podem, PodemStats};
+use crate::speculate::{Board, StopOnDrop};
+use crate::{compact_cubes, dalg, AtpgResult, DAlgorithm, Podem, PodemStats};
 
 /// Backtrack limit of the D-algorithm retry that
 /// [`AtpgConfig::escalate_aborts`] runs on a PODEM-aborted fault.
@@ -60,9 +68,11 @@ pub struct AtpgConfig {
     pub guided_backtrace: bool,
     /// Secondary targets attempted per cube under dynamic compaction.
     pub dynamic_targets: usize,
-    /// Worker threads for the fault-simulation phases: `0` = one per
-    /// hardware thread, `1` = serial. Any value produces bit-identical
-    /// results (see [`dft_logicsim::Executor`]).
+    /// Worker threads for the fault-simulation phases and for top-off's
+    /// test generation: `0` = one per hardware thread, `1` = serial. Any
+    /// value produces bit-identical results (see
+    /// [`dft_logicsim::Executor`]; top-off searches targets ahead of
+    /// their turn and commits the results in target order).
     pub threads: usize,
     /// Retry a PODEM-aborted fault once with the D-algorithm (at
     /// [`ESCALATION_BACKTRACKS`]) before classifying it aborted. The
@@ -150,7 +160,8 @@ impl AtpgConfig {
         self
     }
 
-    /// Sets the fault-simulation worker count (`0` = auto, `1` = serial).
+    /// Sets the fault-simulation and top-off worker count (`0` = auto,
+    /// `1` = serial).
     pub fn threads(mut self, n: usize) -> AtpgConfig {
         self.threads = n;
         self
@@ -652,6 +663,63 @@ fn interrupted(
     }
 }
 
+/// What searching one top-off target produced, held until its commit.
+struct Resolved {
+    /// The answer: PODEM's, or the D-algorithm's after an escalation.
+    result: AtpgResult,
+    podem: PodemStats,
+    /// The D-algorithm retry's backtracks, when PODEM aborted and the
+    /// target escalated.
+    escalation: Option<u32>,
+    /// Search wall-clock, charged to `t_atpg_discarded` when the result
+    /// is never committed.
+    elapsed: Duration,
+}
+
+/// A top-off round's targets and how to search one.
+struct RoundSearch<'r, 'n> {
+    config: &'r AtpgConfig,
+    dalg: &'r DAlgorithm<'n>,
+    trace: &'r TraceHandle,
+    /// The faults undetected at the round's start, in list order, as
+    /// `(index in the fault list, fault)`.
+    targets: Vec<(usize, Fault)>,
+    /// Fault ordinal of the round's first target; target `j` is
+    /// trace-sampled as ordinal `base + j`, which any worker can compute
+    /// without knowing what earlier commits will discard.
+    base: u64,
+}
+
+impl RoundSearch<'_, '_> {
+    /// Searches target `j`: PODEM, then the D-algorithm retry on a PODEM
+    /// abort when configured (stem faults only — it has no branch-fault
+    /// model). A pure function of the netlist, the configuration and the
+    /// fault, so any worker may run it ahead of the target's turn;
+    /// nothing is recorded but a sampled trace span, which covers the
+    /// PODEM attempt and any retry.
+    fn resolve(&self, podem: &mut Podem<'_>, j: usize) -> Resolved {
+        let started = Instant::now();
+        let (idx, fault) = self.targets[j];
+        let sampled = self.trace.fault_sampled(self.base + j as u64);
+        let _span = sampled.then(|| self.trace.span_arg("podem", idx as u64));
+        let (result, podem_stats) = podem.search(fault, &[], self.config.backtrack_limit, None);
+        let (result, escalation) = match result {
+            AtpgResult::Aborted if self.config.escalate_aborts && fault.site.pin.is_none() => {
+                let _span = sampled.then(|| self.trace.span_arg("dalg_escalation", idx as u64));
+                let (result, backtracks) = self.dalg.search(fault, ESCALATION_BACKTRACKS);
+                (result, Some(backtracks))
+            }
+            other => (other, None),
+        };
+        Resolved {
+            result,
+            podem: podem_stats,
+            escalation,
+            elapsed: started.elapsed(),
+        }
+    }
+}
+
 /// The ATPG driver bound to one netlist.
 #[derive(Debug)]
 pub struct Atpg<'a> {
@@ -766,14 +834,23 @@ impl<'a> Atpg<'a> {
             }
         }
         let sim = sim;
-        let mut podem = Podem::new(self.nl);
-        podem.guided = config.guided_backtrace;
-        podem.set_metrics(self.metrics.clone());
+        // Top-off's engines: a PODEM engine per worker (the first is the
+        // committing thread's) and one D-algorithm they all share.
+        let cancel = dur.as_ref().map(|ctx| ctx.d.cancel.clone());
+        let mut podems: Vec<Podem> = (0..exec.threads())
+            .map(|_| {
+                let mut podem = Podem::new(self.nl);
+                podem.guided = config.guided_backtrace;
+                podem.set_metrics(self.metrics.clone());
+                if let Some(cancel) = &cancel {
+                    podem.set_cancel(cancel.clone());
+                }
+                podem
+            })
+            .collect();
         let mut dalg = DAlgorithm::new(self.nl);
-        dalg.set_metrics(self.metrics.clone());
-        if let Some(ctx) = &dur {
-            podem.set_cancel(ctx.d.cancel.clone());
-            dalg.set_cancel(ctx.d.cancel.clone());
+        if let Some(cancel) = cancel {
+            dalg.set_cancel(cancel);
         }
 
         let mut w = Working {
@@ -891,7 +968,7 @@ impl<'a> Atpg<'a> {
             for round in resume_round..=compaction_rounds {
                 self.topoff(
                     config,
-                    &mut podem,
+                    &mut podems,
                     &dalg,
                     &sim,
                     &mut w,
@@ -1055,18 +1132,25 @@ impl<'a> Atpg<'a> {
         })
     }
 
-    /// One deterministic top-off pass: PODEM every remaining undetected
-    /// fault (escalating aborts to the D-algorithm when configured),
-    /// fault-dropping each new pattern against the list. Under durable
-    /// execution the loop polls the cancellation token and checkpoints
-    /// at the configured fault cadence; an interrupt mid-fault rolls the
-    /// per-fault state back to the last fault boundary so the checkpoint
-    /// is always consistent.
+    /// One deterministic top-off round: PODEM every fault undetected at
+    /// the round's start (escalating aborts to the D-algorithm when
+    /// configured) and fault-drop each new pattern against the list.
+    ///
+    /// Up to one worker per engine in `podems`, the calling thread
+    /// included, search the round's targets ahead of their turn on a
+    /// [`Board`]. The calling thread commits the results strictly in
+    /// target order, exactly as a serial loop would, so a result whose
+    /// target an earlier commit detected is discarded. Under durable
+    /// execution the commit loop polls the cancellation token and
+    /// checkpoints at the configured fault cadence, both at commit
+    /// boundaries; an interrupt returns only after every worker has
+    /// joined, and a result taken after the token fired is never
+    /// classified, so the checkpoint always sits at a fault boundary.
     #[allow(clippy::too_many_arguments)]
     fn topoff(
         &self,
         config: &AtpgConfig,
-        podem: &mut Podem<'_>,
+        podems: &mut [Podem<'_>],
         dalg: &DAlgorithm<'_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
@@ -1074,6 +1158,56 @@ impl<'a> Atpg<'a> {
         round: u32,
         pre: Option<&Snapshot>,
     ) -> Result<(), AtpgError> {
+        let search = RoundSearch {
+            config,
+            dalg,
+            trace: &self.trace,
+            targets: w
+                .reps
+                .undetected()
+                .map(|i| (i, w.reps.faults()[i]))
+                .collect(),
+            base: w.fault_ordinal,
+        };
+        let board = Board::new(search.targets.len());
+        let workers = podems.len().min(search.targets.len()).max(1);
+        let (own, helpers) = podems
+            .split_first_mut()
+            .expect("a run builds at least one PODEM engine");
+        let outcome = std::thread::scope(|scope| {
+            for podem in &mut helpers[..workers - 1] {
+                let (board, search) = (&board, &search);
+                scope.spawn(move || board.work(|j| search.resolve(podem, j)));
+            }
+            // However the commit loop leaves (an interrupt or a panic
+            // included), workers claim nothing more and the scope joins
+            // them after at most their current search.
+            let _stop = StopOnDrop(&board);
+            self.commit_round(own, &board, &search, sim, w, dur, round, pre)
+        });
+        if let Some(m) = self.metrics.get() {
+            for r in board.into_untaken() {
+                m.t_atpg_discarded.record(r.elapsed);
+            }
+        }
+        outcome
+    }
+
+    /// The commit loop of [`Atpg::topoff`]: takes each round target's
+    /// result in order and applies it.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_round(
+        &self,
+        podem: &mut Podem<'_>,
+        board: &Board<Resolved>,
+        search: &RoundSearch<'_, '_>,
+        sim: &TapeKernel<'_>,
+        w: &mut Working,
+        dur: &mut Option<DurCtx<'_>>,
+        round: u32,
+        pre: Option<&Snapshot>,
+    ) -> Result<(), AtpgError> {
+        let mut next = 0;
         loop {
             if let Some(ctx) = dur.as_mut() {
                 if ctx.d.cancel.poll() {
@@ -1084,61 +1218,53 @@ impl<'a> Atpg<'a> {
                     ctx.write(CkptPhase::Topoff(round), w, pre);
                 }
             }
-            let target_idx = match w.reps.undetected().next() {
-                Some(i) => i,
-                None => break,
+            // Skip the targets earlier commits detected; their results,
+            // if any worker produced one, are discarded.
+            while search
+                .targets
+                .get(next)
+                .is_some_and(|&(i, _)| w.reps.status(i) != FaultStatus::Undetected)
+            {
+                next += 1;
+            }
+            let Some(&(target_idx, _)) = search.targets.get(next) else {
+                break;
             };
-            let target = w.reps.faults()[target_idx];
-            // Everything a cancelled fault attempt may have half-mutated,
-            // restored before checkpointing so the record sits exactly at
-            // the previous fault boundary.
-            let saved = (w.fill_seed, w.fault_ordinal, w.tally);
-            // Sampled per-fault span (every_n knob bounds the volume);
-            // covers the PODEM attempt and any escalation retry.
-            let sampled = self.trace.fault_sampled(w.fault_ordinal);
-            w.fault_ordinal += 1;
-            let _fault_span = if sampled {
-                Some(self.trace.span_arg("podem", target_idx as u64))
-            } else {
-                None
-            };
-            let (result, st) = podem.generate(target, config.backtrack_limit);
-            w.podem_stats.backtracks += st.backtracks;
-            w.podem_stats.simulations += st.simulations;
-            w.podem_stats.decisions += st.decisions;
-            // Escalation: retry a PODEM abort once with the structural
-            // D-algorithm (stem faults only — it has no branch-fault
-            // model).
-            let mut escalated = false;
-            let result = match result {
-                AtpgResult::Aborted if config.escalate_aborts && target.site.pin.is_none() => {
-                    escalated = true;
-                    w.tally.escalated += 1;
-                    let _dalg_span = if sampled {
-                        Some(self.trace.span_arg("dalg_escalation", target_idx as u64))
-                    } else {
-                        None
-                    };
-                    dalg.generate(target, ESCALATION_BACKTRACKS)
-                }
-                other => other,
-            };
-            // A cancelled search returns early with Aborted/no-test — a
-            // result that must not be classified. Roll the fault back
-            // and drain.
+            let resolved = board.take(next, |j| search.resolve(podem, j));
+            next += 1;
+            // A search the token cut short returns Aborted — a result
+            // that must not be classified. Nothing was applied yet, so
+            // the state is still the previous fault boundary: drain.
             if dur.as_ref().is_some_and(|ctx| ctx.d.cancel.is_cancelled()) {
-                (w.fill_seed, w.fault_ordinal, w.tally) = saved;
                 return Err(interrupted(dur, "topoff", CkptPhase::Topoff(round), w, pre));
             }
-            match result {
+            // Counters describe committed results only, so they are the
+            // same for any thread count.
+            let podem_result = match resolved.escalation {
+                Some(_) => &AtpgResult::Aborted,
+                None => &resolved.result,
+            };
+            resolved.podem.record(podem_result, &self.metrics);
+            w.podem_stats += resolved.podem;
+            // Everything a cancelled fault simulation may have
+            // half-mutated, restored before checkpointing so the record
+            // sits exactly at the previous fault boundary.
+            let saved = (w.fill_seed, w.fault_ordinal, w.tally);
+            w.fault_ordinal += 1;
+            let escalated = resolved.escalation.is_some();
+            if let Some(backtracks) = resolved.escalation {
+                dalg::record(backtracks, &resolved.result, &self.metrics);
+                w.tally.escalated += 1;
+            }
+            match resolved.result {
                 AtpgResult::Test(mut cube) => {
-                    if config.compaction == CompactionMode::Dynamic {
+                    if search.config.compaction == CompactionMode::Dynamic {
                         cube = self.extend_cube(
                             podem,
                             cube,
                             &w.reps,
                             target_idx,
-                            config,
+                            search.config,
                             &mut w.podem_stats,
                         );
                     }
@@ -1155,8 +1281,9 @@ impl<'a> Atpg<'a> {
                         (w.fill_seed, w.fault_ordinal, w.tally) = saved;
                         return Err(interrupted(dur, "topoff", CkptPhase::Topoff(round), w, pre));
                     }
-                    // Guard against a generator/fault-sim disagreement
-                    // leaving the target undetected (would loop forever).
+                    // Guard against a generator/fault-sim disagreement:
+                    // a target its own test misses is classified aborted,
+                    // not retargeted.
                     if !w.reps.status(target_idx).is_detected() {
                         w.reps.set_status(target_idx, FaultStatus::Aborted);
                         w.tally.aborted += 1;
@@ -1166,6 +1293,13 @@ impl<'a> Atpg<'a> {
                     }
                     w.patterns.push(pattern);
                     w.cubes.push(cube);
+                    // Targets the pattern detected need no search: spare
+                    // the workers the ones nobody has claimed yet.
+                    for (j, &(i, _)) in search.targets.iter().enumerate().skip(next) {
+                        if w.reps.status(i) != FaultStatus::Undetected {
+                            board.withdraw(j);
+                        }
+                    }
                 }
                 AtpgResult::Untestable => {
                     w.reps.set_status(target_idx, FaultStatus::Untestable);
@@ -1207,9 +1341,7 @@ impl<'a> Atpg<'a> {
             // A short-leash attempt: secondary targets must be cheap.
             let limit = (config.backtrack_limit / 8).max(8);
             let (result, st) = podem.generate_constrained(secondary, &[], limit, Some(&cube));
-            stats.backtracks += st.backtracks;
-            stats.simulations += st.simulations;
-            stats.decisions += st.decisions;
+            *stats += st;
             if let AtpgResult::Test(extended) = result {
                 cube = extended;
             }

@@ -24,6 +24,7 @@ mod compact;
 mod dalg;
 mod driver;
 mod podem;
+mod speculate;
 mod twoframe;
 
 pub use compact::{compact_cubes, reverse_order_compaction};

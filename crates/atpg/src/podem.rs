@@ -44,6 +44,40 @@ pub struct PodemStats {
     pub simulations: u32,
     /// Decisions (source assignments) made.
     pub decisions: u32,
+    /// Gate evaluations by the implication engine: the start pass plus
+    /// every event-driven re-evaluation ([`Implication::gate_evals`]).
+    pub gate_evals: u64,
+}
+
+impl std::ops::AddAssign for PodemStats {
+    fn add_assign(&mut self, other: PodemStats) {
+        self.backtracks += other.backtracks;
+        self.simulations += other.simulations;
+        self.decisions += other.decisions;
+        self.gate_evals += other.gate_evals;
+    }
+}
+
+impl PodemStats {
+    /// Adds one search's counters and outcome to `metrics`. Every PODEM
+    /// call is recorded here: [`Podem::generate_constrained`] right after
+    /// its search, the ATPG driver's top-off only when it commits the
+    /// result.
+    pub(crate) fn record(&self, result: &AtpgResult, metrics: &MetricsHandle) {
+        if let Some(m) = metrics.get() {
+            m.podem_calls.inc();
+            m.podem_decisions.add(self.decisions as u64);
+            m.podem_backtracks.add(self.backtracks as u64);
+            m.podem_simulations.add(self.simulations as u64);
+            m.podem_gate_evals.add(self.gate_evals);
+            m.podem_backtracks_per_call.record(self.backtracks as u64);
+            match result {
+                AtpgResult::Test(_) => m.podem_tests.inc(),
+                AtpgResult::Untestable => m.podem_untestable.inc(),
+                AtpgResult::Aborted => m.podem_aborted.inc(),
+            }
+        }
+    }
 }
 
 /// A PODEM test generator bound to one netlist.
@@ -137,23 +171,27 @@ impl<'a> Podem<'a> {
         initial: Option<&TestCube>,
     ) -> (AtpgResult, PodemStats) {
         let (result, stats) = self.search(fault, constraints, backtrack_limit, initial);
-        if let Some(m) = self.metrics.get() {
-            m.podem_calls.inc();
-            m.podem_decisions.add(stats.decisions as u64);
-            m.podem_backtracks.add(stats.backtracks as u64);
-            m.podem_simulations.add(stats.simulations as u64);
-            m.podem_backtracks_per_call.record(stats.backtracks as u64);
-            match &result {
-                AtpgResult::Test(_) => m.podem_tests.inc(),
-                AtpgResult::Untestable => m.podem_untestable.inc(),
-                AtpgResult::Aborted => m.podem_aborted.inc(),
-            }
-        }
+        stats.record(&result, &self.metrics);
         (result, stats)
     }
 
-    /// The PODEM search loop behind [`Podem::generate_constrained`].
-    fn search(
+    /// [`Podem::generate_constrained`] without recording metrics: a
+    /// pure function of the netlist, the fault and the limits, whatever
+    /// this engine searched before.
+    pub(crate) fn search(
+        &mut self,
+        fault: Fault,
+        constraints: &[(GateId, bool)],
+        backtrack_limit: u32,
+        initial: Option<&TestCube>,
+    ) -> (AtpgResult, PodemStats) {
+        let (result, mut stats) = self.search_loop(fault, constraints, backtrack_limit, initial);
+        stats.gate_evals = self.engine.gate_evals();
+        (result, stats)
+    }
+
+    /// The PODEM search loop behind [`Podem::search`].
+    fn search_loop(
         &mut self,
         fault: Fault,
         constraints: &[(GateId, bool)],

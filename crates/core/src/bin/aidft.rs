@@ -46,9 +46,10 @@
 //! text) to stdout.
 //!
 //! `atpg`, `flow`, and `bist` accept `--threads N` (`0` = one worker per
-//! hardware thread, the default; `1` = serial). The `AIDFT_THREADS`
-//! environment variable sets the default for all commands. Any thread
-//! count produces bit-identical results.
+//! hardware thread, the default; `1` = serial); for `atpg` and `flow`
+//! it also sets the ATPG top-off's test-generation workers. The
+//! `AIDFT_THREADS` environment variable sets the default for all
+//! commands. Any thread count produces bit-identical results.
 //!
 //! `atpg`, `flow`, `bist`, and `repair` also accept:
 //!

@@ -150,8 +150,9 @@ impl<'a> DftFlow<'a> {
         self
     }
 
-    /// Sets the worker-thread count for the fault-simulation phases
-    /// (`0` = one per hardware thread, `1` = serial). Takes precedence
+    /// Sets the worker-thread count for the fault-simulation phases and
+    /// the ATPG top-off's test generation (`0` = one per hardware
+    /// thread, `1` = serial). Takes precedence
     /// over [`AtpgConfig::threads`] regardless of call order. Results are
     /// bit-identical for any value — only wall-clock changes.
     pub fn threads(mut self, n: usize) -> Self {

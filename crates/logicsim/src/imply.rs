@@ -68,6 +68,8 @@ pub struct Implication {
     /// Undo trail: `(position, previous value)` of every value written
     /// since the start; source assignments are tagged with `ASSIGNED`.
     trail: Vec<(u32, Logic)>,
+    /// Gate evaluations since the start, the start pass included.
+    evals: u64,
 }
 
 /// Trail tag for an assignment entry (its index is a source index).
@@ -145,6 +147,7 @@ impl Implication {
             epoch: 0,
             stack: Vec::new(),
             trail: Vec::new(),
+            evals: 0,
             tape,
         }
     }
@@ -196,6 +199,15 @@ impl Implication {
             let v = self.eval_at(p);
             self.write(p, v);
         }
+        self.evals = self.tape.eval_list.len() as u64;
+    }
+
+    /// Gate evaluations since the last [`Implication::start`]: its full
+    /// pass plus every position [`Implication::imply`] re-evaluated. A
+    /// deterministic measure of implication work, independent of the
+    /// clock.
+    pub fn gate_evals(&self) -> u64 {
+        self.evals
     }
 
     /// The current point of the undo trail, to return to with
@@ -251,6 +263,7 @@ impl Implication {
             }
             self.sched[w] = bits & (bits - 1);
             self.pending -= 1;
+            self.evals += 1;
             let p = (w << 6) | bits.trailing_zeros() as usize;
             let v = self.eval_at(p);
             if v != self.vals[p] {
@@ -468,6 +481,33 @@ impl Implication {
 mod tests {
     use super::*;
     use crate::FiveSim;
+
+    #[test]
+    fn gate_evals_count_the_start_pass_and_each_re_evaluation() {
+        // a -> n1 -> n2 -> po, and b -> n3 -> po2: four logic positions
+        // plus two PO markers.
+        let mut nl = Netlist::new("evals");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let n1 = nl.add_gate(GateKind::Not, vec![a], "n1");
+        let n2 = nl.add_gate(GateKind::Not, vec![n1], "n2");
+        let n3 = nl.add_gate(GateKind::Buf, vec![b], "n3");
+        nl.add_output(n2, "po");
+        nl.add_output(n3, "po2");
+        let mut engine = Implication::new(&nl);
+        engine.start(&[Logic::X, Logic::X], Fault::stuck_at_output(n3, false));
+        let full = engine.gate_evals();
+        assert_eq!(full, 5, "one evaluation per non-source position");
+        // Assigning `a` re-evaluates its cone only: n1, n2 and po.
+        engine.assign(0, Logic::One);
+        engine.imply();
+        assert_eq!(engine.gate_evals(), full + 3);
+        // An undo evaluates nothing; a new start resets the count.
+        engine.undo_to(0);
+        assert_eq!(engine.gate_evals(), full + 3);
+        engine.start(&[Logic::Zero, Logic::X], Fault::stuck_at_output(n3, false));
+        assert_eq!(engine.gate_evals(), full);
+    }
 
     #[test]
     fn and_folds_pairwise_not_dual_rail() {

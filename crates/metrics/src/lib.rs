@@ -272,6 +272,7 @@ registry! {
         podem_decisions: "PODEM source assignments made.",
         podem_backtracks: "PODEM chronological backtracks.",
         podem_simulations: "Five-valued simulation passes under PODEM.",
+        podem_gate_evals: "Gate evaluations by PODEM's implication engine (start passes + event-driven re-evaluations).",
         podem_tests: "PODEM calls that produced a test cube.",
         podem_untestable: "PODEM calls that proved the fault untestable.",
         podem_aborted: "PODEM calls aborted at the backtrack limit.",
@@ -355,6 +356,7 @@ registry! {
         t_scan_insertion: "Wall-clock time of scan insertion.",
         t_atpg_random: "Wall-clock time of the random-pattern ATPG phase.",
         t_atpg_deterministic: "Wall-clock time of deterministic top-off + compaction.",
+        t_atpg_discarded: "Search time of speculative top-off results never committed: an earlier commit detected their target, or an interrupt came first (count = results discarded).",
         t_atpg_signoff: "Wall-clock time of sign-off fault simulation.",
         t_edt_compress: "Wall-clock time of EDT compression.",
         t_ckpt_write: "Wall-clock time of checkpoint journal writes.",

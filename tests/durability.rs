@@ -1,13 +1,18 @@
 //! Durability integration: kill-and-resume determinism across designs
-//! and thread counts, randomized kill points that must never corrupt
-//! the journal, and chaos-injected worker panics surfacing in the
-//! sign-off report.
+//! and thread counts, top-off speculation that no output can observe,
+//! randomized kill points that must never corrupt the journal, and
+//! chaos-injected worker panics surfacing in the sign-off report.
 
 use std::path::{Path, PathBuf};
 
-use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, AtpgRun, Durability};
-use dft_core::checkpoint::{CancelToken, ChaosConfig, CkptState, FramedJournal, CKPT_FORMAT};
-use dft_core::netlist::generators::{decoder, mac_pe, systolic_array, SystolicConfig};
+use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, AtpgRun, CompactionMode, Durability};
+use dft_core::checkpoint::{
+    CancelToken, ChaosConfig, CkptPhase, CkptState, FramedJournal, CKPT_FORMAT,
+};
+use dft_core::metrics::MetricsHandle;
+use dft_core::netlist::generators::{
+    alu, benchmark_suite, decoder, mac_pe, random_logic, systolic_array, SystolicConfig,
+};
 use dft_core::netlist::Netlist;
 use dft_core::{DftError, DftFlow};
 
@@ -57,6 +62,32 @@ fn assert_same_run(run: &AtpgRun, reference: &AtpgRun, context: &str) {
     assert_eq!(run.aborted, reference.aborted, "{context}: aborted");
 }
 
+/// Every deterministic `AtpgRun` field (all but the wall-clock ones).
+fn assert_identical_runs(run: &AtpgRun, reference: &AtpgRun, context: &str) {
+    assert_same_run(run, reference, context);
+    assert_eq!(
+        run.fault_list.faults(),
+        reference.fault_list.faults(),
+        "{context}: fault list"
+    );
+    assert_eq!(run.cubes, reference.cubes, "{context}: cubes");
+    assert_eq!(
+        run.random_detected, reference.random_detected,
+        "{context}: random_detected"
+    );
+    assert_eq!(
+        run.deterministic_detected, reference.deterministic_detected,
+        "{context}: deterministic_detected"
+    );
+    assert_eq!(run.escalated, reference.escalated, "{context}: escalated");
+    assert_eq!(run.rescued, reference.rescued, "{context}: rescued");
+    assert_eq!(
+        run.failed_sim_batches, reference.failed_sim_batches,
+        "{context}: failed_sim_batches"
+    );
+    assert_eq!(run.podem, reference.podem, "{context}: PODEM stats");
+}
+
 fn sys2x2() -> Netlist {
     systolic_array(SystolicConfig {
         rows: 2,
@@ -68,19 +99,49 @@ fn sys2x2() -> Netlist {
 /// The tentpole acceptance criterion: interrupt a durable flow at an
 /// arbitrary point, resume from the checkpoint, and the final report is
 /// bit-identical to an uninterrupted run — on mac4 and sys2x2, with 1
-/// and 4 worker threads, and with resume crossing thread counts.
+/// and 4 worker threads, and on sys4x4 with 2 and 4, always resuming on
+/// another thread count.
+///
+/// sys4x4 has about 250 top-off targets, so its trips fire while
+/// workers are mid-search on targets ahead of the commit point. A
+/// result taken after the trip must never be classified, or the
+/// checkpoint would carry it and the resumed run would differ.
 #[test]
 fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
-    for (name, nl) in [("mac4", mac_pe(4)), ("sys2x2", sys2x2())] {
-        for threads in [1usize, 4] {
-            let reference = DftFlow::new(&nl).threads(threads).run();
-            for kill_after in [3u64, 57] {
+    let sys4x4 = benchmark_suite()
+        .into_iter()
+        .find(|c| c.name == "sys4x4")
+        .expect("sys4x4 in suite")
+        .netlist;
+    // (design, (threads, resume threads) pairs, trip points). sys4x4's
+    // polls span top-off round 0 from about 9k to 21402 and round 1
+    // from 21403 to 21430, at any thread count.
+    let cases = [
+        (
+            "mac4",
+            mac_pe(4),
+            &[(1usize, 4usize), (4, 1)][..],
+            &[3u64, 57][..],
+        ),
+        ("sys2x2", sys2x2(), &[(1, 4), (4, 1)], &[3, 57]),
+        (
+            "sys4x4",
+            sys4x4,
+            &[(2, 4), (4, 2)],
+            &[9_000, 13_000, 17_000, 21_000, 21_410, 21_425],
+        ),
+    ];
+    let mut sys4x4_rounds = Vec::new();
+    for (name, nl, thread_pairs, trips) in &cases {
+        for &(threads, resume_threads) in *thread_pairs {
+            let reference = DftFlow::new(nl).threads(threads).run();
+            for &kill_after in *trips {
                 let context = format!("{name} t{threads} kill{kill_after}");
                 let path = ckpt_path(&context.replace(' ', "-"));
                 let token = CancelToken::new();
                 token.trip_after_polls(kill_after);
                 let mut dur = Durability::new(token).with_journal(journal(&path));
-                let err = DftFlow::new(&nl)
+                let err = DftFlow::new(nl)
                     .threads(threads)
                     .run_durable(&mut dur)
                     .expect_err("trip point fires well before completion");
@@ -95,14 +156,16 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
                     }
                     other => panic!("{context}: expected checkpointed interrupt, got {other}"),
                 };
-                // Resume on the *other* thread count: the checkpoint
+                // Resume on another thread count: the checkpoint
                 // fingerprint deliberately excludes parallelism.
-                let resume_threads = if threads == 1 { 4 } else { 1 };
                 let state = last_state(&checkpoint);
+                if *name == "sys4x4" {
+                    sys4x4_rounds.push(state.phase);
+                }
                 let mut dur = Durability::new(CancelToken::new())
                     .with_journal(journal(&checkpoint))
                     .resume_from(state);
-                let resumed = DftFlow::new(&nl)
+                let resumed = DftFlow::new(nl)
                     .threads(resume_threads)
                     .run_durable(&mut dur)
                     .expect("resume completes");
@@ -117,6 +180,82 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
             }
         }
     }
+    for round in [CkptPhase::Topoff(0), CkptPhase::Topoff(1)] {
+        assert!(
+            sys4x4_rounds.contains(&round),
+            "no sys4x4 trip landed in {round:?}: re-pick the trip points"
+        );
+    }
+}
+
+/// Top-off workers search targets ahead of their turn and the results
+/// are committed in target order, so the thread count must be
+/// invisible. These designs give the workers' results a real chance of
+/// being discarded because an earlier commit detected their target:
+/// `atpg_random`'s netlist after the random phase, and mac8 and alu8
+/// with no random phase at all (the first patterns detect many targets
+/// already claimed), plus alu8 under dynamic compaction. Every run
+/// field, every counter and histogram, and a journal holding a record
+/// per committed target must match the serial run.
+#[test]
+fn topoff_speculation_is_invisible_at_any_thread_count() {
+    let deterministic = AtpgConfig::new().random_patterns(0);
+    let cases = [
+        ("random_logic", random_logic(32, 500, 2), AtpgConfig::new()),
+        ("mac8", mac_pe(8), deterministic.clone()),
+        ("alu8", alu(8), deterministic.clone()),
+        (
+            "alu8-dynamic",
+            alu(8),
+            deterministic.compaction(CompactionMode::Dynamic),
+        ),
+    ];
+    let mut discarded = 0;
+    for (name, nl, cfg) in &cases {
+        let mut reference = None;
+        for threads in [1usize, 2, 3, 8] {
+            let context = format!("{name} t{threads}");
+            let cfg = cfg.clone().threads(threads);
+            let metrics = MetricsHandle::enabled();
+            let run = Atpg::new(nl).with_metrics(metrics.clone()).run(&cfg);
+            let snap = metrics.snapshot().expect("enabled");
+            discarded += snap
+                .timers
+                .iter()
+                .find(|(n, _)| *n == "t_atpg_discarded")
+                .map_or(0, |(_, t)| t.count);
+            // A record at every commit boundary: the journal is the
+            // commit sequence itself.
+            let path = ckpt_path(&context.replace(' ', "-"));
+            let mut dur = Durability::new(CancelToken::new())
+                .with_journal(journal(&path))
+                .checkpoint_every(1);
+            let durable = Atpg::new(nl)
+                .run_durable(&cfg, &mut dur)
+                .expect("no interruption");
+            assert_identical_runs(&durable, &run, &format!("{context} durable"));
+            let records = std::fs::read(&path).expect("journal written");
+            std::fs::remove_file(&path).ok();
+            match &reference {
+                None => reference = Some((run, snap, records)),
+                Some((run_1, snap_1, records_1)) => {
+                    assert_identical_runs(&run, run_1, &context);
+                    assert!(
+                        snap.deterministic_eq(snap_1),
+                        "{context}: counters/histograms differ from serial"
+                    );
+                    assert!(
+                        records == *records_1,
+                        "{context}: journal differs from serial"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        discarded > 0,
+        "no speculative result was discarded: the cases no longer test it"
+    );
 }
 
 /// The chaos-suite acceptance criterion: >= 50 randomized kill points,

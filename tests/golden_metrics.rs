@@ -64,6 +64,7 @@ const GOLDEN: &[Golden] = &[
             ("podem_backtracks", 1041),
             ("podem_simulations", 2154),
             ("podem_decisions", 1101),
+            ("podem_gate_evals", 38650),
             ("faultsim_gate_evals", 36316),
             ("atpg_escalations", 3),
             ("atpg_rescued", 3),
@@ -84,6 +85,7 @@ const GOLDEN: &[Golden] = &[
             ("podem_backtracks", 4180),
             ("podem_simulations", 8773),
             ("podem_decisions", 4535),
+            ("podem_gate_evals", 192751),
             ("faultsim_gate_evals", 215535),
             ("atpg_escalations", 12),
             ("atpg_rescued", 12),
