@@ -58,10 +58,8 @@
 //!   phase timers) as JSON. See EXPERIMENTS.md for the schema.
 //! - `--trace <path>` — a Chrome `trace_event` file of the run's span
 //!   tree, loadable in `ui.perfetto.dev` or `chrome://tracing`.
-//! - `--trace-jsonl <path>` — the same spans as a line-oriented
-//!   `aidft-trace-v1` journal (schema in EXPERIMENTS.md).
 //!
-//! Any of those paths may be `-` to write the payload to stdout; the
+//! Either path may be `-` to write the payload to stdout; the
 //! human-readable report then moves to stderr so the machine output
 //! stays clean. When stderr is an interactive terminal, the long
 //! commands additionally show a one-line live progress spinner (current
@@ -99,6 +97,10 @@
 //! torn), scrub-index cross-check, and a summary verdict. `--repair`
 //! rewrites the journal as a clean copy holding exactly the intact
 //! records. A journal with zero intact records exits `5`.
+//!
+//! An argument that neither the command nor a global flag takes is a
+//! usage error (`unknown <cmd> argument`), and so is a non-numeric
+//! `[chains]` or `[patterns]` count.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error,
 //! `3` interrupted (a resume checkpoint path is printed when one was
@@ -251,7 +253,6 @@ fn main() -> ExitCode {
         let threads = extract_threads(&mut args)?;
         let metrics_path = extract_path_flag(&mut args, "--metrics-json")?;
         let trace_path = extract_path_flag(&mut args, "--trace")?;
-        let trace_jsonl_path = extract_path_flag(&mut args, "--trace-jsonl")?;
         let dur = DurOpts {
             checkpoint: extract_path_flag(&mut args, "--checkpoint")?,
             every: extract_u64_flag(&mut args, "--checkpoint-every")?,
@@ -261,9 +262,9 @@ fn main() -> ExitCode {
             chaos: ChaosConfig::from_env()
                 .map_err(|e| DftError::usage(format!("bad AIDFT_CHAOS value: {e}")))?,
         };
-        Ok((threads, metrics_path, trace_path, trace_jsonl_path, dur))
+        Ok((threads, metrics_path, trace_path, dur))
     })();
-    let (threads, metrics_path, trace_path, trace_jsonl_path, dur_opts) = match parsed {
+    let (threads, metrics_path, trace_path, dur_opts) = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("aidft: {e}");
@@ -271,14 +272,13 @@ fn main() -> ExitCode {
         }
     };
     let out = Out {
-        human_to_stderr: [&metrics_path, &trace_path, &trace_jsonl_path]
+        human_to_stderr: [&metrics_path, &trace_path]
             .iter()
             .any(|p| p.as_deref() == Some("-")),
     };
     // A full session when an export was requested, a phases-only one
     // when we just need phase names for the terminal progress line.
-    let want_export = trace_path.is_some() || trace_jsonl_path.is_some();
-    let session = if want_export {
+    let session = if trace_path.is_some() {
         Some(TraceSession::new(TraceConfig::default()))
     } else if std::io::stderr().is_terminal() {
         Some(TraceSession::new(TraceConfig::phases_only()))
@@ -290,14 +290,16 @@ fn main() -> ExitCode {
         .map(|s| s.handle())
         .unwrap_or_else(TraceHandle::disabled);
     let result = match args.first().map(String::as_str) {
-        Some("stats") => with_design(&args, 2, |nl, _| {
+        Some("stats") => with_design(&args, |nl, rest| {
+            no_more_args("stats", rest)?;
             println!("{}", NetlistStats::of(nl));
             for (kind, count) in kind_histogram(nl) {
                 println!("  {kind:<8} {count}");
             }
             Ok(())
         }),
-        Some("atpg") => with_design(&args, 2, |nl, _| {
+        Some("atpg") => with_design(&args, |nl, rest| {
+            no_more_args("atpg", rest)?;
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let mut dur = dur_opts.build()?;
@@ -324,8 +326,8 @@ fn main() -> ExitCode {
             );
             write_metrics(&out, &metrics_path, &handle)
         }),
-        Some("flow") => with_design(&args, 2, |nl, rest| {
-            let chains = rest.first().and_then(|s| s.parse().ok()).unwrap_or(4usize);
+        Some("flow") => with_design(&args, |nl, rest| {
+            let chains = count_arg("flow", "chain count", rest, 4)?;
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let mut dur = dur_opts.build()?;
@@ -344,11 +346,8 @@ fn main() -> ExitCode {
             }
             Ok(())
         }),
-        Some("bist") => with_design(&args, 2, |nl, rest| {
-            let patterns = rest
-                .first()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1024usize);
+        Some("bist") => with_design(&args, |nl, rest| {
+            let patterns = count_arg("bist", "pattern count", rest, 1024)?;
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let r = LogicBist::new(nl, 32)
@@ -387,8 +386,15 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("diagnose") => with_design(&args, 3, |nl, rest| {
-            let text = fs::read_to_string(&rest[0]).map_err(|e| DftError::io("read log", e))?;
+        Some("diagnose") => with_design(&args, |nl, rest| {
+            let Some(log_path) = rest.first() else {
+                return Err(DftError::usage(
+                    "usage: aidft diagnose <design.bench> <log.json>",
+                ));
+            };
+            no_more_args("diagnose", &rest[1..])?;
+            let text = fs::read_to_string(log_path)
+                .map_err(|e| DftError::io(format!("read {log_path}"), e))?;
             let log = FailureLog::from_json(&text)?;
             // The pattern set must match the one used on the tester; the
             // CLI convention is the seeded default set.
@@ -410,7 +416,7 @@ fn main() -> ExitCode {
             }
             Ok(())
         }),
-        Some("serve") => with_design(&args, 2, |nl, rest| {
+        Some("serve") => with_design(&args, |nl, rest| {
             let mut rest: Vec<String> = rest.to_vec();
             let dies = extract_u64_flag(&mut rest, "--dies")?.unwrap_or(16) as usize;
             let window = extract_u64_flag(&mut rest, "--window")?.unwrap_or(32) as usize;
@@ -422,9 +428,7 @@ fn main() -> ExitCode {
             let backoff_base = extract_u64_flag(&mut rest, "--backoff-base")?;
             let stats_addr = extract_path_flag(&mut rest, "--stats-addr")?;
             let events_path = extract_path_flag(&mut rest, "--events")?;
-            if let Some(extra) = rest.first() {
-                return Err(DftError::usage(format!("unknown serve argument `{extra}`")));
-            }
+            no_more_args("serve", &rest)?;
             let handle = MetricsHandle::enabled();
             // Telemetry first: a bound scrape endpoint owns the live
             // view, so the one-line spinner must stay suppressed before
@@ -510,15 +514,13 @@ fn main() -> ExitCode {
             out.text(report.summary.render(report.wall));
             write_metrics(&out, &metrics_path, &handle)
         }),
-        Some("repair") => {
+        Some("repair") => (|| {
             let mut rest: Vec<String> = args[1..].to_vec();
-            match extract_max_bad_cores(&mut rest) {
-                Ok(max_bad_cores) => {
-                    run_repair_demo(&out, threads, max_bad_cores, &metrics_path, &trace)
-                }
-                Err(e) => Err(e),
-            }
-        }
+            // The harvesting floor: by default an N-2 part still ships.
+            let max_bad_cores = extract_u64_flag(&mut rest, "--max-bad-cores")?.unwrap_or(2);
+            no_more_args("repair", &rest)?;
+            run_repair_demo(&out, threads, max_bad_cores as usize, &metrics_path, &trace)
+        })(),
         Some("top") => {
             let mut rest: Vec<String> = args[1..].to_vec();
             run_top(&mut rest)
@@ -534,23 +536,15 @@ fn main() -> ExitCode {
         _ => Err(DftError::usage(
             "usage: aidft <stats|atpg|flow|bist|gen|diagnose|repair|serve|top|fleet-stats|fsck> \
              [--threads N] \
-             [--metrics-json <path>] [--trace <path>] [--trace-jsonl <path>] \
+             [--metrics-json <path>] [--trace <path>] \
              [--checkpoint <path>] [--checkpoint-every <faults>] [--phase-timeout <ms>] \
              [--resume <path>] [--checkpoint-replicas <n>] <args>; \
              `-` as a path writes to stdout; see README",
         )),
     };
-    let result = result.and_then(|()| {
-        if let Some(session) = &session {
-            let dump = session.snapshot();
-            if let Some(path) = &trace_path {
-                out.payload(path, &dump.to_perfetto_json())?;
-            }
-            if let Some(path) = &trace_jsonl_path {
-                out.payload(path, &dump.to_jsonl())?;
-            }
-        }
-        Ok(())
+    let result = result.and_then(|()| match (&session, &trace_path) {
+        (Some(session), Some(path)) => out.payload(path, &session.snapshot().to_perfetto_json()),
+        _ => Ok(()),
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -620,9 +614,8 @@ fn lift_atpg_error(design: &str, e: AtpgError) -> DftError {
 }
 
 /// Where human-readable report text goes, and how machine payloads are
-/// written. When any `--metrics-json`/`--trace`/`--trace-jsonl` path is
-/// `-`, stdout is reserved for that payload and the report moves to
-/// stderr.
+/// written. When the `--metrics-json` or `--trace` path is `-`, stdout
+/// is reserved for that payload and the report moves to stderr.
 #[derive(Clone, Copy)]
 struct Out {
     human_to_stderr: bool,
@@ -685,22 +678,6 @@ fn extract_threads(args: &mut Vec<String>) -> Result<usize, DftError> {
         }
     }
     Ok(threads.unwrap_or(0))
-}
-
-/// Removes `--max-bad-cores N` from `args` and returns the harvesting
-/// floor (default 2, i.e. an N-2 part still ships).
-fn extract_max_bad_cores(args: &mut Vec<String>) -> Result<usize, DftError> {
-    if let Some(pos) = args.iter().position(|a| a == "--max-bad-cores") {
-        if pos + 1 >= args.len() {
-            return Err(DftError::usage("--max-bad-cores requires a value"));
-        }
-        let value = args[pos + 1].parse().map_err(|_| {
-            DftError::usage(format!("bad --max-bad-cores value `{}`", args[pos + 1]))
-        })?;
-        args.drain(pos..pos + 2);
-        return Ok(value);
-    }
-    Ok(2)
 }
 
 /// The `repair` command: a self-contained demonstration of both halves
@@ -1067,17 +1044,15 @@ fn write_metrics(out: &Out, path: &Option<String>, handle: &MetricsHandle) -> Re
     Ok(())
 }
 
-/// Parses the design argument and hands off to `f` with any remaining
-/// arguments.
+/// Parses the design argument (`args[1]`) and hands off to `f` with the
+/// arguments after it.
 fn with_design(
     args: &[String],
-    min_args: usize,
     f: impl FnOnce(&Netlist, &[String]) -> Result<(), DftError>,
 ) -> Result<(), DftError> {
-    if args.len() < min_args {
+    let Some(path) = args.get(1) else {
         return Err(DftError::usage("missing <design.bench> argument"));
-    }
-    let path = &args[1];
+    };
     let text = fs::read_to_string(path).map_err(|e| DftError::io(format!("read {path}"), e))?;
     let name = path
         .rsplit('/')
@@ -1085,5 +1060,27 @@ fn with_design(
         .unwrap_or(path)
         .trim_end_matches(".bench");
     let nl = parse_bench(name, &text).map_err(|e| DftError::netlist(format!("parse {path}"), e))?;
-    f(&nl, &args[min_args.min(args.len())..])
+    f(&nl, &args[2..])
+}
+
+/// Rejects the first argument `cmd` left unconsumed (usage error).
+fn no_more_args(cmd: &str, rest: &[String]) -> Result<(), DftError> {
+    match rest.first() {
+        Some(extra) => Err(DftError::usage(format!("unknown {cmd} argument `{extra}`"))),
+        None => Ok(()),
+    }
+}
+
+/// The optional count after the design of `flow` (`[chains]`) and
+/// `bist` (`[patterns]`): `default` when absent, a usage error when it
+/// is not a number or anything follows it.
+fn count_arg(cmd: &str, what: &str, rest: &[String], default: usize) -> Result<usize, DftError> {
+    let Some(first) = rest.first().filter(|a| !a.starts_with('-')) else {
+        no_more_args(cmd, rest)?;
+        return Ok(default);
+    };
+    no_more_args(cmd, &rest[1..])?;
+    first
+        .parse()
+        .map_err(|_| DftError::usage(format!("bad {what} `{first}`")))
 }

@@ -1,15 +1,16 @@
 //! Scrape payloads: one published [`TelemetrySample`] rendered as
 //! Prometheus text exposition or stable-ordered JSON.
 //!
-//! Both renderings are built from the same canonical ordered pair list
-//! ([`TelemetrySample::expo_pairs`]), so the two formats can never
-//! disagree about a value and the exposition order is deterministic —
-//! scraping twice and diffing shows only the numbers that moved. Label
-//! values are escaped at pair-construction time (`\\`, `\"`, `\n`), so
-//! every pair renders as exactly one line and
+//! The Prometheus text is built from one canonical ordered pair list
+//! ([`TelemetrySample::expo_pairs`]), so its exposition order is
+//! deterministic — scraping twice and diffing shows only the numbers
+//! that moved. Label values are escaped at pair-construction time
+//! (`\\`, `\"`, `\n`), so every pair renders as exactly one line and
 //! [`parse_prometheus`]`(`[`TelemetrySample::to_prometheus`]`(s))`
 //! round-trips the pair list exactly (f64 `Display` is shortest
-//! round-trip in Rust).
+//! round-trip in Rust). The JSON ([`TelemetrySample::to_json`]) is
+//! written from the sample's fields directly, in a fixed key order,
+//! with the same [`format_value`] number rendering.
 
 use dft_metrics::{bucket_bounds, HISTOGRAM_BUCKETS};
 
@@ -365,10 +366,21 @@ mod tests {
     fn json_is_stable_ordered_and_schema_tagged() {
         let s = sample();
         let j = s.to_json();
-        assert!(j.starts_with("{\"schema\":\"aidft-stats-v1\",\"seq\":4,"));
-        assert!(j.contains("\"fleet\":{\"dies\":16,\"dies_done\":9,"));
-        assert!(j.contains("\"breaker\":{\"closed\":3,\"backoff\":1,\"quarantined\":2}"));
-        assert!(j.contains("\"counters\":{\"serve_signatures\":123,\"serve_retries\":4}"));
+        // The whole `aidft-stats-v1` document: schema tag, every section
+        // and key in order, and both 17-entry log2 bucket arrays.
+        let expected = concat!(
+            r#"{"schema":"aidft-stats-v1","seq":4,"uptime_ms":1250,"design":"mac4","#,
+            r#""fleet":{"dies":16,"dies_done":9,"windows_per_die":2,"#,
+            r#""sessions_active":3,"windows_in_flight":7},"#,
+            r#""breaker":{"closed":3,"backoff":1,"quarantined":2},"#,
+            r#""rates":{"dies_per_sec":12.5,"signatures_per_sec":110.25,"peak_dies_per_sec":14},"#,
+            r#""latency_us":{"window_p50":80,"window_p99":900.5,"#,
+            r#""signature_p50":40,"signature_p99":300,"#,
+            r#""window_buckets":[0,0,0,0,0,10,0,0,0,2,0,0,0,0,0,0,0],"#,
+            r#""signature_buckets":[0,0,0,0,12,0,0,0,0,0,0,0,0,0,0,0,0]},"#,
+            r#""scrapes":6,"counters":{"serve_signatures":123,"serve_retries":4}}"#,
+        );
+        assert_eq!(j, expected);
         assert_eq!(j, s.to_json());
     }
 

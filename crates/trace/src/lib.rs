@@ -4,11 +4,9 @@
 //! histograms), this crate answers *where the wall-clock went*: every
 //! phase, worker batch, and (sampled) per-fault search records a span
 //! into a per-thread ring buffer, and a finished session exports
-//!
-//! * Chrome/Perfetto `trace_event` JSON — load it in `ui.perfetto.dev`
-//!   ([`TraceDump::to_perfetto_json`]), and
-//! * a compact JSONL event journal with a stable schema for tooling
-//!   ([`TraceDump::to_jsonl`], schema in `EXPERIMENTS.md`).
+//! Chrome/Perfetto `trace_event` JSON — load it in `ui.perfetto.dev`
+//! ([`TraceDump::to_perfetto_json`]). Tools that need the spans
+//! themselves read [`TraceDump::spans`] in process.
 //!
 //! The design rules mirror `dft-metrics`:
 //!
@@ -59,10 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-mod journal;
 mod perfetto;
-
-pub use journal::{validate_journal, JournalError};
 
 /// Tuning knobs for a [`TraceSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -636,12 +631,6 @@ impl TraceDump {
     /// [`perfetto`](TraceDump::to_perfetto_json) module docs).
     pub fn to_perfetto_json(&self) -> String {
         perfetto::to_perfetto_json(self)
-    }
-
-    /// Serializes as the JSONL event journal (one object per line;
-    /// schema `aidft-trace-v1`, documented in `EXPERIMENTS.md`).
-    pub fn to_jsonl(&self) -> String {
-        journal::to_jsonl(self)
     }
 }
 

@@ -107,35 +107,76 @@ pub(crate) fn to_perfetto_json(dump: &TraceDump) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{span, TraceConfig, TraceSession};
+    use crate::{EventKind, TraceDump, TraceEvent};
+
+    /// A dump of `(ts_ns, tid, kind, name, arg)` events, given in
+    /// timeline order as a snapshot sorts them.
+    fn dump(events: &[(u64, u32, EventKind, &'static str, u64)]) -> TraceDump {
+        let events = events
+            .iter()
+            .map(|&(ts_ns, tid, kind, name, arg)| TraceEvent {
+                ts_ns,
+                tid,
+                kind,
+                name,
+                arg,
+            });
+        TraceDump {
+            events: events.collect(),
+            dropped: 0,
+        }
+    }
 
     #[test]
     fn perfetto_json_has_complete_events_and_metadata() {
-        let session = TraceSession::new(TraceConfig::default());
-        let t = session.handle();
-        {
-            let _a = span!(t, "flow");
-            let _b = span!(t, "atpg", 42);
-            t.instant("topoff_done", 3);
-            t.counter("faults_left", 17);
-        }
-        let json = session.snapshot().to_perfetto_json();
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"ph\":\"X\",\"name\":\"flow\""));
-        assert!(json.contains("\"ph\":\"X\",\"name\":\"atpg\""));
-        assert!(json.contains("\"args\":{\"arg\":42}"));
-        assert!(json.contains("\"ph\":\"i\",\"name\":\"topoff_done\""));
-        assert!(json.contains("\"ph\":\"C\",\"name\":\"faults_left\""));
-        assert!(json.trim_end().ends_with("]}"));
+        use EventKind::{Begin, Counter, End, Instant};
+        // Nested spans with and without an arg on two threads, one
+        // instant and one counter.
+        let dump = dump(&[
+            (1_000, 0, Begin, "flow", 0),
+            (1_200, 1, Begin, "batch", 7),
+            (1_300, 1, Begin, "leaf", 0),
+            (1_400, 1, End, "leaf", 0),
+            (1_500, 0, Begin, "atpg", 42),
+            (1_800, 1, End, "batch", 0),
+            (2_000, 0, Instant, "topoff_done", 3),
+            (2_500, 0, End, "atpg", 0),
+            (2_600, 0, Counter, "faults_left", 17),
+            (1_000_005, 0, End, "flow", 0),
+        ]);
+        let expected = r#"{"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"aidft"}},
+{"ph":"X","name":"flow","cat":"aidft","pid":1,"tid":0,"ts":1.000,"dur":999.005},
+{"ph":"X","name":"atpg","cat":"aidft","pid":1,"tid":0,"ts":1.500,"dur":1.000,"args":{"arg":42}},
+{"ph":"X","name":"batch","cat":"aidft","pid":1,"tid":1,"ts":1.200,"dur":0.600,"args":{"arg":7}},
+{"ph":"X","name":"leaf","cat":"aidft","pid":1,"tid":1,"ts":1.300,"dur":0.100},
+{"ph":"i","name":"topoff_done","cat":"aidft","pid":1,"tid":0,"ts":2.000,"s":"t","args":{"arg":3}},
+{"ph":"C","name":"faults_left","pid":1,"tid":0,"ts":2.600,"args":{"value":17}}
+]}
+"#;
+        assert_eq!(dump.to_perfetto_json(), expected);
     }
 
     #[test]
     fn open_session_falls_back_to_begin_end_events() {
-        let session = TraceSession::new(TraceConfig::default());
-        let t = session.handle();
-        let _open = span!(t, "still_running");
-        let json = session.snapshot().to_perfetto_json();
-        assert!(json.contains("\"ph\":\"B\",\"name\":\"still_running\""));
+        use EventKind::{Begin, End, Instant};
+        // `still_running` never closed, so the dump has no forest: spans
+        // are exported as raw Begin/End events, which carry no args.
+        let dump = dump(&[
+            (10, 0, Begin, "still_running", 0),
+            (20, 0, Begin, "inner", 5),
+            (30, 0, Instant, "mark", 1),
+            (40, 0, End, "inner", 0),
+        ]);
+        let expected = r#"{"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"aidft"}},
+{"ph":"B","name":"still_running","cat":"aidft","pid":1,"tid":0,"ts":0.010},
+{"ph":"B","name":"inner","cat":"aidft","pid":1,"tid":0,"ts":0.020},
+{"ph":"E","name":"inner","cat":"aidft","pid":1,"tid":0,"ts":0.040},
+{"ph":"i","name":"mark","cat":"aidft","pid":1,"tid":0,"ts":0.030,"s":"t","args":{"arg":1}}
+]}
+"#;
+        assert!(dump.build_forest().is_err());
+        assert_eq!(dump.to_perfetto_json(), expected);
     }
 }

@@ -1,0 +1,99 @@
+//! The `aidft` command line through the built binary: a stray argument
+//! is a usage error (exit 2) that names the argument, and `diagnose`
+//! runs on its documented usage.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use dft_core::diagnosis::{build_failure_log, FailureLog};
+use dft_core::fault::universe_stuck_at;
+use dft_core::logicsim::PatternSet;
+use dft_core::netlist::generators::mac_pe;
+use dft_core::netlist::{parse_bench, write_bench, Netlist};
+
+fn aidft(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_aidft"))
+        .args(args)
+        .output()
+        .expect("spawn aidft")
+}
+
+/// A fresh scratch directory for one test.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aidft-cli-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Writes `log` into `dir` and returns its path.
+fn write_log(dir: &Path, name: &str, log: &FailureLog) -> String {
+    let path = dir.join(name);
+    std::fs::write(&path, log.to_json()).unwrap();
+    path.to_str().unwrap().to_owned()
+}
+
+/// Writes mac4 as `dir/mac4.bench` and returns its path with the
+/// netlist parsed back out of that text, as the CLI sees it.
+fn mac4_design(dir: &Path) -> (String, Netlist) {
+    let path = dir.join("mac4.bench");
+    let text = write_bench(&mac_pe(4));
+    std::fs::write(&path, &text).unwrap();
+    let nl = parse_bench("mac4", &text).unwrap();
+    (path.to_str().unwrap().to_owned(), nl)
+}
+
+#[test]
+fn stray_arguments_are_usage_errors_that_name_the_argument() {
+    let dir = scratch_dir("stray");
+    let (d, _) = mac4_design(&dir);
+    let log = write_log(&dir, "clean.json", &FailureLog::default());
+    let cases: &[(&[&str], &str)] = &[
+        (&["atpg", &d, "--bogus-flag", "7"], "--bogus-flag"),
+        (&["flow", &d, "eight"], "eight"),
+        (&["flow", &d, "4", "5"], "5"),
+        (&["flow", &d, "--trace-jsonl", "x.jsonl"], "--trace-jsonl"),
+        (&["bist", &d, "lots"], "lots"),
+        (&["bist", &d, "64", "--bogus"], "--bogus"),
+        (&["stats", &d, "extra"], "extra"),
+        (&["diagnose", &d, &log, "extra"], "extra"),
+        (&["repair", "--max-bad-cores", "2", "--bogus"], "--bogus"),
+        (&["serve", &d, "--bogus"], "--bogus"),
+    ];
+    for (args, stray) in cases {
+        let out = aidft(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&format!("`{stray}`")), "{args:?}: {err}");
+    }
+    for args in [&["flow", &d, "4"][..], &["stats", &d]] {
+        let out = aidft(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn diagnose_ranks_candidates_for_a_failing_die_and_passes_a_clean_one() {
+    let dir = scratch_dir("diagnose");
+    let (d, nl) = mac4_design(&dir);
+    let clean = write_log(&dir, "clean.json", &FailureLog::default());
+    let out = aidft(&["diagnose", &d, &clean]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(text.contains("clean log or no candidates"), "{text}");
+
+    // A stuck-at defect logged under the CLI's pattern convention.
+    let patterns = PatternSet::random(&nl, 256, 0xD1A6);
+    let log = universe_stuck_at(&nl)
+        .into_iter()
+        .map(|f| build_failure_log(&nl, &patterns, f))
+        .find(|log| !log.is_clean())
+        .expect("some stuck-at fault fails a pattern");
+    let failing = write_log(&dir, "failing.json", &log);
+    let out = aidft(&["diagnose", &d, &failing]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(text.lines().any(|l| l.starts_with("#1 ")), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

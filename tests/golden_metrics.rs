@@ -12,7 +12,9 @@
 //! and paste the printed rows over the `GOLDEN` table.
 
 use dft_core::metrics::MetricsSnapshot;
-use dft_core::netlist::generators::{benchmark_suite, systolic_array, SystolicConfig};
+use dft_core::netlist::generators::{
+    benchmark_suite, random_logic, systolic_array, SystolicConfig,
+};
 use dft_core::netlist::Netlist;
 use dft_core::DftFlow;
 
@@ -35,7 +37,9 @@ struct Golden {
 
 /// One row per seed circuit. Pure-combinational c17 exercises the
 /// ATPG/sim counters without EDT; the scan designs lock the compression
-/// path too.
+/// path too. sys4x4 and rand500_s2 are the designs of the
+/// `signoff_systolic` and `atpg_random` benchmark workloads, so their
+/// PODEM work counters catch an algorithmic blow-up on any machine.
 const GOLDEN: &[Golden] = &[
     Golden {
         name: "c17",
@@ -92,21 +96,66 @@ const GOLDEN: &[Golden] = &[
             ("edt_cubes_encoded", 7),
         ],
     },
+    Golden {
+        name: "sys4x4",
+        patterns: 137,
+        coverage_bp: 9667,
+        untestable: 208,
+        aborted: 16,
+        ratio_centi: 143,
+        counters: &[
+            ("atpg_patterns", 137),
+            ("podem_calls", 257),
+            ("podem_backtracks", 16683),
+            ("podem_simulations", 34516),
+            ("podem_decisions", 17640),
+            ("podem_gate_evals", 1203723),
+            ("faultsim_gate_evals", 835335),
+            ("atpg_escalations", 48),
+            ("atpg_rescued", 48),
+            ("edt_cubes_attempted", 9),
+            ("edt_cubes_encoded", 9),
+            ("gf2_solves", 9),
+        ],
+    },
+    Golden {
+        name: "rand500_s2",
+        patterns: 158,
+        coverage_bp: 4814,
+        untestable: 1003,
+        aborted: 149,
+        ratio_centi: 0,
+        counters: &[
+            ("atpg_patterns", 158),
+            ("podem_calls", 1188),
+            ("podem_backtracks", 65436),
+            ("podem_simulations", 133341),
+            ("podem_decisions", 66902),
+            ("podem_gate_evals", 11376662),
+            ("faultsim_gate_evals", 216432),
+            ("atpg_escalations", 44),
+            ("atpg_rescued", 36),
+        ],
+    },
 ];
 
 fn circuit(name: &str) -> Netlist {
-    if name == "sys2x2" {
-        return systolic_array(SystolicConfig {
+    match name {
+        "sys2x2" => systolic_array(SystolicConfig {
             rows: 2,
             cols: 2,
             width: 4,
-        });
+        }),
+        // The `atpg_random` benchmark workload's design.
+        "rand500_s2" => random_logic(32, 500, 2),
+        _ => {
+            benchmark_suite()
+                .into_iter()
+                .find(|c| c.name == name)
+                .unwrap_or_else(|| panic!("unknown golden circuit `{name}`"))
+                .netlist
+        }
     }
-    benchmark_suite()
-        .into_iter()
-        .find(|c| c.name == name)
-        .unwrap_or_else(|| panic!("unknown golden circuit `{name}`"))
-        .netlist
 }
 
 fn bless_mode() -> bool {

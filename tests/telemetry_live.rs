@@ -30,13 +30,35 @@ fn tmp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// One scraper observation: (sample seq, dies done) from `/metrics`.
-type Obs = (f64, f64);
+/// One scraper observation: every (metric id, value) pair of a
+/// `/metrics` scrape.
+type Obs = Vec<(String, f64)>;
+
+/// Metrics that never decrease over one run: the sample clock, fleet
+/// progress, and every counter (`aidft_*_total`, scrapes included).
+fn is_monotone(name: &str) -> bool {
+    matches!(
+        name,
+        "aidft_sample_seq" | "aidft_uptime_ms" | "aidft_fleet_dies_done"
+    ) || name.ends_with("_total")
+}
+
+/// Consecutive scrapes of one live run move forward, never back.
+fn assert_monotone(seen: &[Obs]) {
+    for w in seen.windows(2) {
+        for (name, was) in w[0].iter().filter(|(n, _)| is_monotone(n)) {
+            let now = pair_value(&w[1], name)
+                .unwrap_or_else(|| panic!("`{name}` vanished from a later scrape"));
+            assert!(now >= *was, "`{name}` went backwards: {was} -> {now}");
+        }
+    }
+}
 
 /// Runs the fleet with a live telemetry session (ephemeral scrape port,
 /// 5 ms sampler) while a scraper thread polls `/metrics` every few
 /// milliseconds for the whole run. Returns the fleet report, the final
-/// telemetry accounting, and everything the scraper saw.
+/// telemetry accounting, and everything the scraper saw, after checking
+/// that the scrapes are monotone ([`assert_monotone`]).
 fn run_scraped(
     nl: &dft_core::netlist::Netlist,
     cfg: &ServeConfig,
@@ -59,11 +81,7 @@ fn run_scraped(
             let mut seen: Vec<Obs> = Vec::new();
             while !stop.load(Ordering::Acquire) {
                 if let Ok(text) = scrape(addr, "/metrics") {
-                    let pairs = parse_prometheus(&text);
-                    seen.push((
-                        pair_value(&pairs, "aidft_sample_seq").unwrap_or(f64::NAN),
-                        pair_value(&pairs, "aidft_fleet_dies_done").unwrap_or(f64::NAN),
-                    ));
+                    seen.push(parse_prometheus(&text));
                 }
                 std::thread::sleep(Duration::from_millis(3));
             }
@@ -88,14 +106,16 @@ fn run_scraped(
 
     stop.store(true, Ordering::Release);
     let seen = scraper.join().unwrap();
+    assert_monotone(&seen);
     let fin = session.finish();
     (report, fin, seen)
 }
 
 /// A mid-run scraper is invisible: the fleet state and summary with the
 /// sampler + endpoint + scraper attached are identical to the plain
-/// run — and what the scraper saw is internally consistent (monotone
-/// sample seq and dies-done).
+/// run — and what the scraper saw is internally consistent (sample
+/// seq, uptime, dies-done and every counter monotone, checked by
+/// [`run_scraped`]).
 #[test]
 fn mid_run_scrape_never_changes_the_fleet_state() {
     let nl = mac_pe(4);
@@ -115,14 +135,14 @@ fn mid_run_scrape_never_changes_the_fleet_state() {
     assert!(fin.samples >= 2, "startup + final samples at minimum");
     assert!(fin.scrapes > 0, "the scraper reached the endpoint");
     assert!(!seen.is_empty(), "at least one successful scrape");
-    for w in seen.windows(2) {
-        assert!(w[1].0 >= w[0].0, "sample seq is monotone: {seen:?}");
-        assert!(w[1].1 >= w[0].1, "dies-done is monotone: {seen:?}");
-    }
-    let last = seen.last().unwrap();
     assert!(
-        last.1 <= 16.0,
-        "dies-done gauge never overshoots the fleet: {last:?}"
+        pair_value(&seen[0], "aidft_serve_windows_total").is_some(),
+        "registry counters are in the scrape, so the monotone check covers them"
+    );
+    let done = pair_value(seen.last().unwrap(), "aidft_fleet_dies_done").unwrap();
+    assert!(
+        done <= 16.0,
+        "dies-done gauge never overshoots the fleet: {done}"
     );
 }
 
