@@ -11,11 +11,13 @@
 //! AIDFT_BLESS_GOLDEN=1 cargo test -p dft-core --test golden_serve -- --nocapture
 //! ```
 //!
-//! and paste the printed literal over `GOLDEN_FLEET`.
+//! and paste the printed literals over `GOLDEN_FLEET` and
+//! `GOLDEN_JOURNAL`.
 
+use dft_core::checkpoint::{fnv1a, FramedJournal};
 use dft_core::netlist::generators::benchmark_suite;
 use dft_core::netlist::Netlist;
-use dft_core::serve::{run_fleet, FleetSummary, ServeConfig, ServeOpts};
+use dft_core::serve::{run_fleet, FleetSummary, ServeConfig, ServeOpts, SERVE_FORMAT};
 
 /// Expected summary for the golden fleet (16 dies of mac4, default
 /// seed/rate/windows). `windows_per_die` is part of the lock: it moves
@@ -85,6 +87,45 @@ fn golden_fleet_summary() {
     assert_eq!(
         summary, GOLDEN_FLEET,
         "fleet summary drifted — if intentional, re-bless with \
+         AIDFT_BLESS_GOLDEN=1 (see file header)"
+    );
+}
+
+/// Length and FNV-1a of the journal file the golden fleet writes on one
+/// client, checkpointing every 4 dies.
+const GOLDEN_JOURNAL: (usize, u64) = (3109, 0xcf4fd6f553a048f4);
+
+/// At one client the dies finish in id order, so the journal is a pure
+/// function of the design and config: every record body, sequence
+/// number and frame byte is pinned, not only the state they resume to.
+#[test]
+fn golden_journal_bytes() {
+    let dir = std::env::temp_dir().join(format!("aidft-golden-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.ckpt");
+    let cfg = ServeConfig {
+        client_threads: 1,
+        checkpoint_every: 4,
+        ..golden_cfg()
+    };
+    let opts = ServeOpts {
+        journal: Some(FramedJournal::new(&path, SERVE_FORMAT)),
+        ..ServeOpts::default()
+    };
+    run_fleet(&mac4(), &cfg, &opts).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let got = (bytes.len(), fnv1a(&bytes));
+    if bless_mode() {
+        println!(
+            "const GOLDEN_JOURNAL: (usize, u64) = ({}, {:#018x});",
+            got.0, got.1
+        );
+        return;
+    }
+    assert_eq!(
+        got, GOLDEN_JOURNAL,
+        "fleet journal bytes drifted — if intentional, re-bless with \
          AIDFT_BLESS_GOLDEN=1 (see file header)"
     );
 }
