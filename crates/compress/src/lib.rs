@@ -40,5 +40,5 @@ pub use broadcast::{IllinoisMode, IllinoisScan};
 pub use edt::{CompressionStats, EdtCodec, ScanEdt};
 pub use gf2::Gf2System;
 pub use misr::{signature_with_mask, Misr, XMask};
-pub use pack::{pack_bits, unpack_bits};
+pub use pack::{pack_bits, packed_bytes, unpack_bits};
 pub use ring::{PhaseShifter, RingGenerator};

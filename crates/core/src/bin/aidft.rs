@@ -100,7 +100,8 @@
 //!
 //! An argument that neither the command nor a global flag takes is a
 //! usage error (`unknown <cmd> argument`), and so is a non-numeric
-//! `[chains]` or `[patterns]` count.
+//! `[chains]` or `[patterns]` count or a zero `serve` `--dies`,
+//! `--window` or `--client-threads`.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error,
 //! `3` interrupted (a resume checkpoint path is printed when one was
@@ -418,12 +419,10 @@ fn main() -> ExitCode {
         }),
         Some("serve") => with_design(&args, |nl, rest| {
             let mut rest: Vec<String> = rest.to_vec();
-            let dies = extract_u64_flag(&mut rest, "--dies")?.unwrap_or(16) as usize;
-            let window = extract_u64_flag(&mut rest, "--window")?.unwrap_or(32) as usize;
-            let client_threads = extract_u64_flag(&mut rest, "--client-threads")?
-                .map(|n| n as usize)
-                .unwrap_or_else(|| threads.clamp(1, 8))
-                .max(1);
+            let dies = extract_count_flag(&mut rest, "--dies")?.unwrap_or(16);
+            let window = extract_count_flag(&mut rest, "--window")?.unwrap_or(32);
+            let client_threads = extract_count_flag(&mut rest, "--client-threads")?
+                .unwrap_or_else(|| threads.clamp(1, 8));
             let max_reconnects = extract_u64_flag(&mut rest, "--max-reconnects")?;
             let backoff_base = extract_u64_flag(&mut rest, "--backoff-base")?;
             let stats_addr = extract_path_flag(&mut rest, "--stats-addr")?;
@@ -474,8 +473,8 @@ fn main() -> ExitCode {
                     .unwrap_or_default(),
             };
             let mut cfg = ServeConfig {
-                dies: dies.max(1),
-                window_patterns: window.max(1),
+                dies,
+                window_patterns: window,
                 client_threads,
                 ..ServeConfig::default()
             };
@@ -1020,6 +1019,18 @@ fn extract_u64_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, D
         return Ok(Some(value));
     }
     Ok(None)
+}
+
+/// [`extract_u64_flag`] for a count that must be at least 1: `0` is a
+/// usage error naming the flag, never silently raised to 1.
+fn extract_count_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<usize>, DftError> {
+    match extract_u64_flag(args, flag)? {
+        Some(0) => Err(DftError::usage(format!("`{flag}` must be at least 1"))),
+        Some(n) => usize::try_from(n)
+            .map(Some)
+            .map_err(|_| DftError::usage(format!("bad {flag} value `{n}`"))),
+        None => Ok(None),
+    }
 }
 
 /// Removes `<flag> <path>` from `args` and returns the path, if given.

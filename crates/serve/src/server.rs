@@ -660,33 +660,29 @@ pub fn run_fleet(
     };
 
     let listener = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;
-    listener.set_nonblocking(true).map_err(ServeError::Io)?;
     let addr = listener.local_addr().map_err(ServeError::Io)?;
     let queue = Mutex::new(pending);
 
     let start = Instant::now();
     let _t = opts.trace.phase_span("serve_fleet");
     std::thread::scope(|s| {
-        // Acceptor: one session thread per connection, drained on
-        // shutdown.
+        // Acceptor: blocks in `accept` and spawns one session thread
+        // per connection. Once the worker pool has joined, no die will
+        // connect again; the wake-up connection below then finds
+        // `shutdown` set and ends the loop without a session.
         let shared_ref = &shared;
-        s.spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    s.spawn(move || {
-                        if session(shared_ref, stream).is_err() {
-                            // Recoverable: the die reconnects and the
-                            // session resumes from its verified windows.
-                        }
-                    });
+        s.spawn(move || {
+            for stream in listener.incoming() {
+                if shared_ref.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if shared_ref.shutdown.load(Ordering::SeqCst) {
-                        return;
+                let Ok(stream) = stream else { return };
+                s.spawn(move || {
+                    if session(shared_ref, stream).is_err() {
+                        // Recoverable: the die reconnects and the
+                        // session resumes from its verified windows.
                     }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => return,
+                });
             }
         });
 
@@ -753,6 +749,9 @@ pub fn run_fleet(
             let _ = w.join();
         }
         shared.shutdown.store(true, Ordering::SeqCst);
+        // Wake the acceptor. A refused connect means it already
+        // returned on an accept error.
+        let _ = TcpStream::connect(addr);
     });
     let wall = start.elapsed();
 

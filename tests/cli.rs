@@ -1,6 +1,6 @@
 //! The `aidft` command line through the built binary: a stray argument
-//! is a usage error (exit 2) that names the argument, and `diagnose`
-//! runs on its documented usage.
+//! or a zero `serve` count is a usage error (exit 2) that names the
+//! argument, and `diagnose` runs on its documented usage.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -58,6 +58,9 @@ fn stray_arguments_are_usage_errors_that_name_the_argument() {
         (&["diagnose", &d, &log, "extra"], "extra"),
         (&["repair", "--max-bad-cores", "2", "--bogus"], "--bogus"),
         (&["serve", &d, "--bogus"], "--bogus"),
+        (&["serve", &d, "--dies", "0"], "--dies"),
+        (&["serve", &d, "--window", "0"], "--window"),
+        (&["serve", &d, "--client-threads", "0"], "--client-threads"),
     ];
     for (args, stray) in cases {
         let out = aidft(args);

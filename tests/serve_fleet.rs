@@ -9,12 +9,14 @@
 //! on every run.
 
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use dft_core::checkpoint::{CancelToken, ChaosConfig, FramedJournal};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::mac_pe;
 use dft_core::serve::{
-    die_reference_signatures, run_fleet, DieSim, ServeConfig, ServeError, ServeOpts,
+    die_reference_signatures, run_fleet, DieSim, FleetReport, ServeConfig, ServeError, ServeOpts,
     ServedStimulus, SERVE_FORMAT,
 };
 use dft_core::trace::TraceHandle;
@@ -290,4 +292,85 @@ fn deadlines_and_reaper_bound_liveness_without_changing_state() {
         snap.counter("serve_retries") > 0,
         "backoff retries happened"
     );
+}
+
+/// Runs a fleet on its own thread and waits at most 30 s for it, so an
+/// acceptor that is never woken fails the test instead of hanging
+/// `cargo test`. Returns the result and the sessions the server opened.
+fn run_fleet_bounded(cfg: ServeConfig, opts: ServeOpts) -> (Result<FleetReport, ServeError>, u64) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let opts = ServeOpts {
+            metrics: MetricsHandle::enabled(),
+            ..opts
+        };
+        let result = run_fleet(&mac_pe(4), &cfg, &opts);
+        let sessions = opts.metrics.get().map_or(0, |m| m.serve_sessions.get());
+        tx.send((result, sessions)).ok();
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("run_fleet must return within 30 s: the acceptor was never woken")
+}
+
+/// The acceptor blocks in `accept` and is woken by one connection after
+/// the client pool joins. An empty fleet and a finished one end with no
+/// die ever connecting, and a pre-cancelled one once each client's first
+/// session has seen the token, so only that wake can end them.
+#[test]
+fn acceptor_is_woken_when_no_die_connects() {
+    let cfg = ServeConfig {
+        dies: 0,
+        client_threads: 2,
+        ..ServeConfig::default()
+    };
+    let (result, sessions) = run_fleet_bounded(cfg, ServeOpts::default());
+    let report = result.expect("an empty fleet completes");
+    assert_eq!(report.summary.dies, 0);
+    assert!(report.state.done.is_empty());
+    assert_eq!(sessions, 0, "no die connects to an empty fleet");
+
+    // Resume of a fully journaled fleet: every die is restored, none is
+    // streamed.
+    let cfg = ServeConfig { dies: 16, ..cfg };
+    let path = ckpt_path("serve-wake-full");
+    let journal = || Some(FramedJournal::new(&path, SERVE_FORMAT));
+    let (full, _) = run_fleet_bounded(
+        cfg,
+        ServeOpts {
+            journal: journal(),
+            ..ServeOpts::default()
+        },
+    );
+    let full = full.expect("the journaled fleet completes");
+    let (resumed, sessions) = run_fleet_bounded(
+        cfg,
+        ServeOpts {
+            journal: journal(),
+            resume: true,
+            ..ServeOpts::default()
+        },
+    );
+    let resumed = resumed.expect("a fully journaled fleet resumes");
+    assert_eq!(resumed.resumed_dies, 16);
+    assert_eq!(resumed.state, full.state);
+    assert_eq!(sessions, 0, "no die connects to a finished fleet");
+    std::fs::remove_file(&path).ok();
+
+    // A token cancelled before the first die: the run is interrupted
+    // with nothing recorded.
+    let token = CancelToken::new();
+    token.cancel();
+    let (result, _) = run_fleet_bounded(
+        cfg,
+        ServeOpts {
+            cancel: token,
+            ..ServeOpts::default()
+        },
+    );
+    match result {
+        Err(ServeError::Interrupted { done, dies, .. }) => {
+            assert_eq!((done, dies), (0, 16));
+        }
+        other => panic!("expected Interrupted, got {other:?}"),
+    }
 }
