@@ -1632,17 +1632,22 @@ mod tests {
     fn phase_deadline_interrupts_and_resume_completes() {
         let nl = mac_pe(4);
         let cfg = AtpgConfig {
-            deadline_ms: 1,
+            deadline_ms: 60_000,
             ..AtpgConfig::default()
         };
         let path = ckpt_path("deadline.ckpt");
+        // The first checkpoint write skips the deadline clock ten minutes
+        // ahead, so the minute-long deadline fires at the next poll
+        // however fast the host runs.
+        let chaos = ChaosConfig::parse("clock=1.0,clock_ms=600000").unwrap();
         let mut dur = Durability::new(CancelToken::new())
             .with_journal(journal(&path))
-            .checkpoint_every(16);
+            .checkpoint_every(16)
+            .with_chaos(chaos);
         let err = Atpg::new(&nl).run_durable(&cfg, &mut dur);
         let int = match err {
             Err(AtpgError::Interrupted(int)) => int,
-            other => panic!("1ms phase deadline did not interrupt: {other:?}"),
+            other => panic!("skipped phase deadline did not interrupt: {other:?}"),
         };
         assert!(int.deadline, "cause should be the phase deadline");
         assert!(int.checkpoint.is_some());

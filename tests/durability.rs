@@ -371,12 +371,17 @@ fn flow_phase_deadline_interrupts_and_resumes() {
     let nl = sys2x2();
     let reference = DftFlow::new(&nl).threads(1).run();
     let path = ckpt_path("flow-deadline");
-    let mut dur = Durability::new(CancelToken::new()).with_journal(journal(&path));
+    // The first checkpoint write skips the deadline clock past the
+    // minute-long deadline, so it fires however fast the host runs.
+    let chaos = ChaosConfig::parse("clock=1.0,clock_ms=600000").unwrap();
+    let mut dur = Durability::new(CancelToken::new())
+        .with_journal(journal(&path))
+        .with_chaos(chaos);
     let err = DftFlow::new(&nl)
         .threads(1)
-        .atpg_config(AtpgConfig::default().deadline_ms(1))
+        .atpg_config(AtpgConfig::default().deadline_ms(60_000))
         .run_durable(&mut dur)
-        .expect_err("1ms deadline fires");
+        .expect_err("skipped deadline fires");
     let checkpoint = match err {
         DftError::Interrupted {
             checkpoint: Some(p),
