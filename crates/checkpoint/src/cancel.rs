@@ -10,33 +10,40 @@ struct Inner {
     /// Why the token fired: 0 = not fired, 1 = explicit cancel (signal),
     /// 2 = deadline.
     cause: AtomicU64,
-    /// Total [`CancelToken::poll`] calls, across all clones and threads.
+    /// [`CancelToken::poll`] calls since the trip point was armed, across
+    /// all clones and threads. Counted only while `trip_at` is armed.
     polls: AtomicU64,
-    /// Test/chaos hook: the poll whose ordinal reaches this value trips
-    /// the token (0 = disabled). Gives tests a deterministic kill point
-    /// without wall clocks or signals.
+    /// Test/chaos hook: the poll whose ordinal since arming reaches this
+    /// value trips the token (0 = disabled). Gives tests a deterministic
+    /// kill point without wall clocks or signals.
     trip_at: AtomicU64,
     /// Chaos clock skew in nanoseconds, added to "now" when checking the
     /// deadline (simulates a tester clock jumping forward).
     skew_nanos: AtomicU64,
-    /// Deadline for the current phase, if any. Read only on the coarse
-    /// poll path, so a mutex is fine.
+    /// `true` while `deadline` holds a deadline, so an unarmed poll never
+    /// takes the lock.
+    deadline_armed: AtomicBool,
+    /// Deadline for the current phase, if any.
     deadline: Mutex<Option<Instant>>,
 }
 
 /// A cheap, cloneable cancellation token shared between a driver and its
 /// workers.
 ///
-/// Two observation tiers keep the hot paths hot:
+/// Two observation tiers:
 ///
 /// * [`CancelToken::is_cancelled`] — one relaxed atomic load; safe to
-///   call per fault in inner simulation loops.
-/// * [`CancelToken::poll`] — additionally counts the poll, applies the
-///   deterministic trip point, and checks the phase deadline. Called at
-///   batch/fault boundaries (hundreds per second, not millions).
+///   call per search step in inner loops.
+/// * [`CancelToken::poll`] — additionally applies the deterministic trip
+///   point and the phase deadline, each only while it is armed. An
+///   unarmed poll is three atomic loads, with no lock and no
+///   read-modify-write, so the fault simulator polls once per fault.
 ///
 /// Cancellation is **cooperative and monotonic**: once fired the token
-/// never un-fires, and every observer drains at its next boundary.
+/// never un-fires, and every observer drains at its next boundary. A
+/// token nobody fires costs its observers nothing but those loads, so
+/// every cancellable engine holds one, and a run without a cancellation
+/// source simply holds a token that never fires.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -87,22 +94,26 @@ impl CancelToken {
     /// [`CancelToken::poll`]. Phases re-arm on entry; [`CancelToken::clear_deadline`]
     /// disarms between phases.
     pub fn arm_deadline(&self, budget: Duration) {
-        *self.inner.deadline.lock().unwrap() = Some(Instant::now() + budget);
+        let mut deadline = self.inner.deadline.lock().expect("deadline lock poisoned");
+        *deadline = Some(Instant::now() + budget);
+        self.inner.deadline_armed.store(true, Ordering::Release);
     }
 
     /// Disarms the phase deadline (a fired token stays fired).
     pub fn clear_deadline(&self) {
-        *self.inner.deadline.lock().unwrap() = None;
+        let mut deadline = self.inner.deadline.lock().expect("deadline lock poisoned");
+        *deadline = None;
+        self.inner.deadline_armed.store(false, Ordering::Release);
     }
 
     /// Deterministic kill point for tests and the chaos harness: the
-    /// `n`-th future call to [`CancelToken::poll`] (counting across all
-    /// clones) trips the token. `n == 0` disables the hook.
+    /// `n`-th call to [`CancelToken::poll`] from now on (counting across
+    /// all clones) trips the token. `n == 0` disables the hook.
     pub fn trip_after_polls(&self, n: u64) {
-        let base = self.inner.polls.load(Ordering::SeqCst);
-        self.inner
-            .trip_at
-            .store(if n == 0 { 0 } else { base + n }, Ordering::SeqCst);
+        // The count restarts before the hook is published: a poller
+        // that acquires the new `trip_at` sees the reset count.
+        self.inner.polls.store(0, Ordering::SeqCst);
+        self.inner.trip_at.store(n, Ordering::Release);
     }
 
     /// Chaos hook: skips the deadline clock forward by `d` (the token
@@ -113,39 +124,35 @@ impl CancelToken {
             .fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
     }
 
-    /// The coarse check: counts the poll, applies the deterministic trip
-    /// point and the phase deadline, and returns [`CancelToken::is_cancelled`].
-    /// Call at batch/fault boundaries.
+    /// The coarse check: applies the deterministic trip point and the
+    /// phase deadline, each only while armed, and returns
+    /// [`CancelToken::is_cancelled`]. Call at fault boundaries.
     pub fn poll(&self) -> bool {
-        let n = self.inner.polls.fetch_add(1, Ordering::SeqCst) + 1;
-        let trip = self.inner.trip_at.load(Ordering::SeqCst);
-        if trip != 0 && n >= trip {
+        let trip = self.inner.trip_at.load(Ordering::Acquire);
+        if trip != 0 && self.inner.polls.fetch_add(1, Ordering::SeqCst) + 1 >= trip {
             self.cancel();
             return true;
         }
-        if let Some(deadline) = *self.inner.deadline.lock().unwrap() {
-            let skew = Duration::from_nanos(self.inner.skew_nanos.load(Ordering::SeqCst));
-            if Instant::now() + skew >= deadline {
-                self.inner
-                    .cause
-                    .compare_exchange(
-                        0,
-                        Cause::Deadline as u64,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .ok();
-                self.inner.cancelled.store(true, Ordering::SeqCst);
-                return true;
+        if self.inner.deadline_armed.load(Ordering::Acquire) {
+            let deadline = *self.inner.deadline.lock().expect("deadline lock poisoned");
+            if let Some(deadline) = deadline {
+                let skew = Duration::from_nanos(self.inner.skew_nanos.load(Ordering::SeqCst));
+                if Instant::now() + skew >= deadline {
+                    self.inner
+                        .cause
+                        .compare_exchange(
+                            0,
+                            Cause::Deadline as u64,
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        )
+                        .ok();
+                    self.inner.cancelled.store(true, Ordering::SeqCst);
+                    return true;
+                }
             }
         }
         self.is_cancelled()
-    }
-
-    /// Polls performed so far (diagnostics; the chaos suite uses it to
-    /// size randomized kill points).
-    pub fn polls(&self) -> u64 {
-        self.inner.polls.load(Ordering::SeqCst)
     }
 }
 
@@ -192,6 +199,21 @@ mod tests {
         t.trip_after_polls(2);
         assert!(!t.poll());
         assert!(t.poll());
+    }
+
+    #[test]
+    fn unarmed_polls_neither_count_nor_lock() {
+        let t = CancelToken::new();
+        for _ in 0..100 {
+            assert!(!t.poll());
+        }
+        assert_eq!(t.inner.polls.load(Ordering::SeqCst), 0);
+        t.arm_deadline(Duration::from_secs(3600));
+        t.clear_deadline();
+        assert!(!t.inner.deadline_armed.load(Ordering::SeqCst));
+        t.trip_after_polls(2);
+        assert!(!t.poll());
+        assert_eq!(t.inner.polls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
