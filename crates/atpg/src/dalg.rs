@@ -31,7 +31,7 @@ pub struct DAlgorithm<'a> {
     metrics: MetricsHandle,
     /// Cooperative cancellation, checked at each recursion step. A
     /// cancelled search aborts; the driver discards the result.
-    cancel: Option<CancelToken>,
+    cancel: CancelToken,
 }
 
 struct Search<'a> {
@@ -43,7 +43,7 @@ struct Search<'a> {
     ins: Vec<Logic>,
     backtracks: u32,
     limit: u32,
-    cancel: Option<CancelToken>,
+    cancel: &'a CancelToken,
 }
 
 impl<'a> DAlgorithm<'a> {
@@ -63,7 +63,7 @@ impl<'a> DAlgorithm<'a> {
             source_index,
             sinks: nl.combinational_sinks(),
             metrics: MetricsHandle::disabled(),
-            cancel: None,
+            cancel: CancelToken::new(),
         }
     }
 
@@ -72,10 +72,10 @@ impl<'a> DAlgorithm<'a> {
         self.metrics = metrics;
     }
 
-    /// Attaches a cancellation token; a cancelled search returns
-    /// [`AtpgResult::Aborted`] at its next recursion step.
+    /// Shares the driver's cancellation token; a cancelled search
+    /// returns [`AtpgResult::Aborted`] at its next recursion step.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
+        self.cancel = cancel;
     }
 
     /// Generates a test for a stem fault.
@@ -105,7 +105,7 @@ impl<'a> DAlgorithm<'a> {
             ins: Vec::with_capacity(8),
             backtracks: 0,
             limit: backtrack_limit,
-            cancel: self.cancel.clone(),
+            cancel: &self.cancel,
         };
         // Activation: the site carries D (good 1 / faulty 0) for SA0,
         // D̄ for SA1; the good value must be justified through the site
@@ -155,10 +155,8 @@ impl<'a> Search<'a> {
     /// Top-level recursive search. `Some(true)` = test found, `Some(false)`
     /// = exhausted, `None` = aborted at the backtrack limit.
     fn solve(&mut self) -> Option<bool> {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return None; // aborted; the driver discards this result
-            }
+        if self.cancel.is_cancelled() {
+            return None; // aborted; the driver discards this result
         }
         if !self.imply() {
             return Some(false);

@@ -1,13 +1,14 @@
 //! The production-shaped ATPG flow: random phase, deterministic top-off,
 //! compaction, and sign-off fault simulation.
 //!
-//! Two entry points share one engine. [`Atpg::run`] is the plain flow —
-//! infallible, no durability overhead. [`Atpg::run_durable`] layers
-//! durable execution on top: a [`dft_checkpoint::CancelToken`] polled at
-//! fault boundaries, per-phase deadlines, periodic `aidft-ckpt-v1`
-//! journal checkpoints, and resume from a prior checkpoint that replays
-//! to a **bit-identical** final result. Checkpoints are only ever taken
-//! at consistent boundaries (between faults, between phases); an
+//! There is one execution path, and it is durable: [`Atpg::run_durable`]
+//! polls a [`dft_checkpoint::CancelToken`] at fault boundaries, applies
+//! per-phase deadlines, appends periodic `aidft-ckpt-v1` journal
+//! checkpoints, and resumes from a prior checkpoint to a
+//! **bit-identical** final result. [`Atpg::run`] is the same path with
+//! [`Durability::default`]: a token that never fires and no journal,
+//! which costs a few atomic loads per fault. Checkpoints are only ever
+//! taken at consistent boundaries (between faults, between phases); an
 //! interrupted fault-simulation pass is wholly discarded, so a resumed
 //! run re-executes it deterministically.
 //!
@@ -79,16 +80,6 @@ pub struct AtpgConfig {
     /// structural D-algorithm often closes hard faults the
     /// path-oriented search gives up on, at a bounded extra cost.
     pub escalate_aborts: bool,
-    /// Per-phase wall-clock deadline in milliseconds for durable runs
-    /// (`0` = none). Each phase — random, top-off, sign-off — re-arms
-    /// the deadline on entry; when it expires the run drains
-    /// cooperatively at the next fault boundary, writes a checkpoint,
-    /// and returns [`AtpgError::Interrupted`] with
-    /// [`AtpgInterrupt::deadline`] set. Ignored by the plain
-    /// [`Atpg::run`], and deliberately excluded from
-    /// [`AtpgConfig::fingerprint`] so a resumed run may use a different
-    /// (or no) deadline.
-    pub deadline_ms: u64,
     /// Test-only hook, forwarded to
     /// [`dft_logicsim::TapeKernel::with_poisoned_fault`]: every
     /// fault-simulation pass panics on this fault's batch, exercising
@@ -109,7 +100,6 @@ impl Default for AtpgConfig {
             dynamic_targets: 16,
             threads: 0,
             escalate_aborts: true,
-            deadline_ms: 0,
             poison_fault: None,
         }
     }
@@ -174,13 +164,6 @@ impl AtpgConfig {
         self
     }
 
-    /// Sets the per-phase deadline in milliseconds for durable runs
-    /// (`0` = none). See [`AtpgConfig::deadline_ms`].
-    pub fn deadline_ms(mut self, ms: u64) -> AtpgConfig {
-        self.deadline_ms = ms;
-        self
-    }
-
     /// Sets the test-only poisoned fault (see
     /// [`AtpgConfig::poison_fault`]).
     pub fn poison_fault(mut self, fault: Fault) -> AtpgConfig {
@@ -192,13 +175,13 @@ impl AtpgConfig {
     /// run, plus the design name and fault-universe size. Stored in each
     /// checkpoint; resume refuses a mismatch, because replaying with a
     /// different seed or search limit would silently diverge from the
-    /// original run. Durability-only knobs (`threads`, `deadline_ms`,
-    /// and the checkpoint cadence) are excluded — any thread count
-    /// produces bit-identical results, and a resumed run may legitimately
-    /// drop the deadline that interrupted it. The last two slots are
-    /// fixed at the escalation backtrack limit and `0`, the values they
-    /// had while they were configurable, so checkpoints written then
-    /// still resume.
+    /// original run. `threads` is excluded, since any thread count
+    /// produces bit-identical results, and so is everything on
+    /// [`Durability`]: a resumed run may legitimately use another
+    /// checkpoint cadence or drop the deadline that interrupted it. The
+    /// last two slots are fixed at the escalation backtrack limit and
+    /// `0`, the values they had while they were configurable, so
+    /// checkpoints written then still resume.
     pub fn fingerprint(&self, design: &str, universe_len: usize) -> u64 {
         let text = format!(
             "{design}|{universe_len}|{}|{}|{}|{:?}|{}|{}|{}|{ESCALATION_BACKTRACKS}|0",
@@ -297,11 +280,15 @@ impl TopoffTally {
 }
 
 /// Durable-execution controls for [`Atpg::run_durable`]: the
-/// cancellation token, the checkpoint journal and cadence, the chaos
-/// harness, and an optional checkpoint to resume from.
+/// cancellation token, the per-phase deadline, the checkpoint journal
+/// and cadence, the chaos harness, and an optional checkpoint to resume
+/// from. The default is what [`Atpg::run`] uses: a token that never
+/// fires, no deadline, no journal.
 #[derive(Debug)]
 pub struct Durability {
     cancel: CancelToken,
+    /// Per-phase deadline in milliseconds (0 = none).
+    deadline_ms: u64,
     journal: Option<FramedJournal>,
     /// Checkpoint cadence: a record every N top-off faults (0 = phase
     /// boundaries only).
@@ -326,6 +313,7 @@ impl Durability {
     pub fn new(cancel: CancelToken) -> Durability {
         Durability {
             cancel,
+            deadline_ms: 0,
             journal: None,
             every_faults: 64,
             chaos: None,
@@ -334,6 +322,16 @@ impl Durability {
             has_record: false,
             write_failures: 0,
         }
+    }
+
+    /// Sets the per-phase wall-clock deadline in milliseconds (`0` =
+    /// none). Each phase — random, top-off, sign-off — re-arms the
+    /// deadline on entry; when it expires the run drains cooperatively
+    /// at the next fault boundary, writes a checkpoint, and returns
+    /// [`AtpgError::Interrupted`] with [`AtpgInterrupt::deadline`] set.
+    pub fn deadline_ms(mut self, ms: u64) -> Durability {
+        self.deadline_ms = ms;
+        self
     }
 
     /// Attaches a checkpoint journal — a [`FramedJournal`] opened with
@@ -532,6 +530,16 @@ struct DurCtx<'d> {
 }
 
 impl DurCtx<'_> {
+    /// Arms the per-phase deadline on phase entry (no-op for a zero
+    /// budget).
+    fn arm(&self) {
+        if self.d.deadline_ms != 0 {
+            self.d
+                .cancel
+                .arm_deadline(Duration::from_millis(self.d.deadline_ms));
+        }
+    }
+
     fn state_of(&self, phase: CkptPhase, w: &Working, pre: Option<&Snapshot>) -> CkptState {
         CkptState {
             design: self.design.clone(),
@@ -629,40 +637,6 @@ impl DurCtx<'_> {
     }
 }
 
-/// Arms the per-phase deadline on phase entry (no-op for plain runs or
-/// a zero budget).
-fn arm(dur: &mut Option<DurCtx<'_>>, ms: u64) {
-    if ms == 0 {
-        return;
-    }
-    if let Some(ctx) = dur {
-        ctx.d.cancel.arm_deadline(Duration::from_millis(ms));
-    }
-}
-
-/// Builds the interrupt error at a drain point. The `None` arm is
-/// unreachable in practice (only durable runs carry a cancellation
-/// source) but keeps the engine panic-free by construction.
-fn interrupted(
-    dur: &mut Option<DurCtx<'_>>,
-    phase: &'static str,
-    ckpt: CkptPhase,
-    w: &Working,
-    pre: Option<&Snapshot>,
-) -> AtpgError {
-    match dur.as_mut() {
-        Some(ctx) => ctx.interrupt(phase, ckpt, w, pre),
-        None => AtpgError::Interrupted(AtpgInterrupt {
-            checkpoint: None,
-            deadline: false,
-            patterns: w.patterns.len(),
-            detected: w.reps.num_detected(),
-            total_faults: w.reps.len(),
-            phase,
-        }),
-    }
-}
-
 /// What searching one top-off target produced, held until its commit.
 struct Resolved {
     /// The answer: PODEM's, or the D-algorithm's after an escalation.
@@ -756,19 +730,14 @@ impl<'a> Atpg<'a> {
         self
     }
 
-    /// Runs the full flow on the single stuck-at universe.
+    /// Runs the full flow on the single stuck-at universe:
+    /// [`Atpg::run_durable`] with [`Durability::default`].
     pub fn run(&self, config: &AtpgConfig) -> AtpgRun {
-        let universe = universe_stuck_at(self.nl);
-        self.run_on(config, universe)
-    }
-
-    /// Runs the full flow on a caller-provided stuck-at universe.
-    pub fn run_on(&self, config: &AtpgConfig, universe: Vec<Fault>) -> AtpgRun {
-        match self.run_inner(config, universe, None) {
+        match self.run_durable(config, &mut Durability::default()) {
             Ok(run) => run,
-            // A plain run has no cancellation source and no resume
+            // Nothing fires the default token and there is no resume
             // state, so neither error can occur.
-            Err(e) => unreachable!("plain ATPG run cannot fail: {e}"),
+            Err(e) => unreachable!("ATPG run without a cancellation source cannot fail: {e}"),
         }
     }
 
@@ -784,16 +753,6 @@ impl<'a> Atpg<'a> {
         dur: &mut Durability,
     ) -> Result<AtpgRun, AtpgError> {
         let universe = universe_stuck_at(self.nl);
-        self.run_durable_on(config, universe, dur)
-    }
-
-    /// [`Atpg::run_durable`] on a caller-provided stuck-at universe.
-    pub fn run_durable_on(
-        &self,
-        config: &AtpgConfig,
-        universe: Vec<Fault>,
-        dur: &mut Durability,
-    ) -> Result<AtpgRun, AtpgError> {
         let ctx = DurCtx {
             design: self.nl.name().to_owned(),
             config_hash: config.fingerprint(self.nl.name(), universe.len()),
@@ -802,16 +761,15 @@ impl<'a> Atpg<'a> {
             trace: self.trace.clone(),
             d: dur,
         };
-        self.run_inner(config, universe, Some(ctx))
+        self.run_inner(config, universe, ctx)
     }
 
-    /// The engine behind both entry points. `dur == None` is the plain
-    /// flow — no polling, no checkpoints, infallible.
+    /// The engine behind [`Atpg::run_durable`].
     fn run_inner(
         &self,
         config: &AtpgConfig,
         universe: Vec<Fault>,
-        mut dur: Option<DurCtx<'_>>,
+        mut dur: DurCtx<'_>,
     ) -> Result<AtpgRun, AtpgError> {
         let start = Instant::now();
         let exec = Executor::with_threads(config.threads);
@@ -827,31 +785,24 @@ impl<'a> Atpg<'a> {
         if let Some(poison) = config.poison_fault {
             sim = sim.with_poisoned_fault(poison);
         }
-        if let Some(ctx) = &dur {
-            sim = sim.with_cancel(ctx.d.cancel.clone());
-            if let Some(chaos) = ctx.d.chaos {
-                sim = sim.with_chaos(chaos);
-            }
+        sim = sim.with_cancel(dur.d.cancel.clone());
+        if let Some(chaos) = dur.d.chaos {
+            sim = sim.with_chaos(chaos);
         }
         let sim = sim;
         // Top-off's engines: a PODEM engine per worker (the first is the
         // committing thread's) and one D-algorithm they all share.
-        let cancel = dur.as_ref().map(|ctx| ctx.d.cancel.clone());
         let mut podems: Vec<Podem> = (0..exec.threads())
             .map(|_| {
                 let mut podem = Podem::new(self.nl);
                 podem.guided = config.guided_backtrace;
                 podem.set_metrics(self.metrics.clone());
-                if let Some(cancel) = &cancel {
-                    podem.set_cancel(cancel.clone());
-                }
+                podem.set_cancel(dur.d.cancel.clone());
                 podem
             })
             .collect();
         let mut dalg = DAlgorithm::new(self.nl);
-        if let Some(cancel) = cancel {
-            dalg.set_cancel(cancel);
-        }
+        dalg.set_cancel(dur.d.cancel.clone());
 
         let mut w = Working {
             reps: FaultList::new(collapsed.representatives().to_vec()),
@@ -872,60 +823,58 @@ impl<'a> Atpg<'a> {
         let mut resume_signoff = false;
         let mut restored = false;
         let mut pre_compaction: Option<Snapshot> = None;
-        if let Some(ctx) = &mut dur {
-            if let Some(state) = ctx.d.resume.take() {
-                verify_identity(
-                    &state.design,
-                    state.config_hash,
-                    &ctx.design,
-                    ctx.config_hash,
-                )
-                .map_err(AtpgError::Resume)?;
-                if state.main.statuses.len() != w.reps.len() || state.width != w.patterns.width() {
-                    return Err(AtpgError::Resume(CkptError::Mismatch {
-                        what: "shape",
-                        expected: format!(
-                            "{} faults x {} bits",
-                            state.main.statuses.len(),
-                            state.width
-                        ),
-                        found: format!("{} faults x {} bits", w.reps.len(), w.patterns.width()),
-                    }));
-                }
-                match state.phase {
-                    CkptPhase::Init => {}
-                    phase => {
+        if let Some(state) = dur.d.resume.take() {
+            verify_identity(
+                &state.design,
+                state.config_hash,
+                &dur.design,
+                dur.config_hash,
+            )
+            .map_err(AtpgError::Resume)?;
+            if state.main.statuses.len() != w.reps.len() || state.width != w.patterns.width() {
+                return Err(AtpgError::Resume(CkptError::Mismatch {
+                    what: "shape",
+                    expected: format!(
+                        "{} faults x {} bits",
+                        state.main.statuses.len(),
+                        state.width
+                    ),
+                    found: format!("{} faults x {} bits", w.reps.len(), w.patterns.width()),
+                }));
+            }
+            match state.phase {
+                CkptPhase::Init => {}
+                phase => {
+                    let (reps, patterns, cubes, tally) =
+                        restore_section(collapsed.representatives(), state.width, &state.main);
+                    w.reps = reps;
+                    w.patterns = patterns;
+                    w.cubes = cubes;
+                    w.tally = tally;
+                    w.fill_seed = state.fill_seed;
+                    w.fault_ordinal = state.fault_ordinal;
+                    w.random_detected = state.random_detected as usize;
+                    pre_compaction = state.pre_compaction.as_ref().map(|pre| {
                         let (reps, patterns, cubes, tally) =
-                            restore_section(collapsed.representatives(), state.width, &state.main);
-                        w.reps = reps;
-                        w.patterns = patterns;
-                        w.cubes = cubes;
-                        w.tally = tally;
-                        w.fill_seed = state.fill_seed;
-                        w.fault_ordinal = state.fault_ordinal;
-                        w.random_detected = state.random_detected as usize;
-                        pre_compaction = state.pre_compaction.as_ref().map(|pre| {
-                            let (reps, patterns, cubes, tally) =
-                                restore_section(collapsed.representatives(), state.width, pre);
-                            Snapshot {
-                                patterns,
-                                cubes,
-                                reps,
-                                tally,
-                            }
-                        });
-                        match phase {
-                            CkptPhase::Topoff(r) => resume_round = r,
-                            CkptPhase::Signoff => resume_signoff = true,
-                            CkptPhase::Init => unreachable!(),
+                            restore_section(collapsed.representatives(), state.width, pre);
+                        Snapshot {
+                            patterns,
+                            cubes,
+                            reps,
+                            tally,
                         }
-                        restored = true;
+                    });
+                    match phase {
+                        CkptPhase::Topoff(r) => resume_round = r,
+                        CkptPhase::Signoff => resume_signoff = true,
+                        CkptPhase::Init => unreachable!(),
                     }
+                    restored = true;
                 }
-                ctx.d.has_record = true;
-                if let Some(m) = self.metrics.get() {
-                    m.ckpt_resumes.inc();
-                }
+            }
+            dur.d.has_record = true;
+            if let Some(m) = self.metrics.get() {
+                m.ckpt_resumes.inc();
             }
         }
 
@@ -935,7 +884,7 @@ impl<'a> Atpg<'a> {
         // frontier already includes the random-phase detections.
         let t_random = self.trace.timed_span("atpg_random");
         if !restored {
-            arm(&mut dur, config.deadline_ms);
+            dur.arm();
             if config.random_patterns > 0 {
                 let random = PatternSet::random(self.nl, config.random_patterns, config.seed);
                 let stats = sim.fault_batch(&random, &mut w.reps, &exec);
@@ -943,7 +892,7 @@ impl<'a> Atpg<'a> {
                 if stats.interrupted {
                     // The interrupted pass marked nothing, so the state
                     // is still the pristine Init state.
-                    return Err(interrupted(&mut dur, "random", CkptPhase::Init, &w, None));
+                    return Err(dur.interrupt("random", CkptPhase::Init, &w, None));
                 }
                 w.patterns.extend_from(&random);
             }
@@ -958,7 +907,7 @@ impl<'a> Atpg<'a> {
         // again; the final top-off appends without rebuilding, which
         // guarantees convergence.
         let t_deterministic = self.trace.timed_span("atpg_topoff");
-        arm(&mut dur, config.deadline_ms);
+        dur.arm();
         let compaction_rounds = if matches!(config.compaction, CompactionMode::None) {
             0
         } else {
@@ -1022,13 +971,7 @@ impl<'a> Atpg<'a> {
                     w.reps = snap.reps;
                     w.tally = snap.tally;
                     w.fill_seed = fill_seed_before;
-                    return Err(interrupted(
-                        &mut dur,
-                        "topoff",
-                        CkptPhase::Topoff(round),
-                        &w,
-                        None,
-                    ));
+                    return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), &w, None));
                 }
                 w.patterns = rebuilt;
                 w.cubes = merged;
@@ -1058,30 +1001,16 @@ impl<'a> Atpg<'a> {
         // with a `signoff` checkpoint — a kill anywhere past this point
         // resumes straight into sign-off.
         let t_signoff = self.trace.timed_span("atpg_signoff");
-        arm(&mut dur, config.deadline_ms);
-        if let Some(ctx) = dur.as_mut() {
-            ctx.write(CkptPhase::Signoff, &w, None);
-            if ctx.d.cancel.poll() {
-                return Err(interrupted(
-                    &mut dur,
-                    "signoff",
-                    CkptPhase::Signoff,
-                    &w,
-                    None,
-                ));
-            }
+        dur.arm();
+        dur.write(CkptPhase::Signoff, &w, None);
+        if dur.d.cancel.poll() {
+            return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w, None));
         }
         let mut fault_list = FaultList::new(universe);
         let stats = sim.fault_batch(&w.patterns, &mut fault_list, &exec);
         w.failed_sim_batches += stats.failed_batches;
         if stats.interrupted {
-            return Err(interrupted(
-                &mut dur,
-                "signoff",
-                CkptPhase::Signoff,
-                &w,
-                None,
-            ));
+            return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w, None));
         }
         for (i, &f) in fault_list.faults().to_vec().iter().enumerate() {
             let rep = collapsed.representative(f);
@@ -1097,9 +1026,7 @@ impl<'a> Atpg<'a> {
         }
 
         let signoff_time = t_signoff.finish();
-        if let Some(ctx) = &dur {
-            ctx.d.cancel.clear_deadline();
-        }
+        dur.d.cancel.clear_deadline();
         if let Some(m) = self.metrics.get() {
             m.atpg_runs.inc();
             m.atpg_patterns.add(w.patterns.len() as u64);
@@ -1140,9 +1067,9 @@ impl<'a> Atpg<'a> {
     /// included, search the round's targets ahead of their turn on a
     /// [`Board`]. The calling thread commits the results strictly in
     /// target order, exactly as a serial loop would, so a result whose
-    /// target an earlier commit detected is discarded. Under durable
-    /// execution the commit loop polls the cancellation token and
-    /// checkpoints at the configured fault cadence, both at commit
+    /// target an earlier commit detected is discarded. The commit loop
+    /// polls the cancellation token and checkpoints at the configured
+    /// fault cadence, both at commit
     /// boundaries; an interrupt returns only after every worker has
     /// joined, and a result taken after the token fired is never
     /// classified, so the checkpoint always sits at a fault boundary.
@@ -1154,7 +1081,7 @@ impl<'a> Atpg<'a> {
         dalg: &DAlgorithm<'_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
-        dur: &mut Option<DurCtx<'_>>,
+        dur: &mut DurCtx<'_>,
         round: u32,
         pre: Option<&Snapshot>,
     ) -> Result<(), AtpgError> {
@@ -1203,20 +1130,18 @@ impl<'a> Atpg<'a> {
         search: &RoundSearch<'_, '_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
-        dur: &mut Option<DurCtx<'_>>,
+        dur: &mut DurCtx<'_>,
         round: u32,
         pre: Option<&Snapshot>,
     ) -> Result<(), AtpgError> {
         let mut next = 0;
         loop {
-            if let Some(ctx) = dur.as_mut() {
-                if ctx.d.cancel.poll() {
-                    return Err(ctx.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
-                }
-                let every = ctx.d.every_faults;
-                if every != 0 && w.fault_ordinal.is_multiple_of(every) {
-                    ctx.write(CkptPhase::Topoff(round), w, pre);
-                }
+            if dur.d.cancel.poll() {
+                return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
+            }
+            let every = dur.d.every_faults;
+            if every != 0 && w.fault_ordinal.is_multiple_of(every) {
+                dur.write(CkptPhase::Topoff(round), w, pre);
             }
             // Skip the targets earlier commits detected; their results,
             // if any worker produced one, are discarded.
@@ -1235,8 +1160,8 @@ impl<'a> Atpg<'a> {
             // A search the token cut short returns Aborted — a result
             // that must not be classified. Nothing was applied yet, so
             // the state is still the previous fault boundary: drain.
-            if dur.as_ref().is_some_and(|ctx| ctx.d.cancel.is_cancelled()) {
-                return Err(interrupted(dur, "topoff", CkptPhase::Topoff(round), w, pre));
+            if dur.d.cancel.is_cancelled() {
+                return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
             }
             // Counters describe committed results only, so they are the
             // same for any thread count.
@@ -1279,7 +1204,7 @@ impl<'a> Atpg<'a> {
                         // pattern was not pushed: rolling back the
                         // per-fault counters restores the boundary.
                         (w.fill_seed, w.fault_ordinal, w.tally) = saved;
-                        return Err(interrupted(dur, "topoff", CkptPhase::Topoff(round), w, pre));
+                        return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
                     }
                     // Guard against a generator/fault-sim disagreement:
                     // a target its own test misses is classified aborted,
@@ -1631,16 +1556,14 @@ mod tests {
     #[test]
     fn phase_deadline_interrupts_and_resume_completes() {
         let nl = mac_pe(4);
-        let cfg = AtpgConfig {
-            deadline_ms: 60_000,
-            ..AtpgConfig::default()
-        };
+        let cfg = AtpgConfig::default();
         let path = ckpt_path("deadline.ckpt");
         // The first checkpoint write skips the deadline clock ten minutes
         // ahead, so the minute-long deadline fires at the next poll
         // however fast the host runs.
         let chaos = ChaosConfig::parse("clock=1.0,clock_ms=600000").unwrap();
         let mut dur = Durability::new(CancelToken::new())
+            .deadline_ms(60_000)
             .with_journal(journal(&path))
             .checkpoint_every(16)
             .with_chaos(chaos);

@@ -94,8 +94,9 @@ pub struct Podem<'a> {
     metrics: MetricsHandle,
     /// Cooperative cancellation, checked once per search iteration. A
     /// cancelled search returns [`AtpgResult::Aborted`]; the driver
-    /// discards that result rather than classifying the fault.
-    cancel: Option<CancelToken>,
+    /// discards that result rather than classifying the fault. Never
+    /// fires unless [`Podem::set_cancel`] shares a token that does.
+    cancel: CancelToken,
     /// The decision stack and the start assignment, reused by every
     /// search.
     stack: Vec<Decision>,
@@ -129,16 +130,16 @@ impl<'a> Podem<'a> {
             source_index,
             guided: true,
             metrics: MetricsHandle::disabled(),
-            cancel: None,
+            cancel: CancelToken::new(),
             stack: Vec::new(),
             start: Vec::new(),
         }
     }
 
-    /// Attaches a cancellation token; see [`Podem::generate`]'s abort
-    /// behavior in the `cancel` field docs.
+    /// Shares the driver's cancellation token: a search it cuts short
+    /// returns [`AtpgResult::Aborted`], which the driver discards.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
+        self.cancel = cancel;
     }
 
     /// Points per-call counters (calls, decisions, backtracks, outcomes)
@@ -217,10 +218,8 @@ impl<'a> Podem<'a> {
         let max_decisions = 4 * (num_sources as u64 + 4) * (backtrack_limit as u64 + 4);
 
         loop {
-            if let Some(c) = &self.cancel {
-                if c.is_cancelled() {
-                    return (AtpgResult::Aborted, stats);
-                }
+            if self.cancel.is_cancelled() {
+                return (AtpgResult::Aborted, stats);
             }
             stats.simulations += 1;
             self.engine.imply();

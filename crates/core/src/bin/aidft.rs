@@ -218,12 +218,12 @@ impl DurOpts {
     }
 
     /// Builds the engine-side [`Durability`] handle: cancellation token
-    /// wired to the process signals, journal, cadence, chaos, and the
-    /// loaded resume state.
+    /// wired to the process signals, phase deadline, journal, cadence,
+    /// chaos, and the loaded resume state.
     fn build(&self) -> Result<Durability, DftError> {
         let token = CancelToken::new();
         cancel_on_signals(token.clone());
-        let mut dur = Durability::new(token);
+        let mut dur = Durability::new(token).deadline_ms(self.timeout_ms);
         if let Some(path) = self.checkpoint.as_ref().or(self.resume.as_ref()) {
             dur = dur.with_journal(self.journal(path, CKPT_FORMAT));
         }
@@ -304,9 +304,7 @@ fn main() -> ExitCode {
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let mut dur = dur_opts.build()?;
-            let cfg = AtpgConfig::new()
-                .threads(threads)
-                .deadline_ms(dur_opts.timeout_ms);
+            let cfg = AtpgConfig::new().threads(threads);
             let run = Atpg::new(nl)
                 .with_metrics(handle.clone())
                 .with_trace(trace.clone())
@@ -335,7 +333,6 @@ fn main() -> ExitCode {
             let report = DftFlow::new(nl)
                 .chains(chains)
                 .threads(threads)
-                .atpg_config(AtpgConfig::new().deadline_ms(dur_opts.timeout_ms))
                 .metrics(handle)
                 .trace(trace.clone())
                 .run_durable(&mut dur);

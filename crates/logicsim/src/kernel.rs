@@ -74,8 +74,8 @@ pub trait SimKernel<'nl>: Sized {
 /// [`TapeKernel::compile`] levelizes and flattens the netlist into a
 /// [`GateTape`]; every batch then evaluates 256 patterns per pass and
 /// propagates faults over a position-ordered event frontier. Fault
-/// batches poll an optional cancel token, honour the chaos harness, and
-/// contain a panic to the one fault whose batch raised it.
+/// batches poll a cancel token, honour the chaos harness, and contain a
+/// panic to the one fault whose batch raised it.
 #[derive(Debug)]
 pub struct TapeKernel<'nl> {
     nl: &'nl Netlist,
@@ -83,17 +83,18 @@ pub struct TapeKernel<'nl> {
     metrics: MetricsHandle,
     trace: TraceHandle,
     poison: Option<Fault>,
-    cancel: Option<CancelToken>,
+    cancel: CancelToken,
     chaos: Option<ChaosConfig>,
 }
 
 impl<'nl> TapeKernel<'nl> {
-    /// Attaches a cancellation token. Fault-batch workers poll it once
-    /// per fault; when it fires, the pass drains and **discards** its
-    /// detections (see [`SimStats::interrupted`]), leaving the fault list
-    /// untouched so the pass can be repeated bit-identically.
+    /// Shares a cancellation token (a compiled kernel holds one that
+    /// never fires). Fault-batch workers poll it once per fault; when it
+    /// fires, the pass drains and **discards** its detections (see
+    /// [`SimStats::interrupted`]), leaving the fault list untouched so
+    /// the pass can be repeated bit-identically.
     pub fn with_cancel(mut self, cancel: CancelToken) -> TapeKernel<'nl> {
-        self.cancel = Some(cancel);
+        self.cancel = cancel;
         self
     }
 
@@ -187,7 +188,7 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             metrics: MetricsHandle::disabled(),
             trace: TraceHandle::disabled(),
             poison: None,
-            cancel: None,
+            cancel: CancelToken::new(),
             chaos: None,
         }
     }
@@ -274,10 +275,8 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                     // Cooperative cancellation: drain at the next fault
                     // boundary. Whatever this chunk found is discarded at
                     // merge time, so breaking early is always consistent.
-                    if let Some(tok) = &self.cancel {
-                        if tok.poll() {
-                            break 'blocks;
-                        }
+                    if self.cancel.poll() {
+                        break 'blocks;
                     }
                     if let Some(chaos) = &self.chaos {
                         if chaos.fires(ChaosSite::DelayBatch, idx as u64) {
@@ -335,7 +334,7 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             }
             (detections, evals, failed)
         });
-        stats.interrupted = self.cancel.as_ref().is_some_and(|tok| tok.is_cancelled());
+        stats.interrupted = self.cancel.is_cancelled();
         for (detections, evals, failed) in chunks {
             stats.gate_evals += evals;
             stats.failed_batches += failed;

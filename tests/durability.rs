@@ -375,11 +375,11 @@ fn flow_phase_deadline_interrupts_and_resumes() {
     // minute-long deadline, so it fires however fast the host runs.
     let chaos = ChaosConfig::parse("clock=1.0,clock_ms=600000").unwrap();
     let mut dur = Durability::new(CancelToken::new())
+        .deadline_ms(60_000)
         .with_journal(journal(&path))
         .with_chaos(chaos);
     let err = DftFlow::new(&nl)
         .threads(1)
-        .atpg_config(AtpgConfig::default().deadline_ms(60_000))
         .run_durable(&mut dur)
         .expect_err("skipped deadline fires");
     let checkpoint = match err {
