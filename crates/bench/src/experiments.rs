@@ -8,6 +8,7 @@ use dft_core::aichip::{
     SocConfig,
 };
 use dft_core::atpg::{Atpg, AtpgConfig, CompactionMode, TransitionAtpg};
+use dft_core::checkpoint::CancelToken;
 use dft_core::bist::{
     insert_test_points, march_c_minus, march_ss, march_x, mats_plus, run_march, LogicBist,
     MemFault, MemFaultKind, SramModel,
@@ -191,7 +192,7 @@ pub fn e4_compression() {
         let chain_len = scan.shift_cycles();
         for &channels in &[1usize, 2] {
             let edt = ScanEdt::new(&nl, &scan, channels, 32, 0xE4);
-            let stats = edt.compress_all(&run.cubes);
+            let stats = edt.compress_all(&run.cubes, &CancelToken::new());
             // Illinois baseline at the same geometry.
             let il = dft_core::compress::IllinoisScan::new(chains, chain_len);
             let cell_cubes: Vec<_> = run.cubes.iter().map(|c| edt.to_cell_cube(c)).collect();

@@ -206,8 +206,8 @@ pub struct CompressionStats {
     /// Total flat stimulus bits for the same patterns.
     pub flat_bits: u64,
     /// Cubes skipped because a [`CancelToken`] fired mid-pass (see
-    /// [`ScanEdt::compress_all_cancellable`]). Non-zero means the stats
-    /// cover only a prefix of the cube set.
+    /// [`ScanEdt::compress_all`]). Non-zero means the stats cover only a
+    /// prefix of the cube set.
     pub skipped: usize,
 }
 
@@ -341,30 +341,17 @@ impl<'a> ScanEdt<'a> {
         pattern
     }
 
-    /// Encodes every cube, returning aggregate statistics.
-    pub fn compress_all(&self, cubes: &[TestCube]) -> CompressionStats {
-        self.compress_inner(cubes, None)
-    }
-
-    /// [`ScanEdt::compress_all`] with cooperative cancellation: the token
-    /// is checked at every cube boundary and a fired token drains the
-    /// pass, counting the unprocessed tail in
-    /// [`CompressionStats::skipped`]. Compression is a pure accounting
-    /// pass (nothing downstream consumes its intermediate state), so a
-    /// drained pass is simply rerun after resume.
-    pub fn compress_all_cancellable(
-        &self,
-        cubes: &[TestCube],
-        cancel: &CancelToken,
-    ) -> CompressionStats {
-        self.compress_inner(cubes, Some(cancel))
-    }
-
-    fn compress_inner(&self, cubes: &[TestCube], cancel: Option<&CancelToken>) -> CompressionStats {
+    /// Encodes every cube, returning aggregate statistics. `cancel` is
+    /// checked at every cube boundary and a fired token drains the pass,
+    /// counting the unprocessed tail in [`CompressionStats::skipped`].
+    /// Compression is a pure accounting pass (nothing downstream consumes
+    /// its intermediate state), so a drained pass is simply rerun after
+    /// resume.
+    pub fn compress_all(&self, cubes: &[TestCube], cancel: &CancelToken) -> CompressionStats {
         let _span = self.trace.span_arg("compress_all", cubes.len() as u64);
         let mut stats = CompressionStats::default();
         for (i, cube) in cubes.iter().enumerate() {
-            if cancel.is_some_and(|tok| tok.is_cancelled()) {
+            if cancel.is_cancelled() {
                 stats.skipped = cubes.len() - i;
                 break;
             }
@@ -458,13 +445,13 @@ mod tests {
         let cubes = vec![TestCube::all_x(1 + 8); 5];
         let tok = CancelToken::new();
         tok.cancel();
-        let stats = edt.compress_all_cancellable(&cubes, &tok);
+        let stats = edt.compress_all(&cubes, &tok);
         assert_eq!(stats.skipped, 5);
         assert_eq!(stats.encoded + stats.failed, 0);
-        // An un-fired token leaves the pass identical to the plain one.
-        let clean = edt.compress_all_cancellable(&cubes, &CancelToken::new());
-        assert_eq!(clean, edt.compress_all(&cubes));
+        // An un-fired token processes every cube.
+        let clean = edt.compress_all(&cubes, &CancelToken::new());
         assert_eq!(clean.skipped, 0);
+        assert_eq!(clean.encoded + clean.failed, 5);
     }
 
     #[test]
@@ -495,7 +482,7 @@ mod tests {
         });
         let scan = insert_scan(&nl, &ScanConfig { num_chains: 4 });
         let edt = ScanEdt::new(&nl, &scan, 1, 24, 0xAB);
-        let stats = edt.compress_all(&run.cubes);
+        let stats = edt.compress_all(&run.cubes, &CancelToken::new());
         assert!(stats.encoded > 0);
         assert!(
             stats.encode_rate() > 0.5,

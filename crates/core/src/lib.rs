@@ -188,18 +188,19 @@ impl<'a> DftFlow<'a> {
     /// span, so the per-phase times are disjoint and
     /// `sum(phases) <= total` holds by construction.
     pub fn run(self) -> FlowReport {
-        match self.run_inner(None) {
+        match self.run_durable(&mut Durability::default()) {
             Ok(report) => report,
-            // A plain run has no cancellation source and no resume
+            // Nothing fires the default token and there is no resume
             // state, so the durable error paths cannot occur.
-            Err(e) => unreachable!("plain flow cannot fail: {e}"),
+            Err(e) => unreachable!("flow without a cancellation source cannot fail: {e}"),
         }
     }
 
     /// Runs the flow durably: cancellation (signals, per-phase
     /// deadlines) drains cleanly into a checkpoint, and a resume state
     /// loaded into `dur` continues a prior run to the bit-identical
-    /// final result.
+    /// final result. [`DftFlow::run`] is this with
+    /// [`Durability::default`].
     ///
     /// On interruption the ATPG engine writes a final checkpoint and
     /// this returns [`DftError::Interrupted`] carrying the journal path
@@ -209,10 +210,6 @@ impl<'a> DftFlow<'a> {
     /// in [`CompressionStats::skipped`] rather than failing the run,
     /// since by then the checkpoint already covers the full pattern set.
     pub fn run_durable(self, dur: &mut Durability) -> Result<FlowReport, DftError> {
-        self.run_inner(Some(dur))
-    }
-
-    fn run_inner(self, mut dur: Option<&mut Durability>) -> Result<FlowReport, DftError> {
         let design = self.nl.name().to_owned();
         let mut atpg_cfg = self.atpg.clone();
         if let Some(t) = self.threads {
@@ -233,12 +230,9 @@ impl<'a> DftFlow<'a> {
         let atpg = Atpg::new(self.nl)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone());
-        let run = match dur.as_deref_mut() {
-            Some(d) => atpg
-                .run_durable(&atpg_cfg, d)
-                .map_err(|e| flow_error(&design, e))?,
-            None => atpg.run(&atpg_cfg),
-        };
+        let run = atpg
+            .run_durable(&atpg_cfg, dur)
+            .map_err(|e| flow_error(&design, e))?;
         let timing = TestTimeModel::for_architecture(&scan, run.patterns.len(), self.shift_mhz);
         let t_compress = self.trace.phase_span("compression");
         let compression = if self.nl.num_dffs() > 0 && !run.cubes.is_empty() {
@@ -249,10 +243,7 @@ impl<'a> DftFlow<'a> {
             let edt = ScanEdt::new(self.nl, &scan, self.channels, ring_len, 0xED7)
                 .with_metrics(self.metrics.clone())
                 .with_trace(self.trace.clone());
-            Some(match dur.as_deref() {
-                Some(d) => edt.compress_all_cancellable(&run.cubes, d.cancel()),
-                None => edt.compress_all(&run.cubes),
-            })
+            Some(edt.compress_all(&run.cubes, dur.cancel()))
         } else {
             None
         };
