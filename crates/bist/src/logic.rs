@@ -1,6 +1,5 @@
 //! Logic BIST: STUMPS-style self-test session.
 
-use dft_checkpoint::CancelToken;
 use dft_fault::{universe_stuck_at, FaultList};
 use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_metrics::MetricsHandle;
@@ -21,11 +20,6 @@ pub struct BistResult {
     pub signature: u64,
     /// Faults left undetected (random-pattern-resistant residue).
     pub undetected: usize,
-    /// `true` when a [`CancelToken`] fired during the session's fault
-    /// simulation: the interrupted pass marked no detections, so
-    /// `coverage`/`undetected` understate the session and the run must
-    /// be repeated, never trusted as a clean result.
-    pub interrupted: bool,
 }
 
 /// A STUMPS-style logic-BIST controller: an LFSR expands into scan loads,
@@ -41,7 +35,6 @@ pub struct LogicBist<'a> {
     exec: Executor,
     metrics: MetricsHandle,
     trace: TraceHandle,
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> LogicBist<'a> {
@@ -53,16 +46,7 @@ impl<'a> LogicBist<'a> {
             exec: Executor::serial(),
             metrics: MetricsHandle::disabled(),
             trace: TraceHandle::disabled(),
-            cancel: None,
         }
-    }
-
-    /// Attaches a cancellation token: session fault simulation drains at
-    /// the next fault boundary once the token fires, and the result is
-    /// flagged [`BistResult::interrupted`].
-    pub fn cancel(mut self, cancel: CancelToken) -> LogicBist<'a> {
-        self.cancel = Some(cancel);
-        self
     }
 
     /// Points session/LFSR/MISR cycle counters (and the fault simulators
@@ -112,21 +96,17 @@ impl<'a> LogicBist<'a> {
             m.bist_sessions.inc();
         }
         let ps = self.patterns(n, seed);
-        let mut sim = TapeKernel::compile(self.nl)
+        let sim = TapeKernel::compile(self.nl)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone());
-        if let Some(tok) = &self.cancel {
-            sim = sim.with_cancel(tok.clone());
-        }
         let mut list = FaultList::new(universe_stuck_at(self.nl));
-        let stats = sim.fault_batch(&ps, &mut list, &self.exec);
+        sim.fault_batch(&ps, &mut list, &self.exec);
         let signature = self.signature(&ps);
         BistResult {
             patterns: n,
             coverage: list.fault_coverage(),
             signature,
             undetected: list.len() - list.num_detected(),
-            interrupted: stats.interrupted,
         }
     }
 
@@ -218,20 +198,16 @@ impl<'a> LogicBist<'a> {
             m.bist_patterns.add(n as u64);
         }
         let ps = self.weighted_patterns(n, seed, weights);
-        let mut sim = TapeKernel::compile(self.nl)
+        let sim = TapeKernel::compile(self.nl)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone());
-        if let Some(tok) = &self.cancel {
-            sim = sim.with_cancel(tok.clone());
-        }
         let mut list = FaultList::new(universe_stuck_at(self.nl));
-        let stats = sim.fault_batch(&ps, &mut list, &self.exec);
+        sim.fault_batch(&ps, &mut list, &self.exec);
         BistResult {
             patterns: n,
             coverage: list.fault_coverage(),
             signature: self.signature(&ps),
             undetected: list.len() - list.num_detected(),
-            interrupted: stats.interrupted,
         }
     }
 
@@ -349,20 +325,6 @@ mod tests {
             .position(|&s| s == nl.find("en").unwrap())
             .unwrap();
         assert!(weights[en_idx] > 0.6, "en weight {}", weights[en_idx]);
-    }
-
-    #[test]
-    fn cancelled_session_is_flagged_and_claims_no_coverage() {
-        let nl = parity_tree(16);
-        let tok = CancelToken::new();
-        tok.cancel();
-        let bist = LogicBist::new(&nl, 32).cancel(tok);
-        let r = bist.run(128, 0xB00);
-        assert!(r.interrupted);
-        assert_eq!(r.coverage, 0.0, "interrupted session must mark nothing");
-        let clean = LogicBist::new(&nl, 32).run(128, 0xB00);
-        assert!(!clean.interrupted);
-        assert!(clean.coverage > 0.95);
     }
 
     #[test]

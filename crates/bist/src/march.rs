@@ -1,7 +1,5 @@
 //! March-test algorithms and the BIST run engine.
 
-use dft_checkpoint::CancelToken;
-
 use crate::SramModel;
 
 /// The memory interface a March engine drives: anything addressable
@@ -190,27 +188,11 @@ pub struct MarchResult {
     pub first_fail: Option<(usize, usize, usize)>,
     /// Total memory operations performed.
     pub operations: u64,
-    /// `true` when a [`CancelToken`] fired mid-run: the march stopped at
-    /// an address boundary, so `detected`/`first_fail` only reflect the
-    /// operations actually performed. An interrupted pass must be rerun,
-    /// never trusted as a clean result.
-    pub interrupted: bool,
 }
 
 /// Runs `algo` against `mem`, comparing every read with its expectation.
 pub fn run_march<M: MemoryModel>(algo: &MarchAlgorithm, mem: &mut M) -> MarchResult {
     run_march_with_map(algo, mem).0
-}
-
-/// [`run_march`] with cooperative cancellation: the token is checked at
-/// every address boundary and a fired token drains the march with
-/// [`MarchResult::interrupted`] set.
-pub fn run_march_cancellable<M: MemoryModel>(
-    algo: &MarchAlgorithm,
-    mem: &mut M,
-    cancel: &CancelToken,
-) -> MarchResult {
-    march_inner(algo, mem, Some(cancel)).0
 }
 
 /// Runs `algo` against `mem` and also returns the per-address failure
@@ -222,43 +204,19 @@ pub fn run_march_with_map<M: MemoryModel>(
     algo: &MarchAlgorithm,
     mem: &mut M,
 ) -> (MarchResult, Vec<bool>) {
-    march_inner(algo, mem, None)
-}
-
-/// [`run_march_with_map`] with cooperative cancellation. An interrupted
-/// pass returns a partial failure map that must not be trusted for
-/// redundancy analysis — check [`MarchResult::interrupted`] first.
-pub fn run_march_with_map_cancellable<M: MemoryModel>(
-    algo: &MarchAlgorithm,
-    mem: &mut M,
-    cancel: &CancelToken,
-) -> (MarchResult, Vec<bool>) {
-    march_inner(algo, mem, Some(cancel))
-}
-
-fn march_inner<M: MemoryModel>(
-    algo: &MarchAlgorithm,
-    mem: &mut M,
-    cancel: Option<&CancelToken>,
-) -> (MarchResult, Vec<bool>) {
     let n = mem.size();
     let mut result = MarchResult {
         detected: false,
         first_fail: None,
         operations: 0,
-        interrupted: false,
     };
     let mut map = vec![false; n];
-    'elements: for (ei, element) in algo.elements.iter().enumerate() {
+    for (ei, element) in algo.elements.iter().enumerate() {
         let addrs: Vec<usize> = match element.order {
             MarchOrder::Up | MarchOrder::Any => (0..n).collect(),
             MarchOrder::Down => (0..n).rev().collect(),
         };
         for addr in addrs {
-            if cancel.is_some_and(|tok| tok.is_cancelled()) {
-                result.interrupted = true;
-                break 'elements;
-            }
             for (oi, op) in element.ops.iter().enumerate() {
                 result.operations += 1;
                 match op {
@@ -299,20 +257,6 @@ mod tests {
             assert!(!r.detected, "{} false alarm", algo.name);
             assert_eq!(r.operations, (algo.ops_per_bit() * 64) as u64);
         }
-    }
-
-    #[test]
-    fn cancelled_march_drains_and_flags_interrupted() {
-        let mut mem = SramModel::new(64);
-        let tok = CancelToken::new();
-        tok.cancel();
-        let r = run_march_cancellable(&march_c_minus(), &mut mem, &tok);
-        assert!(r.interrupted);
-        assert_eq!(r.operations, 0);
-        // An un-fired token changes nothing about a clean run.
-        let clean = run_march_cancellable(&march_c_minus(), &mut mem, &CancelToken::new());
-        assert!(!clean.interrupted);
-        assert_eq!(clean, run_march(&march_c_minus(), &mut mem));
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //! stage resolves everything.
 
 use dft_bist::{
-    run_march, run_march_with_map, run_march_with_map_cancellable, MarchAlgorithm, MarchResult,
-    MemFault, MemFaultKind, MemoryModel, SramModel,
+    run_march, run_march_with_map, MarchAlgorithm, MarchResult, MemFault, MemFaultKind,
+    MemoryModel, SramModel,
 };
-use dft_checkpoint::CancelToken;
 use dft_metrics::MetricsHandle;
 use dft_trace::TraceHandle;
 
@@ -339,18 +338,13 @@ pub struct BisrReport {
     /// The confirming (post-repair) March outcome, when a repair was
     /// attempted and allocation succeeded.
     pub post_march: Option<MarchResult>,
-    /// `true` when a cancellation token fired mid-loop: the run drained
-    /// at the next address boundary and no verdict (`repaired` /
-    /// `unrepairable`) was reached. An interrupted report never ships.
-    pub interrupted: bool,
 }
 
 impl BisrReport {
     /// `true` when the die ships: either clean from the start or
-    /// repaired to a clean re-March. An interrupted run never ships —
-    /// it must be rerun (or resumed) to reach a verdict.
+    /// repaired to a clean re-March.
     pub fn ships(&self) -> bool {
-        !self.interrupted && !self.unrepairable && (self.repaired || self.signature.is_empty())
+        !self.unrepairable && (self.repaired || self.signature.is_empty())
     }
 }
 
@@ -367,7 +361,6 @@ pub struct BisrEngine {
     max_rounds: usize,
     metrics: MetricsHandle,
     trace: TraceHandle,
-    cancel: Option<CancelToken>,
 }
 
 impl Default for BisrEngine {
@@ -385,7 +378,6 @@ impl BisrEngine {
             max_rounds: 4,
             metrics: MetricsHandle::disabled(),
             trace: TraceHandle::disabled(),
-            cancel: None,
         }
     }
 
@@ -415,21 +407,9 @@ impl BisrEngine {
         self
     }
 
-    /// Attaches a cancellation token: the detect and confirm Marches
-    /// check it at every address boundary, and the repair loop checks it
-    /// before each round. A fired token drains the run cleanly with
-    /// [`BisrReport::interrupted`] set.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> BisrEngine {
-        self.cancel = Some(cancel);
-        self
-    }
-
     fn march(&self, ordinal: u64, view: &mut RepairedSram) -> (MarchResult, Vec<bool>) {
         let _march = self.trace.span_arg("mbist_march", ordinal);
-        match &self.cancel {
-            Some(tok) => run_march_with_map_cancellable(&self.algo, view, tok),
-            None => run_march_with_map(&self.algo, view),
-        }
+        run_march_with_map(&self.algo, view)
     }
 
     /// Runs the full loop against `physical` (an array sized
@@ -462,24 +442,12 @@ impl BisrEngine {
             unrepairable: false,
             pre_march,
             post_march: None,
-            interrupted: pre_march.interrupted,
         };
-        if report.interrupted {
-            // The detect March drained on a fired token: its fail map is
-            // partial, so no analysis or verdict is possible.
-            self.flush(&report);
-            return report;
-        }
         if !pre_march.detected {
             self.flush(&report);
             return report; // clean die, no repair needed
         }
         for _ in 0..self.max_rounds {
-            if self.cancel.as_ref().is_some_and(|tok| tok.is_cancelled()) {
-                report.interrupted = true;
-                self.flush(&report);
-                return report;
-            }
             report.rounds += 1;
             let _round = self.trace.span_arg("bisr_round", report.rounds as u64);
             let sig = match analyze_redundancy(&merged, spares) {
@@ -494,13 +462,6 @@ impl BisrEngine {
             let (post, map) = self.march(report.rounds as u64, &mut view);
             report.signature = sig;
             report.post_march = Some(post);
-            if post.interrupted {
-                // The confirming March drained mid-pass: neither a clean
-                // verdict nor a trustworthy extension of the fail map.
-                report.interrupted = true;
-                self.flush(&report);
-                return report;
-            }
             if !post.detected {
                 report.repaired = true;
                 self.flush(&report);
@@ -731,29 +692,6 @@ mod tests {
         assert!((points[1].yield_fraction() - 1.0).abs() < 1e-12);
         // 8 random point faults on an 8x8 with 4 spares: mostly scrap.
         assert!(points[2].yield_fraction() < 1.0);
-    }
-
-    #[test]
-    fn cancelled_bisr_drains_and_never_ships() {
-        let physical =
-            SramModel::with_faults(SPARES.physical_size(&GEOM), vec![saf(GEOM, &SPARES, 3, 5)]);
-        let tok = CancelToken::new();
-        tok.cancel();
-        let report = BisrEngine::new()
-            .with_cancel(tok)
-            .run(&physical, GEOM, &SPARES);
-        assert!(report.interrupted);
-        assert!(!report.ships());
-        assert!(!report.repaired);
-        assert!(!report.unrepairable);
-        // An un-fired token leaves the verdict identical to a plain run.
-        let live = BisrEngine::new()
-            .with_cancel(CancelToken::new())
-            .run(&physical, GEOM, &SPARES);
-        let plain = BisrEngine::new().run(&physical, GEOM, &SPARES);
-        assert!(!live.interrupted);
-        assert_eq!(live.repaired, plain.repaired);
-        assert_eq!(live.signature, plain.signature);
     }
 
     #[test]
