@@ -1,9 +1,10 @@
 //! Criterion: checkpoint overhead. The acceptance bar for durable
-//! flows is <= 2% wall-clock over a plain run, so this group times the
-//! same ATPG run three ways: plain, durable with no journal (cancel
-//! polling only), and durable with a journal at the default cadence.
-//! A second group times the storage-resilience layer itself:
-//! replicated appends and `fsck` scans over a populated journal.
+//! flows is <= 2% wall-clock over a run without a journal, so this group
+//! times the same ATPG run two ways: `plain` (`Atpg::run`, the one
+//! durable path with a token that never fires and no journal) and with
+//! a journal at the default cadence. A second group times the
+//! storage-resilience layer itself: replicated appends and `fsck` scans
+//! over a populated journal.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dft_core::atpg::{Atpg, AtpgConfig, Durability};
@@ -21,13 +22,6 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
 
     group.bench_function("plain", |b| {
         b.iter(|| atpg.run(&cfg));
-    });
-
-    group.bench_function("durable_no_journal", |b| {
-        b.iter(|| {
-            let mut dur = Durability::new(CancelToken::new());
-            atpg.run_durable(&cfg, &mut dur).expect("uninterrupted")
-        });
     });
 
     let path = std::env::temp_dir().join(format!("aidft-bench-ckpt-{}.ckpt", std::process::id()));
