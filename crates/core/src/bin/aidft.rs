@@ -117,7 +117,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, Durability};
+use dft_core::atpg::{Atpg, AtpgConfig, Durability};
 use dft_core::bist::LogicBist;
 use dft_core::checkpoint::{
     fsck, CancelToken, ChaosConfig, CkptError, CkptState, FramedJournal, CKPT_FORMAT,
@@ -309,7 +309,7 @@ fn main() -> ExitCode {
                 .with_metrics(handle.clone())
                 .with_trace(trace.clone())
                 .run_durable(&cfg, &mut dur)
-                .map_err(|e| lift_atpg_error(nl.name(), e));
+                .map_err(|e| DftError::atpg(nl.name(), e));
             progress.finish();
             let run = run?;
             say!(
@@ -587,25 +587,6 @@ fn lift_serve_error(design: &str, e: ServeError) -> DftError {
         ServeError::Checkpoint(e) => DftError::Checkpoint(e),
         ServeError::Io(e) => DftError::io(format!("serve {design}"), e),
         ServeError::Client(msg) => DftError::worker_panic(format!("serve {design}"), msg),
-    }
-}
-
-/// Lifts an ATPG-layer durability error into the CLI error type,
-/// attaching the design name.
-fn lift_atpg_error(design: &str, e: AtpgError) -> DftError {
-    match e {
-        AtpgError::Interrupted(i) => DftError::Interrupted {
-            checkpoint: i.checkpoint,
-            partial: Box::new(PartialResult {
-                design: design.to_owned(),
-                phase: i.phase,
-                patterns: i.patterns,
-                detected: i.detected,
-                total_faults: i.total_faults,
-                deadline: i.deadline,
-            }),
-        },
-        AtpgError::Resume(e) => e.into(),
     }
 }
 

@@ -4,6 +4,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
+use dft_atpg::AtpgError;
 use dft_checkpoint::CkptError;
 use dft_diagnosis::JsonError;
 use dft_logicsim::ExecError;
@@ -133,6 +134,27 @@ impl DftError {
     pub fn aborted(context: impl Into<String>) -> DftError {
         DftError::Aborted {
             context: context.into(),
+        }
+    }
+
+    /// Lifts an ATPG durability error, attaching the design name the
+    /// ATPG interrupt does not carry: an interrupt becomes
+    /// [`DftError::Interrupted`], a refused resume
+    /// [`DftError::Checkpoint`].
+    pub fn atpg(design: &str, e: AtpgError) -> DftError {
+        match e {
+            AtpgError::Interrupted(i) => DftError::Interrupted {
+                checkpoint: i.checkpoint,
+                partial: Box::new(PartialResult {
+                    design: design.to_owned(),
+                    phase: i.phase,
+                    patterns: i.patterns,
+                    detected: i.detected,
+                    total_faults: i.total_faults,
+                    deadline: i.deadline,
+                }),
+            },
+            AtpgError::Resume(e) => e.into(),
         }
     }
 

@@ -77,7 +77,7 @@ pub mod progress;
 
 pub use error::{DftError, PartialResult};
 
-use dft_atpg::{Atpg, AtpgConfig, AtpgError, Durability};
+use dft_atpg::{Atpg, AtpgConfig, Durability};
 use dft_compress::{CompressionStats, ScanEdt};
 use dft_logicsim::Parallelism;
 use dft_metrics::{MetricsHandle, MetricsSnapshot};
@@ -232,7 +232,7 @@ impl<'a> DftFlow<'a> {
             .with_trace(self.trace.clone());
         let run = atpg
             .run_durable(&atpg_cfg, dur)
-            .map_err(|e| flow_error(&design, e))?;
+            .map_err(|e| DftError::atpg(&design, e))?;
         let timing = TestTimeModel::for_architecture(&scan, run.patterns.len(), self.shift_mhz);
         let t_compress = self.trace.phase_span("compression");
         let compression = if self.nl.num_dffs() > 0 && !run.cubes.is_empty() {
@@ -285,25 +285,6 @@ impl<'a> DftFlow<'a> {
             scan,
             atpg_run: run,
         })
-    }
-}
-
-/// Lifts an ATPG-layer durability error into the flow error type,
-/// attaching the design name the ATPG interrupt does not carry.
-fn flow_error(design: &str, e: AtpgError) -> DftError {
-    match e {
-        AtpgError::Interrupted(i) => DftError::Interrupted {
-            checkpoint: i.checkpoint,
-            partial: Box::new(PartialResult {
-                design: design.to_owned(),
-                phase: i.phase,
-                patterns: i.patterns,
-                detected: i.detected,
-                total_faults: i.total_faults,
-                deadline: i.deadline,
-            }),
-        },
-        AtpgError::Resume(e) => DftError::Checkpoint(e),
     }
 }
 
