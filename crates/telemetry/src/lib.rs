@@ -505,6 +505,32 @@ mod tests {
     }
 
     #[test]
+    fn unscraped_listener_stops_without_counting_its_wake() {
+        // The accept loop blocks; `finish` must still return promptly,
+        // also for a listener bound to the unspecified address.
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let session = TelemetrySession::start(
+                TelemetryConfig {
+                    stats_addr: Some(addr.to_owned()),
+                    ..TelemetryConfig::default()
+                },
+                MetricsHandle::disabled(),
+            )
+            .unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let finisher = std::thread::spawn(move || tx.send(session.finish()).unwrap());
+            let fin = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{addr}: finish did not return: {e}"));
+            finisher.join().unwrap();
+            assert_eq!(
+                fin.scrapes, 0,
+                "{addr}: the wake-up connection is no scrape"
+            );
+        }
+    }
+
+    #[test]
     fn session_serves_scrapes_that_roundtrip() {
         let session = TelemetrySession::start(
             TelemetryConfig {

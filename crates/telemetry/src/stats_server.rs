@@ -10,7 +10,7 @@
 //! `curl`, Prometheus, and `aidft top`, not a general web server.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -20,9 +20,6 @@ use crate::Inner;
 
 /// Per-connection read/write timeout.
 const CONN_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Accept-loop poll interval while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// The running scrape listener; dropped (or stopped) when the
 /// telemetry session finishes.
@@ -38,21 +35,21 @@ impl StatsServer {
     /// starts the accept loop.
     pub(crate) fn bind(addr: &str, inner: Arc<Inner>) -> io::Result<StatsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let thread = thread::Builder::new()
             .name("aidft-stats".into())
             .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => handle_conn(stream, &inner),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => thread::sleep(ACCEPT_POLL),
+                // Blocks in `accept`. `stop` sets the flag and then
+                // connects once, so that wake-up connection finds the flag
+                // set and is neither served nor counted as a scrape.
+                for stream in listener.incoming() {
+                    if flag.load(Ordering::SeqCst) {
+                        return;
                     }
+                    let Ok(stream) = stream else { return };
+                    handle_conn(stream, &inner);
                 }
             })
             .expect("spawn stats server");
@@ -70,11 +67,25 @@ impl StatsServer {
 
     /// Stops the accept loop and joins the thread.
     pub(crate) fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the blocked accept. A refused connect means the loop
+        // already returned on an accept error.
+        let _ = TcpStream::connect(wake_addr(self.addr));
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
+}
+
+/// Where a connection reaches a listener bound to `addr`: the loopback
+/// address of the same family when it was bound to the unspecified one.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Serves one request. Any I/O failure just drops the connection —
@@ -86,9 +97,6 @@ fn handle_conn(stream: TcpStream, inner: &Inner) {
 fn serve_one(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     stream.set_read_timeout(Some(CONN_TIMEOUT))?;
     stream.set_write_timeout(Some(CONN_TIMEOUT))?;
-    // Nonblocking is inherited from the listener on some platforms;
-    // switch the accepted socket back to blocking so the timeouts rule.
-    stream.set_nonblocking(false)?;
     let mut buf = [0u8; 1024];
     let mut req = Vec::new();
     loop {
