@@ -86,9 +86,9 @@ fn push_bits_hex(out: &mut String, bits: &[bool]) {
     }
 }
 
-/// Inverts [`push_bits_hex`]. Only the writer's own spelling parses —
-/// a count of decimal digits without a leading zero, lowercase hex
-/// pairs, no set padding bits — so every bit vector has one encoding.
+/// Inverts [`push_bits_hex`]: lowercase hex pairs, no set padding
+/// bits. [`FleetState::parse_body`] refuses any other spelling of the
+/// count.
 fn hex_to_bits(text: &str) -> Option<Vec<bool>> {
     fn nibble(c: u8) -> Option<u8> {
         match c {
@@ -98,12 +98,6 @@ fn hex_to_bits(text: &str) -> Option<Vec<bool>> {
         }
     }
     let (count, hex) = text.split_once(':')?;
-    let canonical = !count.is_empty()
-        && count.bytes().all(|c| c.is_ascii_digit())
-        && (count == "0" || !count.starts_with('0'));
-    if !canonical {
-        return None;
-    }
     let bytes: Option<Vec<u8>> = hex
         .as_bytes()
         .chunks(2)
@@ -157,9 +151,10 @@ impl FleetState {
         body
     }
 
-    /// Parses a record body back; `None` on any structural problem (the
-    /// journal load skips such a record as damaged, like one whose
-    /// checksum fails).
+    /// Parses a record body back; `None` on any structural problem and
+    /// on any body [`FleetState::to_body`] would not write byte for byte
+    /// (the journal load skips such a record as damaged, like one whose
+    /// checksum fails). Every state thus has exactly one body.
     pub fn parse_body(body: &str) -> Option<FleetState> {
         let mut lines = body.lines();
         let design = lines.next()?.strip_prefix("design ")?.to_owned();
@@ -196,12 +191,13 @@ impl FleetState {
                 },
             );
         }
-        Some(FleetState {
+        let state = FleetState {
             design,
             fingerprint,
             dies,
             done,
-        })
+        };
+        (state.to_body() == body).then_some(state)
     }
 
     /// Loads the newest fleet record of `journal` whose framing and
@@ -468,7 +464,7 @@ mod tests {
         /// A body that passed its checksum is still outside input:
         /// arbitrary text and valid bodies with characters replaced,
         /// inserted or deleted parse to a state or to `None`, never a
-        /// panic, and whatever parses writes back to itself.
+        /// panic, and whatever parses writes back byte for byte.
         #[test]
         fn parse_body_never_panics(seed in 0u64..u64::MAX, edits in 0usize..8) {
             const PALETTE: &[char] = &[
@@ -493,7 +489,7 @@ mod tests {
             let mutated: String = text.into_iter().collect();
             for body in [noise, mutated] {
                 if let Some(st) = FleetState::parse_body(&body) {
-                    prop_assert_eq!(FleetState::parse_body(&st.to_body()), Some(st));
+                    prop_assert_eq!(st.to_body(), body);
                 }
             }
         }
@@ -526,6 +522,33 @@ mod tests {
         let resumed = FleetState::resume(&j, "mac4", 0xff).unwrap();
         assert_eq!(resumed, FleetState::parse_body(good).unwrap());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Each field has one spelling, the one `to_body` writes: a body
+    /// that spells a state any other way is refused.
+    #[test]
+    fn non_canonical_records_are_refused() {
+        let head = "design mac4\nconfig 00000000000000ff\ndies 4\n";
+        let die0 = "die 0 0 1 0 0 full 8:a1\n";
+        let die2 = "die 2 1 0 1 0 degraded-1 8:0f\n";
+        let good = format!("{head}{die0}{die2}");
+        assert_eq!(
+            FleetState::parse_body(&good).map(|st| st.to_body()),
+            Some(good.clone())
+        );
+        for (what, body) in [
+            ("signed die id", good.replace("die 0 ", "die +0 ")),
+            ("zero-padded die id", good.replace("die 0 ", "die 00 ")),
+            ("zero-padded fleet size", good.replace("dies 4", "dies 04")),
+            ("flag other than 0/1", good.replace("die 0 0 1", "die 0 0 2")),
+            ("short uppercase config", good.replace("00000000000000ff", "FF")),
+            ("zero-padded grade", good.replace("degraded-1", "degraded-01")),
+            ("repeated die", format!("{good}{die2}")),
+            ("dies out of order", format!("{head}{die2}{die0}")),
+            ("CRLF line endings", good.replace('\n', "\r\n")),
+        ] {
+            assert_eq!(FleetState::parse_body(&body), None, "{what}: {body:?}");
+        }
     }
 
     fn sample() -> FleetState {
