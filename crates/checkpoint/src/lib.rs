@@ -7,8 +7,10 @@
 //! workspace can use them:
 //!
 //! * [`CancelToken`] — cooperative cancellation with optional per-phase
-//!   deadlines. Workers poll the token at batch boundaries and drain
-//!   cleanly; nothing is ever interrupted mid-mutation.
+//!   deadlines. Workers poll the token at fault boundaries and drain
+//!   cleanly; nothing is ever interrupted mid-mutation. A token that is
+//!   never fired and has nothing armed costs a poll a few atomic loads,
+//!   so a run without a cancellation source simply holds one.
 //! * [`FramedJournal`] — the one journal type: append-only, framed and
 //!   checksummed records, optionally replicated, so a process killed
 //!   mid-write leaves the previous record intact and a load always
