@@ -753,7 +753,7 @@ impl<'a> Atpg<'a> {
         dur: &mut Durability,
     ) -> Result<AtpgRun, AtpgError> {
         let universe = universe_stuck_at(self.nl);
-        let ctx = DurCtx {
+        let mut dur = DurCtx {
             design: self.nl.name().to_owned(),
             config_hash: config.fingerprint(self.nl.name(), universe.len()),
             seed: config.seed,
@@ -761,16 +761,6 @@ impl<'a> Atpg<'a> {
             trace: self.trace.clone(),
             d: dur,
         };
-        self.run_inner(config, universe, ctx)
-    }
-
-    /// The engine behind [`Atpg::run_durable`].
-    fn run_inner(
-        &self,
-        config: &AtpgConfig,
-        universe: Vec<Fault>,
-        mut dur: DurCtx<'_>,
-    ) -> Result<AtpgRun, AtpgError> {
         let start = Instant::now();
         let exec = Executor::with_threads(config.threads);
         let collapsed = collapse_equivalent(self.nl, &universe);

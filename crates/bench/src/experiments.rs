@@ -8,11 +8,11 @@ use dft_core::aichip::{
     SocConfig,
 };
 use dft_core::atpg::{Atpg, AtpgConfig, CompactionMode, TransitionAtpg};
-use dft_core::checkpoint::CancelToken;
 use dft_core::bist::{
     insert_test_points, march_c_minus, march_ss, march_x, mats_plus, run_march, LogicBist,
     MemFault, MemFaultKind, SramModel,
 };
+use dft_core::checkpoint::CancelToken;
 use dft_core::compress::ScanEdt;
 use dft_core::diagnosis::{build_failure_log, diagnose};
 use dft_core::fault::{

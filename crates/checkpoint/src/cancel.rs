@@ -30,10 +30,10 @@ struct Inner {
 /// A cheap, cloneable cancellation token shared between a driver and its
 /// workers.
 ///
-/// Two observation tiers:
+/// Two observation tiers keep the hot paths hot:
 ///
 /// * [`CancelToken::is_cancelled`] — one relaxed atomic load; safe to
-///   call per search step in inner loops.
+///   call per fault in inner simulation loops.
 /// * [`CancelToken::poll`] — additionally applies the deterministic trip
 ///   point and the phase deadline, each only while it is armed. An
 ///   unarmed poll is three atomic loads, with no lock and no
@@ -41,9 +41,7 @@ struct Inner {
 ///
 /// Cancellation is **cooperative and monotonic**: once fired the token
 /// never un-fires, and every observer drains at its next boundary. A
-/// token nobody fires costs its observers nothing but those loads, so
-/// every cancellable engine holds one, and a run without a cancellation
-/// source simply holds a token that never fires.
+/// run without a cancellation source holds a token that never fires.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -94,15 +92,14 @@ impl CancelToken {
     /// [`CancelToken::poll`]. Phases re-arm on entry; [`CancelToken::clear_deadline`]
     /// disarms between phases.
     pub fn arm_deadline(&self, budget: Duration) {
-        let mut deadline = self.inner.deadline.lock().expect("deadline lock poisoned");
-        *deadline = Some(Instant::now() + budget);
+        *self.inner.deadline.lock().expect("deadline lock poisoned") =
+            Some(Instant::now() + budget);
         self.inner.deadline_armed.store(true, Ordering::Release);
     }
 
     /// Disarms the phase deadline (a fired token stays fired).
     pub fn clear_deadline(&self) {
-        let mut deadline = self.inner.deadline.lock().expect("deadline lock poisoned");
-        *deadline = None;
+        *self.inner.deadline.lock().expect("deadline lock poisoned") = None;
         self.inner.deadline_armed.store(false, Ordering::Release);
     }
 

@@ -540,9 +540,9 @@ mod tests {
             ("signed die id", good.replace("die 0 ", "die +0 ")),
             ("zero-padded die id", good.replace("die 0 ", "die 00 ")),
             ("zero-padded fleet size", good.replace("dies 4", "dies 04")),
-            ("flag other than 0/1", good.replace("die 0 0 1", "die 0 0 2")),
-            ("short uppercase config", good.replace("00000000000000ff", "FF")),
-            ("zero-padded grade", good.replace("degraded-1", "degraded-01")),
+            ("flag 2", good.replace("die 0 0 1", "die 0 0 2")),
+            ("config FF", good.replace("00000000000000ff", "FF")),
+            ("degraded-01", good.replace("degraded-1", "degraded-01")),
             ("repeated die", format!("{good}{die2}")),
             ("dies out of order", format!("{head}{die2}{die0}")),
             ("CRLF line endings", good.replace('\n', "\r\n")),
