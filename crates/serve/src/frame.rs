@@ -211,6 +211,16 @@ fn put_bits(buf: &mut Vec<u8>, bits: &[bool]) {
     buf.extend(packed_bytes(bits));
 }
 
+/// The `Window` payload: index, retest flag, stimulus count, stimuli.
+fn put_window(buf: &mut Vec<u8>, window_idx: u32, retest: bool, stimuli: &[Stimulus]) {
+    put_u32(buf, window_idx);
+    buf.push(u8::from(retest));
+    put_u32(buf, stimuli.len() as u32);
+    for s in stimuli {
+        s.put(buf);
+    }
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
@@ -343,14 +353,7 @@ impl Frame {
                 window_idx,
                 retest,
                 stimuli,
-            } => {
-                put_u32(&mut p, *window_idx);
-                p.push(u8::from(*retest));
-                put_u32(&mut p, stimuli.len() as u32);
-                for s in stimuli {
-                    s.put(&mut p);
-                }
-            }
+            } => put_window(&mut p, *window_idx, *retest, stimuli),
             Frame::Signature {
                 die_id,
                 window_idx,
@@ -442,16 +445,7 @@ impl Frame {
     /// Encodes the frame to its full wire bytes (header, payload,
     /// checksum trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + CRC_LEN);
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.push(self.type_byte());
-        buf.push(0); // flags, reserved
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        let crc = fnv1a(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        frame_bytes(self.type_byte(), &self.payload())
     }
 
     /// Decodes one frame from the front of `buf`, returning the frame
@@ -482,6 +476,28 @@ impl Frame {
     }
 }
 
+/// The full wire bytes of a frame of type `ty`: header, `payload`,
+/// checksum trailer.
+fn frame_bytes(ty: u8, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + CRC_LEN);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.push(ty);
+    buf.push(0); // flags, reserved
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    let crc = fnv1a(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
+}
+
+/// The wire bytes of a [`Frame::Window`] over borrowed `stimuli`:
+/// exactly what [`Frame::encode`] writes for the same window.
+pub(crate) fn encode_window(window_idx: u32, retest: bool, stimuli: &[Stimulus]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_window(&mut payload, window_idx, retest, stimuli);
+    frame_bytes(TY_WINDOW, &payload)
+}
+
 /// Reads exactly one frame from `r`. A stream that ends mid-frame (or
 /// before any byte of one) is [`FrameError::Torn`].
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
@@ -507,11 +523,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.flush()
 }
 
-/// Chaos hook: writes only the first half of the frame's bytes, then
-/// flushes — the receiver sees a torn frame and must recover by
+/// Chaos hook: writes only the first half of a frame's wire `bytes`,
+/// then flushes — the receiver sees a torn frame and must recover by
 /// reconnecting.
-pub fn write_frame_torn(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let bytes = frame.encode();
+pub(crate) fn write_frame_torn(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
     w.write_all(&bytes[..bytes.len() / 2])?;
     w.flush()
 }
@@ -660,7 +675,7 @@ mod tests {
     #[test]
     fn torn_write_is_detected_by_reader() {
         let mut buf = Vec::new();
-        write_frame_torn(&mut buf, &frames()[1]).unwrap();
+        write_frame_torn(&mut buf, &frames()[1].encode()).unwrap();
         let mut r = &buf[..];
         assert!(matches!(read_frame(&mut r), Err(FrameError::Torn)));
     }
