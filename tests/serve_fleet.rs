@@ -19,6 +19,7 @@ use dft_core::serve::{
     die_reference_signatures, run_fleet, DieSim, FleetReport, ServeConfig, ServeError, ServeOpts,
     ServedStimulus, SERVE_FORMAT,
 };
+use dft_core::telemetry::{TelemetryConfig, TelemetrySession};
 use dft_core::trace::TraceHandle;
 
 fn ckpt_path(tag: &str) -> PathBuf {
@@ -89,6 +90,61 @@ fn chaos_transport_faults_do_not_change_the_verdict() {
         "chaos must be invisible in the state"
     );
     assert_eq!(noisy.summary, clean.summary);
+}
+
+/// Windows of 1, 4 and 8 patterns give each die 52, 13 and 7 windows,
+/// more than a session keeps in flight (4), so the pipeline fills and
+/// a failing session abandons windows mid-stream. Chaos stays invisible
+/// in the state, every die matches its reference, and every window
+/// written leaves the in-flight gauge.
+#[test]
+fn deep_window_pipeline_under_chaos_matches_reference() {
+    let nl = mac_pe(4);
+    for window_patterns in [1, 4, 8] {
+        let cfg = ServeConfig {
+            dies: 16,
+            client_threads: 2,
+            window_patterns,
+            ..ServeConfig::default()
+        };
+        let stim = ServedStimulus::build(
+            &nl,
+            &cfg,
+            &MetricsHandle::default(),
+            &TraceHandle::disabled(),
+        );
+        assert!(stim.total_windows() > 4, "window {window_patterns}");
+        let clean = run_fleet(&nl, &cfg, &ServeOpts::default()).unwrap();
+
+        let session =
+            TelemetrySession::start(TelemetryConfig::default(), MetricsHandle::enabled()).unwrap();
+        let opts = ServeOpts {
+            chaos: ChaosConfig::parse(
+                "drop=0.02,tear=0.02,corrupt=0.02,delay=0.05,delay_ms=1,seed=3",
+            )
+            .unwrap(),
+            telemetry: session.handle(),
+            metrics: MetricsHandle::enabled(),
+            ..ServeOpts::default()
+        };
+        let noisy = run_fleet(&nl, &cfg, &opts).unwrap();
+        let in_flight = opts.telemetry.gauges().unwrap().windows_in_flight();
+        session.finish();
+        let retries = opts.metrics.get().unwrap().serve_retries.get();
+        assert!(retries > 0, "window {window_patterns}: chaos fired");
+        assert_eq!(noisy.state, clean.state, "window {window_patterns}");
+        assert_eq!(noisy.summary, clean.summary, "window {window_patterns}");
+        assert_eq!(in_flight, 0, "window {window_patterns}: windows in flight");
+
+        let sim = DieSim::new(&nl, &stim);
+        for (id, outcome) in &noisy.state.done {
+            assert_eq!(
+                outcome.signatures,
+                die_reference_signatures(&stim, &sim, &cfg, *id),
+                "window {window_patterns} die {id}"
+            );
+        }
+    }
 }
 
 #[test]
