@@ -906,7 +906,7 @@ pub fn serve_report() {
          \"signatures\":{}}},\n  \
          \"throughput\": {{\"dies_per_sec\":{dies_per_sec:.2},\
          \"signatures_per_sec\":{sigs_per_sec:.2},\"retest_rate\":{retest_rate:.4}}},\n  \
-         \"transport\": {{\"windows_sent\":{},\"conn_drops\":{},\"torn_frames\":{},\
+         \"transport\": {{\"windows_sent\":{},\"connections\":{},\"conn_drops\":{},\"torn_frames\":{},\
          \"retries\":{},\"backoff_ns\":{},\"quarantined\":{},\"heartbeats\":{},\
          \"idle_reaps\":{},\"corrupt_frames\":{}}},\n  \
          \"telemetry\": {{\"samples\":{tele_samples},\
@@ -933,6 +933,7 @@ pub fn serve_report() {
         s.dppm_risk,
         s.signatures,
         snap.counter("serve_windows"),
+        snap.counter("serve_connections"),
         snap.counter("serve_conn_drops"),
         snap.counter("serve_torn_frames"),
         snap.counter("serve_retries"),

@@ -333,13 +333,14 @@ registry! {
         chaos_clock_skips: "Chaos-injected deadline-clock skips applied at checkpoint boundaries.",
         // --- Test-floor service ---
         serve_sessions: "Die sessions accepted by the pattern server (reconnects included).",
+        serve_connections: "Connections the pattern server accepted.",
         serve_windows: "Pattern windows streamed to dies (retest windows included).",
         serve_signatures: "MISR signatures uploaded by dies and verified.",
         serve_mismatches: "Signature uploads that mismatched the golden reference.",
         serve_retests: "Retest windows streamed to failing dies.",
         serve_harvested: "Failing dies that shipped degraded through the harvest path.",
-        serve_conn_drops: "Die connections dropped (chaos-injected or real).",
-        serve_torn_frames: "Torn frames detected by the codec (chaos-injected or real).",
+        serve_conn_drops: "Die sessions that failed on a recoverable transport fault, counted once by the die client, which then drops its connection (chaos-injected or real).",
+        serve_torn_frames: "Window frames the pattern server tore mid-write (chaos-injected).",
         serve_resumes: "Fleet runs resumed from a serve checkpoint journal.",
         serve_retries: "Die reconnect attempts that went through the backoff schedule.",
         serve_backoff_ns: "Nanoseconds of deterministic reconnect backoff slept by die clients.",

@@ -8,7 +8,6 @@
 //! health from the seed alone; no out-of-band channel exists, exactly
 //! like silicon.
 
-use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -23,7 +22,7 @@ use dft_telemetry::{SessionState, TelemetryEvent, TelemetryHandle};
 use crate::frame::{
     read_frame, write_frame, write_frame_corrupt, Frame, FrameError, PROTOCOL_VERSION,
 };
-use crate::resilience::{apply_deadlines, BackoffPolicy, ClientOutcome};
+use crate::resilience::{BackoffPolicy, ClientOutcome, Conn};
 use crate::stimulus::{
     misr_signature, window_signatures, ServeConfig, ServedStimulus, StimulusDecoder,
 };
@@ -103,10 +102,12 @@ pub fn die_reference_signatures(
     }
 }
 
-/// One die's client: connects, handshakes, evaluates streamed windows,
-/// uploads signatures, and walks the circuit breaker — Closed (a live
-/// session) → Backoff (deterministic jittered reconnect delays) →
-/// Quarantined (reconnect budget exhausted, die declared `Untestable`).
+/// One die's client: handshakes on its client thread's connection
+/// (connecting first if the thread holds none), evaluates streamed
+/// windows, uploads signatures, and walks the circuit breaker — Closed
+/// (a live session) → Backoff (deterministic jittered reconnect delays)
+/// → Quarantined (reconnect budget exhausted, die declared
+/// `Untestable`).
 pub struct DieClient<'a> {
     /// Fleet index.
     pub die_id: u32,
@@ -139,7 +140,11 @@ impl DieClient<'_> {
     /// (torn streams, I/O faults, deadline expiries, corrupt frames)
     /// re-arm the breaker through a deterministic backoff sleep; only
     /// protocol-level errors escape as `Err`.
-    pub fn run(&self) -> Result<ClientOutcome, FrameError> {
+    ///
+    /// `conn` is the client thread's connection. After a verdict it
+    /// stays open for the thread's next die; after any failed session
+    /// it is dropped, so every reconnect is a new connection.
+    pub fn run(&self, conn: &mut Option<Conn>) -> Result<ClientOutcome, FrameError> {
         let defect = die_defect(
             self.die_id,
             self.cfg.seed,
@@ -166,7 +171,12 @@ impl DieClient<'_> {
                 std::thread::sleep(delay);
             }
             breaker.set(SessionState::Closed, u64::from(attempt));
-            match self.session(defect, attempt) {
+            let result = self.session(conn, defect, attempt);
+            if result.is_err() {
+                // Never resynchronise a stream after a failed session.
+                *conn = None;
+            }
+            match result {
                 Ok(passed) => return Ok(ClientOutcome::Verdict { passed }),
                 // Recoverable: reconnect and let the server resume from
                 // the last verified window. The *actual* error is kept —
@@ -194,22 +204,27 @@ impl DieClient<'_> {
         Ok(outcome)
     }
 
-    /// One connection's worth of protocol, ending at `Bye` or a
-    /// transport error.
-    fn session(&self, defect: Option<Fault>, attempt: u32) -> Result<bool, FrameError> {
-        let stream = TcpStream::connect(self.addr).map_err(FrameError::Io)?;
-        stream.set_nodelay(true).ok();
-        apply_deadlines(&stream, self.cfg.io_timeout());
-        let mut reader = BufReader::new(stream.try_clone().map_err(FrameError::Io)?);
-        let mut writer = BufWriter::new(stream);
+    /// One session's worth of protocol, from `Hello` to `Bye` or a
+    /// transport error. Connects only when `conn` holds no connection.
+    fn session(
+        &self,
+        conn: &mut Option<Conn>,
+        defect: Option<Fault>,
+        attempt: u32,
+    ) -> Result<bool, FrameError> {
+        if conn.is_none() {
+            let stream = TcpStream::connect(self.addr).map_err(FrameError::Io)?;
+            *conn = Some(Conn::new(stream, self.cfg.io_timeout())?);
+        }
+        let Conn { reader, writer } = conn.as_mut().expect("connected above");
         write_frame(
-            &mut writer,
+            writer,
             &Frame::Hello {
                 die_id: self.die_id,
                 version: PROTOCOL_VERSION,
             },
         )?;
-        match read_frame(&mut reader)? {
+        match read_frame(reader)? {
             Frame::Welcome {
                 die_id,
                 pattern_width,
@@ -227,12 +242,12 @@ impl DieClient<'_> {
         }
         let mut passed = false;
         loop {
-            match read_frame(&mut reader) {
-                Ok(Frame::Window {
+            match read_frame(reader)? {
+                Frame::Window {
                     window_idx,
                     stimuli,
                     ..
-                }) => {
+                } => {
                     // Chaos sites on the die keep the serve ordinal
                     // shape `(die, attempt, window)` so firings are a
                     // pure function of per-die protocol position —
@@ -242,8 +257,8 @@ impl DieClient<'_> {
                         | u64::from(window_idx);
                     // Chaos: a slow die. A heartbeat goes out first so
                     // the server's idle reaper can tell "slow" from
-                    // "gone"; the bounded per-session channel means the
-                    // stall affects only this die's window pipeline.
+                    // "gone"; the stall holds up only this die's session
+                    // and its window pipeline.
                     let delayed = self.chaos.fires(ChaosSite::DelayDie, ordinal);
                     if delayed {
                         self.telemetry.emit(TelemetryEvent::Chaos {
@@ -252,7 +267,7 @@ impl DieClient<'_> {
                             ordinal,
                         });
                         write_frame(
-                            &mut writer,
+                            writer,
                             &Frame::Heartbeat {
                                 die_id: self.die_id,
                             },
@@ -286,21 +301,14 @@ impl DieClient<'_> {
                             die: self.die_id,
                             ordinal,
                         });
-                        write_frame_corrupt(&mut writer, &frame)?;
+                        write_frame_corrupt(writer, &frame)?;
                     } else {
-                        write_frame(&mut writer, &frame)?;
+                        write_frame(writer, &frame)?;
                     }
                 }
-                Ok(Frame::Verdict { passed: p, .. }) => passed = p,
-                Ok(Frame::Bye) => return Ok(passed),
-                Ok(_) => return Err(FrameError::BadPayload("unexpected frame in session")),
-                Err(FrameError::Torn) => {
-                    if let Some(m) = self.metrics.get() {
-                        m.serve_torn_frames.inc();
-                    }
-                    return Err(FrameError::Torn);
-                }
-                Err(e) => return Err(e),
+                Frame::Verdict { passed: p, .. } => passed = p,
+                Frame::Bye => return Ok(passed),
+                _ => return Err(FrameError::BadPayload("unexpected frame in session")),
             }
         }
     }

@@ -124,7 +124,8 @@ pub enum Stimulus {
 /// client sends `Hello`, server answers `Welcome` (with the resume
 /// window for reconnects), then streams `Window` frames while the
 /// client uploads one `Signature` per window; failing dies get retest
-/// `Window`s, then `Verdict` and `Bye` close the session.
+/// `Window`s, then `Verdict`, and `Bye` ends the die's session. The
+/// connection stays open: it may carry the next die's `Hello`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Client → server: die introduces itself.
@@ -176,7 +177,8 @@ pub enum Frame {
         /// Ship grade (`full` / `degraded-N` / `scrap`).
         grade: String,
     },
-    /// Server → client: session over, close the connection.
+    /// Server → client: the die's session is over. The connection may
+    /// carry the next die's `Hello`.
     Bye,
     /// Client → server: liveness beacon. A die about to run a long
     /// window evaluation announces it is alive so the server's idle

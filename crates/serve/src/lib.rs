@@ -20,7 +20,8 @@
 //!   [`dft_aichip::seeded_defect`]`(d)`; both tester and die agree from
 //!   the seed alone.
 //! * [`run_fleet`] — the orchestrator: per-die sessions (handshake →
-//!   windows → batched signature upload) with a bounded window
+//!   windows → batched signature upload) carried one after another on
+//!   each client thread's connection, with a bounded window
 //!   pipeline for backpressure, adaptive retest of failing dies routed through the
 //!   BISR/harvest path, checkpoint/resume of fleet state through a
 //!   [`dft_checkpoint::FramedJournal`], cooperative cancellation, and

@@ -24,13 +24,14 @@
 //! * **Deadlines** — sockets carry read/write timeouts
 //!   ([`apply_deadlines`]) so a stalled or half-open peer surfaces as
 //!   [`FrameError::Timeout`](crate::FrameError::Timeout) in bounded
-//!   time and can never hang a session thread.
+//!   time and can never hang a connection thread.
 //!
 //! The load-bearing invariant: quarantine decisions key off
 //! deterministic attempt counts and chaos ordinals, never wall clock.
 //! Deadlines and backoff affect *liveness only* — which verdict a die
 //! gets is decided by the same pure functions on every run.
 
+use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -138,6 +139,26 @@ pub fn apply_deadlines(stream: &TcpStream, timeout: Option<Duration>) {
         // session still works, it just loses its deadline.
         stream.set_read_timeout(Some(t)).ok();
         stream.set_write_timeout(Some(t)).ok();
+    }
+}
+
+/// One tester↔die connection, set up once and kept across the die
+/// sessions it carries: Nagle off, both deadlines armed, buffered read
+/// and write halves. The server and the die client build theirs the
+/// same way; after a failed session both drop it, never resynchronise.
+pub(crate) struct Conn {
+    pub(crate) reader: BufReader<TcpStream>,
+    pub(crate) writer: BufWriter<TcpStream>,
+}
+
+impl Conn {
+    pub(crate) fn new(stream: TcpStream, timeout: Option<Duration>) -> Result<Conn, FrameError> {
+        stream.set_nodelay(true).ok();
+        apply_deadlines(&stream, timeout);
+        Ok(Conn {
+            reader: BufReader::new(stream.try_clone().map_err(FrameError::Io)?),
+            writer: BufWriter::new(stream),
+        })
     }
 }
 

@@ -1,12 +1,13 @@
 //! The fleet orchestrator: TCP pattern server + in-process die clients.
 //!
-//! [`run_fleet`] binds a loopback listener, spawns one session thread
-//! per accepted die connection, and drives the configured number of
-//! client worker threads through the die queue. Each session thread
-//! both writes its die's pattern windows and verifies the die's
-//! uploads, with at most [`WINDOW_PIPELINE`] windows in flight, so a
-//! slow or chaos-delayed die stalls only its own session, never the
-//! broadcast.
+//! [`run_fleet`] binds a loopback listener and drives the configured
+//! number of client worker threads through the die queue. Each worker
+//! keeps one connection open across the dies it runs, and the server
+//! spawns one thread per accepted connection, which serves those dies'
+//! sessions one after another. A session both writes its die's pattern
+//! windows and verifies the die's uploads, with at most
+//! [`WINDOW_PIPELINE`] windows in flight, so a slow or chaos-delayed
+//! die stalls only its own connection, never the broadcast.
 //! Failing dies get an adaptive retest pass, then route through the
 //! BISR/harvest path for a ship grade. Fleet state checkpoints to an
 //! `aidft-serve-v2` journal; cancellation and `AIDFT_CHAOS` faults
@@ -22,7 +23,7 @@
 //! the fleet.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,11 +41,11 @@ use crate::fleet::{DieOutcome, FleetState, FleetSummary};
 use crate::frame::{
     read_frame, write_frame, write_frame_torn, Frame, FrameError, PROTOCOL_VERSION,
 };
-use crate::resilience::{apply_deadlines, ClientOutcome};
+use crate::resilience::{ClientOutcome, Conn};
 use crate::stimulus::{ServeConfig, ServedStimulus};
 
 /// Ceiling on a chaos-injected stall or half-open hold, so the chaos
-/// matrix can never park a session thread indefinitely.
+/// matrix can never park a connection thread indefinitely.
 const MAX_STALL: Duration = Duration::from_secs(1);
 
 /// Windows written to a die and not yet verified, per session: once
@@ -372,9 +373,6 @@ fn send_window(
         return Err(FrameError::Timeout);
     }
     if shared.opts.chaos.fires(ChaosSite::DropConn, ordinal) {
-        if let Some(m) = shared.opts.metrics.get() {
-            m.serve_conn_drops.inc();
-        }
         bridge::mark_chaos(&shared.opts.trace, tele, "drop-conn", die_id, ordinal);
         return Err(FrameError::Torn);
     }
@@ -446,17 +444,37 @@ fn stream_windows(
     verified.and(written)
 }
 
-/// One accepted connection: handshake, stream remaining windows, retest
-/// mismatches, finalize. Errors end the session; the die reconnects and
-/// resumes from its last verified window.
-fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
-    stream.set_nodelay(true).ok();
+/// One accepted connection: the die sessions its client thread runs,
+/// one after another, each starting with a `Hello` after the previous
+/// die's `Bye`. Any error ends the connection, the client closing it
+/// between dies (EOF) included. A stream is never resynchronised after
+/// a failed session: the die reconnects and resumes from its verified
+/// windows.
+fn connection(shared: &Shared<'_>, stream: TcpStream) {
+    if let Some(m) = shared.opts.metrics.get() {
+        m.serve_connections.inc();
+    }
     // The server's own deadlines: a half-open *client* can never park
-    // this session thread either.
-    apply_deadlines(&stream, shared.cfg.io_timeout());
-    let mut reader = BufReader::new(stream.try_clone().map_err(FrameError::Io)?);
-    let mut writer = BufWriter::new(stream);
-    let Frame::Hello { die_id, version } = read_frame(&mut reader)? else {
+    // this connection's thread either, nor can one left idle.
+    let Ok(Conn {
+        mut reader,
+        mut writer,
+    }) = Conn::new(stream, shared.cfg.io_timeout())
+    else {
+        return;
+    };
+    while session(shared, &mut reader, &mut writer).is_ok() {}
+}
+
+/// One die's session: handshake, stream remaining windows, retest
+/// mismatches, finalize. Errors end the session and its connection; the
+/// die reconnects and resumes from its last verified window.
+fn session(
+    shared: &Shared<'_>,
+    reader: &mut impl Read,
+    writer: &mut impl Write,
+) -> Result<(), FrameError> {
+    let Frame::Hello { die_id, version } = read_frame(reader)? else {
         return Err(FrameError::BadPayload("expected Hello"));
     };
     if version != PROTOCOL_VERSION {
@@ -509,7 +527,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
     let recorded = shared.state.lock().unwrap().done.get(&die_id).cloned();
     if let Some(out) = recorded {
         write_frame(
-            &mut writer,
+            writer,
             &Frame::Welcome {
                 die_id,
                 resume_window: total,
@@ -519,7 +537,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
             },
         )?;
         write_frame(
-            &mut writer,
+            writer,
             &Frame::Verdict {
                 die_id,
                 passed: out.passed,
@@ -527,10 +545,10 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
                 grade: out.grade.to_string(),
             },
         )?;
-        return write_frame(&mut writer, &Frame::Bye).map_err(FrameError::from);
+        return write_frame(writer, &Frame::Bye).map_err(FrameError::from);
     }
     write_frame(
-        &mut writer,
+        writer,
         &Frame::Welcome {
             die_id,
             resume_window,
@@ -542,7 +560,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
 
     // Initial pass: the windows not yet verified.
     let initial: Vec<(u32, bool)> = (resume_window..total).map(|w| (w, false)).collect();
-    stream_windows(shared, die_id, attempt, &initial, &mut reader, &mut writer)?;
+    stream_windows(shared, die_id, attempt, &initial, reader, writer)?;
 
     // Adaptive retest: replay every mismatched window once.
     let retest: Vec<(u32, bool)> = {
@@ -562,7 +580,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
             die_id,
             retest.len() as u64,
         );
-        stream_windows(shared, die_id, attempt, &retest, &mut reader, &mut writer)?;
+        stream_windows(shared, die_id, attempt, &retest, reader, writer)?;
         shared
             .progress
             .lock()
@@ -605,7 +623,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
         signatures,
     });
     write_frame(
-        &mut writer,
+        writer,
         &Frame::Verdict {
             die_id,
             passed,
@@ -613,7 +631,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
             grade: grade.to_string(),
         },
     )?;
-    write_frame(&mut writer, &Frame::Bye).map_err(FrameError::from)
+    write_frame(writer, &Frame::Bye).map_err(FrameError::from)
 }
 
 /// Runs a whole fleet: builds the broadcast, serves every die over
@@ -678,10 +696,11 @@ pub fn run_fleet(
     let start = Instant::now();
     let _t = opts.trace.phase_span("serve_fleet");
     std::thread::scope(|s| {
-        // Acceptor: blocks in `accept` and spawns one session thread
-        // per connection. Once the worker pool has joined, no die will
+        // Acceptor: blocks in `accept` and spawns one thread per
+        // connection, which serves every die its client thread sends
+        // down it. Once the worker pool has joined, no die will
         // connect again; the wake-up connection below then finds
-        // `shutdown` set and ends the loop without a session.
+        // `shutdown` set and ends the loop without a connection thread.
         let shared_ref = &shared;
         s.spawn(move || {
             for stream in listener.incoming() {
@@ -689,12 +708,7 @@ pub fn run_fleet(
                     return;
                 }
                 let Ok(stream) = stream else { return };
-                s.spawn(move || {
-                    if session(shared_ref, stream).is_err() {
-                        // Recoverable: the die reconnects and the
-                        // session resumes from its verified windows.
-                    }
-                });
+                s.spawn(move || connection(shared_ref, stream));
             }
         });
 
@@ -705,6 +719,10 @@ pub fn run_fleet(
             let sim = &sim;
             let stim = &stim;
             let decoder = stim.decoder();
+            // The worker's connection, lent to each die it runs and
+            // dropped when the worker runs out of dies or sees
+            // `interrupted`.
+            let mut conn = None;
             workers.push(s.spawn(move || loop {
                 if shared_ref.interrupted.load(Ordering::SeqCst) {
                     return;
@@ -724,7 +742,7 @@ pub fn run_fleet(
                     cancel: shared_ref.opts.cancel.clone(),
                     telemetry: shared_ref.opts.telemetry.clone(),
                 };
-                match client.run() {
+                match client.run(&mut conn) {
                     Ok(ClientOutcome::Verdict { .. }) => {}
                     // Breaker tripped: quarantine the die so the fleet
                     // completes — unless the run is shutting down, in

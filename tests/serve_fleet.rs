@@ -13,8 +13,9 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use dft_core::checkpoint::{CancelToken, ChaosConfig, FramedJournal};
-use dft_core::metrics::MetricsHandle;
+use dft_core::metrics::{MetricsHandle, MetricsSnapshot};
 use dft_core::netlist::generators::mac_pe;
+use dft_core::netlist::Netlist;
 use dft_core::serve::{
     die_reference_signatures, run_fleet, DieSim, FleetReport, ServeConfig, ServeError, ServeOpts,
     ServedStimulus, SERVE_FORMAT,
@@ -30,6 +31,30 @@ fn ckpt_path(tag: &str) -> PathBuf {
     path
 }
 
+/// Runs a fleet with a fresh metrics registry and returns its report
+/// with the counters the run left.
+fn run_metered(nl: &Netlist, cfg: &ServeConfig, opts: ServeOpts) -> (FleetReport, MetricsSnapshot) {
+    let opts = ServeOpts {
+        metrics: MetricsHandle::enabled(),
+        ..opts
+    };
+    let report = run_fleet(nl, cfg, &opts).unwrap();
+    (report, opts.metrics.snapshot().unwrap())
+}
+
+/// A chaos-free 64-die fleet opens one session per die, and each client
+/// thread keeps one connection across its dies: none is dropped or torn.
+fn assert_one_connection_per_client(counters: &MetricsSnapshot, client_threads: u64) {
+    assert_eq!(counters.counter("serve_sessions"), 64);
+    let connections = counters.counter("serve_connections");
+    assert!(
+        (1..=client_threads).contains(&connections),
+        "{connections} connections for {client_threads} client threads"
+    );
+    assert_eq!(counters.counter("serve_conn_drops"), 0);
+    assert_eq!(counters.counter("serve_torn_frames"), 0);
+}
+
 #[test]
 fn sixty_four_dies_match_reference_across_thread_counts() {
     let nl = mac_pe(4);
@@ -38,8 +63,9 @@ fn sixty_four_dies_match_reference_across_thread_counts() {
         client_threads: 1,
         ..ServeConfig::default()
     };
-    let serial = run_fleet(&nl, &cfg, &ServeOpts::default()).unwrap();
+    let (serial, counters) = run_metered(&nl, &cfg, ServeOpts::default());
     assert_eq!(serial.state.done.len(), 64, "every die reaches a verdict");
+    assert_one_connection_per_client(&counters, 1);
 
     // Every die's uploaded signatures must be bit-identical to the
     // single-die reference computed without any server or socket.
@@ -65,11 +91,16 @@ fn sixty_four_dies_match_reference_across_thread_counts() {
         client_threads: 4,
         ..cfg
     };
-    let threaded = run_fleet(&nl, &cfg4, &ServeOpts::default()).unwrap();
+    let (threaded, counters) = run_metered(&nl, &cfg4, ServeOpts::default());
     assert_eq!(threaded.state, serial.state, "client_threads 4 vs 1");
     assert_eq!(threaded.summary, serial.summary);
+    assert_one_connection_per_client(&counters, 4);
 }
 
+/// Transport chaos is invisible in the state, and each fault is counted
+/// once: a failed session drops its connection and the die's retry
+/// opens a new one, while a successful session leaves it open for the
+/// client thread's next die.
 #[test]
 fn chaos_transport_faults_do_not_change_the_verdict() {
     let nl = mac_pe(4);
@@ -84,12 +115,50 @@ fn chaos_transport_faults_do_not_change_the_verdict() {
         chaos,
         ..ServeOpts::default()
     };
-    let noisy = run_fleet(&nl, &cfg, &opts).unwrap();
+    let (noisy, counters) = run_metered(&nl, &cfg, opts);
     assert_eq!(
         noisy.state, clean.state,
         "chaos must be invisible in the state"
     );
     assert_eq!(noisy.summary, clean.summary);
+    let retries = counters.counter("serve_retries");
+    assert!(retries > 0, "chaos fired");
+    assert_eq!(counters.counter("serve_conn_drops"), retries);
+    let connections = counters.counter("serve_connections");
+    assert!(
+        retries < connections && connections <= 4 + retries,
+        "{connections} connections for 4 client threads and {retries} retries"
+    );
+
+    // One client thread: every connection after its first follows a
+    // failed session, and only `tear` tears frames. At 10 % the knobs
+    // need more dies than above to fire.
+    let cfg1 = ServeConfig {
+        dies: 64,
+        client_threads: 1,
+        ..cfg
+    };
+    let clean = run_fleet(&nl, &cfg1, &ServeOpts::default()).unwrap();
+    for (knobs, torn_per_retry) in [("drop=0.1,seed=3", 0), ("tear=0.1,seed=3", 1)] {
+        let opts = ServeOpts {
+            chaos: ChaosConfig::parse(knobs).unwrap(),
+            ..ServeOpts::default()
+        };
+        let (noisy, counters) = run_metered(&nl, &cfg1, opts);
+        assert_eq!(noisy.state, clean.state, "{knobs}");
+        let retries = counters.counter("serve_retries");
+        assert!(retries > 0, "{knobs}: chaos fired");
+        assert_eq!(
+            counters.counter("serve_connections"),
+            1 + retries,
+            "{knobs}"
+        );
+        assert_eq!(
+            counters.counter("serve_torn_frames"),
+            torn_per_retry * retries,
+            "{knobs}"
+        );
+    }
 }
 
 /// Windows of 1, 4 and 8 patterns give each die 52, 13 and 7 windows,
