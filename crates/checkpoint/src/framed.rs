@@ -1,17 +1,21 @@
 //! The one journal type: framed, checksummed, append-only records.
 //!
 //! Every durable stream in the toolkit is a [`FramedJournal`]: the ATPG
-//! checkpoints (`aidft-ckpt-v1`), the serve fleet state
-//! (`aidft-serve-v2`) and the telemetry event stream
+//! checkpoints (`aidft-ckpt-v1`), the serve fleet journal
+//! (`aidft-serve-v3`) and the telemetry event stream
 //! (`aidft-telemetry-v1`). Each record is a `ckpt <format> <seq>`
 //! header, a line-oriented body, and an `end <crc>` trailer whose FNV-1a
 //! checksum covers everything above it. This module owns the framing
 //! and the storage — torn-tail realignment, replicas, disk chaos, and
-//! newest-first recovery — while each producer owns its body codec
+//! recovery across replicas — while each producer owns its body codec
 //! (`CkptState::to_body`/`parse_body`, the fleet state's, the event
-//! lines) and hands a body parser to [`FramedJournal::load_last_parsed`]
-//! so a record counts only when its framing *and* its body check out.
+//! lines) and hands a body parser to a load so a record counts only
+//! when its framing *and* its body check out: the ATPG checkpoint
+//! resumes from the newest such record
+//! ([`FramedJournal::load_last_parsed`]), the fleet journal from all of
+//! them ([`FramedJournal::load_all_replicas_parsed`]).
 
+use std::cmp::Reverse;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -89,9 +93,10 @@ pub struct RecoveryReport {
     /// Damaged (torn or checksum-failing) record regions stepped over
     /// across all scanned replicas.
     pub damaged: u64,
-    /// Replica index the winning record was read from (0 = primary).
+    /// Replica index the winning record (for a load of every record,
+    /// the newest) was read from (0 = primary).
     pub source_replica: u32,
-    /// Seq of the recovered record.
+    /// Seq of that record.
     pub seq: u64,
 }
 
@@ -141,7 +146,7 @@ fn append_one(path: &Path, record: &str, fault: DiskFault, key: u64) -> io::Resu
 }
 
 /// Splits `text` into candidate record regions for `header` (e.g.
-/// `"ckpt aidft-serve-v2 "`): each region runs from one line-aligned
+/// `"ckpt aidft-serve-v3 "`): each region runs from one line-aligned
 /// header occurrence to the next. Damage never hides a later record —
 /// a torn or rotted region simply fails its parse while the regions
 /// around it stand alone.
@@ -201,8 +206,9 @@ impl FramedJournal {
     }
 
     /// Writes every record to `n` replica files (`n` is clamped to at
-    /// least 1); loads fall back to the newest intact record across
-    /// them. Replica 0 is the journal path itself, replica `r` is
+    /// least 1); loads read the intact records of every replica, so a
+    /// damaged copy falls back to an intact sibling. Replica 0 is the
+    /// journal path itself, replica `r` is
     /// `<path>.r<r>`.
     pub fn with_replicas(mut self, n: u32) -> FramedJournal {
         self.replicas = n.max(1);
@@ -306,6 +312,31 @@ impl FramedJournal {
             .map(|(rec, _)| rec)
     }
 
+    /// The scan every replica load shares: each readable replica,
+    /// primary first, is split into record regions whose framing is
+    /// checked newest-first. `visit(replica, seq, body)` sees each
+    /// framed record and returns `false` when it refuses the body.
+    /// Returns how many replicas were read and how many regions failed
+    /// their framing or were refused.
+    fn scan_replicas(
+        &self,
+        mut visit: impl FnMut(u32, u64, String) -> bool,
+    ) -> Result<(u32, u64), CkptError> {
+        let texts = self.read_replicas()?;
+        let header = format!("ckpt {} ", self.format);
+        let mut damaged = 0u64;
+        for (r, text) in &texts {
+            for &(start, end) in record_regions(text, &header).iter().rev() {
+                let intact = parse_framed(&text[start..end], self.format)
+                    .is_some_and(|(seq, body)| visit(*r, seq, body));
+                if !intact {
+                    damaged += 1;
+                }
+            }
+        }
+        Ok((texts.len() as u32, damaged))
+    }
+
     /// Loads the newest record whose framing checks out *and* whose
     /// body `parse` accepts, as `(seq, parsed body)`, plus the
     /// [`RecoveryReport`] describing how hard the load had to work —
@@ -313,9 +344,10 @@ impl FramedJournal {
     /// way to the newest good one, counts as damaged. Per replica the
     /// last such record in file order wins; across replicas the highest
     /// seq wins, ties to the lowest replica index, so a rotted primary
-    /// falls back to an intact sibling. This is how a producer resumes
-    /// through its body codec, and the hook the self-healing path uses
-    /// to record scrub repairs.
+    /// falls back to an intact sibling. This is how a producer whose
+    /// every record holds its whole state (the ATPG checkpoint)
+    /// resumes; the serve fleet journal, whose records each hold only
+    /// new dies, resumes through [`FramedJournal::load_all_replicas_parsed`].
     ///
     /// Errors: [`CkptError::Io`] only when *no* replica file could be
     /// read, [`CkptError::NoValidRecord`] when the files hold no
@@ -324,40 +356,82 @@ impl FramedJournal {
         &self,
         parse: impl Fn(&str) -> Option<T>,
     ) -> Result<((u64, T), RecoveryReport), CkptError> {
-        let texts = self.read_replicas()?;
-        let header = format!("ckpt {} ", self.format);
         let mut best: Option<(u32, (u64, T))> = None;
-        let mut damaged = 0u64;
-        for (r, text) in &texts {
-            // Newest-first, so only the winner's body (and any damaged
-            // newer one) is parsed; framing is checked on every record.
-            let mut newest = None;
-            for &(start, end) in record_regions(text, &header).iter().rev() {
-                match parse_framed(&text[start..end], self.format) {
-                    Some((seq, body)) if newest.is_none() => match parse(&body) {
-                        Some(value) => newest = Some((seq, value)),
-                        None => damaged += 1,
-                    },
-                    Some(_) => {}
-                    None => damaged += 1,
-                }
+        // The replica whose newest good record is already found: its
+        // older records are not parsed.
+        let mut served = None;
+        let (replicas_scanned, damaged) = self.scan_replicas(|r, seq, body| {
+            if served == Some(r) {
+                return true;
             }
-            if let Some(record) = newest {
-                if best.as_ref().is_none_or(|(_, (seq, _))| record.0 > *seq) {
-                    best = Some((*r, record));
-                }
+            let Some(value) = parse(&body) else {
+                return false;
+            };
+            served = Some(r);
+            if best.as_ref().is_none_or(|(_, (newest, _))| seq > *newest) {
+                best = Some((r, (seq, value)));
             }
-        }
-        let (source_replica, record) = best.ok_or_else(|| CkptError::NoValidRecord {
-            path: self.path.display().to_string(),
+            true
         })?;
+        let (source_replica, record) = best.ok_or_else(|| self.no_valid_record())?;
         let report = RecoveryReport {
-            replicas_scanned: texts.len() as u32,
+            replicas_scanned,
             damaged,
             source_replica,
             seq: record.0,
         };
         Ok((record, report))
+    }
+
+    /// Loads every record of every readable replica whose framing
+    /// checks out *and* whose body `parse` accepts, as `(seq, parsed
+    /// body)` in ascending seq (ties in replica order), plus the
+    /// [`RecoveryReport`]: every record that fails either check counts
+    /// as damaged, and the report's `seq` and `source_replica` name the
+    /// newest record (highest seq, ties to the lowest replica). A
+    /// record mirrored on several replicas is returned once per copy.
+    /// This is how a producer whose records each hold a part of its
+    /// state (the serve fleet journal) folds them back into one.
+    ///
+    /// Errors: as [`FramedJournal::load_last_parsed`].
+    pub fn load_all_replicas_parsed<T>(
+        &self,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<(Vec<(u64, T)>, RecoveryReport), CkptError> {
+        let mut records: Vec<(u32, u64, T)> = Vec::new();
+        let (replicas_scanned, damaged) = self.scan_replicas(|r, seq, body| {
+            parse(&body)
+                .map(|value| records.push((r, seq, value)))
+                .is_some()
+        })?;
+        let &(source_replica, seq, _) = records
+            .iter()
+            .min_by_key(|&&(r, seq, _)| (Reverse(seq), r))
+            .ok_or_else(|| self.no_valid_record())?;
+        // The scan reads each replica newest-first: reversing restores
+        // file order, which the stable sort keeps for a seq repeated
+        // within one replica.
+        records.reverse();
+        records.sort_by_key(|&(r, seq, _)| (seq, r));
+        let report = RecoveryReport {
+            replicas_scanned,
+            damaged,
+            source_replica,
+            seq,
+        };
+        Ok((
+            records
+                .into_iter()
+                .map(|(_, seq, value)| (seq, value))
+                .collect(),
+            report,
+        ))
+    }
+
+    fn no_valid_record(&self) -> CkptError {
+        CkptError::NoValidRecord {
+            path: self.path.display().to_string(),
+        }
     }
 }
 
@@ -510,6 +584,44 @@ mod tests {
         }
         let _ = std::fs::remove_file(crate::scrub::scrub_path(j.path()));
         let _ = std::fs::remove_file(crate::scrub::scrub_path(j2.path()));
+    }
+
+    /// Every intact record of every replica comes back, oldest first,
+    /// once per copy; the report names the newest and counts the
+    /// damaged and refused ones.
+    #[test]
+    fn load_all_replicas_parsed_reads_every_replica_in_seq_order() {
+        let j = FramedJournal::new(temp("all-replicas.ckpt"), "test-v1").with_replicas(2);
+        let primary = FramedJournal::new(j.path(), "test-v1");
+        let r1 = FramedJournal::new(replica_path(j.path(), 1), "test-v1");
+        j.append(0, "a\n").unwrap();
+        r1.append(1, "b\n").unwrap();
+        assert!(tearing(&primary).append(2, "torn\n").is_err());
+        primary.append(3, "refused\n").unwrap();
+        primary.append(4, "c\n").unwrap();
+        let (records, report) = j
+            .load_all_replicas_parsed(|b| (b != "refused\n").then(|| b.to_owned()))
+            .unwrap();
+        let got: Vec<(u64, &str)> = records.iter().map(|(s, b)| (*s, b.as_str())).collect();
+        assert_eq!(got, vec![(0, "a\n"), (0, "a\n"), (1, "b\n"), (4, "c\n")]);
+        assert_eq!((report.seq, report.source_replica), (4, 0));
+        assert_eq!((report.replicas_scanned, report.damaged), (2, 2));
+        // Only the replica holds the newest record once the primary's
+        // copy rots.
+        r1.append(4, "c\n").unwrap();
+        std::fs::write(j.path(), "rotted\n").unwrap();
+        let (records, report) = j.load_all_replicas_parsed(|b| Some(b.to_owned())).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!((report.seq, report.source_replica), (4, 1));
+        // Nothing that parses anywhere is the usual refusal.
+        assert!(matches!(
+            j.load_all_replicas_parsed(|_| None::<()>),
+            Err(CkptError::NoValidRecord { .. })
+        ));
+        for r in 0..2 {
+            let _ = std::fs::remove_file(replica_path(j.path(), r));
+            let _ = std::fs::remove_file(crate::scrub::scrub_path(&replica_path(j.path(), r)));
+        }
     }
 
     #[test]
