@@ -2,7 +2,7 @@
 //! `aidft fsck`.
 //!
 //! Works on any of the three framed formats (`aidft-ckpt-v1`,
-//! `aidft-serve-v2`, `aidft-telemetry-v1`): the format id is
+//! `aidft-serve-v3`, `aidft-telemetry-v1`): the format id is
 //! autodetected from the first `ckpt <format> <seq>` header, every
 //! candidate record region gets a [`RecordVerdict`] (intact, checksum
 //! failure, or torn framing), and the verdicts are cross-checked

@@ -78,12 +78,13 @@
 //! - `--phase-timeout <ms>` — per-phase deadline; an overrunning phase
 //!   is drained and checkpointed like a signal.
 //! - `--resume <path>` — continue from the newest complete checkpoint
-//!   in the journal; the finished run is bit-identical to an
-//!   uninterrupted one.
+//!   in the journal (for `serve`, from every intact record: each holds
+//!   the dies finished since the previous one); the finished run is
+//!   bit-identical to an uninterrupted one.
 //! - `--checkpoint-replicas <n>` — mirror every checkpoint append to
-//!   `n` journal replicas (`<path>`, `<path>.r1`, ...). Resume falls
-//!   back to the newest intact record across all replicas, so one
-//!   rotted or torn copy costs nothing.
+//!   `n` journal replicas (`<path>`, `<path>.r1`, ...). Resume reads
+//!   the intact records of all replicas, so one rotted or torn copy
+//!   costs nothing.
 //!
 //! The `AIDFT_CHAOS` environment variable enables deterministic fault
 //! injection (worker panics, delayed batches, torn checkpoint writes,
@@ -92,7 +93,7 @@
 //! see EXPERIMENTS.md for the knob table.
 //!
 //! `aidft fsck <journal> [--repair]` validates any of the three framed
-//! journal formats (`aidft-ckpt-v1`, `aidft-serve-v2`,
+//! journal formats (`aidft-ckpt-v1`, `aidft-serve-v3`,
 //! `aidft-telemetry-v1`): per-record verdicts (intact / bad-crc /
 //! torn), scrub-index cross-check, and a summary verdict. `--repair`
 //! rewrites the journal as a clean copy holding exactly the intact

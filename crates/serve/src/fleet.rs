@@ -1,12 +1,15 @@
-//! Durable fleet state: per-die outcomes, the `aidft-serve-v2`
-//! checkpoint body, and the human-facing summary.
+//! Durable fleet state: per-die outcomes, the `aidft-serve-v3`
+//! journal record body, and the human-facing summary.
 //!
 //! The fleet journal is a [`dft_checkpoint::FramedJournal`], the same
 //! journal type as the ATPG checkpoints: framed, checksummed,
 //! append-only records; torn tails skipped on load; realignment on
 //! append. This module owns only the body codec — a line-oriented dump
-//! of every finished die, full signatures included, so a resumed run
-//! restores the exact final state without re-testing completed dies.
+//! of finished dies, full signatures included — and the fold that
+//! resumes from it. Each record holds the dies recorded since the
+//! previous record that took, so every die is journaled once; resume
+//! folds every intact record into one state and restores the exact
+//! final state without re-testing a journaled die.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -16,11 +19,14 @@ use dft_checkpoint::CkptError;
 use dft_compress::{packed_bytes, unpack_bits};
 use dft_repair::ShipGrade;
 
-/// Journal format id for fleet checkpoints. v2 added the quarantined
-/// flag to each die record (and `-` for an empty signature list); v1
-/// journals are refused by the framing layer's format check, exactly
-/// like any other foreign checkpoint.
-pub const SERVE_FORMAT: &str = "aidft-serve-v2";
+/// Journal format id for fleet checkpoints. A v3 record holds only the
+/// dies recorded since the previous record that took, and resume folds
+/// every record; a v2 record held the whole fleet state, and a v2
+/// reader would resume only a v3 journal's newest record. So v1 and v2
+/// journals are refused by the framing layer's format check, like any
+/// other foreign checkpoint. v2 added the quarantined flag to each die
+/// record (and `-` for an empty signature list).
+pub const SERVE_FORMAT: &str = "aidft-serve-v3";
 
 /// The final record of one tested die.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +126,7 @@ impl FleetState {
         }
     }
 
-    /// Serializes to the `aidft-serve-v2` record body (the part between
+    /// Serializes to the `aidft-serve-v3` record body (the part between
     /// the framing header and trailer). A quarantined die has no
     /// signatures; the empty list serializes as `-`.
     pub fn to_body(&self) -> String {
@@ -200,10 +206,10 @@ impl FleetState {
         (state.to_body() == body).then_some(state)
     }
 
-    /// Loads the newest fleet record of `journal` whose framing and
-    /// body both parse, refusing a design or config-fingerprint
-    /// mismatch (resuming someone else's fleet would silently ship
-    /// wrong verdicts).
+    /// Folds every fleet record of `journal` whose framing and body
+    /// both parse into one state, refusing a journal none of whose
+    /// records matches the design and config fingerprint (resuming
+    /// someone else's fleet would silently ship wrong verdicts).
     pub fn resume(
         journal: &dft_checkpoint::FramedJournal,
         design: &str,
@@ -214,18 +220,45 @@ impl FleetState {
 
     /// [`FleetState::resume`] plus the storage-layer
     /// [`dft_checkpoint::RecoveryReport`]: how many damaged records
-    /// the load stepped over and which replica served the winning one.
-    /// Any intact record resumes to a bit-identical final fleet, so a
-    /// degraded report is an observability signal (scrub metric,
-    /// `storage` telemetry event), never an error.
+    /// the load stepped over, and the seq and replica of the newest
+    /// intact record. Records whose design or fingerprint differ are
+    /// skipped; for a die, the first record in seq order wins. A die's
+    /// outcome never changes once recorded, so any set of intact
+    /// records folds to a valid partial state, and a lost record costs
+    /// only a re-test of its dies: a degraded report is an
+    /// observability signal (scrub metric, `storage` telemetry event),
+    /// never an error.
     pub fn resume_with_report(
         journal: &dft_checkpoint::FramedJournal,
         design: &str,
         fingerprint: u64,
     ) -> Result<(FleetState, dft_checkpoint::RecoveryReport), CkptError> {
-        let ((_seq, state), report) = journal.load_last_parsed(FleetState::parse_body)?;
-        dft_checkpoint::verify_identity(&state.design, state.fingerprint, design, fingerprint)?;
-        Ok((state, report))
+        let (records, report) = journal.load_all_replicas_parsed(FleetState::parse_body)?;
+        let mut folded: Option<FleetState> = None;
+        let mut refusal = None;
+        for (_seq, record) in records {
+            if let Err(e) = dft_checkpoint::verify_identity(
+                &record.design,
+                record.fingerprint,
+                design,
+                fingerprint,
+            ) {
+                refusal.get_or_insert(e);
+                continue;
+            }
+            match &mut folded {
+                None => folded = Some(record),
+                Some(state) => {
+                    for (id, outcome) in record.done {
+                        state.done.entry(id).or_insert(outcome);
+                    }
+                }
+            }
+        }
+        match folded {
+            Some(state) => Ok((state, report)),
+            None => Err(refusal.expect("a journal load returns at least one record")),
+        }
     }
 
     /// Aggregates the summary counters from the per-die outcomes.
@@ -614,6 +647,72 @@ mod tests {
         assert!(FleetState::resume(&j, "other", 0xABCD).is_err());
         assert!(FleetState::resume(&j, "mac4", 0x1234).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Each record holds a few dies: resume folds every intact record
+    /// on every replica, skips another fleet's records, and refuses a
+    /// journal holding only those.
+    #[test]
+    fn resume_folds_every_record_of_this_fleet() {
+        let dir = std::env::temp_dir().join(format!("aidft-fleet-fold-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.ckpt");
+        let j = dft_checkpoint::FramedJournal::new(&path, SERVE_FORMAT).with_replicas(2);
+        let primary = dft_checkpoint::FramedJournal::new(&path, SERVE_FORMAT);
+        let replica = dft_checkpoint::FramedJournal::new(
+            dft_checkpoint::replica_path(&path, 1),
+            SERVE_FORMAT,
+        );
+        let full = sample();
+        let part = |ids: &[u32]| {
+            let mut st = FleetState::new("mac4", 0xABCD, 4);
+            for id in ids {
+                st.done.insert(*id, full.done[id].clone());
+            }
+            st.to_body()
+        };
+        j.append(0, &part(&[0])).unwrap();
+        replica.append(1, &part(&[2])).unwrap();
+        primary
+            .append(2, &FleetState::new("other", 0xABCD, 4).to_body())
+            .unwrap();
+        primary.append(3, &part(&[3])).unwrap();
+        // A later record of die 0 loses to the first one.
+        let mut late = FleetState::new("mac4", 0xABCD, 4);
+        late.done.insert(
+            0,
+            DieOutcome {
+                passed: false,
+                ..full.done[&0].clone()
+            },
+        );
+        primary.append(4, &late.to_body()).unwrap();
+        let (state, report) = FleetState::resume_with_report(&j, "mac4", 0xABCD).unwrap();
+        assert_eq!(state, full);
+        assert_eq!((report.seq, report.source_replica), (4, 0));
+        assert!(matches!(
+            FleetState::resume(&j, "mac4", 0x1234),
+            Err(CkptError::Mismatch { what: "config", .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A v2 record held the whole fleet; a v2 reader of a v3 journal
+    /// would resume only the newest record's dies. The format check
+    /// refuses v2 journals outright.
+    #[test]
+    fn v2_journals_are_refused() {
+        let dir = std::env::temp_dir().join(format!("aidft-fleet-v2-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.ckpt");
+        let record = dft_checkpoint::frame_record("aidft-serve-v2", 0, &sample().to_body());
+        std::fs::write(&path, record).unwrap();
+        let j = dft_checkpoint::FramedJournal::new(&path, SERVE_FORMAT);
+        assert!(matches!(
+            FleetState::resume(&j, "mac4", 0xABCD),
+            Err(CkptError::NoValidRecord { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! [`WINDOW_PIPELINE`] windows in flight, so a slow or chaos-delayed
 //! die stalls only its own connection, never the broadcast.
 //! Failing dies get an adaptive retest pass, then route through the
-//! BISR/harvest path for a ship grade. Fleet state checkpoints to an
-//! `aidft-serve-v2` journal; cancellation and `AIDFT_CHAOS` faults
+//! BISR/harvest path for a ship grade. Each finished die is journaled
+//! once, in an `aidft-serve-v3` record holding the dies recorded since
+//! the previous record that took; cancellation and `AIDFT_CHAOS` faults
 //! (dropped connections, torn frames, delayed dies, stalled servers,
 //! half-open connections, corrupted uploads, torn checkpoint writes)
 //! are first-class.
@@ -22,11 +23,12 @@
 //! budget is recorded quarantined (`Untestable`) instead of hanging
 //! the fleet.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -68,8 +70,8 @@ pub struct ServeOpts {
     pub chaos: dft_checkpoint::ChaosConfig,
     /// Fleet-state journal; `None` disables checkpointing.
     pub journal: Option<FramedJournal>,
-    /// Resume from the journal's newest record instead of starting
-    /// fresh.
+    /// Resume from the journal, folding every intact record, instead
+    /// of starting fresh.
     pub resume: bool,
     /// Live telemetry sink (fleet gauges, scrape sample, event stream);
     /// disabled by default. Strictly read-only with respect to fleet
@@ -148,29 +150,55 @@ struct DieProgress {
     attempts: u64,
 }
 
+/// The fleet state and, with a journal, the dies recorded since the
+/// last journal record that took. One lock guards both, so a die joins
+/// the list exactly when its outcome is recorded.
+struct Recorded {
+    fleet: FleetState,
+    unjournaled: Vec<u32>,
+}
+
 struct Shared<'a> {
     stim: &'a ServedStimulus<'a>,
     cfg: &'a ServeConfig,
     opts: &'a ServeOpts,
-    state: Mutex<FleetState>,
+    state: Mutex<Recorded>,
     progress: Mutex<HashMap<u32, DieProgress>>,
     shutdown: AtomicBool,
     interrupted: AtomicBool,
-    ckpt_seq: AtomicU64,
+    /// The journal writer lock, holding the next record's seq: records
+    /// land in the file in seq order, one at a time. Taken before
+    /// `state`, never while holding it.
+    journal_seq: Mutex<u64>,
     client_error: Mutex<Option<String>>,
 }
 
 impl Shared<'_> {
-    /// Appends the current fleet state to the journal. A failed
-    /// (e.g. disk-chaos torn) write is non-fatal — the journal realigns
-    /// on the next append.
+    /// Appends one record holding the dies recorded since the last
+    /// record that took, possibly none. A failed (e.g. disk-chaos torn)
+    /// write is non-fatal: its dies go back on the list and ride the
+    /// next record, and the journal realigns on the next append.
     fn checkpoint(&self) {
         let Some(journal) = &self.opts.journal else {
             return;
         };
-        let seq = self.ckpt_seq.fetch_add(1, Ordering::Relaxed);
-        let body = self.state.lock().unwrap().to_body();
-        let result = journal.append(seq, &body);
+        let mut next_seq = self.journal_seq.lock().unwrap();
+        let seq = *next_seq;
+        *next_seq += 1;
+        let (ids, delta) = {
+            let mut rec = self.state.lock().unwrap();
+            let ids = std::mem::take(&mut rec.unjournaled);
+            let fleet = &rec.fleet;
+            let mut delta = FleetState::new(&fleet.design, fleet.fingerprint, fleet.dies);
+            delta
+                .done
+                .extend(ids.iter().map(|id| (*id, fleet.done[id].clone())));
+            (ids, delta)
+        };
+        let result = journal.append(seq, &delta.to_body());
+        if result.is_err() {
+            self.state.lock().unwrap().unjournaled.extend(ids);
+        }
         if let Some(m) = self.opts.metrics.get() {
             match &result {
                 Ok(bytes) => {
@@ -193,9 +221,16 @@ impl Shared<'_> {
     /// quarantine from the same die's client.
     fn record(&self, outcome: DieOutcome) {
         let done = {
-            let mut st = self.state.lock().unwrap();
-            st.done.entry(outcome.die_id).or_insert(outcome);
-            st.done.len()
+            let mut rec = self.state.lock().unwrap();
+            let rec = &mut *rec;
+            let id = outcome.die_id;
+            if let Entry::Vacant(slot) = rec.fleet.done.entry(id) {
+                slot.insert(outcome);
+                if self.opts.journal.is_some() {
+                    rec.unjournaled.push(id);
+                }
+            }
+            rec.fleet.done.len()
         };
         self.opts.telemetry.set_dies_done(done as u64);
         if done % self.cfg.checkpoint_every.max(1) == 0 {
@@ -524,7 +559,10 @@ fn session(
 
     // A die that already has a verdict (resume, or a drop between
     // recording and Bye) just gets its verdict replayed.
-    let recorded = shared.state.lock().unwrap().done.get(&die_id).cloned();
+    let recorded = {
+        let rec = shared.state.lock().unwrap();
+        rec.fleet.done.get(&die_id).cloned()
+    };
     if let Some(out) = recorded {
         write_frame(
             writer,
@@ -648,7 +686,7 @@ pub fn run_fleet(
     let stim = ServedStimulus::build(nl, cfg, &opts.metrics, &opts.trace);
     let sim = DieSim::new(nl, &stim);
     let fingerprint = cfg.fingerprint(nl.name());
-    let state = match (&opts.journal, opts.resume) {
+    let (state, next_seq) = match (&opts.journal, opts.resume) {
         (Some(j), true) => {
             let (st, recovery) = FleetState::resume_with_report(j, nl.name(), fingerprint)
                 .map_err(ServeError::Checkpoint)?;
@@ -665,9 +703,10 @@ pub fn run_fleet(
                     replica: recovery.source_replica,
                 });
             }
-            st
+            // Continue after the newest record, so no seq repeats.
+            (st, recovery.seq.saturating_add(1))
         }
-        _ => FleetState::new(nl.name(), fingerprint, cfg.dies),
+        _ => (FleetState::new(nl.name(), fingerprint, cfg.dies), 0),
     };
     let resumed_dies = state.done.len();
     opts.telemetry
@@ -681,11 +720,14 @@ pub fn run_fleet(
         stim: &stim,
         cfg,
         opts,
-        state: Mutex::new(state),
+        state: Mutex::new(Recorded {
+            fleet: state,
+            unjournaled: Vec::new(),
+        }),
         progress: Mutex::new(HashMap::new()),
         shutdown: AtomicBool::new(false),
         interrupted: AtomicBool::new(false),
-        ckpt_seq: AtomicU64::new(resumed_dies as u64),
+        journal_seq: Mutex::new(next_seq),
         client_error: Mutex::new(None),
     };
 
@@ -787,13 +829,14 @@ pub fn run_fleet(
     });
     let wall = start.elapsed();
 
-    // Final checkpoint: a complete run journals its full state; an
-    // interrupted one journals everything recorded so far.
+    // Final checkpoint: journals every die not yet in a record that
+    // took, possibly none, so even a fleet interrupted before its first
+    // die leaves a record to resume from.
     shared.checkpoint();
     if let Some(msg) = shared.client_error.lock().unwrap().take() {
         return Err(ServeError::Client(msg));
     }
-    let final_state = shared.state.lock().unwrap().clone();
+    let final_state = shared.state.lock().unwrap().fleet.clone();
     if shared.interrupted.load(Ordering::SeqCst) || opts.cancel.is_cancelled() {
         // Flush the event stream before unwinding: the sampler's next
         // tick will never come, and the final batch (the checkpoint

@@ -3,7 +3,7 @@
 //! is that kill-and-resume stays bit-identical to the uninterrupted
 //! reference whenever at least one intact replica record survives, for
 //! both the ATPG flow (`aidft-ckpt-v1`) and the serve fleet
-//! (`aidft-serve-v2`), across thread counts.
+//! (`aidft-serve-v3`), across thread counts.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
