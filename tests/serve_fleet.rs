@@ -8,17 +8,19 @@
 //! that makes a die unreachable produces the *same* quarantine verdict
 //! on every run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use dft_core::checkpoint::{CancelToken, ChaosConfig, FramedJournal};
+use dft_core::checkpoint::{
+    decide_disk_fault, disk_ordinal, scrub, CancelToken, ChaosConfig, DiskFault, FramedJournal,
+};
 use dft_core::metrics::{MetricsHandle, MetricsSnapshot};
 use dft_core::netlist::generators::mac_pe;
 use dft_core::netlist::Netlist;
 use dft_core::serve::{
-    die_reference_signatures, run_fleet, DieSim, FleetReport, ServeConfig, ServeError, ServeOpts,
-    ServedStimulus, SERVE_FORMAT,
+    die_reference_signatures, run_fleet, DieSim, FleetReport, FleetState, ServeConfig, ServeError,
+    ServeOpts, ServedStimulus, SERVE_FORMAT,
 };
 use dft_core::telemetry::{TelemetryConfig, TelemetrySession};
 use dft_core::trace::TraceHandle;
@@ -55,6 +57,43 @@ fn assert_one_connection_per_client(counters: &MetricsSnapshot, client_threads: 
     assert_eq!(counters.counter("serve_torn_frames"), 0);
 }
 
+/// Removes a fleet journal and its scrub index.
+fn remove_journal(path: &Path) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(scrub::scrub_path(path)).ok();
+}
+
+/// Reads a fleet journal in file order and checks that its records
+/// arrive in ascending seq, name each die of `state` exactly once, and
+/// fold back to `state`.
+fn assert_each_die_journaled_once(path: &Path, state: &FleetState) {
+    let records = FramedJournal::new(path, SERVE_FORMAT).load_all().unwrap();
+    let seqs: Vec<u64> = records.iter().map(|(seq, _)| *seq).collect();
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "seqs in file order: {seqs:?}"
+    );
+    let mut folded = FleetState::new(&state.design, state.fingerprint, state.dies);
+    for (seq, body) in records {
+        let record = FleetState::parse_body(&body).expect("a fleet record body");
+        for (id, outcome) in record.done {
+            assert!(
+                folded.done.insert(id, outcome).is_none(),
+                "die {id} journaled again in record {seq}"
+            );
+        }
+    }
+    assert_eq!(&folded, state, "the records fold to the final state");
+}
+
+/// A journal at `path` and nothing else.
+fn journaled(path: &Path) -> ServeOpts {
+    ServeOpts {
+        journal: Some(FramedJournal::new(path, SERVE_FORMAT)),
+        ..ServeOpts::default()
+    }
+}
+
 #[test]
 fn sixty_four_dies_match_reference_across_thread_counts() {
     let nl = mac_pe(4);
@@ -63,9 +102,13 @@ fn sixty_four_dies_match_reference_across_thread_counts() {
         client_threads: 1,
         ..ServeConfig::default()
     };
-    let (serial, counters) = run_metered(&nl, &cfg, ServeOpts::default());
+    let serial_path = ckpt_path("sixty-four-t1");
+    let (serial, counters) = run_metered(&nl, &cfg, journaled(&serial_path));
     assert_eq!(serial.state.done.len(), 64, "every die reaches a verdict");
     assert_one_connection_per_client(&counters, 1);
+    assert_each_die_journaled_once(&serial_path, &serial.state);
+    let serial_bytes = counters.counter("ckpt_bytes");
+    remove_journal(&serial_path);
 
     // Every die's uploaded signatures must be bit-identical to the
     // single-die reference computed without any server or socket.
@@ -91,10 +134,16 @@ fn sixty_four_dies_match_reference_across_thread_counts() {
         client_threads: 4,
         ..cfg
     };
-    let (threaded, counters) = run_metered(&nl, &cfg4, ServeOpts::default());
+    let threaded_path = ckpt_path("sixty-four-t4");
+    let (threaded, counters) = run_metered(&nl, &cfg4, journaled(&threaded_path));
     assert_eq!(threaded.state, serial.state, "client_threads 4 vs 1");
     assert_eq!(threaded.summary, serial.summary);
     assert_one_connection_per_client(&counters, 4);
+    // Each die is journaled once, so only which record a die lands in
+    // depends on the interleaving, not the journal's size.
+    assert_each_die_journaled_once(&threaded_path, &threaded.state);
+    assert_eq!(counters.counter("ckpt_bytes"), serial_bytes);
+    remove_journal(&threaded_path);
 }
 
 /// Transport chaos is invisible in the state, and each fault is counted
@@ -498,4 +547,68 @@ fn acceptor_is_woken_when_no_die_connects() {
         }
         other => panic!("expected Interrupted, got {other:?}"),
     }
+}
+
+/// Disk chaos fails some appends with EIO before a byte lands. A failed
+/// record's dies go back on the list and ride a later record, so the
+/// journal still names every die once and resumes to the final state.
+/// The seed is scanned for one that fails an append but lets the last
+/// one take.
+#[test]
+fn dies_of_a_failed_append_ride_a_later_record() {
+    let nl = mac_pe(4);
+    let cfg = ServeConfig {
+        dies: 64,
+        client_threads: 1,
+        ..ServeConfig::default()
+    };
+    // One client: an append every `checkpoint_every` dies, then the
+    // final one.
+    let last = (cfg.dies / cfg.checkpoint_every) as u64;
+    let eio = |c: &ChaosConfig, seq| decide_disk_fault(c, disk_ordinal(seq, 0)) == DiskFault::Eio;
+    let chaos = (0..64)
+        .map(|s| ChaosConfig::parse(&format!("eio=0.3,seed={s}")).unwrap())
+        .find(|c| (0..last).any(|seq| eio(c, seq)) && !eio(c, last))
+        .expect("some seed fails an append but not the last");
+    let path = ckpt_path("journal-eio");
+    let opts = ServeOpts {
+        journal: Some(FramedJournal::new(&path, SERVE_FORMAT).with_disk_chaos(chaos)),
+        ..ServeOpts::default()
+    };
+    let (report, counters) = run_metered(&nl, &cfg, opts);
+    assert!(counters.counter("ckpt_write_failures") > 0);
+    assert_each_die_journaled_once(&path, &report.state);
+    let journal = FramedJournal::new(&path, SERVE_FORMAT);
+    let resumed = FleetState::resume(&journal, nl.name(), cfg.fingerprint(nl.name())).unwrap();
+    assert_eq!(resumed, report.state);
+    remove_journal(&path);
+}
+
+/// A resumed fleet continues the journal's seq after its newest record:
+/// after a full run and a resume of it, the seqs in the journal and in
+/// its scrub index strictly increase.
+#[test]
+fn a_resumed_fleet_continues_the_journal_seq() {
+    let nl = mac_pe(4);
+    let cfg = ServeConfig {
+        dies: 16,
+        client_threads: 2,
+        checkpoint_every: 1,
+        ..ServeConfig::default()
+    };
+    let path = ckpt_path("journal-seq");
+    let full = run_fleet(&nl, &cfg, &journaled(&path)).unwrap();
+    let opts = ServeOpts {
+        resume: true,
+        ..journaled(&path)
+    };
+    let resumed = run_fleet(&nl, &cfg, &opts).unwrap();
+    assert_eq!(resumed.resumed_dies, 16);
+    assert_eq!(resumed.state, full.state);
+    assert_each_die_journaled_once(&path, &full.state);
+    // 16 one-die records and the empty final one, then the resumed
+    // run's empty final record.
+    let indexed: Vec<u64> = scrub::read_index(&path).iter().map(|e| e.seq).collect();
+    assert_eq!(indexed, (0..=17).collect::<Vec<u64>>());
+    remove_journal(&path);
 }
