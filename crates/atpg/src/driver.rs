@@ -34,11 +34,7 @@ use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::speculate::{Board, StopOnDrop};
-use crate::{compact_cubes, dalg, AtpgResult, DAlgorithm, Podem, PodemStats};
-
-/// Backtrack limit of the D-algorithm retry that
-/// [`AtpgConfig::escalate_aborts`] runs on a PODEM-aborted fault.
-pub const ESCALATION_BACKTRACKS: u32 = 512;
+use crate::{compact_cubes, AtpgResult, Podem, PodemStats, SatAtpg, SAT_CONFLICT_BUDGET};
 
 /// How the driver compacts deterministic cubes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,7 +57,9 @@ pub struct AtpgConfig {
     pub random_patterns: usize,
     /// Seed for random patterns and cube fill.
     pub seed: u64,
-    /// PODEM backtrack limit per fault.
+    /// PODEM backtrack limit per fault. A target PODEM aborts goes to the
+    /// SAT engine, so the limit trades PODEM time against SAT calls, not
+    /// coverage.
     pub backtrack_limit: u32,
     /// Cube compaction mode.
     pub compaction: CompactionMode,
@@ -75,11 +73,6 @@ pub struct AtpgConfig {
     /// [`dft_logicsim::Executor`]; top-off searches targets ahead of
     /// their turn and commits the results in target order).
     pub threads: usize,
-    /// Retry a PODEM-aborted fault once with the D-algorithm (at
-    /// [`ESCALATION_BACKTRACKS`]) before classifying it aborted. The
-    /// structural D-algorithm often closes hard faults the
-    /// path-oriented search gives up on, at a bounded extra cost.
-    pub escalate_aborts: bool,
     /// Test-only hook, forwarded to
     /// [`dft_logicsim::TapeKernel::with_poisoned_fault`]: every
     /// fault-simulation pass panics on this fault's batch, exercising
@@ -94,12 +87,11 @@ impl Default for AtpgConfig {
         AtpgConfig {
             random_patterns: 128,
             seed: 0x5EED,
-            backtrack_limit: 256,
+            backtrack_limit: 16,
             compaction: CompactionMode::Static,
             guided_backtrace: true,
             dynamic_targets: 16,
             threads: 0,
-            escalate_aborts: true,
             poison_fault: None,
         }
     }
@@ -157,13 +149,6 @@ impl AtpgConfig {
         self
     }
 
-    /// Enables or disables the D-algorithm escalation retry for
-    /// PODEM-aborted faults.
-    pub fn escalate_aborts(mut self, on: bool) -> AtpgConfig {
-        self.escalate_aborts = on;
-        self
-    }
-
     /// Sets the test-only poisoned fault (see
     /// [`AtpgConfig::poison_fault`]).
     pub fn poison_fault(mut self, fault: Fault) -> AtpgConfig {
@@ -179,19 +164,18 @@ impl AtpgConfig {
     /// produces bit-identical results, and so is everything on
     /// [`Durability`]: a resumed run may legitimately use another
     /// checkpoint cadence or drop the deadline that interrupted it. The
-    /// last two slots are fixed at the escalation backtrack limit and
-    /// `0`, the values they had while they were configurable, so
-    /// checkpoints written then still resume.
+    /// last two slots name the engine behind PODEM and its conflict
+    /// budget, so a checkpoint of a run that settled aborts another way
+    /// is refused.
     pub fn fingerprint(&self, design: &str, universe_len: usize) -> u64 {
         let text = format!(
-            "{design}|{universe_len}|{}|{}|{}|{:?}|{}|{}|{}|{ESCALATION_BACKTRACKS}|0",
+            "{design}|{universe_len}|{}|{}|{}|{:?}|{}|{}|sat|{SAT_CONFLICT_BUDGET}",
             self.random_patterns,
             self.seed,
             self.backtrack_limit,
             self.compaction,
             self.guided_backtrace,
             self.dynamic_targets,
-            self.escalate_aborts,
         );
         fnv1a(text.as_bytes())
     }
@@ -213,12 +197,13 @@ pub struct AtpgRun {
     pub deterministic_detected: usize,
     /// Collapsed faults proven untestable.
     pub untestable: usize,
-    /// Collapsed faults aborted at the backtrack limit.
+    /// Collapsed faults left aborted: the SAT engine exhausted its
+    /// conflict budget, or a test failed its fault-simulation check.
     pub aborted: usize,
-    /// PODEM-aborted targets escalated to the D-algorithm retry.
+    /// PODEM-aborted targets handed to the SAT engine.
     pub escalated: usize,
-    /// Escalated targets the D-algorithm resolved (a confirmed test or
-    /// an untestability proof) instead of staying aborted.
+    /// Escalated targets the SAT engine resolved (a confirmed test or
+    /// an untestability proof) instead of leaving them aborted.
     pub rescued: usize,
     /// Fault-simulation batches lost to an isolated worker panic across
     /// every sim pass of the run (see
@@ -639,12 +624,12 @@ impl DurCtx<'_> {
 
 /// What searching one top-off target produced, held until its commit.
 struct Resolved {
-    /// The answer: PODEM's, or the D-algorithm's after an escalation.
+    /// The answer: PODEM's, or the SAT engine's after an escalation.
     result: AtpgResult,
     podem: PodemStats,
-    /// The D-algorithm retry's backtracks, when PODEM aborted and the
-    /// target escalated.
-    escalation: Option<u32>,
+    /// The SAT call's conflicts, when PODEM aborted and the target
+    /// escalated.
+    escalation: Option<u64>,
     /// Search wall-clock, charged to `t_atpg_discarded` when the result
     /// is never committed.
     elapsed: Duration,
@@ -653,7 +638,7 @@ struct Resolved {
 /// A top-off round's targets and how to search one.
 struct RoundSearch<'r, 'n> {
     config: &'r AtpgConfig,
-    dalg: &'r DAlgorithm<'n>,
+    sat: &'r SatAtpg<'n>,
     trace: &'r TraceHandle,
     /// The faults undetected at the round's start, in list order, as
     /// `(index in the fault list, fault)`.
@@ -665,12 +650,11 @@ struct RoundSearch<'r, 'n> {
 }
 
 impl RoundSearch<'_, '_> {
-    /// Searches target `j`: PODEM, then the D-algorithm retry on a PODEM
-    /// abort when configured (stem faults only — it has no branch-fault
-    /// model). A pure function of the netlist, the configuration and the
-    /// fault, so any worker may run it ahead of the target's turn;
-    /// nothing is recorded but a sampled trace span, which covers the
-    /// PODEM attempt and any retry.
+    /// Searches target `j`: PODEM, then the SAT engine on a PODEM abort.
+    /// A pure function of the netlist, the configuration and the fault,
+    /// so any worker may run it ahead of the target's turn; nothing is
+    /// recorded but a sampled trace span, which covers the PODEM attempt
+    /// and any SAT call.
     fn resolve(&self, podem: &mut Podem<'_>, j: usize) -> Resolved {
         let started = Instant::now();
         let (idx, fault) = self.targets[j];
@@ -678,10 +662,10 @@ impl RoundSearch<'_, '_> {
         let _span = sampled.then(|| self.trace.span_arg("podem", idx as u64));
         let (result, podem_stats) = podem.search(fault, &[], self.config.backtrack_limit, None);
         let (result, escalation) = match result {
-            AtpgResult::Aborted if self.config.escalate_aborts && fault.site.pin.is_none() => {
-                let _span = sampled.then(|| self.trace.span_arg("dalg_escalation", idx as u64));
-                let (result, backtracks) = self.dalg.search(fault, ESCALATION_BACKTRACKS);
-                (result, Some(backtracks))
+            AtpgResult::Aborted => {
+                let _span = sampled.then(|| self.trace.span_arg("sat", idx as u64));
+                let (result, conflicts) = self.sat.generate(fault, SAT_CONFLICT_BUDGET);
+                (result, Some(conflicts))
             }
             other => (other, None),
         };
@@ -722,9 +706,9 @@ impl<'a> Atpg<'a> {
     /// Points span recording at `trace`: the run records
     /// `atpg_random`/`atpg_topoff`/`atpg_signoff` phase spans (whose
     /// durations are what [`AtpgRun`] reports, so phase times and trace
-    /// spans always agree), sampled per-fault `podem`/`dalg_escalation`
-    /// spans, and the fault-simulation spans underneath. Durable runs
-    /// add a `ckpt_write` span per journal append.
+    /// spans always agree), sampled per-fault `podem`/`sat` spans, and
+    /// the fault-simulation spans underneath. Durable runs add a
+    /// `ckpt_write` span per journal append.
     pub fn with_trace(mut self, trace: TraceHandle) -> Atpg<'a> {
         self.trace = trace;
         self
@@ -781,7 +765,8 @@ impl<'a> Atpg<'a> {
         }
         let sim = sim;
         // Top-off's engines: a PODEM engine per worker (the first is the
-        // committing thread's) and one D-algorithm they all share.
+        // committing thread's) and one SAT engine they all share; each
+        // SAT call builds and drops its own solver.
         let mut podems: Vec<Podem> = (0..exec.threads())
             .map(|_| {
                 let mut podem = Podem::new(self.nl);
@@ -791,8 +776,8 @@ impl<'a> Atpg<'a> {
                 podem
             })
             .collect();
-        let mut dalg = DAlgorithm::new(self.nl);
-        dalg.set_cancel(dur.d.cancel.clone());
+        let mut sat = SatAtpg::new(self.nl);
+        sat.set_cancel(dur.d.cancel.clone());
 
         let mut w = Working {
             reps: FaultList::new(collapsed.representatives().to_vec()),
@@ -908,7 +893,7 @@ impl<'a> Atpg<'a> {
                 self.topoff(
                     config,
                     &mut podems,
-                    &dalg,
+                    &sat,
                     &sim,
                     &mut w,
                     &mut dur,
@@ -1050,8 +1035,8 @@ impl<'a> Atpg<'a> {
     }
 
     /// One deterministic top-off round: PODEM every fault undetected at
-    /// the round's start (escalating aborts to the D-algorithm when
-    /// configured) and fault-drop each new pattern against the list.
+    /// the round's start (escalating aborts to the SAT engine) and
+    /// fault-drop each new pattern against the list.
     ///
     /// Up to one worker per engine in `podems`, the calling thread
     /// included, search the round's targets ahead of their turn on a
@@ -1068,7 +1053,7 @@ impl<'a> Atpg<'a> {
         &self,
         config: &AtpgConfig,
         podems: &mut [Podem<'_>],
-        dalg: &DAlgorithm<'_>,
+        sat: &SatAtpg<'_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
         dur: &mut DurCtx<'_>,
@@ -1077,7 +1062,7 @@ impl<'a> Atpg<'a> {
     ) -> Result<(), AtpgError> {
         let search = RoundSearch {
             config,
-            dalg,
+            sat,
             trace: &self.trace,
             targets: w
                 .reps
@@ -1167,8 +1152,10 @@ impl<'a> Atpg<'a> {
             let saved = (w.fill_seed, w.fault_ordinal, w.tally);
             w.fault_ordinal += 1;
             let escalated = resolved.escalation.is_some();
-            if let Some(backtracks) = resolved.escalation {
-                dalg::record(backtracks, &resolved.result, &self.metrics);
+            if let Some(conflicts) = resolved.escalation {
+                if let Some(m) = self.metrics.get() {
+                    m.sat_conflicts.add(conflicts);
+                }
                 w.tally.escalated += 1;
             }
             match resolved.result {
@@ -1203,7 +1190,7 @@ impl<'a> Atpg<'a> {
                         w.reps.set_status(target_idx, FaultStatus::Aborted);
                         w.tally.aborted += 1;
                     } else if escalated {
-                        // The D-algorithm produced a sim-confirmed test.
+                        // The SAT engine produced a sim-confirmed test.
                         w.tally.rescued += 1;
                     }
                     w.patterns.push(pattern);
@@ -1369,32 +1356,28 @@ mod tests {
     }
 
     #[test]
-    fn escalation_rescues_aborted_stem_faults() {
-        // A tight PODEM leash forces aborts; the D-algorithm retry at its
-        // own (default) limit should resolve at least some of them.
-        let nl = mac_pe(4);
-        let tight = AtpgConfig {
-            backtrack_limit: 4,
-            escalate_aborts: false,
-            ..AtpgConfig::default()
+    fn sat_leaves_nothing_aborted_at_any_backtrack_limit() {
+        // PODEM aborts most targets at a limit of one backtrack; the SAT
+        // engine must settle every one of them, and prove exactly the
+        // faults the default limit leaves untestable.
+        let untestable = |run: &AtpgRun| -> Vec<Fault> {
+            let list = &run.fault_list;
+            (0..list.len())
+                .filter(|&i| list.status(i) == FaultStatus::Untestable)
+                .map(|i| list.faults()[i])
+                .collect()
         };
-        let off = Atpg::new(&nl).run(&tight);
-        assert_eq!(off.escalated, 0);
-        assert_eq!(off.rescued, 0);
-        assert!(off.aborted > 0, "leash too loose for this test");
-        let on = Atpg::new(&nl).run(&AtpgConfig {
-            escalate_aborts: true,
-            ..tight
-        });
-        assert!(on.escalated > 0);
-        assert!(on.rescued > 0, "D-algorithm rescued nothing");
-        assert!(on.rescued <= on.escalated);
-        assert!(
-            on.test_coverage() >= off.test_coverage(),
-            "escalation lowered coverage: {} < {}",
-            on.test_coverage(),
-            off.test_coverage()
-        );
+        for nl in [mac_pe(8), dft_netlist::generators::random_logic(32, 500, 1)] {
+            let default = Atpg::new(&nl).run(&AtpgConfig::default());
+            let tight = Atpg::new(&nl).run(&AtpgConfig::default().backtrack_limit(1));
+            assert!(tight.escalated > default.escalated, "{}", nl.name());
+            for run in [&default, &tight] {
+                assert_eq!(run.aborted, 0, "{}", nl.name());
+                assert_eq!(run.rescued, run.escalated, "{}", nl.name());
+            }
+            assert_eq!(untestable(&tight), untestable(&default), "{}", nl.name());
+            assert!(!untestable(&default).is_empty(), "{}", nl.name());
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Automatic test pattern generation (ATPG).
 //!
 //! Implements the classic PODEM algorithm (path-oriented decision making)
-//! with SCOAP-guided objective selection and X-path checking, a production
-//! -shaped driver (random-pattern phase followed by deterministic top-off,
-//! with static and dynamic compaction), and broadside transition-fault ATPG
-//! via two-frame circuit expansion.
+//! with SCOAP-guided objective selection and X-path checking, a complete
+//! SAT engine that settles the faults PODEM aborts, a production-shaped
+//! driver (random-pattern phase followed by deterministic top-off, with
+//! static and dynamic compaction), and broadside transition-fault ATPG via
+//! two-frame circuit expansion.
 //!
 //! # Example
 //!
@@ -21,17 +22,15 @@
 #![warn(missing_docs)]
 
 mod compact;
-mod dalg;
 mod driver;
+mod miter;
 mod podem;
+mod sat;
 mod speculate;
 mod twoframe;
 
 pub use compact::{compact_cubes, reverse_order_compaction};
-pub use dalg::DAlgorithm;
-pub use driver::{
-    Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability,
-    ESCALATION_BACKTRACKS,
-};
+pub use driver::{Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability};
+pub use miter::{SatAtpg, SAT_CONFLICT_BUDGET};
 pub use podem::{AtpgResult, Podem, PodemStats};
 pub use twoframe::{expand_two_frames, TransitionAtpg, TransitionAtpgRun, TwoFrame};

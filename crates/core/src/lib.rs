@@ -342,10 +342,10 @@ pub struct FlowReport {
     pub untestable: usize,
     /// Aborted faults (collapsed).
     pub aborted: usize,
-    /// Faults escalated from PODEM to the D-algorithm after a backtrack
-    /// abort.
+    /// Faults PODEM aborted at its backtrack limit and handed to the SAT
+    /// engine.
     pub escalated: usize,
-    /// Escalated faults the D-algorithm resolved (tested or proven
+    /// Escalated faults the SAT engine resolved (tested or proven
     /// untestable) instead of aborting.
     pub rescued: usize,
     /// Fault-simulation batches lost to an isolated worker panic. Zero
@@ -397,7 +397,7 @@ impl fmt::Display for FlowReport {
         if self.escalated > 0 {
             writeln!(
                 f,
-                "  escalation: {} aborts retried with D-algorithm, {} rescued",
+                "  sat: {} PODEM aborts handed to SAT, {} resolved",
                 self.escalated, self.rescued
             )?;
         }

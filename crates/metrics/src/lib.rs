@@ -276,17 +276,15 @@ registry! {
         podem_tests: "PODEM calls that produced a test cube.",
         podem_untestable: "PODEM calls that proved the fault untestable.",
         podem_aborted: "PODEM calls aborted at the backtrack limit.",
-        // --- ATPG: D-algorithm ---
-        dalg_calls: "D-algorithm invocations.",
-        dalg_backtracks: "D-algorithm backtracks.",
-        dalg_tests: "D-algorithm calls that produced a test cube.",
+        // --- ATPG: SAT ---
+        sat_conflicts: "SAT solver conflicts over the PODEM aborts handed to SAT.",
         // --- ATPG: driver ---
         atpg_runs: "Full ATPG driver runs.",
         atpg_patterns: "Final patterns emitted by ATPG runs.",
         atpg_untestable: "Collapsed faults classified untestable by ATPG runs.",
         atpg_aborted: "Collapsed faults aborted by ATPG runs.",
-        atpg_escalations: "Aborted PODEM targets escalated to the D-algorithm retry.",
-        atpg_rescued: "Escalated targets the D-algorithm resolved (test or untestable proof).",
+        atpg_escalations: "Aborted PODEM targets handed to the SAT engine.",
+        atpg_rescued: "Escalated targets the SAT engine resolved (test or untestable proof).",
         // --- Logic simulation ---
         goodsim_blocks: "64-pattern word blocks evaluated by the good machine.",
         goodsim_gate_evals: "Good-machine word-gate evaluations (64 patterns each).",

@@ -62,10 +62,9 @@ mod perfetto;
 /// Tuning knobs for a [`TraceSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Record one per-fault search span (PODEM / D-algorithm /
-    /// per-pattern deductive) for every `n`-th fault targeted; `0`
-    /// disables per-fault spans entirely. Batch and phase spans are
-    /// never sampled. The default (16) bounds span volume to a few
+    /// Record one per-fault search span (PODEM / SAT / per-pattern
+    /// deductive) for every `n`-th fault targeted; `0` disables per-fault
+    /// spans entirely. Batch and phase spans are never sampled. The default (16) bounds span volume to a few
     /// hundred per run while keeping the tail visible.
     pub fault_span_every: u64,
     /// Record per-chunk worker batch spans in the parallel

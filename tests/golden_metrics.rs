@@ -39,7 +39,8 @@ struct Golden {
 /// ATPG/sim counters without EDT; the scan designs lock the compression
 /// path too. sys4x4 and rand500_s2 are the designs of the
 /// `signoff_systolic` and `atpg_random` benchmark workloads, so their
-/// PODEM work counters catch an algorithmic blow-up on any machine.
+/// PODEM and SAT work counters catch an algorithmic blow-up on any
+/// machine.
 const GOLDEN: &[Golden] = &[
     Golden {
         name: "c17",
@@ -59,19 +60,19 @@ const GOLDEN: &[Golden] = &[
         name: "mac4",
         patterns: 130,
         coverage_bp: 9672,
-        untestable: 13,
-        aborted: 1,
+        untestable: 14,
+        aborted: 0,
         ratio_centi: 77,
         counters: &[
             ("atpg_patterns", 130),
             ("podem_calls", 16),
-            ("podem_backtracks", 1041),
-            ("podem_simulations", 2154),
-            ("podem_decisions", 1101),
-            ("podem_gate_evals", 38650),
+            ("podem_backtracks", 81),
+            ("podem_simulations", 240),
+            ("podem_decisions", 147),
+            ("podem_gate_evals", 5968),
             ("faultsim_gate_evals", 36316),
-            ("atpg_escalations", 3),
-            ("atpg_rescued", 3),
+            ("atpg_escalations", 4),
+            ("atpg_rescued", 4),
             ("edt_cubes_attempted", 2),
             ("edt_cubes_encoded", 2),
             ("gf2_solves", 2),
@@ -81,18 +82,18 @@ const GOLDEN: &[Golden] = &[
         name: "sys2x2",
         patterns: 135,
         coverage_bp: 9668,
-        untestable: 52,
-        aborted: 4,
+        untestable: 56,
+        aborted: 0,
         ratio_centi: 100,
         counters: &[
             ("atpg_patterns", 135),
-            ("podem_backtracks", 4180),
-            ("podem_simulations", 8773),
-            ("podem_decisions", 4535),
-            ("podem_gate_evals", 192751),
+            ("podem_backtracks", 340),
+            ("podem_simulations", 1117),
+            ("podem_decisions", 719),
+            ("podem_gate_evals", 62023),
             ("faultsim_gate_evals", 215535),
-            ("atpg_escalations", 12),
-            ("atpg_rescued", 12),
+            ("atpg_escalations", 16),
+            ("atpg_rescued", 16),
             ("edt_cubes_encoded", 7),
         ],
     },
@@ -100,19 +101,20 @@ const GOLDEN: &[Golden] = &[
         name: "sys4x4",
         patterns: 137,
         coverage_bp: 9667,
-        untestable: 208,
-        aborted: 16,
+        untestable: 224,
+        aborted: 0,
         ratio_centi: 143,
         counters: &[
             ("atpg_patterns", 137),
             ("podem_calls", 257),
-            ("podem_backtracks", 16683),
-            ("podem_simulations", 34516),
-            ("podem_decisions", 17640),
-            ("podem_gate_evals", 1203723),
+            ("podem_backtracks", 1323),
+            ("podem_simulations", 3892),
+            ("podem_decisions", 2376),
+            ("podem_gate_evals", 680811),
             ("faultsim_gate_evals", 835335),
-            ("atpg_escalations", 48),
-            ("atpg_rescued", 48),
+            ("atpg_escalations", 64),
+            ("atpg_rescued", 64),
+            ("sat_conflicts", 0),
             ("edt_cubes_attempted", 9),
             ("edt_cubes_encoded", 9),
             ("gf2_solves", 9),
@@ -120,21 +122,22 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         name: "rand500_s2",
-        patterns: 158,
-        coverage_bp: 4814,
-        untestable: 1003,
-        aborted: 149,
+        patterns: 161,
+        coverage_bp: 4817,
+        untestable: 1150,
+        aborted: 0,
         ratio_centi: 0,
         counters: &[
-            ("atpg_patterns", 158),
+            ("atpg_patterns", 161),
             ("podem_calls", 1188),
-            ("podem_backtracks", 65436),
-            ("podem_simulations", 133341),
-            ("podem_decisions", 66902),
-            ("podem_gate_evals", 11376662),
-            ("faultsim_gate_evals", 216432),
-            ("atpg_escalations", 44),
-            ("atpg_rescued", 36),
+            ("podem_backtracks", 10004),
+            ("podem_simulations", 23312),
+            ("podem_decisions", 12517),
+            ("podem_gate_evals", 3675537),
+            ("faultsim_gate_evals", 217250),
+            ("atpg_escalations", 397),
+            ("atpg_rescued", 397),
+            ("sat_conflicts", 793),
         ],
     },
 ];

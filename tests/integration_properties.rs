@@ -2,12 +2,65 @@
 
 use proptest::prelude::*;
 
-use dft_core::atpg::{AtpgResult, Podem};
+use dft_core::atpg::{AtpgResult, Podem, SatAtpg, SAT_CONFLICT_BUDGET};
 use dft_core::bist::{march_c_minus, run_march, MemFault, MemFaultKind, SramModel};
 use dft_core::compress::EdtCodec;
 use dft_core::fault::{collapse_equivalent, universe_stuck_at, FaultList};
 use dft_core::logicsim::{Executor, FiveSim, PatternSet, SimKernel, TapeKernel, TestCube};
 use dft_core::netlist::generators::random_logic;
+use dft_core::netlist::{GateId, GateKind, Netlist};
+
+/// A random netlist of `inputs` primary inputs, `flops` flip-flops and
+/// `gates` logic gates of every kind, sometimes reading a constant. Each
+/// flop's D pin and one to three primary outputs read random nets.
+fn random_sequential(inputs: usize, flops: usize, gates: usize, seed: u64) -> Netlist {
+    let mut state = seed;
+    let mut pick = move |n: usize| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let mut nl = Netlist::new("seq");
+    let mut nets: Vec<GateId> = (0..inputs)
+        .map(|i| nl.add_input(&format!("i{i}")))
+        .collect();
+    let qs: Vec<GateId> = (0..flops)
+        .map(|i| nl.add_dff(nets[0], &format!("q{i}")))
+        .collect();
+    nets.extend(&qs);
+    if pick(4) == 0 {
+        let kind = [GateKind::Const0, GateKind::Const1][pick(2)];
+        nets.push(nl.add_gate(kind, vec![], "k"));
+    }
+    const KINDS: [GateKind; 9] = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+        GateKind::Mux2,
+    ];
+    for g in 0..gates {
+        let kind = KINDS[pick(KINDS.len())];
+        let arity = kind.arity().unwrap_or(1 + pick(3));
+        let fanins = (0..arity).map(|_| nets[pick(nets.len())]).collect();
+        nets.push(nl.add_gate(kind, fanins, &format!("g{g}")));
+    }
+    for &q in &qs {
+        nl.rewire_fanin(q, 0, nets[pick(nets.len())]);
+    }
+    for o in 0..1 + pick(3) {
+        let net = nets[nets.len() - 1 - pick(nets.len().min(6))];
+        nl.add_output(net, &format!("o{o}"));
+    }
+    nl
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -114,33 +167,51 @@ proptest! {
         );
     }
 
-    /// The D-algorithm and PODEM agree on stem-fault testability, and
-    /// both engines' cubes survive independent fault simulation.
+    /// The SAT engine is exact. On circuits of at most 16 sources, flops
+    /// included, it finds a test for a fault of any site kind exactly
+    /// when one of the 2^n patterns detects the fault, and every fill
+    /// of its cube does. PODEM's verdicts agree where it reaches one.
     #[test]
-    fn dalg_podem_cross_validation(seed in 0u64..120) {
-        use dft_core::atpg::DAlgorithm;
-        let nl = random_logic(6, 40, seed);
-        let dalg = DAlgorithm::new(&nl);
-        let mut podem = Podem::new(&nl);
+    fn sat_agrees_with_exhaustive_simulation(
+        seed in 0u64..u64::MAX,
+        inputs in 1usize..=8,
+        flops in 0usize..=8,
+        gates in 4usize..40,
+    ) {
+        let nl = random_sequential(inputs, flops, gates, seed);
         let sim = TapeKernel::compile(&nl);
-        for (i, fault) in universe_stuck_at(&nl)
-            .into_iter()
-            .filter(|f| f.site.pin.is_none())
-            .enumerate()
-        {
-            if i % 5 != 0 {
-                continue;
+        let width = inputs + flops;
+        let mut all = PatternSet::new(width);
+        for m in 0..1u32 << width {
+            all.push((0..width).map(|b| m >> b & 1 == 1).collect());
+        }
+        let faults = universe_stuck_at(&nl);
+        let detecting = sim.detection_matrix(&all, &faults);
+        let sat = SatAtpg::new(&nl);
+        let mut podem = Podem::new(&nl);
+        for (&fault, pats) in faults.iter().zip(&detecting) {
+            match sat.generate(fault, SAT_CONFLICT_BUDGET).0 {
+                AtpgResult::Test(cube) => {
+                    let fills = (0..1u32 << width).filter(|&m| {
+                        (0..width).all(|b| cube.get(b).is_none_or(|v| v == (m >> b & 1 == 1)))
+                    });
+                    for m in fills {
+                        prop_assert!(
+                            pats.binary_search(&m).is_ok(),
+                            "{}: fill {:#x} of SAT cube {} misses", fault, m, cube
+                        );
+                    }
+                }
+                AtpgResult::Untestable => prop_assert!(
+                    pats.is_empty(),
+                    "{}: SAT says untestable, pattern {:#x} detects", fault, pats[0]
+                ),
+                AtpgResult::Aborted => prop_assert!(false, "{}: SAT aborted", fault),
             }
-            let d = dalg.generate(fault, 300);
-            let (p, _) = podem.generate(fault, 300);
-            match (&d, &p) {
-                (AtpgResult::Test(c), _) => {
-                    prop_assert!(sim.detects(&c.random_fill(1), fault), "{}", fault)
-                }
-                (AtpgResult::Untestable, AtpgResult::Test(_)) => {
-                    prop_assert!(false, "{}: D-alg untestable but PODEM found a test", fault)
-                }
-                _ => {}
+            match podem.generate(fault, 64).0 {
+                AtpgResult::Test(_) => prop_assert!(!pats.is_empty(), "{}: PODEM test", fault),
+                AtpgResult::Untestable => prop_assert!(pats.is_empty(), "{}: PODEM untestable", fault),
+                AtpgResult::Aborted => {}
             }
         }
     }
