@@ -94,19 +94,16 @@ impl CoreTestPlan {
 /// runs core-level ATPG once, verifies the broadcast compare against one
 /// seeded defect per core instance (in parallel across cores), and
 /// derives both application schedules.
-pub fn hierarchical_plan(core: &Netlist, cfg: &SocConfig, atpg: &AtpgConfig) -> CoreTestPlan {
-    hierarchical_plan_traced(core, cfg, atpg, TraceHandle::disabled())
-}
-
-/// [`hierarchical_plan`] with span recording: a `hier_plan` root span
-/// wraps the single-core ATPG (with its phase spans), a
-/// `broadcast_verify` span over the fan-out, and per-core `core_screen`
-/// spans (`arg` = core index) on the worker threads.
-pub fn hierarchical_plan_traced(
+///
+/// Records spans on `trace`: a `hier_plan` root span wraps the
+/// single-core ATPG (with its phase spans), a `broadcast_verify` span
+/// over the fan-out, and per-core `core_screen` spans (`arg` = core
+/// index) on the worker threads.
+pub fn hierarchical_plan(
     core: &Netlist,
     cfg: &SocConfig,
     atpg: &AtpgConfig,
-    trace: TraceHandle,
+    trace: &TraceHandle,
 ) -> CoreTestPlan {
     let _plan = trace.span_arg("hier_plan", cfg.num_cores as u64);
     let run = Atpg::new(core).with_trace(trace.clone()).run(atpg);
@@ -184,24 +181,16 @@ pub fn schedule_cycles(per_core_cycles: u64, num_cores: usize, cfg: &SocConfig) 
 /// [`hierarchical_plan`]); a defective core still *passes* when the
 /// broadcast patterns miss its defect — a genuine test escape, which is
 /// why the flag rate in [`CoreTestPlan::defect_flag_rate`] matters.
+///
+/// Records spans on `trace`: a `broadcast_screen` root span wraps the
+/// shared ATPG and per-core `core_screen` spans (`arg` = core index) on
+/// the worker threads.
 pub fn broadcast_screen(
     core: &Netlist,
     cfg: &SocConfig,
     atpg: &AtpgConfig,
     defective_cores: &[usize],
-) -> Vec<bool> {
-    broadcast_screen_traced(core, cfg, atpg, defective_cores, TraceHandle::disabled())
-}
-
-/// [`broadcast_screen`] with span recording: a `broadcast_screen` root
-/// span wraps the shared ATPG and per-core `core_screen` spans (`arg` =
-/// core index) on the worker threads.
-pub fn broadcast_screen_traced(
-    core: &Netlist,
-    cfg: &SocConfig,
-    atpg: &AtpgConfig,
-    defective_cores: &[usize],
-    trace: TraceHandle,
+    trace: &TraceHandle,
 ) -> Vec<bool> {
     let _screen = trace.span_arg("broadcast_screen", cfg.num_cores as u64);
     let run = Atpg::new(core).with_trace(trace.clone()).run(atpg);
@@ -258,6 +247,7 @@ mod tests {
                 ..SocConfig::default()
             },
             &quick_atpg(),
+            &TraceHandle::disabled(),
         );
         assert!(plan16.core_coverage > 0.95);
         assert!(
@@ -274,6 +264,7 @@ mod tests {
                 ..SocConfig::default()
             },
             &quick_atpg(),
+            &TraceHandle::disabled(),
         );
         // Speedup grows with core count (broadcast cost is ~constant).
         assert!(plan64.speedup() > plan16.speedup());
@@ -287,7 +278,7 @@ mod tests {
             threads: 1,
             ..SocConfig::default()
         };
-        let serial = hierarchical_plan(&core, &base, &quick_atpg());
+        let serial = hierarchical_plan(&core, &base, &quick_atpg(), &TraceHandle::disabled());
         assert_eq!(serial.defects_flagged.len(), 24);
         // A >95%-coverage pattern set should flag nearly every seeded defect.
         assert!(
@@ -296,7 +287,12 @@ mod tests {
             serial.defect_flag_rate()
         );
         for threads in [2usize, 8] {
-            let plan = hierarchical_plan(&core, &SocConfig { threads, ..base }, &quick_atpg());
+            let plan = hierarchical_plan(
+                &core,
+                &SocConfig { threads, ..base },
+                &quick_atpg(),
+                &TraceHandle::disabled(),
+            );
             assert_eq!(
                 plan.defects_flagged, serial.defects_flagged,
                 "threads={threads}"
@@ -314,6 +310,7 @@ mod tests {
                 ..SocConfig::default()
             },
             &quick_atpg(),
+            &TraceHandle::disabled(),
         );
         assert!(plan.speedup() <= 1.0 + 1e-9);
     }

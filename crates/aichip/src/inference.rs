@@ -52,11 +52,6 @@ impl SystolicModel {
         self
     }
 
-    /// Removes the injected fault.
-    pub fn clear_fault(&mut self) {
-        self.fault = None;
-    }
-
     /// One multiply on PE `(row, col)`: `a * w` with the fault applied to
     /// the 16-bit product.
     #[inline]

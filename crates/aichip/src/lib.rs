@@ -23,8 +23,7 @@ mod wrapper;
 
 pub use criticality::{criticality_sweep, CriticalityReport, FaultSiteClass};
 pub use hier::{
-    broadcast_screen, broadcast_screen_traced, hierarchical_plan, hierarchical_plan_traced,
-    schedule_cycles, seeded_defect, CoreTestPlan, SocConfig,
+    broadcast_screen, hierarchical_plan, schedule_cycles, seeded_defect, CoreTestPlan, SocConfig,
 };
 pub use inference::{Dataset, Mlp, PeFault, QuantConv2d, QuantLinear, SystolicModel};
 pub use ssn::{ssn_plan, DeliveryStyle, SsnPlan};

@@ -127,11 +127,6 @@ impl<'a> TransitionAtpg<'a> {
         }
     }
 
-    /// The expanded two-frame view.
-    pub fn two_frame(&self) -> &TwoFrame {
-        &self.expanded
-    }
-
     /// Generates broadside pairs for every fault in `universe`
     /// (transition kinds only), with `random_pairs` random pairs first and
     /// PODEM top-off after.
@@ -156,7 +151,6 @@ impl<'a> TransitionAtpg<'a> {
 
         // Phase 2: deterministic top-off on the expanded circuit.
         let mut podem = Podem::new(&self.expanded.netlist);
-        let exp_sources = self.expanded.netlist.combinational_sources();
         let mut untestable = 0;
         let mut aborted = 0;
         let mut fill_seed = seed ^ 0xABCD;
@@ -195,12 +189,11 @@ impl<'a> TransitionAtpg<'a> {
             match result {
                 AtpgResult::Test(cube) => {
                     fill_seed = fill_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-                    let exp_pattern = cube.random_fill(fill_seed);
-                    // Project the expanded pattern back to a scan pattern
-                    // of the original netlist: PIs + frame-1 state loads.
-                    let launch_vec = self.project_pattern(&exp_pattern, &exp_sources);
+                    // The expanded circuit's sources are the original
+                    // PIs (shared) then the `_ld` state loads in dff
+                    // order, so its pattern is the launch scan pattern.
                     let mut single = PatternSet::for_netlist(self.nl);
-                    single.push(launch_vec);
+                    single.push(cube.random_fill(fill_seed));
                     let new_pairs = broadside_pairs(self.nl, &single);
                     tsim.transition_batch(&new_pairs, &mut list, &exec);
                     if !list.status(idx).is_detected() {
@@ -253,20 +246,6 @@ impl<'a> TransitionAtpg<'a> {
             None => FaultSite::output(frame[site.gate.index()]),
             Some(p) => FaultSite::input(frame[site.gate.index()], p),
         }
-    }
-
-    /// Converts an expanded-circuit pattern into an original-netlist scan
-    /// pattern (launch vector): PIs then flop loads, which is exactly the
-    /// expanded circuit's source order.
-    fn project_pattern(&self, exp_pattern: &[bool], exp_sources: &[GateId]) -> Vec<bool> {
-        // Expanded sources: original PIs (shared), then `_ld` inputs in
-        // dff order — the same order as the original scan pattern.
-        assert_eq!(
-            exp_sources.len(),
-            self.nl.num_inputs() + self.nl.num_dffs(),
-            "expanded circuit must be purely combinational"
-        );
-        exp_pattern.to_vec()
     }
 }
 

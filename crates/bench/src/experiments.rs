@@ -24,6 +24,7 @@ use dft_core::netlist::generators::{
     benchmark_suite, decoder, mac_pe, systolic_array, SystolicConfig,
 };
 use dft_core::scan::{insert_scan, ScanConfig, TestTimeModel};
+use dft_core::trace::TraceHandle;
 use dft_core::DftFlow;
 
 static THREADS: OnceLock<usize> = OnceLock::new();
@@ -353,6 +354,7 @@ pub fn e7_core_reuse() {
                 ..SocConfig::default()
             },
             &atpg,
+            &TraceHandle::disabled(),
         );
         println!(
             "{cores:>6} {:>9} {:>13} {:>16} {:>8.1}x",
@@ -736,7 +738,12 @@ pub fn repair_report() {
         threads: threads(),
         ..SocConfig::default()
     };
-    let plan = hierarchical_plan(&core, &cfg, &AtpgConfig::new().threads(threads()));
+    let plan = hierarchical_plan(
+        &core,
+        &cfg,
+        &AtpgConfig::new().threads(threads()),
+        &TraceHandle::disabled(),
+    );
     let max_bad_cores = 2usize;
     println!(
         "\ndegraded-SoC ship matrix: {} cores, floor N-{max_bad_cores}, \

@@ -24,18 +24,14 @@ impl Gf2System {
         }
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars
-    }
-
     /// Number of equations added.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
     }
 
     /// Adds the equation `sum(coeffs) = rhs`, where `coeffs` is the
-    /// bit-packed coefficient vector (`num_vars().div_ceil(64)` words).
+    /// bit-packed coefficient vector (one bit per variable, so
+    /// `vars.div_ceil(64)` words for a system built with `new(vars)`).
     ///
     /// # Panics
     ///

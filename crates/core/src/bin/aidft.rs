@@ -670,7 +670,7 @@ fn run_repair_demo(
     metrics_path: &Option<String>,
     trace: &TraceHandle,
 ) -> Result<(), DftError> {
-    use dft_core::aichip::{broadcast_screen_traced, hierarchical_plan_traced, SocConfig};
+    use dft_core::aichip::{broadcast_screen, hierarchical_plan, SocConfig};
     use dft_core::bist::SramModel;
     use dft_core::netlist::generators::mac_pe;
     use dft_core::repair::{
@@ -736,9 +736,9 @@ fn run_repair_demo(
     };
     let atpg = AtpgConfig::new().threads(threads);
     let progress = ProgressLine::spawn(trace.clone(), handle.clone());
-    let plan = hierarchical_plan_traced(&core, &cfg, &atpg, trace.clone());
+    let plan = hierarchical_plan(&core, &cfg, &atpg, trace);
     let defective = [4usize, 13];
-    let pass_map = broadcast_screen_traced(&core, &cfg, &atpg, &defective, trace.clone());
+    let pass_map = broadcast_screen(&core, &cfg, &atpg, &defective, trace);
     progress.finish();
     let hplan = plan_degradation(
         &pass_map,

@@ -7,7 +7,6 @@ use std::path::PathBuf;
 use dft_atpg::AtpgError;
 use dft_checkpoint::CkptError;
 use dft_diagnosis::JsonError;
-use dft_logicsim::ExecError;
 use dft_netlist::NetlistError;
 
 /// What a durable flow had accomplished when it was interrupted: the
@@ -32,8 +31,8 @@ pub struct PartialResult {
 }
 
 /// Everything that can go wrong driving the toolkit from the outside:
-/// file I/O, `.bench` parsing, failure-log parsing, bad arguments, and
-/// recoverable engine faults (exhausted budgets, lost worker batches).
+/// file I/O, `.bench` parsing, failure-log parsing, bad arguments, a
+/// failed test-floor client, interrupts and unusable checkpoints.
 ///
 /// The [`fmt::Display`] impl renders exactly the operator-facing message
 /// (`read <path>: ...`, `parse <path>: ...`), so CLI output is stable
@@ -65,21 +64,15 @@ pub enum DftError {
     FailLog(JsonError),
     /// The command line did not make sense.
     Usage(String),
-    /// An engine gave up inside its effort budget (e.g. ATPG backtrack
-    /// or per-fault time limits) without producing a result. The work is
-    /// incomplete but the process is healthy — callers may retry with a
-    /// larger budget.
-    Aborted {
-        /// What was being attempted, e.g. `atpg mac4`.
-        context: String,
-    },
-    /// A parallel worker panicked and its batch was isolated and lost;
-    /// the rest of the run completed. Carries the rendered panic message
-    /// so operators can file the underlying bug.
+    /// A worker failed in a way the run cannot absorb: a test-floor die
+    /// client hit a non-recoverable error and the fleet stopped. Carries
+    /// the rendered message so operators can file the underlying bug. A
+    /// fault-simulation worker panic is not one of these: the kernel
+    /// isolates it and the report counts it.
     WorkerPanic {
-        /// What the pool was computing, e.g. `fault simulation chunk 3`.
+        /// What was running, e.g. `serve mac4`.
         context: String,
-        /// The worker's panic payload rendered as text.
+        /// The worker's error rendered as text.
         message: String,
     },
     /// A durable flow was interrupted (signal or phase deadline) and
@@ -130,13 +123,6 @@ impl DftError {
         DftError::Usage(message.into())
     }
 
-    /// A budget-exhaustion abort with its operation context.
-    pub fn aborted(context: impl Into<String>) -> DftError {
-        DftError::Aborted {
-            context: context.into(),
-        }
-    }
-
     /// Lifts an ATPG durability error, attaching the design name the
     /// ATPG interrupt does not carry: an interrupt becomes
     /// [`DftError::Interrupted`], a refused resume
@@ -158,22 +144,12 @@ impl DftError {
         }
     }
 
-    /// A lost worker batch with its operation context and panic text.
+    /// A failed worker with its operation context and error text.
     pub fn worker_panic(context: impl Into<String>, message: impl Into<String>) -> DftError {
         DftError::WorkerPanic {
             context: context.into(),
             message: message.into(),
         }
-    }
-
-    /// `true` when the error is recoverable engine trouble (a budget
-    /// abort, an isolated worker panic, or a checkpointed interrupt)
-    /// rather than bad input.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            DftError::Aborted { .. } | DftError::WorkerPanic { .. } | DftError::Interrupted { .. }
-        )
     }
 }
 
@@ -184,9 +160,6 @@ impl fmt::Display for DftError {
             DftError::Netlist { context, source } => write!(f, "{context}: {source}"),
             DftError::FailLog(e) => write!(f, "parse log: {e}"),
             DftError::Usage(msg) => write!(f, "{msg}"),
-            DftError::Aborted { context } => {
-                write!(f, "{context}: aborted (budget exhausted)")
-            }
             DftError::WorkerPanic { context, message } => {
                 write!(f, "{context}: worker panicked: {message}")
             }
@@ -229,7 +202,6 @@ impl std::error::Error for DftError {
             DftError::FailLog(e) => Some(e),
             DftError::Checkpoint(e) => Some(e),
             DftError::Usage(_)
-            | DftError::Aborted { .. }
             | DftError::WorkerPanic { .. }
             | DftError::Interrupted { .. }
             | DftError::CorruptJournal { .. } => None,
@@ -246,15 +218,6 @@ impl From<CkptError> for DftError {
 impl From<JsonError> for DftError {
     fn from(e: JsonError) -> DftError {
         DftError::FailLog(e)
-    }
-}
-
-impl From<ExecError> for DftError {
-    fn from(e: ExecError) -> DftError {
-        DftError::WorkerPanic {
-            context: format!("parallel chunk {}", e.chunk),
-            message: e.message,
-        }
     }
 }
 
@@ -283,17 +246,12 @@ mod tests {
 
     #[test]
     fn recoverable_engine_faults_render_and_classify() {
-        let e = DftError::aborted("atpg mac4");
-        assert_eq!(e.to_string(), "atpg mac4: aborted (budget exhausted)");
-        assert!(e.is_recoverable());
-
-        let e = DftError::worker_panic("fault simulation", "index out of bounds");
+        let e = DftError::worker_panic("serve mac4", "die 3: connection reset");
+        assert!(matches!(e, DftError::WorkerPanic { .. }));
         assert_eq!(
             e.to_string(),
-            "fault simulation: worker panicked: index out of bounds"
+            "serve mac4: worker panicked: die 3: connection reset"
         );
-        assert!(e.is_recoverable());
-        assert!(!DftError::usage("x").is_recoverable());
     }
 
     #[test]
@@ -315,7 +273,6 @@ mod tests {
         assert!(msg.contains("topoff"), "{msg}");
         assert!(msg.contains("90/120"), "{msg}");
         assert!(msg.contains("--resume /tmp/mac4.ckpt"), "{msg}");
-        assert!(e.is_recoverable());
 
         let e = DftError::Interrupted {
             checkpoint: None,
@@ -338,17 +295,5 @@ mod tests {
         .into();
         assert!(e.to_string().starts_with("cannot resume:"));
         assert!(e.source().is_some());
-        assert!(!e.is_recoverable());
-    }
-
-    #[test]
-    fn exec_error_converts_to_worker_panic() {
-        let exec = dft_logicsim::ExecError {
-            chunk: 3,
-            message: "boom".into(),
-        };
-        let e: DftError = exec.into();
-        assert_eq!(e.to_string(), "parallel chunk 3: worker panicked: boom");
-        assert!(e.is_recoverable());
     }
 }

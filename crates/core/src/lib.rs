@@ -71,7 +71,6 @@ pub use dft_serve as serve;
 /// event stream, sampler).
 pub use dft_telemetry as telemetry;
 
-pub mod config;
 mod error;
 pub mod progress;
 
@@ -79,7 +78,7 @@ pub use error::{DftError, PartialResult};
 
 use dft_atpg::{Atpg, AtpgConfig, Durability};
 use dft_compress::{CompressionStats, ScanEdt};
-use dft_logicsim::Parallelism;
+use dft_logicsim::Executor;
 use dft_metrics::{MetricsHandle, MetricsSnapshot};
 use dft_netlist::Netlist;
 use dft_scan::{insert_scan, ScanConfig, ScanInsertion, TestTimeModel};
@@ -255,7 +254,7 @@ impl<'a> DftFlow<'a> {
             deterministic: run.deterministic_time + run.signoff_time,
             compression: compression_time,
             total: t_flow.finish(),
-            threads: Parallelism::from_threads(atpg_cfg.threads).resolve(),
+            threads: Executor::with_threads(atpg_cfg.threads).threads(),
         };
         let metrics = self
             .metrics
@@ -553,28 +552,29 @@ mod tests {
 
     #[test]
     fn poisoned_sim_batch_is_reported_not_fatal() {
-        // A worker panic inside fault simulation (injected via the
-        // test-only poison hook) must not kill the flow: the batch is
-        // isolated, surfaced in the report, and everything else signs
-        // off normally.
+        // A worker panic inside fault simulation (injected by the chaos
+        // harness) must not kill the flow: the batch is isolated,
+        // surfaced in the report, and everything else signs off normally.
         let nl = mac_pe(4);
-        let universe = dft_fault::universe_stuck_at(&nl);
         let clean = DftFlow::new(&nl).threads(4).run();
-        let poisoned = DftFlow::new(&nl)
-            .threads(4)
-            .atpg_config(AtpgConfig::default().poison_fault(universe[5]))
-            .run();
         assert_eq!(clean.failed_sim_batches, 0);
         assert!(!clean.to_string().contains("WARNING"));
-        assert!(poisoned.failed_sim_batches > 0);
-        assert!(poisoned.to_string().contains("WARNING"));
-        // The lost batch costs at most one fault's worth of coverage.
-        assert!(poisoned.test_coverage > clean.test_coverage - 0.02);
+        let chaos = dft_checkpoint::ChaosConfig::parse("panic=0.005,seed=1").unwrap();
+        for threads in [1, 4] {
+            let mut dur = Durability::default().with_chaos(chaos);
+            let poisoned = DftFlow::new(&nl)
+                .threads(threads)
+                .run_durable(&mut dur)
+                .expect("a lost batch is not fatal");
+            assert!(poisoned.failed_sim_batches > 0, "threads={threads}");
+            assert!(poisoned.to_string().contains("WARNING"));
+            // The lost batches cost at most a few faults' worth of coverage.
+            assert!(poisoned.test_coverage > clean.test_coverage - 0.02);
+        }
     }
 
     #[test]
     fn flow_threads_override_atpg_config() {
-        use crate::config::AtpgConfig;
         let nl = c17();
         // threads() wins over atpg_config() regardless of call order.
         let report = DftFlow::new(&nl)

@@ -124,14 +124,6 @@ impl FaultList {
             .count()
     }
 
-    /// Count of aborted faults.
-    pub fn num_aborted(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| matches!(s, FaultStatus::Aborted))
-            .count()
-    }
-
     /// Fault coverage: detected / total (0.0 for an empty list).
     pub fn fault_coverage(&self) -> f64 {
         if self.faults.is_empty() {

@@ -26,82 +26,8 @@
 //! commit's pattern detected, which keeps the output as deterministic as
 //! an in-order merge.
 
-use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-/// A worker failure isolated by the fallible executor paths: one unit of
-/// work (a chunk) panicked, and the panic was contained instead of taking
-/// the whole run down. Carries the chunk index and the panic message so
-/// callers can report exactly which batch was lost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecError {
-    /// Index of the failed chunk (chunk order = input order).
-    pub chunk: usize,
-    /// The panic payload rendered as text (`"<non-string panic>"` when the
-    /// payload was neither `&str` nor `String`).
-    pub message: String,
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "worker panicked on chunk {}: {}",
-            self.chunk, self.message
-        )
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-/// Renders a panic payload (from `catch_unwind` or `JoinHandle::join`)
-/// as text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_owned()
-    }
-}
-
-/// How much hardware parallelism a run may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Single-threaded; never spawns.
-    Serial,
-    /// Exactly this many worker threads (clamped to ≥ 1).
-    Threads(usize),
-    /// One worker per available hardware thread
-    /// (`std::thread::available_parallelism`).
-    #[default]
-    Auto,
-}
-
-impl Parallelism {
-    /// The conventional CLI/config encoding: `0` means [`Parallelism::Auto`],
-    /// `1` means [`Parallelism::Serial`], `n > 1` means [`Parallelism::Threads`].
-    pub fn from_threads(n: usize) -> Parallelism {
-        match n {
-            0 => Parallelism::Auto,
-            1 => Parallelism::Serial,
-            n => Parallelism::Threads(n),
-        }
-    }
-
-    /// The concrete worker count this setting resolves to on this machine.
-    pub fn resolve(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
+use std::panic::resume_unwind;
 
 /// A deterministic fork/join executor over a fixed worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,39 +35,28 @@ pub struct Executor {
     threads: usize,
 }
 
-impl Default for Executor {
-    /// An auto-sized executor (one worker per hardware thread).
-    fn default() -> Executor {
-        Executor::new(Parallelism::Auto)
-    }
-}
-
 impl Executor {
-    /// An executor for the given parallelism setting.
-    pub fn new(parallelism: Parallelism) -> Executor {
-        Executor {
-            threads: parallelism.resolve(),
-        }
-    }
-
     /// The single-threaded executor (never spawns).
     pub fn serial() -> Executor {
         Executor { threads: 1 }
     }
 
-    /// Shorthand for `Executor::new(Parallelism::from_threads(n))`.
+    /// An executor with `n` workers, the CLI/config encoding: `0` means
+    /// one per hardware thread (`std::thread::available_parallelism`),
+    /// `1` means serial.
     pub fn with_threads(n: usize) -> Executor {
-        Executor::new(Parallelism::from_threads(n))
+        let threads = match n {
+            0 => std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1),
+            n => n,
+        };
+        Executor { threads }
     }
 
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// `true` when work runs on the calling thread only.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
     }
 
     /// Maps `f` over `items`, returning results in input order. `f`
@@ -168,60 +83,14 @@ impl Executor {
     /// order** (the determinism contract). `f` receives the chunk's base
     /// index into `items` and the chunk itself.
     ///
-    /// A panic in any chunk — a worker thread's or the spawning thread's
-    /// own first chunk — is re-raised on the calling thread with its
-    /// original payload once every other chunk has been joined, so serial
-    /// and parallel runs fail identically and a caller's `catch_unwind`
-    /// sees the real panic rather than a generic join failure. Callers
-    /// that want to survive a lost chunk use
-    /// [`Executor::try_map_chunks`] instead.
+    /// A panic in any chunk is re-raised on the calling thread with its
+    /// original payload once every worker has finished: the spawning
+    /// thread's own first chunk unwinds through `std::thread::scope`,
+    /// which joins the workers first, and a worker's panic is re-raised
+    /// from its join, lowest chunk first. So serial and parallel runs fail
+    /// identically and a caller's `catch_unwind` sees the real panic
+    /// rather than a generic join failure.
     pub fn map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(self.threads);
-        for r in self.run_chunks(items, f) {
-            match r {
-                Ok(v) => out.push(v),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        out
-    }
-
-    /// Fallible variant of [`Executor::map_chunks`]: each chunk's result
-    /// arrives as `Ok(R)`, or `Err(ExecError)` when that chunk panicked —
-    /// the panic is contained to its chunk and every other chunk still
-    /// completes and returns its result. Chunk order (= input order) is
-    /// preserved, so surviving results are bit-identical to a clean run.
-    pub fn try_map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, ExecError>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.run_chunks(items, f)
-            .into_iter()
-            .enumerate()
-            .map(|(ci, r)| {
-                r.map_err(|payload| ExecError {
-                    chunk: ci,
-                    message: panic_message(payload.as_ref()),
-                })
-            })
-            .collect()
-    }
-
-    /// The shared fork/join kernel: one entry per chunk, in chunk order,
-    /// holding either the chunk's result or its panic payload.
-    #[allow(clippy::type_complexity)]
-    fn run_chunks<T, R, F>(
-        &self,
-        items: &[T],
-        f: F,
-    ) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
     where
         T: Sync,
         R: Send,
@@ -231,26 +100,22 @@ impl Executor {
             return Vec::new();
         }
         let chunk_len = items.len().div_ceil(self.threads).max(1);
-        let f = &f;
-        let guarded =
-            move |base: usize, chunk: &[T]| catch_unwind(AssertUnwindSafe(|| f(base, chunk)));
         if self.threads == 1 || items.len() <= chunk_len {
-            return vec![guarded(0, items)];
+            return vec![f(0, items)];
         }
+        let f = &f;
         std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks(chunk_len)
                 .enumerate()
                 .skip(1)
-                .map(|(ci, chunk)| scope.spawn(move || guarded(ci * chunk_len, chunk)))
+                .map(|(ci, chunk)| scope.spawn(move || f(ci * chunk_len, chunk)))
                 .collect();
             let mut out = Vec::with_capacity(handles.len() + 1);
             // The spawning thread takes the first chunk instead of idling.
-            out.push(guarded(0, &items[..chunk_len]));
+            out.push(f(0, &items[..chunk_len]));
             for h in handles {
-                // A worker that somehow dies outside the guard still
-                // surfaces as that chunk's payload, never a process abort.
-                out.push(h.join().unwrap_or_else(Err));
+                out.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
             }
             out
         })
@@ -260,16 +125,14 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn parallelism_resolution() {
-        assert_eq!(Parallelism::Serial.resolve(), 1);
-        assert_eq!(Parallelism::Threads(6).resolve(), 6);
-        assert_eq!(Parallelism::Threads(0).resolve(), 1);
-        assert!(Parallelism::Auto.resolve() >= 1);
-        assert_eq!(Parallelism::from_threads(0), Parallelism::Auto);
-        assert_eq!(Parallelism::from_threads(1), Parallelism::Serial);
-        assert_eq!(Parallelism::from_threads(5), Parallelism::Threads(5));
+        assert_eq!(Executor::with_threads(1), Executor::serial());
+        assert_eq!(Executor::with_threads(6).threads(), 6);
+        let auto = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(Executor::with_threads(0).threads(), auto);
     }
 
     #[test]
@@ -316,58 +179,29 @@ mod tests {
     }
 
     #[test]
-    fn try_map_chunks_isolates_a_worker_panic() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [2usize, 4, 8] {
-            let exec = Executor::with_threads(threads);
-            let clean = exec.try_map_chunks(&items, |base, c| base + c.len());
-            let poisoned = exec.try_map_chunks(&items, |base, c| {
-                if base == 0 {
-                    panic!("poisoned batch at {base}");
-                }
-                base + c.len()
-            });
-            assert_eq!(poisoned.len(), clean.len(), "threads={threads}");
-            let err = poisoned[0].as_ref().unwrap_err();
-            assert_eq!(err.chunk, 0);
-            assert!(err.message.contains("poisoned batch"), "{err}");
-            // Every surviving chunk is bit-identical to the clean run.
-            for (ci, (p, c)) in poisoned.iter().zip(&clean).enumerate().skip(1) {
-                assert_eq!(p.as_ref().ok(), c.as_ref().ok(), "chunk {ci}");
-            }
-        }
-    }
-
-    #[test]
-    fn try_map_chunks_isolates_on_the_serial_path_too() {
-        let exec = Executor::serial();
-        let items = [1u32, 2, 3];
-        let out = exec.try_map_chunks(&items, |_, _| -> u32 { panic!("serial panic") });
-        assert_eq!(out.len(), 1);
-        let err = out[0].as_ref().unwrap_err();
-        assert_eq!(err.chunk, 0);
-        assert!(err.message.contains("serial panic"));
-    }
-
-    #[test]
     fn map_chunks_repanics_with_the_original_payload() {
         let items: Vec<usize> = (0..64).collect();
         for threads in [1usize, 4] {
             let exec = Executor::with_threads(threads);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                exec.map_chunks(&items, |_, _| -> usize { panic!("original payload") })
-            }))
-            .expect_err("must repanic");
-            assert_eq!(panic_message(caught.as_ref()), "original payload");
+            // The first chunk runs on the spawning thread, the last (at 4
+            // threads) on a worker.
+            for last in [false, true] {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    exec.map_chunks(&items, |base, c| {
+                        let pick = if last {
+                            base + c.len() == items.len()
+                        } else {
+                            base == 0
+                        };
+                        if pick {
+                            panic!("original payload");
+                        }
+                        c.len()
+                    })
+                }))
+                .expect_err("must repanic");
+                assert_eq!(caught.downcast_ref::<&str>(), Some(&"original payload"));
+            }
         }
-    }
-
-    #[test]
-    fn exec_error_display_names_the_chunk() {
-        let e = ExecError {
-            chunk: 3,
-            message: "boom".into(),
-        };
-        assert_eq!(e.to_string(), "worker panicked on chunk 3: boom");
     }
 }

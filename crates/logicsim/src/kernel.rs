@@ -22,6 +22,7 @@ use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::goodsim::push_responses;
+use crate::patterns::pack_bits;
 use crate::tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
 use crate::{Executor, Pattern, PatternSet, Response, SimStats};
 
@@ -82,7 +83,6 @@ pub struct TapeKernel<'nl> {
     tape: GateTape,
     metrics: MetricsHandle,
     trace: TraceHandle,
-    poison: Option<Fault>,
     cancel: CancelToken,
     chaos: Option<ChaosConfig>,
 }
@@ -103,16 +103,6 @@ impl<'nl> TapeKernel<'nl> {
     /// same faults are hit regardless of thread count.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> TapeKernel<'nl> {
         self.chaos = chaos.is_active().then_some(chaos);
-        self
-    }
-
-    /// Test-only hook: makes [`SimKernel::fault_batch`] panic when it
-    /// reaches `fault`'s batch, exercising the panic-isolation path end
-    /// to end. The panic is caught per fault batch and reported via
-    /// [`SimStats::failed_batches`]; every other batch completes
-    /// bit-identically to a clean run. Never set outside tests.
-    pub fn with_poisoned_fault(mut self, fault: Fault) -> TapeKernel<'nl> {
-        self.poison = Some(fault);
         self
     }
 
@@ -187,7 +177,6 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             tape: GateTape::compile(nl),
             metrics: MetricsHandle::disabled(),
             trace: TraceHandle::disabled(),
-            poison: None,
             cancel: CancelToken::new(),
             chaos: None,
         }
@@ -289,9 +278,6 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                     // panic because the next injection's re-arm restores
                     // the current-value array and frontier bitset.
                     let batch = catch_unwind(AssertUnwindSafe(|| {
-                        if self.poison == Some(fault) {
-                            panic!("poisoned fault batch: {fault}");
-                        }
                         if let Some(chaos) = &self.chaos {
                             if chaos.fires(ChaosSite::WorkerPanic, idx as u64) {
                                 panic!("chaos: injected worker panic at fault {idx}");
@@ -377,22 +363,16 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             mask: WideWord,
         }
         let mut blocks = Vec::new();
-        let mut start = 0usize;
-        while start < pairs.len() {
-            let count = (pairs.len() - start).min(WIDE_PATTERNS);
-            let width = pairs[0].0.len();
+        let width = pairs.first().map_or(0, |(launch, _)| launch.len());
+        for (b, block) in pairs.chunks(WIDE_PATTERNS).enumerate() {
             let mut w1 = vec![[0u64; LANES]; width];
             let mut w2 = vec![[0u64; LANES]; width];
-            for k in 0..count {
-                let (lane, bit) = (k / 64, k % 64);
-                let (l, c) = &pairs[start + k];
-                for s in 0..width {
-                    if l[s] {
-                        w1[s][lane] |= 1 << bit;
-                    }
-                    if c[s] {
-                        w2[s][lane] |= 1 << bit;
-                    }
+            for (lane, lane_pairs) in block.chunks(64).enumerate() {
+                let launch = pack_bits(lane_pairs.iter().map(|(l, _)| l), width);
+                let capture = pack_bits(lane_pairs.iter().map(|(_, c)| c), width);
+                for (s, (l, c)) in launch.into_iter().zip(capture).enumerate() {
+                    w1[s][lane] = l;
+                    w2[s][lane] = c;
                 }
             }
             let mut good1 = Vec::new();
@@ -402,12 +382,11 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             self.tape.eval_wide(&w2, &mut good2);
             self.note_good_pass();
             blocks.push(Block {
-                start,
+                start: b * WIDE_PATTERNS,
                 good1,
                 good2,
-                mask: GateTape::wide_mask(count),
+                mask: GateTape::wide_mask(block.len()),
             });
-            start += count;
         }
         let faults = list.faults();
         type ChunkResult = (Vec<(usize, u32)>, u64);
@@ -575,23 +554,28 @@ mod tests {
 
     #[test]
     fn tape_poisoned_fault_is_isolated() {
+        // The chaos harness poisons the batches of the faults it picks by
+        // list index: each panics, is counted, and stays undetected, and
+        // every other fault keeps its clean-run status.
         let nl = mac_pe(3);
         let ps = PatternSet::random(&nl, 96, 5);
         let faults = universe_stuck_at(&nl);
-        let poison = faults[faults.len() / 2];
-        let clean = TapeKernel::compile(&nl);
+        let chaos = ChaosConfig::parse("panic=0.02,seed=3").unwrap();
         let mut want = FaultList::new(faults.clone());
-        clean.fault_batch(&ps, &mut want, &Executor::serial());
-        let sim = TapeKernel::compile(&nl).with_poisoned_fault(poison);
+        TapeKernel::compile(&nl).fault_batch(&ps, &mut want, &Executor::serial());
+        let sim = TapeKernel::compile(&nl).with_chaos(chaos);
         let mut list = FaultList::new(faults.clone());
         let stats = sim.fault_batch(&ps, &mut list, &Executor::with_threads(4));
-        assert_eq!(stats.failed_batches, 1);
-        for (i, &f) in faults.iter().enumerate() {
-            if f == poison {
-                assert_eq!(list.status(i), FaultStatus::Undetected);
+        let mut poisoned = 0;
+        for i in 0..faults.len() {
+            if chaos.fires(ChaosSite::WorkerPanic, i as u64) {
+                poisoned += 1;
+                assert_eq!(list.status(i), FaultStatus::Undetected, "fault {i}");
             } else {
                 assert_eq!(list.status(i), want.status(i), "fault {i}");
             }
         }
+        assert!(poisoned > 0);
+        assert_eq!(stats.failed_batches, poisoned);
     }
 }

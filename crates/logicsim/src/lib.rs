@@ -61,7 +61,7 @@ mod transition;
 
 pub use cube::TestCube;
 pub use deductive::DeductiveSim;
-pub use exec::{ExecError, Executor, Parallelism};
+pub use exec::Executor;
 pub use fivesim::FiveSim;
 pub use imply::Implication;
 pub use kernel::{SimKernel, TapeKernel};

@@ -106,14 +106,7 @@ impl PatternSet {
     /// (≤ 64); unused high bits are zero.
     pub fn pack_block(&self, start: usize) -> (Vec<u64>, usize) {
         let count = (self.patterns.len() - start).min(64);
-        let mut words = vec![0u64; self.width];
-        // OR every bit in rather than branch on it: random patterns
-        // mispredict half of those branches, and this loop vectorises.
-        for (k, p) in self.patterns[start..start + count].iter().enumerate() {
-            for (w, &bit) in words.iter_mut().zip(p) {
-                *w |= u64::from(bit) << k;
-            }
-        }
+        let words = pack_bits(&self.patterns[start..start + count], self.width);
         (words, count)
     }
 
@@ -125,6 +118,26 @@ impl PatternSet {
             (start, words, count)
         })
     }
+}
+
+/// Packs at most 64 patterns of `width` bits into one word per source
+/// bit: bit `k` of `words[s]` is source `s` of the `k`-th pattern, and
+/// unused high bits are zero. The packer behind
+/// [`PatternSet::pack_block`] and transition simulation's launch and
+/// capture vectors.
+pub(crate) fn pack_bits<'a>(
+    patterns: impl IntoIterator<Item = &'a Pattern>,
+    width: usize,
+) -> Vec<u64> {
+    let mut words = vec![0u64; width];
+    // OR every bit in rather than branch on it: random patterns
+    // mispredict half of those branches, and this loop vectorises.
+    for (k, p) in patterns.into_iter().enumerate() {
+        for (w, &bit) in words.iter_mut().zip(p) {
+            *w |= u64::from(bit) << k;
+        }
+    }
+    words
 }
 
 impl FromIterator<Pattern> for PatternSet {

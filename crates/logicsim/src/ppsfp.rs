@@ -37,7 +37,7 @@ pub struct SimStats {
     /// panic is contained to that fault's batch, its fault stays
     /// undetected, and every other batch's result is bit-identical to a
     /// clean run. Non-zero only when a worker died mid-simulation (or the
-    /// test-only [`TapeKernel::with_poisoned_fault`] hook fired).
+    /// `AIDFT_CHAOS` `panic` knob fired, see [`TapeKernel::with_chaos`]).
     pub failed_batches: usize,
     /// `true` when a [`dft_checkpoint::CancelToken`] fired during the
     /// run. An interrupted run marks **no** detections at all — the fault
@@ -126,7 +126,7 @@ impl TapeKernel<'_> {
 mod tests {
     use super::*;
     use crate::{Executor, SimKernel};
-    use dft_checkpoint::{CancelToken, ChaosConfig};
+    use dft_checkpoint::{CancelToken, ChaosConfig, ChaosSite};
     use dft_fault::{bridge_universe, universe_stuck_at, BridgeKind, FaultList, FaultStatus};
     use dft_netlist::generators::{c17, parity_tree, ripple_adder};
     use dft_netlist::{GateKind, Netlist};
@@ -363,26 +363,33 @@ mod tests {
         let nl = ripple_adder(8);
         let ps = PatternSet::random(&nl, 96, 17);
         let universe = universe_stuck_at(&nl);
-        // Poison a fault the clean run detects, so isolation is visible.
         let mut clean = FaultList::new(universe.clone());
         let clean_stats =
             TapeKernel::compile(&nl).fault_batch(&ps, &mut clean, &Executor::serial());
         assert_eq!(clean_stats.failed_batches, 0);
-        let poisoned_idx = (0..clean.len())
-            .find(|&i| matches!(clean.status(i), FaultStatus::Detected(_)))
-            .expect("some fault is detected");
-        let poison = universe[poisoned_idx];
+        // The faults whose batches the chaos harness poisons, by list
+        // index; one the clean run detects makes the isolation visible.
+        let chaos = ChaosConfig::parse("panic=0.05,seed=11").unwrap();
+        let poisoned: Vec<usize> = (0..universe.len())
+            .filter(|&i| chaos.fires(ChaosSite::WorkerPanic, i as u64))
+            .collect();
+        let lost = poisoned
+            .iter()
+            .filter(|&&i| clean.status(i).is_detected())
+            .count();
+        assert!(lost > 0, "seed 11 poisons no detected fault");
         for threads in [1usize, 4] {
-            let sim = TapeKernel::compile(&nl).with_poisoned_fault(poison);
+            let sim = TapeKernel::compile(&nl).with_chaos(chaos);
             let mut list = FaultList::new(universe.clone());
             let stats = sim.fault_batch(&ps, &mut list, &Executor::with_threads(threads));
-            assert_eq!(stats.failed_batches, 1, "threads={threads}");
-            assert_eq!(stats.detected, clean_stats.detected - 1);
-            // The poisoned fault's batch was lost: it stays undetected.
-            assert_eq!(list.status(poisoned_idx), FaultStatus::Undetected);
-            // Every other fault's outcome is bit-identical to the clean run.
+            assert_eq!(stats.failed_batches, poisoned.len(), "threads={threads}");
+            assert_eq!(stats.detected, clean_stats.detected - lost);
             for i in 0..list.len() {
-                if i != poisoned_idx {
+                if poisoned.contains(&i) {
+                    // A poisoned fault's batch was lost: it stays undetected.
+                    assert_eq!(list.status(i), FaultStatus::Undetected, "fault {i}");
+                } else {
+                    // Every other fault's outcome is bit-identical.
                     assert_eq!(list.status(i), clean.status(i), "fault {i}");
                 }
             }

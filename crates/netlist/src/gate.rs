@@ -233,12 +233,6 @@ pub struct Gate {
 }
 
 impl Gate {
-    /// Number of input pins.
-    #[inline]
-    pub fn num_fanins(&self) -> usize {
-        self.fanins.len()
-    }
-
     /// Number of reader gates.
     #[inline]
     pub fn num_fanouts(&self) -> usize {

@@ -83,12 +83,6 @@ impl Logic {
         matches!(self, Logic::Zero | Logic::One)
     }
 
-    /// Returns `true` unless the value is `X`.
-    #[inline]
-    pub fn is_assigned(self) -> bool {
-        self != Logic::X
-    }
-
     /// Five-valued AND.
     pub fn and(self, rhs: Logic) -> Logic {
         Logic::from_pair(

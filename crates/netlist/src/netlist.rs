@@ -103,11 +103,6 @@ impl Netlist {
             .map(|(i, g)| (GateId(i as u32), g))
     }
 
-    /// Ids of all gates, in id order.
-    pub fn gate_ids(&self) -> impl Iterator<Item = GateId> {
-        (0..self.gates.len() as u32).map(GateId)
-    }
-
     fn intern_name(&mut self, requested: &str, id: GateId) -> String {
         let name = if requested.is_empty() || self.by_name.contains_key(requested) {
             // Deduplicate silently: transforms frequently clone cell names.

@@ -348,7 +348,7 @@ impl BisrReport {
     }
 }
 
-/// The BISR engine: March algorithm + iteration policy.
+/// The BISR engine: March C- plus the iteration policy.
 ///
 /// Repair is iterative because coupling faults can mask one another: the
 /// first March sees one projection of the defect cluster, repairing it
@@ -357,7 +357,6 @@ impl BisrReport {
 /// until the confirming March is clean (or rounds run out).
 #[derive(Debug, Clone)]
 pub struct BisrEngine {
-    algo: MarchAlgorithm,
     max_rounds: usize,
     metrics: MetricsHandle,
     trace: TraceHandle,
@@ -374,17 +373,10 @@ impl BisrEngine {
     /// The default engine: March C-, up to 4 repair rounds.
     pub fn new() -> BisrEngine {
         BisrEngine {
-            algo: dft_bist::march_c_minus(),
             max_rounds: 4,
             metrics: MetricsHandle::disabled(),
             trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Replaces the March algorithm used for detect and re-verify.
-    pub fn with_algorithm(mut self, algo: MarchAlgorithm) -> BisrEngine {
-        self.algo = algo;
-        self
     }
 
     /// Sets the repair-round limit.
@@ -409,7 +401,7 @@ impl BisrEngine {
 
     fn march(&self, ordinal: u64, view: &mut RepairedSram) -> (MarchResult, Vec<bool>) {
         let _march = self.trace.span_arg("mbist_march", ordinal);
-        run_march_with_map(&self.algo, view)
+        run_march_with_map(&dft_bist::march_c_minus(), view)
     }
 
     /// Runs the full loop against `physical` (an array sized

@@ -56,16 +56,6 @@ impl ScanInsertion {
         self.chains.iter().map(|c| c.len()).max().unwrap_or(0)
     }
 
-    /// Locates a flop: `(chain index, position from scan-in)`.
-    pub fn chain_of(&self, ff: GateId) -> Option<(usize, usize)> {
-        for (ci, chain) in self.chains.iter().enumerate() {
-            if let Some(pos) = chain.iter().position(|&f| f == ff) {
-                return Some((ci, pos));
-            }
-        }
-        None
-    }
-
     /// Verifies chain connectivity by shifting a marker sequence through
     /// every chain with `se = 1` and checking it emerges at the scan
     /// outputs in order. Returns `true` when every chain shifts correctly.

@@ -11,6 +11,7 @@
 use dft_core::aichip::{hierarchical_plan, ssn_plan, DeliveryStyle, SocConfig};
 use dft_core::atpg::AtpgConfig;
 use dft_core::netlist::generators::mac_pe;
+use dft_core::trace::TraceHandle;
 
 fn main() {
     let core = mac_pe(4);
@@ -32,6 +33,7 @@ fn main() {
                 ..SocConfig::default()
             },
             &atpg,
+            &TraceHandle::disabled(),
         );
         println!(
             "{:>6} {:>12} {:>14} {:>16} {:>8.1}x",

@@ -283,6 +283,7 @@ fn golden_repair_flow() {
         plan_degradation, random_point_faults, run_inference_check, BisrEngine, SpareConfig,
         SramGeometry,
     };
+    use dft_core::trace::TraceHandle;
 
     let geom = SramGeometry { rows: 16, cols: 16 };
     let spares = SpareConfig {
@@ -299,8 +300,8 @@ fn golden_repair_flow() {
         ..SocConfig::default()
     };
     let atpg = AtpgConfig::new().threads(1);
-    let plan = hierarchical_plan(&core, &cfg, &atpg);
-    let pass_map = broadcast_screen(&core, &cfg, &atpg, &[4, 13]);
+    let plan = hierarchical_plan(&core, &cfg, &atpg, &TraceHandle::disabled());
+    let pass_map = broadcast_screen(&core, &cfg, &atpg, &[4, 13], &TraceHandle::disabled());
     let hplan = plan_degradation(
         &pass_map,
         plan.per_core_cycles,
