@@ -1358,11 +1358,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_fault_budget_means_unlimited_escalation() {
+        let nl = ripple_adder(4);
+        let run = Atpg::new(&nl).run(&AtpgConfig::default());
+        assert!((run.test_coverage() - 1.0).abs() < 1e-9);
+        assert_eq!(run.failed_sim_batches, 0);
+    }
+
+    #[test]
     fn poisoned_sim_batch_does_not_abort_the_run() {
-        // The clean reference: full coverage and no lost batch.
         let nl = ripple_adder(4);
         let clean = Atpg::new(&nl).run(&AtpgConfig::default());
-        assert!((clean.test_coverage() - 1.0).abs() < 1e-9);
         assert_eq!(clean.failed_sim_batches, 0);
         // The chaos harness poisons fault-simulation batches by
         // fault-list index in every phase. The run completes and counts

@@ -550,19 +550,21 @@ mod tests {
 
         let prom = scrape(addr, "/metrics").unwrap();
         let pairs = parse_prometheus(&prom);
-        // Served at once; the value is the last published sample's,
+        // Served at once; the values are the last published sample's,
         // which may predate `begin_fleet` until the sampler ticks.
         assert!(pair_value(&pairs, "aidft_fleet_dies").is_some());
         let json = scrape(addr, "/stats.json").unwrap();
         assert!(json.starts_with("{\"schema\":\"aidft-stats-v1\""));
-        assert!(json.contains("\"design\":\"mac4\""));
         assert!(scrape(addr, "/nope").is_err());
 
-        // The sampler publishes the gauge updates within a few ticks.
+        // The sampler publishes the fleet shape and the gauge updates
+        // within a few ticks.
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
             let pairs = parse_prometheus(&scrape(addr, "/metrics").unwrap());
-            if pair_value(&pairs, "aidft_fleet_dies") == Some(4.0)
+            let json = scrape(addr, "/stats.json").unwrap();
+            if json.contains("\"design\":\"mac4\"")
+                && pair_value(&pairs, "aidft_fleet_dies") == Some(4.0)
                 && pair_value(&pairs, "aidft_fleet_dies_done") == Some(3.0)
                 && pair_value(&pairs, "aidft_window_latency_us_count") == Some(2.0)
             {
