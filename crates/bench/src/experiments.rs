@@ -25,7 +25,6 @@ use dft_core::netlist::generators::{
 };
 use dft_core::scan::{insert_scan, ScanConfig, TestTimeModel};
 use dft_core::trace::TraceHandle;
-use dft_core::DftFlow;
 
 static THREADS: OnceLock<usize> = OnceLock::new();
 
@@ -569,109 +568,6 @@ pub fn e12_ssn() {
     println!("shape: daisy grows linearly with cores; SSN flat until the bus saturates.");
 }
 
-/// METRICS: end-to-end flow observability. Runs the full DFT flow over a
-/// representative circuit mix with every run aggregating into one shared
-/// registry, prints the headline counters, and writes the merged snapshot
-/// to `BENCH_metrics.json` (uploaded as a CI artifact).
-pub fn metrics_report() {
-    println!("METRICS: aggregated hot-path counters over the full-flow circuit mix");
-    let handle = MetricsHandle::enabled();
-    let mut circuits = selected_circuits(&["c17", "mult8", "mac4"]);
-    circuits.push(dft_core::netlist::generators::NamedCircuit {
-        name: "sys2x2",
-        netlist: systolic_array(SystolicConfig {
-            rows: 2,
-            cols: 2,
-            width: 4,
-        }),
-    });
-    println!(
-        "{:<10} {:>9} {:>12} {:>12} {:>10}",
-        "circuit", "patterns", "backtracks", "gate evals", "edt cubes"
-    );
-    for c in &circuits {
-        let before = handle.snapshot().unwrap();
-        let report = DftFlow::new(&c.netlist)
-            .metrics(handle.clone())
-            .threads(threads())
-            .run();
-        let after = handle.snapshot().unwrap();
-        let delta = |k: &str| after.counter(k) - before.counter(k);
-        println!(
-            "{:<10} {:>9} {:>12} {:>12} {:>10}",
-            c.name,
-            report.patterns,
-            delta("podem_backtracks"),
-            delta("faultsim_gate_evals"),
-            delta("edt_cubes_attempted"),
-        );
-    }
-    let snap = handle.snapshot().unwrap();
-    // The snapshot keeps the metrics schema documented in EXPERIMENTS.md.
-    let json = format!("{{\n\"snapshot\": {}}}\n", snap.to_json().trim_end());
-    std::fs::write("BENCH_metrics.json", json).expect("write BENCH_metrics.json");
-    println!(
-        "wrote BENCH_metrics.json ({} counters, {} timers)",
-        snap.counters.len(),
-        snap.timers.len()
-    );
-}
-
-/// PPSFP: headline fault-simulation throughput of the gate-tape kernel
-/// on the two headline circuits (mult8, sys2x2): 1024 random patterns
-/// over the full stuck-at universe. Writes `BENCH_ppsfp_tape.json`.
-pub fn ppsfp_report() {
-    println!("PPSFP: gate-tape fault-simulation throughput");
-    let num_patterns = 1024usize;
-    let reps = 3usize;
-    let mut circuits = selected_circuits(&["mult8"]);
-    circuits.push(dft_core::netlist::generators::NamedCircuit {
-        name: "sys2x2",
-        netlist: systolic_array(SystolicConfig {
-            rows: 2,
-            cols: 2,
-            width: 4,
-        }),
-    });
-    println!(
-        "{:<8} {:>7} {:>9} {:>11} {:>12}",
-        "circuit", "faults", "patterns", "tape ms", "tape Mf·p/s"
-    );
-    let mut rows = Vec::new();
-    for c in &circuits {
-        let nl = &c.netlist;
-        let ps = PatternSet::random(nl, num_patterns, 0xF5);
-        let universe = universe_stuck_at(nl);
-        // Best-of-`reps`, compile included.
-        let mut tape_ns = u64::MAX;
-        for _ in 0..reps {
-            let mut list = FaultList::new(universe.clone());
-            let t = Instant::now();
-            TapeKernel::compile(nl).fault_batch(&ps, &mut list, &exec());
-            tape_ns = tape_ns.min(t.elapsed().as_nanos() as u64);
-        }
-        let fp_per_sec = (universe.len() * num_patterns) as f64 / (tape_ns as f64 / 1e9) / 1e6;
-        println!(
-            "{:<8} {:>7} {:>9} {:>11.3} {:>12.1}",
-            c.name,
-            universe.len(),
-            num_patterns,
-            tape_ns as f64 / 1e6,
-            fp_per_sec
-        );
-        rows.push(format!(
-            "{{\"circuit\":\"{}\",\"faults\":{},\"patterns\":{},\"tape_ns\":{}}}",
-            c.name,
-            universe.len(),
-            num_patterns,
-            tape_ns
-        ));
-    }
-    let json = format!("{{\n\"circuits\": [{}]\n}}\n", rows.join(","));
-    std::fs::write("BENCH_ppsfp_tape.json", json).expect("write BENCH_ppsfp_tape.json");
-    println!("wrote BENCH_ppsfp_tape.json");
-}
-
 /// REPAIR: built-in self-repair and graceful degradation. Two tables:
 /// repairable-vs-unrepairable SRAM yield across injected fault densities
 /// (memory BISR with 2+2 spares on a 16x16 array), and the degraded-SoC
@@ -817,143 +713,6 @@ pub fn repair_report() {
         "wrote BENCH_repair.json ({} yield points, {} ship rows)",
         sweep.len(),
         5
-    );
-}
-
-/// `serve` — test-floor fleet-service throughput. Streams the whole
-/// mac4 broadcast to a 32-die simulated fleet over loopback TCP,
-/// verifies every uploaded MISR signature, and reports dies/sec,
-/// signatures/sec, and the adaptive-retest rate. A telemetry session
-/// rides along (sampler only — no scrape endpoint, no event stream) to
-/// measure peak rolling throughput and the p99 window round-trip.
-/// Writes `BENCH_serve.json`.
-pub fn serve_report() {
-    use dft_core::serve::{run_fleet, ServeConfig, ServeOpts};
-    use dft_core::telemetry::{TelemetryConfig, TelemetrySession};
-
-    let circuits = selected_circuits(&["mac4"]);
-    let nl = &circuits[0].netlist;
-    let handle = MetricsHandle::enabled();
-    let cfg = ServeConfig {
-        dies: 32,
-        client_threads: match threads() {
-            0 => 8,
-            n => n,
-        },
-        ..ServeConfig::default()
-    };
-    let tele_cfg = TelemetryConfig {
-        period: std::time::Duration::from_millis(25),
-        ..TelemetryConfig::default()
-    };
-    let tele = TelemetrySession::start(tele_cfg, handle.clone()).expect("telemetry session");
-    let opts = ServeOpts {
-        metrics: handle.clone(),
-        telemetry: tele.handle(),
-        ..ServeOpts::default()
-    };
-    let report = run_fleet(nl, &cfg, &opts).expect("serve fleet");
-    let tele_final = tele.finish();
-
-    let s = report.summary;
-    let serve_secs = report.wall.as_secs_f64().max(1e-9);
-    let dies_per_sec = s.tested as f64 / serve_secs;
-    let sigs_per_sec = s.signatures as f64 / serve_secs;
-    let retest_rate = s.retested as f64 / s.tested.max(1) as f64;
-    let snap = handle.snapshot().expect("metrics enabled");
-    // A short run can outpace the 25 ms sampler (peak gauge 0) or
-    // settle every window between ticks (p99 NaN); fall back to the
-    // whole-run figures so the telemetry section stays valid JSON.
-    let fin = &tele_final.final_sample;
-    let peak_dies_per_sec = if fin.peak_dies_per_sec > 0.0 {
-        fin.peak_dies_per_sec
-    } else {
-        dies_per_sec
-    };
-    let p99_window_us = if fin.window_p99_us.is_finite() {
-        fin.window_p99_us
-    } else {
-        0.0
-    };
-    let sig_p99_us = if fin.signature_p99_us.is_finite() {
-        fin.signature_p99_us
-    } else {
-        0.0
-    };
-    let tele_samples = tele_final.samples;
-
-    println!(
-        "SERVE: mac4 fleet, {} dies x {} windows, {} client threads",
-        s.dies, s.windows_per_die, cfg.client_threads
-    );
-    print!("{}", s.render(report.wall));
-    println!(
-        "broadcast: {} patterns ({} EDT-encoded, {} flat)",
-        report.patterns, report.edt_encoded, report.edt_flat
-    );
-    println!(
-        "throughput: {dies_per_sec:.0} dies/s, {sigs_per_sec:.0} signatures/s, \
-         retest rate {:.1}%",
-        retest_rate * 100.0
-    );
-    println!(
-        "telemetry: {} samples, peak {peak_dies_per_sec:.0} dies/s, \
-         p99 window {p99_window_us:.0} us",
-        tele_final.samples
-    );
-    println!("shape: defective dies always mismatch, retest, and route to harvest/scrap.");
-
-    let json = format!(
-        "{{\n  \"fleet\": {{\"design\":\"mac4\",\"dies\":{},\"windows_per_die\":{},\
-         \"window_patterns\":{},\"patterns\":{},\"edt_encoded\":{},\"edt_flat\":{},\
-         \"client_threads\":{}}},\n  \
-         \"summary\": {{\"tested\":{},\"passed\":{},\"failed\":{},\"defective\":{},\
-         \"retested\":{},\"full\":{},\"harvested\":{},\"scrapped\":{},\
-         \"quarantined\":{},\"untested\":{},\"dppm_risk\":{},\
-         \"signatures\":{}}},\n  \
-         \"throughput\": {{\"dies_per_sec\":{dies_per_sec:.2},\
-         \"signatures_per_sec\":{sigs_per_sec:.2},\"retest_rate\":{retest_rate:.4}}},\n  \
-         \"transport\": {{\"windows_sent\":{},\"connections\":{},\"conn_drops\":{},\"torn_frames\":{},\
-         \"retries\":{},\"backoff_ns\":{},\"quarantined\":{},\"heartbeats\":{},\
-         \"idle_reaps\":{},\"corrupt_frames\":{}}},\n  \
-         \"telemetry\": {{\"samples\":{tele_samples},\
-         \"peak_dies_per_sec\":{peak_dies_per_sec:.2},\
-         \"p99_window_latency_us\":{p99_window_us:.2},\
-         \"signature_p99_us\":{sig_p99_us:.2}}}\n}}\n",
-        s.dies,
-        s.windows_per_die,
-        cfg.window_patterns,
-        report.patterns,
-        report.edt_encoded,
-        report.edt_flat,
-        cfg.client_threads,
-        s.tested,
-        s.passed,
-        s.failed,
-        s.defective,
-        s.retested,
-        s.full,
-        s.harvested,
-        s.scrapped,
-        s.quarantined,
-        s.untested,
-        s.dppm_risk,
-        s.signatures,
-        snap.counter("serve_windows"),
-        snap.counter("serve_connections"),
-        snap.counter("serve_conn_drops"),
-        snap.counter("serve_torn_frames"),
-        snap.counter("serve_retries"),
-        snap.counter("serve_backoff_ns"),
-        snap.counter("serve_quarantined"),
-        snap.counter("serve_heartbeats"),
-        snap.counter("serve_idle_reaps"),
-        snap.counter("serve_corrupt_frames"),
-    );
-    std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
-    println!(
-        "wrote BENCH_serve.json ({} dies, {} signatures)",
-        s.tested, s.signatures
     );
 }
 

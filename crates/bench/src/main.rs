@@ -1,5 +1,6 @@
 //! `experiments` — regenerates every table/figure of the reproduction
-//! (E1-E12, see DESIGN.md). Run a single experiment by id or `all`:
+//! (E1-E12 and `repair`, see DESIGN.md). Run a single experiment by id
+//! or `all`:
 //!
 //! ```sh
 //! cargo run --release -p dft-bench --bin experiments -- e1
@@ -42,10 +43,7 @@ fn main() {
         ("e10", experiments::e10_scan_tradeoff),
         ("e11", experiments::e11_transition),
         ("e12", experiments::e12_ssn),
-        ("metrics", experiments::metrics_report),
         ("repair", experiments::repair_report),
-        ("ppsfp", experiments::ppsfp_report),
-        ("serve", experiments::serve_report),
     ];
     match which {
         "all" => {
@@ -60,9 +58,7 @@ fn main() {
         id => match all.iter().find(|(n, _)| *n == id) {
             Some((_, f)) => f(),
             None => {
-                eprintln!(
-                    "unknown experiment `{id}`; use e1..e12, metrics, repair, ppsfp, serve, or all"
-                );
+                eprintln!("unknown experiment `{id}`; use e1..e12, repair, or all");
                 std::process::exit(2);
             }
         },

@@ -22,10 +22,10 @@
 //! breaker budget per die before it is quarantined `Untestable`,
 //! default 32), and `--backoff-base MS` (base of the deterministic
 //! reconnect backoff schedule, default 1; `0` disables backoff), plus
-//! the durability flags below (`--checkpoint-every` counts dies). The
-//! final fleet state is bit-identical for any thread count and any
-//! kill/resume split; a fleet with an unreachable die completes and
-//! reports it quarantined instead of hanging.
+//! the durability flags below (`--checkpoint-every` counts dies, at
+//! least 1). The final fleet state is bit-identical for any thread
+//! count and any kill/resume split; a fleet with an unreachable die
+//! completes and reports it quarantined instead of hanging.
 //!
 //! Live telemetry (strictly read-only — the final fleet state is
 //! unchanged with it on or off):
@@ -51,11 +51,12 @@
 //! `AIDFT_THREADS` environment variable sets the default for all
 //! commands. Any thread count produces bit-identical results.
 //!
-//! `atpg`, `flow`, `bist`, and `repair` also accept:
+//! `atpg`, `flow`, `bist`, `repair`, and `serve` also accept:
 //!
 //! - `--metrics-json <path>` — the hot-path metric snapshot of the run
 //!   (PODEM backtracks, fault-sim gate evaluations, EDT encode stats,
-//!   phase timers) as JSON. See EXPERIMENTS.md for the schema.
+//!   `serve` transport counters, phase timers) as JSON. See
+//!   EXPERIMENTS.md for the schema.
 //! - `--trace <path>` — a Chrome `trace_event` file of the run's span
 //!   tree, loadable in `ui.perfetto.dev` or `chrome://tracing`.
 //!
@@ -102,12 +103,12 @@
 //! An argument that neither the command nor a global flag takes is a
 //! usage error (`unknown <cmd> argument`), and so is a non-numeric
 //! `[chains]` or `[patterns]` count or a zero `serve` `--dies`,
-//! `--window` or `--client-threads`.
+//! `--window`, `--client-threads` or `--checkpoint-every`.
 //!
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error,
 //! `3` interrupted (a resume checkpoint path is printed when one was
-//! written), `4` lost worker (panic), `5` journal corrupt beyond
-//! repair (`fsck`).
+//! written), `4` a `serve` die client failed, `5` journal corrupt
+//! beyond repair (`fsck`).
 //!
 //! Generator names for `gen`: anything from the benchmark suite (`c17`,
 //! `s27`, `add8`, `mult8`, `alu8`, `mac4`, `sys4x4`, ...).
@@ -426,6 +427,10 @@ fn main() -> ExitCode {
             let stats_addr = extract_path_flag(&mut rest, "--stats-addr")?;
             let events_path = extract_path_flag(&mut rest, "--events")?;
             no_more_args("serve", &rest)?;
+            // A fleet journals every `n` dies; `0` has no meaning there.
+            if dur_opts.every == Some(0) {
+                return Err(DftError::usage("`--checkpoint-every` must be at least 1"));
+            }
             let handle = MetricsHandle::enabled();
             // Telemetry first: a bound scrape endpoint owns the live
             // view, so the one-line spinner must stay suppressed before
@@ -557,7 +562,7 @@ fn main() -> ExitCode {
             ExitCode::from(match e {
                 DftError::Usage(_) => 2,
                 DftError::Interrupted { .. } => 3,
-                DftError::WorkerPanic { .. } => 4,
+                DftError::DieClient { .. } => 4,
                 DftError::CorruptJournal { .. } => 5,
                 _ => 1,
             })
@@ -587,7 +592,7 @@ fn lift_serve_error(design: &str, e: ServeError) -> DftError {
         },
         ServeError::Checkpoint(e) => DftError::Checkpoint(e),
         ServeError::Io(e) => DftError::io(format!("serve {design}"), e),
-        ServeError::Client(msg) => DftError::worker_panic(format!("serve {design}"), msg),
+        ServeError::Client(msg) => DftError::die_client(format!("serve {design}"), msg),
     }
 }
 

@@ -64,15 +64,13 @@ pub enum DftError {
     FailLog(JsonError),
     /// The command line did not make sense.
     Usage(String),
-    /// A worker failed in a way the run cannot absorb: a test-floor die
-    /// client hit a non-recoverable error and the fleet stopped. Carries
-    /// the rendered message so operators can file the underlying bug. A
-    /// fault-simulation worker panic is not one of these: the kernel
-    /// isolates it and the report counts it.
-    WorkerPanic {
+    /// A test-floor die client hit a non-recoverable error and the
+    /// fleet stopped. Carries the rendered message so operators can file
+    /// the underlying bug.
+    DieClient {
         /// What was running, e.g. `serve mac4`.
         context: String,
-        /// The worker's error rendered as text.
+        /// The client's error rendered as text.
         message: String,
     },
     /// A durable flow was interrupted (signal or phase deadline) and
@@ -144,9 +142,9 @@ impl DftError {
         }
     }
 
-    /// A failed worker with its operation context and error text.
-    pub fn worker_panic(context: impl Into<String>, message: impl Into<String>) -> DftError {
-        DftError::WorkerPanic {
+    /// A failed die client with its operation context and error text.
+    pub fn die_client(context: impl Into<String>, message: impl Into<String>) -> DftError {
+        DftError::DieClient {
             context: context.into(),
             message: message.into(),
         }
@@ -160,8 +158,8 @@ impl fmt::Display for DftError {
             DftError::Netlist { context, source } => write!(f, "{context}: {source}"),
             DftError::FailLog(e) => write!(f, "parse log: {e}"),
             DftError::Usage(msg) => write!(f, "{msg}"),
-            DftError::WorkerPanic { context, message } => {
-                write!(f, "{context}: worker panicked: {message}")
+            DftError::DieClient { context, message } => {
+                write!(f, "{context}: die client failed: {message}")
             }
             DftError::Interrupted {
                 checkpoint,
@@ -202,7 +200,7 @@ impl std::error::Error for DftError {
             DftError::FailLog(e) => Some(e),
             DftError::Checkpoint(e) => Some(e),
             DftError::Usage(_)
-            | DftError::WorkerPanic { .. }
+            | DftError::DieClient { .. }
             | DftError::Interrupted { .. }
             | DftError::CorruptJournal { .. } => None,
         }
@@ -246,11 +244,11 @@ mod tests {
 
     #[test]
     fn recoverable_engine_faults_render_and_classify() {
-        let e = DftError::worker_panic("serve mac4", "die 3: connection reset");
-        assert!(matches!(e, DftError::WorkerPanic { .. }));
+        let e = DftError::die_client("serve mac4", "die 3: connection reset");
+        assert!(matches!(e, DftError::DieClient { .. }));
         assert_eq!(
             e.to_string(),
-            "serve mac4: worker panicked: die 3: connection reset"
+            "serve mac4: die client failed: die 3: connection reset"
         );
     }
 

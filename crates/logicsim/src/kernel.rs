@@ -13,7 +13,7 @@
 //! detecting pattern, and the coverage numbers are bit-identical for any
 //! thread count.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use dft_checkpoint::{CancelToken, ChaosConfig, ChaosSite};
 use dft_fault::{Fault, FaultList};
@@ -280,7 +280,12 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                     let batch = catch_unwind(AssertUnwindSafe(|| {
                         if let Some(chaos) = &self.chaos {
                             if chaos.fires(ChaosSite::WorkerPanic, idx as u64) {
-                                panic!("chaos: injected worker panic at fault {idx}");
+                                // `resume_unwind` skips the panic hook: the
+                                // report counts an injected panic, so it
+                                // prints nothing. A real panic still prints.
+                                resume_unwind(Box::new(format!(
+                                    "chaos: injected worker panic at fault {idx}"
+                                )));
                             }
                         }
                         // Fast path: most drops happen within the first

@@ -1,6 +1,7 @@
 //! The `aidft` command line through the built binary: a stray argument
 //! or a zero `serve` count is a usage error (exit 2) that names the
-//! argument, and `diagnose` runs on its documented usage.
+//! argument, `diagnose` runs on its documented usage, and chaos-injected
+//! worker panics are counted without a panic report.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -61,6 +62,10 @@ fn stray_arguments_are_usage_errors_that_name_the_argument() {
         (&["serve", &d, "--dies", "0"], "--dies"),
         (&["serve", &d, "--window", "0"], "--window"),
         (&["serve", &d, "--client-threads", "0"], "--client-threads"),
+        (
+            &["serve", &d, "--checkpoint-every", "0"],
+            "--checkpoint-every",
+        ),
     ];
     for (args, stray) in cases {
         let out = aidft(args);
@@ -98,5 +103,30 @@ fn diagnose_ranks_candidates_for_a_failing_die_and_passes_a_clean_one() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(text.lines().any(|l| l.starts_with("#1 ")), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaos_worker_panics_are_counted_without_a_panic_report() {
+    let dir = scratch_dir("chaos-panic");
+    let (d, _) = mac4_design(&dir);
+    for threads in ["1", "4"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_aidft"))
+            .args(["flow", &d, "--threads", threads])
+            .env("AIDFT_CHAOS", "panic=0.05,seed=11")
+            .output()
+            .expect("spawn aidft");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--threads {threads}: {err}");
+        assert!(
+            text.contains(
+                "WARNING: 379 fault-simulation batches lost to worker panics; \
+                 coverage is a lower bound"
+            ),
+            "--threads {threads}: {text}"
+        );
+        assert!(!err.contains("panicked at"), "--threads {threads}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
