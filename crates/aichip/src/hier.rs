@@ -250,13 +250,18 @@ mod tests {
             &TraceHandle::disabled(),
         );
         assert!(plan16.core_coverage > 0.95);
-        assert!(
-            plan16.speedup() > 4.0,
-            "speedup {} (flat {} vs broadcast {})",
+        // The default SoC shifts 2 of its 16 cores at a time: flat is 8
+        // sequential applications of the core's `c` cycles, broadcast one
+        // application plus 16 signature unloads of 32 cycles, 2 at a time.
+        let c = plan16.per_core_cycles as f64;
+        assert_eq!(
             plan16.speedup(),
+            8.0 * c / (c + 256.0),
+            "flat {} vs broadcast {}",
             plan16.flat_cycles,
             plan16.broadcast_cycles
         );
+        assert!(plan16.speedup() > 1.0, "speedup {}", plan16.speedup());
         let plan64 = hierarchical_plan(
             &core,
             &SocConfig {

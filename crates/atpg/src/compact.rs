@@ -1,59 +1,39 @@
-//! Test-set compaction.
-//!
-//! * **Static compaction** ([`compact_cubes`]): greedy merging of
-//!   compatible test cubes before random fill — the classic post-ATPG
-//!   pass.
-//! * **Reverse-order pattern compaction**
-//!   ([`reverse_order_compaction`]): fault-simulate the final pattern set
-//!   in reverse order and drop patterns that detect nothing new.
+//! Reverse-order pattern compaction (Bushnell & Agrawal, *Essentials of
+//! Electronic Testing*, 2000): fault-simulate the final pattern set last
+//! pattern first, with fault dropping, and keep only the patterns that
+//! are some fault's first detector in that order. Every fault the set
+//! detects keeps a detector, so the kept set detects exactly the faults
+//! the whole set does; the top-off patterns, generated last for the
+//! hardest faults, get the first chance to claim the easy ones too.
 
-use dft_fault::FaultList;
-use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel, TestCube};
-use dft_netlist::Netlist;
+use dft_fault::{Fault, FaultList, FaultStatus};
+use dft_logicsim::{Executor, PatternSet, SimKernel, SimStats, TapeKernel};
 
-/// Greedily merges compatible cubes (first-fit). Returns the merged cube
-/// list; order follows the first member of each merged group.
-pub fn compact_cubes(cubes: &[TestCube]) -> Vec<TestCube> {
-    let mut merged: Vec<TestCube> = Vec::new();
-    for cube in cubes {
-        match merged.iter_mut().find(|m| m.compatible(cube)) {
-            Some(m) => m.merge(cube),
-            None => merged.push(cube.clone()),
-        }
-    }
-    merged
-}
-
-/// Drops patterns that contribute no new detections when the set is
-/// fault-simulated in reverse order. Returns the compacted set (original
-/// relative order preserved).
+/// One reverse-order pass of `sim` over `patterns` against `faults`:
+/// returns which patterns to keep (`keep[i]` for pattern `i`) and the
+/// pass's statistics. An interrupted pass
+/// ([`SimStats::interrupted`]) detects nothing, so it keeps nothing; a
+/// pass that lost a batch ([`SimStats::failed_batches`]) does not know
+/// every fault's detector, so its mask must not be applied.
 pub fn reverse_order_compaction(
-    nl: &Netlist,
+    sim: &TapeKernel<'_>,
     patterns: &PatternSet,
-    faults: Vec<dft_fault::Fault>,
-) -> PatternSet {
-    let sim = TapeKernel::compile(nl);
-    let exec = Executor::serial();
-    let mut list = FaultList::new(faults);
-    let mut keep = vec![false; patterns.len()];
-    // Simulate one pattern at a time, last first, keeping only those that
-    // detect at least one still-undetected fault.
+    faults: Vec<Fault>,
+    exec: &Executor,
+) -> (Vec<bool>, SimStats) {
+    let mut reversed = PatternSet::new(patterns.width());
     for i in (0..patterns.len()).rev() {
-        let mut single = PatternSet::new(patterns.width());
-        single.push(patterns.pattern(i).clone());
-        let before = list.num_detected();
-        sim.fault_batch(&single, &mut list, &exec);
-        if list.num_detected() > before {
-            keep[i] = true;
+        reversed.push(patterns.pattern(i).clone());
+    }
+    let mut list = FaultList::new(faults);
+    let stats = sim.fault_batch(&reversed, &mut list, exec);
+    let mut keep = vec![false; patterns.len()];
+    for i in 0..list.len() {
+        if let FaultStatus::Detected(p) = list.status(i) {
+            keep[patterns.len() - 1 - p as usize] = true;
         }
     }
-    let mut out = PatternSet::new(patterns.width());
-    for (i, k) in keep.iter().enumerate() {
-        if *k {
-            out.push(patterns.pattern(i).clone());
-        }
-    }
-    out
+    (keep, stats)
 }
 
 #[cfg(test)]
@@ -63,60 +43,38 @@ mod tests {
     use dft_netlist::generators::c17;
 
     #[test]
-    fn merging_reduces_cube_count() {
-        let mut a = TestCube::all_x(4);
-        a.set(0, true);
-        let mut b = TestCube::all_x(4);
-        b.set(1, false);
-        let mut c = TestCube::all_x(4);
-        c.set(0, false); // incompatible with a
-        let merged = compact_cubes(&[a, b, c]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].get(0), Some(true));
-        assert_eq!(merged[0].get(1), Some(false));
-    }
-
-    #[test]
-    fn merged_sets_preserve_detection() {
-        // Build per-fault cubes with PODEM, compact, fill, and verify the
-        // compacted set still detects everything the raw set did.
-        use crate::{AtpgResult, Podem};
-        let nl = c17();
-        let mut podem = Podem::new(&nl);
-        let faults = universe_stuck_at(&nl);
-        let cubes: Vec<TestCube> = faults
-            .iter()
-            .filter_map(|&f| match podem.generate(f, 100).0 {
-                AtpgResult::Test(c) => Some(c),
-                _ => None,
-            })
-            .collect();
-        let merged = compact_cubes(&cubes);
-        assert!(merged.len() < cubes.len());
-        let sim = TapeKernel::compile(&nl);
-        let patterns: PatternSet = merged.iter().map(|c| c.fill_with(false)).collect();
-        let mut list = FaultList::new(faults);
-        sim.fault_batch(&patterns, &mut list, &Executor::serial());
-        assert!(
-            (list.fault_coverage() - 1.0).abs() < 1e-12,
-            "coverage {} with {} patterns",
-            list.fault_coverage(),
-            patterns.len()
-        );
-    }
-
-    #[test]
     fn reverse_compaction_never_loses_coverage() {
         let nl = c17();
         let sim = TapeKernel::compile(&nl);
         let exec = Executor::serial();
         let ps = PatternSet::random(&nl, 64, 13);
-        let mut before = FaultList::new(universe_stuck_at(&nl));
-        sim.fault_batch(&ps, &mut before, &exec);
-        let compacted = reverse_order_compaction(&nl, &ps, universe_stuck_at(&nl));
+        let faults = universe_stuck_at(&nl);
+        let (keep, stats) = reverse_order_compaction(&sim, &ps, faults.clone(), &exec);
+        // A pattern is kept exactly when it is some fault's last
+        // detector in forward order, by a simulation without dropping.
+        let mut last_detectors = vec![false; ps.len()];
+        for row in sim.detection_matrix(&ps, &faults) {
+            if let Some(&p) = row.last() {
+                last_detectors[p as usize] = true;
+            }
+        }
+        assert_eq!(keep, last_detectors);
+        let mut compacted = PatternSet::new(ps.width());
+        for (p, _) in ps.iter().zip(&keep).filter(|(_, &k)| k) {
+            compacted.push(p.clone());
+        }
         assert!(compacted.len() < ps.len());
-        let mut after = FaultList::new(universe_stuck_at(&nl));
+        let mut before = FaultList::new(faults.clone());
+        sim.fault_batch(&ps, &mut before, &exec);
+        let mut after = FaultList::new(faults);
         sim.fault_batch(&compacted, &mut after, &exec);
-        assert_eq!(before.num_detected(), after.num_detected());
+        assert_eq!(stats.detected, before.num_detected());
+        for i in 0..after.len() {
+            assert_eq!(
+                after.status(i).is_detected(),
+                before.status(i).is_detected(),
+                "fault {i}"
+            );
+        }
     }
 }

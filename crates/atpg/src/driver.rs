@@ -1,9 +1,9 @@
 //! The production-shaped ATPG flow: random phase, deterministic top-off,
-//! compaction, and sign-off fault simulation.
+//! reverse-order compaction, and sign-off fault simulation.
 //!
 //! There is one execution path, and it is durable: [`Atpg::run_durable`]
 //! polls a [`dft_checkpoint::CancelToken`] at fault boundaries, applies
-//! per-phase deadlines, appends periodic `aidft-ckpt-v1` journal
+//! per-phase deadlines, appends periodic `aidft-ckpt-v2` journal
 //! checkpoints, and resumes from a prior checkpoint to a
 //! **bit-identical** final result. [`Atpg::run`] is the same path with
 //! [`Durability::default`]: a token that never fires and no journal,
@@ -13,7 +13,7 @@
 //! run re-executes it deterministically.
 //!
 //! Top-off is fault-parallel (Patil & Banerjee, ITC 1989) and still
-//! deterministic: workers search the round's targets ahead of their
+//! deterministic: workers search top-off's targets ahead of their
 //! turn, and one committing thread applies the results strictly in
 //! target order, discarding a result whose target an earlier commit
 //! detected. Every output, counter and checkpoint is the same for any
@@ -34,18 +34,26 @@ use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::speculate::{Board, StopOnDrop};
-use crate::{compact_cubes, AtpgResult, Podem, PodemStats, SatAtpg, SAT_CONFLICT_BUDGET};
+use crate::{
+    reverse_order_compaction, AtpgResult, Podem, PodemStats, SatAtpg, SAT_CONFLICT_BUDGET,
+};
 
-/// How the driver compacts deterministic cubes.
+/// How the driver compacts the test set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionMode {
-    /// One pattern per generated cube.
+    /// The random prefix plus one pattern per generated cube, signed off
+    /// as generated.
     None,
-    /// Greedy merging of compatible cubes after generation.
+    /// After top-off, one reverse-order fault simulation of the whole set
+    /// against the full stuck-at universe keeps only the patterns that
+    /// are some fault's first detector in that order (see
+    /// [`reverse_order_compaction`]). The kept set detects exactly the
+    /// faults the whole set does.
     #[default]
     Static,
     /// Multi-target cube filling during generation (each cube is extended
-    /// with tests for additional faults before fill), then static merging.
+    /// with tests for additional faults before fill), then the
+    /// [`CompactionMode::Static`] pass.
     Dynamic,
 }
 
@@ -65,7 +73,7 @@ pub struct AtpgConfig {
     /// SAT engine, so the limit trades PODEM time against SAT calls, not
     /// coverage.
     pub backtrack_limit: u32,
-    /// Cube compaction mode.
+    /// Test-set compaction mode.
     pub compaction: CompactionMode,
     /// Use SCOAP-guided backtrace (`false` = naive; the E3 ablation).
     pub guided_backtrace: bool,
@@ -116,7 +124,7 @@ impl AtpgConfig {
         self
     }
 
-    /// Sets the cube compaction mode.
+    /// Sets the test-set compaction mode.
     pub fn compaction(mut self, mode: CompactionMode) -> AtpgConfig {
         self.compaction = mode;
         self
@@ -164,12 +172,14 @@ impl AtpgConfig {
 /// Counters and results of a full ATPG run.
 #[derive(Debug)]
 pub struct AtpgRun {
-    /// The final pattern set (random keepers + deterministic patterns).
+    /// The final pattern set: the random and deterministic patterns that
+    /// compaction kept, in generation order.
     pub patterns: PatternSet,
     /// Status of every fault in the *full* (uncollapsed) universe after
     /// sign-off fault simulation of `patterns`.
     pub fault_list: FaultList,
-    /// Deterministic cubes (post-compaction), for the compression crate.
+    /// The cubes of the kept deterministic patterns, in pattern order,
+    /// for the compression crate.
     pub cubes: Vec<TestCube>,
     /// Faults detected by the random phase (collapsed universe).
     pub random_detected: usize,
@@ -213,9 +223,8 @@ impl AtpgRun {
     }
 }
 
-/// Top-off classification counters, snapshotted and restored as a unit
-/// around the compaction rebuild (and around each fault under durable
-/// execution).
+/// Top-off classification counters, restored as a unit around each
+/// fault under durable execution.
 #[derive(Debug, Clone, Copy, Default)]
 struct TopoffTally {
     untestable: usize,
@@ -362,8 +371,8 @@ pub struct AtpgInterrupt {
     pub detected: usize,
     /// Size of the collapsed fault list.
     pub total_faults: usize,
-    /// Phase that observed the interrupt: `random`, `topoff`, or
-    /// `signoff`.
+    /// Phase that observed the interrupt: `random`, `topoff` (the
+    /// compaction pass included), or `signoff`.
     pub phase: &'static str,
 }
 
@@ -414,8 +423,12 @@ impl std::error::Error for AtpgError {
 /// The mutable frontier of a run — everything a checkpoint must capture
 /// and a resume must restore.
 struct Working {
+    /// The collapsed fault list. A detection's pattern index refers to
+    /// the set as generated, before compaction.
     reps: FaultList,
     patterns: PatternSet,
+    /// One cube per deterministic pattern: `cubes[j]` generated pattern
+    /// `patterns.len() - cubes.len() + j`, after the random prefix.
     cubes: Vec<TestCube>,
     tally: TopoffTally,
     fill_seed: u64,
@@ -425,15 +438,18 @@ struct Working {
     failed_sim_batches: usize,
 }
 
-/// A complete (patterns, cubes, statuses, counters) state from before
-/// the compaction rebuild. Restored as a unit: restoring only the
-/// patterns would let rebuild-run abort/untestable classifications leak
-/// into the sign-off projection.
-struct Snapshot {
-    patterns: PatternSet,
-    cubes: Vec<TestCube>,
-    reps: FaultList,
-    tally: TopoffTally,
+impl Working {
+    /// Keeps pattern `i` where `keep[i]`, together with its cube.
+    fn retain(&mut self, keep: &[bool]) {
+        let mut patterns = PatternSet::new(self.patterns.width());
+        for (p, _) in self.patterns.iter().zip(keep).filter(|(_, &k)| k) {
+            patterns.push(p.clone());
+        }
+        let mut cube_kept = keep[self.patterns.len() - self.cubes.len()..].iter();
+        self.cubes
+            .retain(|_| *cube_kept.next().expect("one flag per cube"));
+        self.patterns = patterns;
+    }
 }
 
 fn section_of(
@@ -505,7 +521,7 @@ impl DurCtx<'_> {
         }
     }
 
-    fn state_of(&self, phase: CkptPhase, w: &Working, pre: Option<&Snapshot>) -> CkptState {
+    fn state_of(&self, phase: CkptPhase, w: &Working) -> CkptState {
         CkptState {
             design: self.design.clone(),
             config_hash: self.config_hash,
@@ -516,14 +532,13 @@ impl DurCtx<'_> {
             random_detected: w.random_detected as u64,
             width: w.patterns.width(),
             main: section_of(&w.reps, &w.patterns, &w.cubes, w.tally),
-            pre_compaction: pre.map(|s| section_of(&s.reps, &s.patterns, &s.cubes, s.tally)),
         }
     }
 
     /// Appends one checkpoint record. Returns `true` on success; a
     /// failed write is counted and survived — the journal still holds
     /// the previous record.
-    fn write(&mut self, phase: CkptPhase, w: &Working, pre: Option<&Snapshot>) -> bool {
+    fn write(&mut self, phase: CkptPhase, w: &Working) -> bool {
         let Some(journal) = self.d.journal.clone() else {
             return false;
         };
@@ -538,7 +553,7 @@ impl DurCtx<'_> {
                 }
             }
         }
-        let state = self.state_of(phase, w, pre);
+        let state = self.state_of(phase, w);
         let t0 = Instant::now();
         match journal.append(seq, &state.to_body()) {
             Ok(bytes) => {
@@ -563,12 +578,12 @@ impl DurCtx<'_> {
     /// The interrupt-time record must land if at all possible: retry a
     /// few times, each attempt under a fresh sequence number (so a
     /// disk-chaos failure rolls fresh dice).
-    fn write_final(&mut self, phase: CkptPhase, w: &Working, pre: Option<&Snapshot>) {
+    fn write_final(&mut self, phase: CkptPhase, w: &Working) {
         if self.d.journal.is_none() {
             return;
         }
         for _ in 0..3 {
-            if self.write(phase, w, pre) {
+            if self.write(phase, w) {
                 return;
             }
         }
@@ -581,12 +596,11 @@ impl DurCtx<'_> {
         phase_name: &'static str,
         ckpt_phase: CkptPhase,
         w: &Working,
-        pre: Option<&Snapshot>,
     ) -> AtpgError {
         if let Some(m) = self.metrics.get() {
             m.cancel_requests.inc();
         }
-        self.write_final(ckpt_phase, w, pre);
+        self.write_final(ckpt_phase, w);
         AtpgError::Interrupted(AtpgInterrupt {
             checkpoint: if self.d.has_record {
                 self.d.journal.as_ref().map(|j| j.path().to_path_buf())
@@ -615,21 +629,21 @@ struct Resolved {
     elapsed: Duration,
 }
 
-/// A top-off round's targets and how to search one.
-struct RoundSearch<'r, 'n> {
+/// Top-off's targets and how to search one.
+struct TopoffSearch<'r, 'n> {
     config: &'r AtpgConfig,
     sat: &'r SatAtpg<'n>,
     trace: &'r TraceHandle,
-    /// The faults undetected at the round's start, in list order, as
+    /// The faults undetected when top-off starts, in list order, as
     /// `(index in the fault list, fault)`.
     targets: Vec<(usize, Fault)>,
-    /// Fault ordinal of the round's first target; target `j` is
+    /// Fault ordinal of the first target; target `j` is
     /// trace-sampled as ordinal `base + j`, which any worker can compute
     /// without knowing what earlier commits will discard.
     base: u64,
 }
 
-impl RoundSearch<'_, '_> {
+impl TopoffSearch<'_, '_> {
     /// Searches target `j`: PODEM, then the SAT engine on a PODEM abort.
     /// A pure function of the netlist, the configuration and the fault,
     /// so any worker may run it ahead of the target's turn; nothing is
@@ -771,10 +785,8 @@ impl<'a> Atpg<'a> {
         // Resume: verify the checkpoint's identity, then restore the
         // frontier. `Init` means nothing durable happened before the
         // interrupt — rerun from scratch.
-        let mut resume_round = 0u32;
         let mut resume_signoff = false;
         let mut restored = false;
-        let mut pre_compaction: Option<Snapshot> = None;
         if let Some(state) = dur.d.resume.take() {
             verify_identity(
                 &state.design,
@@ -806,21 +818,7 @@ impl<'a> Atpg<'a> {
                     w.fill_seed = state.fill_seed;
                     w.fault_ordinal = state.fault_ordinal;
                     w.random_detected = state.random_detected as usize;
-                    pre_compaction = state.pre_compaction.as_ref().map(|pre| {
-                        let (reps, patterns, cubes, tally) =
-                            restore_section(collapsed.representatives(), state.width, pre);
-                        Snapshot {
-                            patterns,
-                            cubes,
-                            reps,
-                            tally,
-                        }
-                    });
-                    match phase {
-                        CkptPhase::Topoff(r) => resume_round = r,
-                        CkptPhase::Signoff => resume_signoff = true,
-                        CkptPhase::Init => unreachable!(),
-                    }
+                    resume_signoff = phase == CkptPhase::Signoff;
                     restored = true;
                 }
             }
@@ -844,7 +842,7 @@ impl<'a> Atpg<'a> {
                 if stats.interrupted {
                     // The interrupted pass marked nothing, so the state
                     // is still the pristine Init state.
-                    return Err(dur.interrupt("random", CkptPhase::Init, &w, None));
+                    return Err(dur.interrupt("random", CkptPhase::Init, &w));
                 }
                 w.patterns.extend_from(&random);
             }
@@ -852,96 +850,27 @@ impl<'a> Atpg<'a> {
         }
         let random_time = t_random.finish();
 
-        // Phase 2: deterministic top-off, then (optionally) static
-        // compaction. Compaction re-fills merged cubes with fresh random
-        // values, which can lose *collateral* detections of the replaced
-        // patterns, so after a rebuild the flow re-simulates and tops off
-        // again; the final top-off appends without rebuilding, which
-        // guarantees convergence.
+        // Phase 2: deterministic top-off, then one reverse-order fault
+        // simulation of the whole set against the full universe. An
+        // interrupted pass marks nothing, so its checkpoint is the
+        // finished top-off, and a resumed run repeats the pass.
         let t_deterministic = self.trace.timed_span("atpg_topoff");
         dur.arm();
-        let compaction_rounds = if matches!(config.compaction, CompactionMode::None) {
-            0
-        } else {
-            1
-        };
         if !resume_signoff {
-            for round in resume_round..=compaction_rounds {
-                self.topoff(
-                    config,
-                    &mut podems,
-                    &sat,
-                    &sim,
-                    &mut w,
-                    &mut dur,
-                    round,
-                    pre_compaction.as_ref(),
-                )?;
-                if round == compaction_rounds || w.cubes.is_empty() {
-                    break;
-                }
-                let merged = compact_cubes(&w.cubes);
-                if merged.len() == w.cubes.len() {
-                    break; // nothing merged: patterns already final
-                }
-                let fill_seed_before = w.fill_seed;
-                pre_compaction = Some(Snapshot {
-                    patterns: w.patterns.clone(),
-                    cubes: w.cubes.clone(),
-                    reps: w.reps.clone(),
-                    tally: w.tally,
-                });
-                // Rebuild the pattern set: random prefix + merged cubes.
-                let mut rebuilt = PatternSet::for_netlist(self.nl);
-                if config.random_patterns > 0 {
-                    let random = PatternSet::random(self.nl, config.random_patterns, config.seed);
-                    rebuilt.extend_from(&random);
-                }
-                for cube in &merged {
-                    w.fill_seed = w.fill_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-                    rebuilt.push(cube.random_fill(w.fill_seed));
-                }
-                // Re-simulate from scratch to find lost collateral
-                // detections.
-                let mut fresh = FaultList::new(w.reps.faults().to_vec());
-                for i in 0..w.reps.len() {
-                    match w.reps.status(i) {
-                        FaultStatus::Untestable => fresh.set_status(i, FaultStatus::Untestable),
-                        FaultStatus::Aborted => fresh.set_status(i, FaultStatus::Aborted),
-                        _ => {}
-                    }
-                }
-                let stats = sim.fault_batch(&rebuilt, &mut fresh, &exec);
+            self.topoff(config, &mut podems, &sat, &sim, &mut w, &mut dur)?;
+            if config.compaction != CompactionMode::None {
+                let _span = self.trace.span_arg("atpg_compact", w.patterns.len() as u64);
+                let (keep, stats) =
+                    reverse_order_compaction(&sim, &w.patterns, universe.clone(), &exec);
                 w.failed_sim_batches += stats.failed_batches;
                 if stats.interrupted {
-                    // Discard the half-done rebuild entirely; the
-                    // checkpoint captures the pre-rebuild boundary and
-                    // resume replays the rebuild deterministically.
-                    let snap = pre_compaction.take().expect("snapshot just taken");
-                    w.patterns = snap.patterns;
-                    w.cubes = snap.cubes;
-                    w.reps = snap.reps;
-                    w.tally = snap.tally;
-                    w.fill_seed = fill_seed_before;
-                    return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), &w, None));
+                    return Err(dur.interrupt("topoff", CkptPhase::Topoff, &w));
                 }
-                w.patterns = rebuilt;
-                w.cubes = merged;
-                w.reps = fresh;
-            }
-        }
-        // Compaction must never make the result worse: keep the rebuilt
-        // set only when it is no larger *and* detects at least as many
-        // collapsed faults (the re-top-off can abort faults that the
-        // pre-compaction set detected). Otherwise restore the snapshot.
-        if let Some(snap) = pre_compaction {
-            let rebuilt_wins = w.patterns.len() <= snap.patterns.len()
-                && w.reps.num_detected() >= snap.reps.num_detected();
-            if !rebuilt_wins {
-                w.patterns = snap.patterns;
-                w.cubes = snap.cubes;
-                w.reps = snap.reps;
-                w.tally = snap.tally;
+                // A lost batch hides its fault's detector, so the pass
+                // could drop that fault's only test: keep the whole set.
+                if stats.failed_batches == 0 {
+                    w.retain(&keep);
+                }
             }
         }
         let deterministic_detected = w.reps.num_detected().saturating_sub(w.random_detected);
@@ -954,15 +883,15 @@ impl<'a> Atpg<'a> {
         // resumes straight into sign-off.
         let t_signoff = self.trace.timed_span("atpg_signoff");
         dur.arm();
-        dur.write(CkptPhase::Signoff, &w, None);
+        dur.write(CkptPhase::Signoff, &w);
         if dur.d.cancel.poll() {
-            return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w, None));
+            return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w));
         }
         let mut fault_list = FaultList::new(universe);
         let stats = sim.fault_batch(&w.patterns, &mut fault_list, &exec);
         w.failed_sim_batches += stats.failed_batches;
         if stats.interrupted {
-            return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w, None));
+            return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w));
         }
         for (i, &f) in fault_list.faults().to_vec().iter().enumerate() {
             let rep = collapsed.representative(f);
@@ -1011,12 +940,12 @@ impl<'a> Atpg<'a> {
         })
     }
 
-    /// One deterministic top-off round: PODEM every fault undetected at
-    /// the round's start (escalating aborts to the SAT engine) and
-    /// fault-drop each new pattern against the list.
+    /// Deterministic top-off: PODEM every fault undetected after the
+    /// random phase (escalating aborts to the SAT engine) and fault-drop
+    /// each new pattern against the list.
     ///
     /// Up to one worker per engine in `podems`, the calling thread
-    /// included, search the round's targets ahead of their turn on a
+    /// included, search the targets ahead of their turn on a
     /// [`Board`]. The calling thread commits the results strictly in
     /// target order, exactly as a serial loop would, so a result whose
     /// target an earlier commit detected is discarded. The commit loop
@@ -1025,7 +954,6 @@ impl<'a> Atpg<'a> {
     /// boundaries; an interrupt returns only after every worker has
     /// joined, and a result taken after the token fired is never
     /// classified, so the checkpoint always sits at a fault boundary.
-    #[allow(clippy::too_many_arguments)]
     fn topoff(
         &self,
         config: &AtpgConfig,
@@ -1034,10 +962,8 @@ impl<'a> Atpg<'a> {
         sim: &TapeKernel<'_>,
         w: &mut Working,
         dur: &mut DurCtx<'_>,
-        round: u32,
-        pre: Option<&Snapshot>,
     ) -> Result<(), AtpgError> {
-        let search = RoundSearch {
+        let search = TopoffSearch {
             config,
             sat,
             trace: &self.trace,
@@ -1062,7 +988,7 @@ impl<'a> Atpg<'a> {
             // included), workers claim nothing more and the scope joins
             // them after at most their current search.
             let _stop = StopOnDrop(&board);
-            self.commit_round(own, &board, &search, sim, w, dur, round, pre)
+            self.commit_targets(own, &board, &search, sim, w, dur)
         });
         if let Some(m) = self.metrics.get() {
             for r in board.into_untaken() {
@@ -1072,28 +998,25 @@ impl<'a> Atpg<'a> {
         outcome
     }
 
-    /// The commit loop of [`Atpg::topoff`]: takes each round target's
+    /// The commit loop of [`Atpg::topoff`]: takes each target's
     /// result in order and applies it.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_round(
+    fn commit_targets(
         &self,
         podem: &mut Podem<'_>,
         board: &Board<Resolved>,
-        search: &RoundSearch<'_, '_>,
+        search: &TopoffSearch<'_, '_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
         dur: &mut DurCtx<'_>,
-        round: u32,
-        pre: Option<&Snapshot>,
     ) -> Result<(), AtpgError> {
         let mut next = 0;
         loop {
             if dur.d.cancel.poll() {
-                return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
+                return Err(dur.interrupt("topoff", CkptPhase::Topoff, w));
             }
             let every = dur.d.every_faults;
             if every != 0 && w.fault_ordinal.is_multiple_of(every) {
-                dur.write(CkptPhase::Topoff(round), w, pre);
+                dur.write(CkptPhase::Topoff, w);
             }
             // Skip the targets earlier commits detected; their results,
             // if any worker produced one, are discarded.
@@ -1113,7 +1036,7 @@ impl<'a> Atpg<'a> {
             // that must not be classified. Nothing was applied yet, so
             // the state is still the previous fault boundary: drain.
             if dur.d.cancel.is_cancelled() {
-                return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
+                return Err(dur.interrupt("topoff", CkptPhase::Topoff, w));
             }
             // Counters describe committed results only, so they are the
             // same for any thread count.
@@ -1158,7 +1081,7 @@ impl<'a> Atpg<'a> {
                         // pattern was not pushed: rolling back the
                         // per-fault counters restores the boundary.
                         (w.fill_seed, w.fault_ordinal, w.tally) = saved;
-                        return Err(dur.interrupt("topoff", CkptPhase::Topoff(round), w, pre));
+                        return Err(dur.interrupt("topoff", CkptPhase::Topoff, w));
                     }
                     // Guard against a generator/fault-sim disagreement:
                     // a target its own test misses is classified aborted,

@@ -3,9 +3,9 @@
 //! Implements the classic PODEM algorithm (path-oriented decision making)
 //! with SCOAP-guided objective selection and X-path checking, a complete
 //! SAT engine that settles the faults PODEM aborts, a production-shaped
-//! driver (random-pattern phase followed by deterministic top-off, with
-//! static and dynamic compaction), and broadside transition-fault ATPG via
-//! two-frame circuit expansion.
+//! driver (random-pattern phase, deterministic top-off with optional
+//! dynamic cube extension, then reverse-order compaction), and broadside
+//! transition-fault ATPG via two-frame circuit expansion.
 //!
 //! # Example
 //!
@@ -29,7 +29,7 @@ mod sat;
 mod speculate;
 mod twoframe;
 
-pub use compact::{compact_cubes, reverse_order_compaction};
+pub use compact::reverse_order_compaction;
 pub use driver::{Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability};
 pub use miter::{SatAtpg, SAT_CONFLICT_BUDGET};
 pub use podem::{AtpgResult, Podem, PodemStats};

@@ -100,7 +100,7 @@ pub fn e2_collapse_table() {
 
 /// E3: ATPG sign-off table with ablations.
 pub fn e3_atpg_signoff() {
-    println!("E3: ATPG sign-off (random 128 + PODEM/SAT top-off)");
+    println!("E3: ATPG sign-off (random 128 + PODEM/SAT top-off + reverse-order compaction)");
     println!(
         "{:<10} {:>6} {:>8} {:>8} {:>7} {:>7} {:>9} {:>9}",
         "circuit", "gates", "patterns", "TC", "untest", "abort", "backtracks", "time"

@@ -1,7 +1,7 @@
 //! The one journal type: framed, checksummed, append-only records.
 //!
 //! Every durable stream in the toolkit is a [`FramedJournal`]: the ATPG
-//! checkpoints (`aidft-ckpt-v1`), the serve fleet journal
+//! checkpoints (`aidft-ckpt-v2`), the serve fleet journal
 //! (`aidft-serve-v3`) and the telemetry event stream
 //! (`aidft-telemetry-v1`). Each record is a `ckpt <format> <seq>`
 //! header, a line-oriented body, and an `end <crc>` trailer whose FNV-1a

@@ -1,9 +1,9 @@
-//! The `aidft-ckpt-v1` checkpoint body: the ATPG resume state and its
+//! The `aidft-ckpt-v2` checkpoint body: the ATPG resume state and its
 //! codec.
 //!
 //! An ATPG checkpoint journal is a [`FramedJournal`] opened with
 //! [`CKPT_FORMAT`]. The framing layer owns everything durable — the
-//! `ckpt aidft-ckpt-v1 <seq>` header, the `end <crc>` trailer, torn-tail
+//! `ckpt aidft-ckpt-v2 <seq>` header, the `end <crc>` trailer, torn-tail
 //! realignment, replicas, disk chaos, newest-first recovery — and this
 //! module owns only the body between header and trailer
 //! ([`CkptState::to_body`] / [`CkptState::parse_body`]). Each record is
@@ -15,7 +15,7 @@
 //! ```text
 //! design <name>
 //! config <hex16>            # caller-computed configuration hash
-//! phase <init | topoff <round> | signoff>
+//! phase <init | topoff | signoff>
 //! seed <u64>
 //! fill_seed <u64>
 //! ordinal <u64>
@@ -28,8 +28,11 @@
 //! pat <0/1 bits>            # one line per pattern
 //! ncube <count>
 //! cube <0/1/X bits>         # one line per cube
-//! [section pre_compaction]  # optional second section, same layout
 //! ```
+//!
+//! `aidft-ckpt-v1` records (ATPG with a second, rebuilding top-off
+//! round: `phase topoff <round>` and an optional `section
+//! pre_compaction`) carry another tag, so a v2 journal never loads one.
 
 use std::fmt;
 use std::io;
@@ -37,7 +40,7 @@ use std::io;
 use crate::framed::{FramedJournal, RecoveryReport};
 
 /// The on-disk format identifier; bump on any incompatible change.
-pub const CKPT_FORMAT: &str = "aidft-ckpt-v1";
+pub const CKPT_FORMAT: &str = "aidft-ckpt-v2";
 
 /// FNV-1a 64-bit hash (also used by callers to fingerprint their
 /// configuration into [`CkptState::config_hash`]).
@@ -71,8 +74,8 @@ pub enum CkptPhase {
     /// Nothing durable happened yet; resume re-runs from scratch.
     #[default]
     Init,
-    /// Mid deterministic top-off, in compaction round `round`.
-    Topoff(u32),
+    /// Mid deterministic top-off or the compaction pass after it.
+    Topoff,
     /// Top-off and compaction complete; only sign-off simulation (and
     /// downstream compression) remain.
     Signoff,
@@ -94,7 +97,7 @@ pub struct CkptSection {
     pub tally: [u64; 4],
 }
 
-/// A complete `aidft-ckpt-v1` record: everything a run needs to resume
+/// A complete `aidft-ckpt-v2` record: everything a run needs to resume
 /// bit-identically.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CkptState {
@@ -118,9 +121,6 @@ pub struct CkptState {
     pub width: usize,
     /// The live frontier.
     pub main: CkptSection,
-    /// Pre-compaction fallback snapshot, present only while a rebuilt
-    /// pattern set is still on probation (top-off round ≥ 1).
-    pub pre_compaction: Option<CkptSection>,
 }
 
 /// Why a journal could not produce a checkpoint.
@@ -223,7 +223,7 @@ impl CkptState {
         body.push_str(&format!("config {:016x}\n", self.config_hash));
         match self.phase {
             CkptPhase::Init => body.push_str("phase init\n"),
-            CkptPhase::Topoff(round) => body.push_str(&format!("phase topoff {round}\n")),
+            CkptPhase::Topoff => body.push_str("phase topoff\n"),
             CkptPhase::Signoff => body.push_str("phase signoff\n"),
         }
         body.push_str(&format!("seed {}\n", self.seed));
@@ -232,9 +232,6 @@ impl CkptState {
         body.push_str(&format!("random_detected {}\n", self.random_detected));
         body.push_str(&format!("width {}\n", self.width));
         write_section(&mut body, "main", &self.main);
-        if let Some(pre) = &self.pre_compaction {
-            write_section(&mut body, "pre_compaction", pre);
-        }
         body
     }
 
@@ -250,10 +247,10 @@ impl CkptState {
                 "design" => state.design = rest.to_owned(),
                 "config" => state.config_hash = u64::from_str_radix(rest, 16).ok()?,
                 "phase" => {
-                    state.phase = match rest.split_once(' ') {
-                        Some(("topoff", round)) => CkptPhase::Topoff(round.parse().ok()?),
-                        None if rest == "init" => CkptPhase::Init,
-                        None if rest == "signoff" => CkptPhase::Signoff,
+                    state.phase = match rest {
+                        "init" => CkptPhase::Init,
+                        "topoff" => CkptPhase::Topoff,
+                        "signoff" => CkptPhase::Signoff,
                         _ => return None,
                     }
                 }
@@ -262,14 +259,7 @@ impl CkptState {
                 "ordinal" => state.fault_ordinal = rest.parse().ok()?,
                 "random_detected" => state.random_detected = rest.parse().ok()?,
                 "width" => state.width = rest.parse().ok()?,
-                "section" => {
-                    let section = parse_section(&mut lines)?;
-                    match rest {
-                        "main" => state.main = section,
-                        "pre_compaction" => state.pre_compaction = Some(section),
-                        _ => return None,
-                    }
-                }
+                "section" if rest == "main" => state.main = parse_section(&mut lines)?,
                 _ => return None,
             }
         }
@@ -379,7 +369,7 @@ mod tests {
         CkptState {
             design: "mac4".into(),
             config_hash: 0xDEAD_BEEF_0BAD_F00D,
-            phase: CkptPhase::Topoff(1),
+            phase: CkptPhase::Topoff,
             seed: 0x5EED,
             fill_seed: 42 + seq,
             fault_ordinal: 17,
@@ -396,12 +386,6 @@ mod tests {
                 cubes: vec![vec![Some(true), None, Some(false), None, None]],
                 tally: [1, 2, 3, 4],
             },
-            pre_compaction: Some(CkptSection {
-                statuses: vec![CkptStatus::Detected(0)],
-                patterns: vec![vec![false; 5]],
-                cubes: vec![],
-                tally: [0, 0, 0, 0],
-            }),
         }
     }
 
@@ -427,15 +411,14 @@ mod tests {
         assert_eq!(CkptState::parse_body(&body), Some(s));
     }
 
-    /// A record written before the body codec was split from the
-    /// framing: it must still parse, and re-framing the parsed state
-    /// must reproduce it byte for byte.
+    /// The record format, pinned byte for byte: it must parse, and
+    /// re-framing the parsed state must reproduce it.
     #[test]
-    fn framed_body_matches_the_ckpt_v1_record_format() {
-        let record = "ckpt aidft-ckpt-v1 3\n\
+    fn framed_body_matches_the_ckpt_v2_record_format() {
+        let record = "ckpt aidft-ckpt-v2 3\n\
             design mac4\n\
             config deadbeef0badf00d\n\
-            phase topoff 1\n\
+            phase topoff\n\
             seed 24301\n\
             fill_seed 45\n\
             ordinal 17\n\
@@ -448,15 +431,9 @@ mod tests {
             pat 10110\n\
             ncube 1\n\
             cube 1X0XX\n\
-            section pre_compaction\n\
-            tally 0 0 0 0\n\
-            status d0\n\
-            npat 1\n\
-            pat 00000\n\
-            ncube 0\n\
-            end feb3453b6ac05399\n";
-        let (seq, body) = parse_framed(record, CKPT_FORMAT).expect("ckpt-v1 record parses");
-        let state = CkptState::parse_body(&body).expect("ckpt-v1 body parses");
+            end 9cd694c3404c06c1\n";
+        let (seq, body) = parse_framed(record, CKPT_FORMAT).expect("ckpt-v2 record parses");
+        let state = CkptState::parse_body(&body).expect("ckpt-v2 body parses");
         assert_eq!((seq, &state), (3, &sample(3)));
         assert_eq!(frame_record(CKPT_FORMAT, seq, &state.to_body()), record);
     }
@@ -470,6 +447,9 @@ mod tests {
         // A body that frames cleanly but is not a checkpoint is refused
         // by the codec.
         assert!(CkptState::parse_body("phase sideways\n").is_none());
+        // So is the v1 grammar: a top-off round and a second section.
+        assert!(CkptState::parse_body("phase topoff 1\n").is_none());
+        assert!(CkptState::parse_body("section pre_compaction\ntally 0 0 0 0\n").is_none());
         assert!(CkptState::parse_body("section main\ntally 1 2\n").is_none());
     }
 

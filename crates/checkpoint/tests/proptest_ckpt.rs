@@ -1,4 +1,4 @@
-//! Property tests for the `aidft-ckpt-v1` body codec on a
+//! Property tests for the `aidft-ckpt-v2` body codec on a
 //! `FramedJournal`: frame → parse is the identity for arbitrary states,
 //! and the newest complete record always survives torn tails, bit rot
 //! and garbage.
@@ -74,7 +74,7 @@ impl Gen {
             config_hash: self.next(),
             phase: match self.below(3) {
                 0 => CkptPhase::Init,
-                1 => CkptPhase::Topoff(self.below(6) as u32),
+                1 => CkptPhase::Topoff,
                 _ => CkptPhase::Signoff,
             },
             seed: self.next(),
@@ -83,7 +83,6 @@ impl Gen {
             random_detected: self.below(100_000),
             width,
             main: self.section(width),
-            pre_compaction: (self.next() & 1 == 1).then(|| self.section(width)),
         }
     }
 }

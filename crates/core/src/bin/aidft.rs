@@ -22,10 +22,11 @@
 //! breaker budget per die before it is quarantined `Untestable`,
 //! default 32), and `--backoff-base MS` (base of the deterministic
 //! reconnect backoff schedule, default 1; `0` disables backoff), plus
-//! the durability flags below (`--checkpoint-every` counts dies, at
-//! least 1). The final fleet state is bit-identical for any thread
-//! count and any kill/resume split; a fleet with an unreachable die
-//! completes and reports it quarantined instead of hanging.
+//! the durability flags below but `--phase-timeout`
+//! (`--checkpoint-every` counts dies, at least 1). The final fleet
+//! state is bit-identical for any thread count and any kill/resume
+//! split; a fleet with an unreachable die completes and reports it
+//! quarantined instead of hanging.
 //!
 //! Live telemetry (strictly read-only — the final fleet state is
 //! unchanged with it on or off):
@@ -70,10 +71,12 @@
 //!
 //! `atpg` and `flow` are durable: Ctrl-C (SIGINT) or SIGTERM drains the
 //! engines cleanly at a fault boundary instead of killing the process
-//! mid-write. Related flags:
+//! mid-write. They take the flags below, after the design; `serve`
+//! takes all but `--phase-timeout`, and every other command rejects
+//! them:
 //!
 //! - `--checkpoint <path>` — append resume checkpoints to an
-//!   `aidft-ckpt-v1` journal (schema in EXPERIMENTS.md).
+//!   `aidft-ckpt-v2` journal (schema in EXPERIMENTS.md).
 //! - `--checkpoint-every <n>` — checkpoint cadence in faults
 //!   (default 64; `0` = phase boundaries only).
 //! - `--phase-timeout <ms>` — per-phase deadline; an overrunning phase
@@ -94,7 +97,7 @@
 //! see EXPERIMENTS.md for the knob table.
 //!
 //! `aidft fsck <journal> [--repair]` validates any of the three framed
-//! journal formats (`aidft-ckpt-v1`, `aidft-serve-v3`,
+//! journal formats (`aidft-ckpt-v2`, `aidft-serve-v3`,
 //! `aidft-telemetry-v1`): per-record verdicts (intact / bad-crc /
 //! torn), scrub-index cross-check, and a summary verdict. `--repair`
 //! rewrites the journal as a clean copy holding exactly the intact
@@ -184,7 +187,7 @@ macro_rules! say {
     ($out:expr, $($arg:tt)*) => { $out.line(format!($($arg)*)) };
 }
 
-/// The durability knobs shared by the `atpg` and `flow` commands.
+/// The durability knobs of the `atpg`, `flow` and `serve` commands.
 struct DurOpts {
     /// Journal path for new checkpoints (`--checkpoint`).
     checkpoint: Option<String>,
@@ -201,6 +204,28 @@ struct DurOpts {
 }
 
 impl DurOpts {
+    /// Removes the durability flags from `rest`, the arguments after a
+    /// command's design. `--phase-timeout` only when `phases`: a command
+    /// without phases leaves it for its `no_more_args` to reject.
+    fn extract(
+        rest: &mut Vec<String>,
+        phases: bool,
+        chaos: Option<ChaosConfig>,
+    ) -> Result<DurOpts, DftError> {
+        Ok(DurOpts {
+            checkpoint: extract_path_flag(rest, "--checkpoint")?,
+            every: extract_u64_flag(rest, "--checkpoint-every")?,
+            timeout_ms: if phases {
+                extract_u64_flag(rest, "--phase-timeout")?.unwrap_or(0)
+            } else {
+                0
+            },
+            resume: extract_path_flag(rest, "--resume")?,
+            replicas: extract_u64_flag(rest, "--checkpoint-replicas")?,
+            chaos,
+        })
+    }
+
     /// The configured replica count (default 1, floor 1).
     fn replica_count(&self) -> u32 {
         self.replicas.unwrap_or(1).clamp(1, u64::from(u32::MAX)) as u32
@@ -256,18 +281,11 @@ fn main() -> ExitCode {
         let threads = extract_threads(&mut args)?;
         let metrics_path = extract_path_flag(&mut args, "--metrics-json")?;
         let trace_path = extract_path_flag(&mut args, "--trace")?;
-        let dur = DurOpts {
-            checkpoint: extract_path_flag(&mut args, "--checkpoint")?,
-            every: extract_u64_flag(&mut args, "--checkpoint-every")?,
-            timeout_ms: extract_u64_flag(&mut args, "--phase-timeout")?.unwrap_or(0),
-            resume: extract_path_flag(&mut args, "--resume")?,
-            replicas: extract_u64_flag(&mut args, "--checkpoint-replicas")?,
-            chaos: ChaosConfig::from_env()
-                .map_err(|e| DftError::usage(format!("bad AIDFT_CHAOS value: {e}")))?,
-        };
-        Ok((threads, metrics_path, trace_path, dur))
+        let chaos = ChaosConfig::from_env()
+            .map_err(|e| DftError::usage(format!("bad AIDFT_CHAOS value: {e}")))?;
+        Ok((threads, metrics_path, trace_path, chaos))
     })();
-    let (threads, metrics_path, trace_path, dur_opts) = match parsed {
+    let (threads, metrics_path, trace_path, chaos) = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("aidft: {e}");
@@ -302,7 +320,9 @@ fn main() -> ExitCode {
             Ok(())
         }),
         Some("atpg") => with_design(&args, |nl, rest| {
-            no_more_args("atpg", rest)?;
+            let mut rest = rest.to_vec();
+            let dur_opts = DurOpts::extract(&mut rest, true, chaos)?;
+            no_more_args("atpg", &rest)?;
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let mut dur = dur_opts.build()?;
@@ -328,7 +348,9 @@ fn main() -> ExitCode {
             write_metrics(&out, &metrics_path, &handle)
         }),
         Some("flow") => with_design(&args, |nl, rest| {
-            let chains = count_arg("flow", "chain count", rest, 4)?;
+            let mut rest = rest.to_vec();
+            let dur_opts = DurOpts::extract(&mut rest, true, chaos)?;
+            let chains = count_arg("flow", "chain count", &rest, 4)?;
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let mut dur = dur_opts.build()?;
@@ -426,6 +448,7 @@ fn main() -> ExitCode {
             let backoff_base = extract_u64_flag(&mut rest, "--backoff-base")?;
             let stats_addr = extract_path_flag(&mut rest, "--stats-addr")?;
             let events_path = extract_path_flag(&mut rest, "--events")?;
+            let dur_opts = DurOpts::extract(&mut rest, false, chaos)?;
             no_more_args("serve", &rest)?;
             // A fleet journals every `n` dies; `0` has no meaning there.
             if dur_opts.every == Some(0) {
@@ -537,10 +560,9 @@ fn main() -> ExitCode {
         }
         _ => Err(DftError::usage(
             "usage: aidft <stats|atpg|flow|bist|gen|diagnose|repair|serve|top|fleet-stats|fsck> \
-             [--threads N] \
-             [--metrics-json <path>] [--trace <path>] \
-             [--checkpoint <path>] [--checkpoint-every <faults>] [--phase-timeout <ms>] \
-             [--resume <path>] [--checkpoint-replicas <n>] <args>; \
+             [--threads N] [--metrics-json <path>] [--trace <path>] <args>; \
+             atpg, flow and serve also take [--checkpoint <path>] [--checkpoint-every <n>] \
+             [--resume <path>] [--checkpoint-replicas <n>], atpg and flow [--phase-timeout <ms>]; \
              `-` as a path writes to stdout; see README",
         )),
     };

@@ -23,7 +23,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Re-export of `dft-checkpoint` (cooperative cancellation, the
-/// `aidft-ckpt-v1` checkpoint journal, and the `AIDFT_CHAOS` fault
+/// `aidft-ckpt-v2` checkpoint journal, and the `AIDFT_CHAOS` fault
 /// injection harness).
 pub use dft_checkpoint as checkpoint;
 

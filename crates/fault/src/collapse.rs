@@ -7,8 +7,11 @@
 //!   to the driver's output fault.
 //! * `AND`: any input SA0 ≡ output SA0. `OR`: input SA1 ≡ output SA1.
 //!   `NAND`: input SA0 ≡ output SA1. `NOR`: input SA1 ≡ output SA0.
-//! * `NOT`/`BUF`/`DFF`/PO-marker: input SA-v ≡ output SA-v (inverted for
-//!   NOT).
+//! * `NOT`/`BUF`: input SA-v ≡ output SA-v (inverted for NOT).
+//!
+//! A flop's D-pin and Q faults are never merged: under full scan the D
+//! pin is a pseudo-output (captured) and Q a pseudo-input (loaded), so
+//! different patterns detect them.
 //!
 //! Dominance rules (fault `f` dominates `g` when every test for `g` also
 //!   detects `f`; the dominating fault can be dropped):
@@ -133,7 +136,7 @@ pub fn collapse_equivalent(nl: &Netlist, faults: &[Fault]) -> CollapsedFaults {
             GateKind::Or => (true, true),
             GateKind::Nand => (false, true),
             GateKind::Nor => (true, false),
-            GateKind::Buf | GateKind::Dff => {
+            GateKind::Buf => {
                 for v in [false, true] {
                     dsu.union(
                         Fault::stuck_at_input(id, 0, v),

@@ -1,9 +1,9 @@
 //! Partially-specified test cubes.
 //!
 //! ATPG produces *cubes* — assignments where only the care bits needed to
-//! detect the target fault are specified. Cubes are the currency of static
-//! compaction (merging compatible cubes) and of EDT compression (the GF(2)
-//! solver encodes only care bits).
+//! detect the target fault are specified. Cubes are the currency of
+//! dynamic compaction (a cube extended with tests for more faults) and of
+//! EDT compression (the GF(2) solver encodes only care bits).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

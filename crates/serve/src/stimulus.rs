@@ -8,7 +8,7 @@
 //! a pattern that round-trips the codec is bit-identical on each side —
 //! the invariant the fleet tests pin down.
 
-use dft_atpg::{Atpg, AtpgConfig};
+use dft_atpg::{Atpg, AtpgConfig, CompactionMode};
 use dft_checkpoint::fnv1a;
 use dft_compress::{Misr, ScanEdt};
 use dft_fault::{universe_stuck_at, Fault};
@@ -176,13 +176,17 @@ impl<'nl> ServedStimulus<'nl> {
             (r, _) => r,
         };
 
+        // The broadcast is the regenerated random prefix plus `run.cubes`,
+        // not `run.patterns`, so compacting the set would only cost time
+        // and drop cubes from the broadcast.
         let run = Atpg::new(nl)
             .with_metrics(metrics.clone())
             .with_trace(trace.clone())
             .run(
                 &AtpgConfig::new()
                     .random_patterns(cfg.random_patterns)
-                    .seed(cfg.seed),
+                    .seed(cfg.seed)
+                    .compaction(CompactionMode::None),
             );
 
         let mut patterns = PatternSet::for_netlist(nl);

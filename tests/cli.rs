@@ -1,6 +1,6 @@
 //! The `aidft` command line through the built binary: a stray argument
-//! or a zero `serve` count is a usage error (exit 2) that names the
-//! argument, `diagnose` runs on its documented usage, and chaos-injected
+//! (a durability flag the command does not honour included) or a zero
+//! `serve` count is a usage error (exit 2) that names the argument, `diagnose` runs on its documented usage, and chaos-injected
 //! worker panics are counted without a panic report.
 
 use std::path::{Path, PathBuf};
@@ -48,6 +48,7 @@ fn stray_arguments_are_usage_errors_that_name_the_argument() {
     let dir = scratch_dir("stray");
     let (d, _) = mac4_design(&dir);
     let log = write_log(&dir, "clean.json", &FailureLog::default());
+    let ckpt = dir.join("s.ckpt").to_str().unwrap().to_owned();
     let cases: &[(&[&str], &str)] = &[
         (&["atpg", &d, "--bogus-flag", "7"], "--bogus-flag"),
         (&["flow", &d, "eight"], "eight"),
@@ -66,6 +67,25 @@ fn stray_arguments_are_usage_errors_that_name_the_argument() {
             &["serve", &d, "--checkpoint-every", "0"],
             "--checkpoint-every",
         ),
+        // Durability flags only where a command honours them.
+        (
+            &["stats", &d, "--checkpoint", &ckpt, "--phase-timeout", "5"],
+            "--checkpoint",
+        ),
+        (&["bist", &d, "--resume", "nonexistent.ckpt"], "--resume"),
+        (
+            &[
+                "serve",
+                &d,
+                "--dies",
+                "64",
+                "--client-threads",
+                "2",
+                "--phase-timeout",
+                "1",
+            ],
+            "--phase-timeout",
+        ),
     ];
     for (args, stray) in cases {
         let out = aidft(args);
@@ -73,6 +93,10 @@ fn stray_arguments_are_usage_errors_that_name_the_argument() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(&format!("`{stray}`")), "{args:?}: {err}");
     }
+    assert!(
+        !Path::new(&ckpt).exists(),
+        "a refused command wrote a journal"
+    );
     for args in [&["flow", &d, "4"][..], &["stats", &d]] {
         let out = aidft(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -121,7 +145,7 @@ fn chaos_worker_panics_are_counted_without_a_panic_report() {
         assert_eq!(out.status.code(), Some(0), "--threads {threads}: {err}");
         assert!(
             text.contains(
-                "WARNING: 379 fault-simulation batches lost to worker panics; \
+                "WARNING: 435 fault-simulation batches lost to worker panics; \
                  coverage is a lower bound"
             ),
             "--threads {threads}: {text}"

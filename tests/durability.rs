@@ -7,7 +7,8 @@ use std::path::{Path, PathBuf};
 
 use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, AtpgRun, CompactionMode, Durability};
 use dft_core::checkpoint::{
-    CancelToken, ChaosConfig, CkptPhase, CkptState, FramedJournal, CKPT_FORMAT,
+    frame_record, CancelToken, ChaosConfig, CkptPhase, CkptState, CkptStatus, FramedJournal,
+    CKPT_FORMAT,
 };
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{
@@ -88,6 +89,18 @@ fn assert_identical_runs(run: &AtpgRun, reference: &AtpgRun, context: &str) {
     assert_eq!(run.podem, reference.podem, "{context}: PODEM stats");
 }
 
+/// Where an interrupted run's checkpoint stopped. A top-off record with
+/// no undetected collapsed fault left was written by the compaction
+/// pass that follows top-off.
+fn stage(state: &CkptState) -> &'static str {
+    match state.phase {
+        CkptPhase::Init => "random",
+        CkptPhase::Topoff if state.main.statuses.contains(&CkptStatus::Undetected) => "topoff",
+        CkptPhase::Topoff => "compaction",
+        CkptPhase::Signoff => "signoff",
+    }
+}
+
 fn sys2x2() -> Netlist {
     systolic_array(SystolicConfig {
         rows: 2,
@@ -102,10 +115,12 @@ fn sys2x2() -> Netlist {
 /// and 4 worker threads, and on sys4x4 with 2 and 4, always resuming on
 /// another thread count.
 ///
-/// sys4x4 has about 250 top-off targets, so its trips fire while
+/// sys4x4 has about 260 top-off targets, so its trips fire while
 /// workers are mid-search on targets ahead of the commit point. A
 /// result taken after the trip must never be classified, or the
-/// checkpoint would carry it and the resumed run would differ.
+/// checkpoint would carry it and the resumed run would differ. Two more
+/// sys4x4 trips land inside the compaction pass, whose interrupted
+/// simulation must leave the finished top-off to resume from.
 #[test]
 fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
     let sys4x4 = benchmark_suite()
@@ -114,8 +129,8 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
         .expect("sys4x4 in suite")
         .netlist;
     // (design, (threads, resume threads) pairs, trip points). sys4x4's
-    // polls span top-off round 0 from about 9k to 21402 and round 1
-    // from 21403 to 21430, at any thread count.
+    // polls span top-off from about 9.1k to 13.8k and the compaction
+    // pass from there to about 27.7k, at any thread count.
     let cases = [
         (
             "mac4",
@@ -128,10 +143,10 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
             "sys4x4",
             sys4x4,
             &[(2, 4), (4, 2)],
-            &[9_000, 13_000, 17_000, 21_000, 21_410, 21_425],
+            &[9_500, 11_000, 12_500, 13_500, 18_000, 25_000],
         ),
     ];
-    let mut sys4x4_rounds = Vec::new();
+    let mut sys4x4_stages = Vec::new();
     for (name, nl, thread_pairs, trips) in &cases {
         for &(threads, resume_threads) in *thread_pairs {
             let reference = DftFlow::new(nl).threads(threads).run();
@@ -160,7 +175,7 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
                 // fingerprint deliberately excludes parallelism.
                 let state = last_state(&checkpoint);
                 if *name == "sys4x4" {
-                    sys4x4_rounds.push(state.phase);
+                    sys4x4_stages.push(stage(&state));
                 }
                 let mut dur = Durability::new(CancelToken::new())
                     .with_journal(journal(&checkpoint))
@@ -180,10 +195,10 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
             }
         }
     }
-    for round in [CkptPhase::Topoff(0), CkptPhase::Topoff(1)] {
+    for stage in ["topoff", "compaction"] {
         assert!(
-            sys4x4_rounds.contains(&round),
-            "no sys4x4 trip landed in {round:?}: re-pick the trip points"
+            sys4x4_stages.contains(&stage),
+            "no sys4x4 trip landed in {stage}: re-pick the trip points"
         );
     }
 }
@@ -402,6 +417,29 @@ fn flow_phase_deadline_interrupts_and_resumes() {
         .expect("resume without deadline completes");
     assert_same_run(&resumed.atpg_run, &reference.atpg_run, "flow deadline");
     std::fs::remove_file(&checkpoint).ok();
+}
+
+/// A journal of the rebuilding compaction that reverse-order
+/// compaction replaced (`aidft-ckpt-v1`: a second top-off round and a
+/// pre-compaction snapshot) is refused by its tag, with an error naming
+/// the format this build reads, instead of resuming under the new pass.
+#[test]
+fn resume_refuses_a_v1_checkpoint() {
+    let path = ckpt_path("v1");
+    let v1 = frame_record(
+        "aidft-ckpt-v1",
+        3,
+        "design mac4\nconfig deadbeef0badf00d\nphase topoff 1\nseed 24301\n\
+         fill_seed 45\nordinal 17\nrandom_detected 301\nwidth 5\n\
+         section main\ntally 1 2 3 4\nstatus u,d7,x,a\nnpat 1\npat 10110\nncube 1\n\
+         cube 1X0XX\nsection pre_compaction\ntally 0 0 0 0\nstatus d0\nnpat 1\n\
+         pat 00000\nncube 0\n",
+    );
+    assert!(v1.ends_with("end feb3453b6ac05399\n"), "{v1}");
+    std::fs::write(&path, v1).unwrap();
+    let err = CkptState::load_last(&journal(&path)).expect_err("a v1 record does not load");
+    assert!(err.to_string().contains("aidft-ckpt-v2"), "{err}");
+    std::fs::remove_file(&path).ok();
 }
 
 /// Resume from a journal belonging to a different design is refused

@@ -44,33 +44,33 @@ struct Golden {
 const GOLDEN: &[Golden] = &[
     Golden {
         name: "c17",
-        patterns: 128,
+        patterns: 7,
         coverage_bp: 10000,
         untestable: 0,
         aborted: 0,
         ratio_centi: 0,
         counters: &[
-            ("atpg_patterns", 128),
+            ("atpg_patterns", 7),
             ("podem_backtracks", 0),
-            ("faultsim_gate_evals", 256),
+            ("faultsim_gate_evals", 424),
             ("edt_cubes_attempted", 0),
         ],
     },
     Golden {
         name: "mac4",
-        patterns: 130,
+        patterns: 29,
         coverage_bp: 9672,
         untestable: 14,
         aborted: 0,
         ratio_centi: 77,
         counters: &[
-            ("atpg_patterns", 130),
+            ("atpg_patterns", 29),
             ("podem_calls", 16),
             ("podem_backtracks", 81),
             ("podem_simulations", 240),
             ("podem_decisions", 147),
             ("podem_gate_evals", 5968),
-            ("faultsim_gate_evals", 36316),
+            ("faultsim_gate_evals", 56984),
             ("atpg_escalations", 4),
             ("atpg_rescued", 4),
             ("edt_cubes_attempted", 2),
@@ -80,61 +80,61 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         name: "sys2x2",
-        patterns: 135,
+        patterns: 42,
         coverage_bp: 9668,
         untestable: 56,
         aborted: 0,
         ratio_centi: 100,
         counters: &[
-            ("atpg_patterns", 135),
+            ("atpg_patterns", 42),
             ("podem_backtracks", 340),
-            ("podem_simulations", 1117),
-            ("podem_decisions", 719),
-            ("podem_gate_evals", 62023),
-            ("faultsim_gate_evals", 215535),
+            ("podem_simulations", 1104),
+            ("podem_decisions", 707),
+            ("podem_gate_evals", 61259),
+            ("faultsim_gate_evals", 238476),
             ("atpg_escalations", 16),
             ("atpg_rescued", 16),
-            ("edt_cubes_encoded", 7),
+            ("edt_cubes_encoded", 17),
         ],
     },
     Golden {
         name: "sys4x4",
-        patterns: 137,
+        patterns: 79,
         coverage_bp: 9667,
         untestable: 224,
         aborted: 0,
         ratio_centi: 143,
         counters: &[
-            ("atpg_patterns", 137),
-            ("podem_calls", 257),
-            ("podem_backtracks", 1323),
-            ("podem_simulations", 3892),
-            ("podem_decisions", 2376),
-            ("podem_gate_evals", 680811),
-            ("faultsim_gate_evals", 835335),
+            ("atpg_patterns", 79),
+            ("podem_calls", 251),
+            ("podem_backtracks", 1311),
+            ("podem_simulations", 3801),
+            ("podem_decisions", 2303),
+            ("podem_gate_evals", 663762),
+            ("faultsim_gate_evals", 956598),
             ("atpg_escalations", 64),
             ("atpg_rescued", 64),
             ("sat_conflicts", 0),
-            ("edt_cubes_attempted", 9),
-            ("edt_cubes_encoded", 9),
-            ("gf2_solves", 9),
+            ("edt_cubes_attempted", 27),
+            ("edt_cubes_encoded", 27),
+            ("gf2_solves", 27),
         ],
     },
     Golden {
         name: "rand500_s2",
-        patterns: 161,
+        patterns: 53,
         coverage_bp: 4817,
         untestable: 1150,
         aborted: 0,
         ratio_centi: 0,
         counters: &[
-            ("atpg_patterns", 161),
-            ("podem_calls", 1188),
-            ("podem_backtracks", 10004),
-            ("podem_simulations", 23312),
-            ("podem_decisions", 12517),
-            ("podem_gate_evals", 3675537),
-            ("faultsim_gate_evals", 217250),
+            ("atpg_patterns", 53),
+            ("podem_calls", 1185),
+            ("podem_backtracks", 10000),
+            ("podem_simulations", 23259),
+            ("podem_decisions", 12471),
+            ("podem_gate_evals", 3669911),
+            ("faultsim_gate_evals", 260943),
             ("atpg_escalations", 397),
             ("atpg_rescued", 397),
             ("sat_conflicts", 793),
@@ -265,8 +265,8 @@ const GOLDEN_REPAIR: GoldenRepair = GoldenRepair {
     sram_spares_used: 3,
     sram_repaired: true,
     soc_good_cores: 14,
-    soc_broadcast_cycles: 1009,
-    soc_flat_cycles: 5495,
+    soc_broadcast_cycles: 403,
+    soc_flat_cycles: 1253,
     healthy_acc_bp: 10000,
     faulty_acc_bp: 9063,
     harvested_acc_bp: 10000,

@@ -35,6 +35,10 @@ const GOLDEN_SKELETON: &[(u32, &str, usize)] = &[
     (2, "faultsim_run", 1),
     (3, "goodsim_eval", 1),
     (3, "faultsim_batch", 1),
+    (2, "atpg_compact", 1),
+    (3, "faultsim_run", 1),
+    (4, "goodsim_eval", 1),
+    (4, "faultsim_batch", 1),
     (1, "atpg_signoff", 1),
     (2, "faultsim_run", 1),
     (3, "goodsim_eval", 1),

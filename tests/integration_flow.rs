@@ -3,7 +3,7 @@
 
 use dft_core::atpg::{Atpg, AtpgConfig, CompactionMode};
 use dft_core::compress::ScanEdt;
-use dft_core::fault::{universe_stuck_at, FaultList};
+use dft_core::fault::{universe_stuck_at, FaultList, FaultStatus};
 use dft_core::logicsim::{Executor, SimKernel, TapeKernel};
 use dft_core::netlist::generators::{benchmark_suite, systolic_array, SystolicConfig};
 use dft_core::scan::{chain_loads, expected_unloads, insert_scan, ScanConfig};
@@ -80,6 +80,39 @@ fn compaction_modes_preserve_coverage() {
     }
     for c in &coverages {
         assert!((c - coverages[0]).abs() < 1e-9, "{coverages:?}");
+    }
+}
+
+/// Compaction never costs a detection: on every suite design, at one
+/// and four threads, the statically compacted set detects exactly the
+/// universe faults of the uncompacted one, with the same untestable and
+/// aborted verdicts, from no more patterns.
+#[test]
+fn static_compaction_detects_exactly_what_the_uncompacted_set_does() {
+    for circuit in benchmark_suite() {
+        for threads in [1, 4] {
+            let run = |compaction| {
+                Atpg::new(&circuit.netlist).run(&AtpgConfig {
+                    compaction,
+                    threads,
+                    ..AtpgConfig::default()
+                })
+            };
+            let (none, compacted) = (run(CompactionMode::None), run(CompactionMode::Static));
+            let context = format!("{} t{threads}", circuit.name);
+            assert!(compacted.patterns.len() <= none.patterns.len(), "{context}");
+            // A detection's pattern index differs between the sets.
+            let verdict = |s: FaultStatus| (!s.is_detected()).then_some(s);
+            let (a, b) = (&compacted.fault_list, &none.fault_list);
+            for i in 0..b.len() {
+                assert_eq!(
+                    verdict(a.status(i)),
+                    verdict(b.status(i)),
+                    "{context}: fault {}",
+                    b.faults()[i].describe(&circuit.netlist)
+                );
+            }
+        }
     }
 }
 

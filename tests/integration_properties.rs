@@ -7,7 +7,7 @@ use dft_core::bist::{march_c_minus, run_march, MemFault, MemFaultKind, SramModel
 use dft_core::compress::EdtCodec;
 use dft_core::fault::{collapse_equivalent, universe_stuck_at, FaultList};
 use dft_core::logicsim::{Executor, FiveSim, PatternSet, SimKernel, TapeKernel, TestCube};
-use dft_core::netlist::generators::random_logic;
+use dft_core::netlist::generators::{benchmark_suite, random_logic};
 use dft_core::netlist::{GateId, GateKind, Netlist};
 
 /// A random netlist of `inputs` primary inputs, `flops` flip-flops and
@@ -318,5 +318,43 @@ proptest! {
                 "{}", f
             );
         }
+    }
+}
+
+/// Equivalence collapsing holds on every sequential suite design: each
+/// universe fault is detected by exactly the patterns that detect its
+/// representative. Under full scan a flop's D pin is a pseudo-output and
+/// its Q a pseudo-input, so merging their faults fails this.
+#[test]
+fn collapsed_faults_detect_identically_on_sequential_designs() {
+    for c in benchmark_suite() {
+        let nl = &c.netlist;
+        if nl.num_dffs() == 0 {
+            continue;
+        }
+        let faults = universe_stuck_at(nl);
+        let col = collapse_equivalent(nl, &faults);
+        let index = FaultList::new(faults.clone());
+        let sim = TapeKernel::compile(nl);
+        let rows = sim.detection_matrix(&PatternSet::random(nl, 256, 0xC011), &faults);
+        let split: Vec<_> = faults
+            .iter()
+            .enumerate()
+            .filter(|&(i, &f)| {
+                let rep = index
+                    .index_of(col.representative(f))
+                    .expect("rep in universe");
+                rows[i] != rows[rep]
+            })
+            .map(|(_, &f)| f)
+            .collect();
+        assert!(
+            split.is_empty(),
+            "{}: {} of {} faults detected unlike their representative, first {}",
+            c.name,
+            split.len(),
+            faults.len(),
+            split[0].describe(nl)
+        );
     }
 }
