@@ -67,7 +67,8 @@ pub struct CoreTestPlan {
     pub atpg_time: Duration,
     /// Outcome of the per-core broadcast verification: one entry per core
     /// instance, `true` when that core's seeded defect is flagged by the
-    /// local compare of the broadcast stimulus.
+    /// local compare of the broadcast stimulus (and for every instance of
+    /// a core with no faults, whose instances carry no defect).
     pub defects_flagged: Vec<bool>,
 }
 
@@ -173,43 +174,25 @@ pub fn schedule_cycles(per_core_cycles: u64, num_cores: usize, cfg: &SocConfig) 
     (flat_cycles, broadcast_cycles)
 }
 
-/// Screens every core instance with the broadcast pattern set and
-/// returns the per-core pass map: `true` = the core's local compare saw
-/// no mismatch (the core ships), `false` = the core failed screening.
-/// Cores listed in `defective_cores` carry one seeded stuck-at defect
-/// (deterministic in the core index, same seeding as
-/// [`hierarchical_plan`]); a defective core still *passes* when the
-/// broadcast patterns miss its defect — a genuine test escape, which is
-/// why the flag rate in [`CoreTestPlan::defect_flag_rate`] matters.
-///
-/// Records spans on `trace`: a `broadcast_screen` root span wraps the
-/// shared ATPG and per-core `core_screen` spans (`arg` = core index) on
-/// the worker threads.
-pub fn broadcast_screen(
-    core: &Netlist,
-    cfg: &SocConfig,
-    atpg: &AtpgConfig,
-    defective_cores: &[usize],
-    trace: &TraceHandle,
-) -> Vec<bool> {
-    let _screen = trace.span_arg("broadcast_screen", cfg.num_cores as u64);
-    let run = Atpg::new(core).with_trace(trace.clone()).run(atpg);
-    let universe = universe_stuck_at(core);
-    // Compile the kernel once; every core screens against the same tape.
-    let sim = TapeKernel::compile(core);
-    let exec = Executor::with_threads(cfg.threads);
-    let cores: Vec<usize> = (0..cfg.num_cores).collect();
-    exec.map(&cores, |_, &core_idx| {
-        let _core = trace.span_arg("core_screen", core_idx as u64);
-        if !defective_cores.contains(&core_idx) || universe.is_empty() {
-            return true;
-        }
-        let defect = seeded_defect(core_idx, &universe);
-        let mut list = FaultList::new(vec![defect]);
-        sim.fault_batch(&run.patterns, &mut list, &Executor::serial());
-        // Detected defect -> local compare mismatches -> core fails.
-        list.num_detected() == 0
-    })
+/// Screens every core instance with the plan's broadcast pattern set
+/// and returns the per-core pass map: `true` = the core's local compare
+/// saw no mismatch (the core ships), `false` = the core failed screening.
+/// Cores listed in `defective_cores` carry the seeded stuck-at defect
+/// [`hierarchical_plan`] screened them with, so a defective core fails
+/// exactly when [`CoreTestPlan::defects_flagged`] flags its defect; one
+/// the broadcast patterns miss still *passes* — a genuine test escape,
+/// which is why the flag rate in [`CoreTestPlan::defect_flag_rate`]
+/// matters. Every instance of a core with no faults passes.
+pub fn broadcast_screen(plan: &CoreTestPlan, defective_cores: &[usize]) -> Vec<bool> {
+    // A core with no faults carries no defect, yet its plan counts every
+    // instance as flagged (no defect escaped). Such a plan detects
+    // nothing, and a plan that detects nothing flags no real defect.
+    let no_faults = plan.core_coverage == 0.0;
+    plan.defects_flagged
+        .iter()
+        .enumerate()
+        .map(|(core, &flagged)| no_faults || !flagged || !defective_cores.contains(&core))
+        .collect()
 }
 
 /// SplitMix64 of the instance index picks that instance's seeded

@@ -7,16 +7,19 @@
 //! hardest faults, get the first chance to claim the easy ones too.
 
 use dft_fault::{Fault, FaultList, FaultStatus};
-use dft_logicsim::{Executor, PatternSet, SimKernel, SimStats, TapeKernel};
+use dft_logicsim::{Executor, PatternSet, SimStats, TapeKernel};
 
-/// One reverse-order pass of `sim` over `patterns` against `faults`:
-/// returns which patterns to keep (`keep[i]` for pattern `i`) and the
-/// pass's statistics. An interrupted pass
+use crate::FaultModel;
+
+/// One reverse-order pass of `sim` over `patterns` against `faults` of
+/// `model`: returns which patterns to keep (`keep[i]` for pattern `i`)
+/// and the pass's statistics. An interrupted pass
 /// ([`SimStats::interrupted`]) detects nothing, so it keeps nothing; a
 /// pass that lost a batch ([`SimStats::failed_batches`]) does not know
 /// every fault's detector, so its mask must not be applied.
 pub fn reverse_order_compaction(
     sim: &TapeKernel<'_>,
+    model: FaultModel,
     patterns: &PatternSet,
     faults: Vec<Fault>,
     exec: &Executor,
@@ -26,7 +29,7 @@ pub fn reverse_order_compaction(
         reversed.push(patterns.pattern(i).clone());
     }
     let mut list = FaultList::new(faults);
-    let stats = sim.fault_batch(&reversed, &mut list, exec);
+    let stats = model.simulate(sim, &reversed, &mut list, exec);
     let mut keep = vec![false; patterns.len()];
     for i in 0..list.len() {
         if let FaultStatus::Detected(p) = list.status(i) {
@@ -40,6 +43,7 @@ pub fn reverse_order_compaction(
 mod tests {
     use super::*;
     use dft_fault::universe_stuck_at;
+    use dft_logicsim::SimKernel;
     use dft_netlist::generators::c17;
 
     #[test]
@@ -49,7 +53,8 @@ mod tests {
         let exec = Executor::serial();
         let ps = PatternSet::random(&nl, 64, 13);
         let faults = universe_stuck_at(&nl);
-        let (keep, stats) = reverse_order_compaction(&sim, &ps, faults.clone(), &exec);
+        let (keep, stats) =
+            reverse_order_compaction(&sim, FaultModel::StuckAt, &ps, faults.clone(), &exec);
         // A pattern is kept exactly when it is some fault's last
         // detector in forward order, by a simulation without dropping.
         let mut last_detectors = vec![false; ps.len()];

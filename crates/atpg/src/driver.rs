@@ -1,5 +1,6 @@
 //! The production-shaped ATPG flow: random phase, deterministic top-off,
-//! reverse-order compaction, and sign-off fault simulation.
+//! reverse-order compaction, and sign-off fault simulation, for stuck-at
+//! or broadside transition faults ([`FaultModel`]).
 //!
 //! There is one execution path, and it is durable: [`Atpg::run_durable`]
 //! polls a [`dft_checkpoint::CancelToken`] at fault boundaries, applies
@@ -27,16 +28,63 @@ use dft_checkpoint::{
     fnv1a, verify_identity, CancelToken, ChaosConfig, ChaosSite, CkptError, CkptPhase, CkptSection,
     CkptState, CkptStatus, FramedJournal,
 };
-use dft_fault::{collapse_equivalent, universe_stuck_at, Fault, FaultList, FaultStatus};
-use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel, TestCube};
+use dft_fault::{
+    collapse_equivalent, universe_stuck_at, universe_transition, Fault, FaultList, FaultStatus,
+};
+use dft_logicsim::{Executor, PatternSet, SimKernel, SimStats, TapeKernel, TestCube};
 use dft_metrics::MetricsHandle;
-use dft_netlist::Netlist;
+use dft_netlist::{GateId, Netlist};
 use dft_trace::TraceHandle;
 
 use crate::speculate::{Board, StopOnDrop};
 use crate::{
-    reverse_order_compaction, AtpgResult, Podem, PodemStats, SatAtpg, SAT_CONFLICT_BUDGET,
+    expand_two_frames, reverse_order_compaction, AtpgResult, Podem, PodemStats, SatAtpg, TwoFrame,
+    SAT_CONFLICT_BUDGET,
 };
+
+/// The faults a run targets, and what a pattern of the run is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FaultModel {
+    /// Single stuck-at faults, equivalence-collapsed; a pattern is one
+    /// scan pattern.
+    #[default]
+    StuckAt,
+    /// Broadside (launch-on-capture) transition faults on every stem. A
+    /// pattern is the scan-loaded launch vector, and the capture vector
+    /// is the design's response to it with the primary inputs held
+    /// ([`TapeKernel::broadside_pairs`]). PODEM and SAT search the
+    /// two-frame expansion ([`expand_two_frames`]) with the site's
+    /// frame-1 launch value as a constraint.
+    Transition,
+}
+
+impl FaultModel {
+    fn universe(self, nl: &Netlist) -> Vec<Fault> {
+        match self {
+            FaultModel::StuckAt => universe_stuck_at(nl),
+            FaultModel::Transition => universe_transition(nl),
+        }
+    }
+
+    /// Fault-simulates `patterns` against the undetected faults in
+    /// `list`: [`SimKernel::fault_batch`], or
+    /// [`SimKernel::transition_batch`] on the broadside pairs `sim`
+    /// derives from them.
+    pub(crate) fn simulate(
+        self,
+        sim: &TapeKernel<'_>,
+        patterns: &PatternSet,
+        list: &mut FaultList,
+        exec: &Executor,
+    ) -> SimStats {
+        match self {
+            FaultModel::StuckAt => sim.fault_batch(patterns, list, exec),
+            FaultModel::Transition => {
+                sim.transition_batch(&sim.broadside_pairs(patterns), list, exec)
+            }
+        }
+    }
+}
 
 /// How the driver compacts the test set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,7 +93,7 @@ pub enum CompactionMode {
     /// as generated.
     None,
     /// After top-off, one reverse-order fault simulation of the whole set
-    /// against the full stuck-at universe keeps only the patterns that
+    /// against the full fault universe keeps only the patterns that
     /// are some fault's first detector in that order (see
     /// [`reverse_order_compaction`]). The kept set detects exactly the
     /// faults the whole set does.
@@ -64,6 +112,9 @@ const DYNAMIC_TARGETS: usize = 16;
 /// Configuration of an ATPG run.
 #[derive(Debug, Clone)]
 pub struct AtpgConfig {
+    /// The faults targeted: stuck-at (the default) or broadside
+    /// transition.
+    pub fault_model: FaultModel,
     /// Number of random patterns simulated before deterministic top-off.
     /// Zero disables the random phase.
     pub random_patterns: usize,
@@ -88,6 +139,7 @@ pub struct AtpgConfig {
 impl Default for AtpgConfig {
     fn default() -> Self {
         AtpgConfig {
+            fault_model: FaultModel::StuckAt,
             random_patterns: 128,
             seed: 0x5EED,
             backtrack_limit: 16,
@@ -104,6 +156,12 @@ impl AtpgConfig {
     /// All fields remain public for direct struct updates.
     pub fn new() -> AtpgConfig {
         AtpgConfig::default()
+    }
+
+    /// Sets the targeted fault model.
+    pub fn fault_model(mut self, model: FaultModel) -> AtpgConfig {
+        self.fault_model = model;
+        self
     }
 
     /// Sets the number of random patterns before deterministic top-off.
@@ -155,9 +213,13 @@ impl AtpgConfig {
     /// count (a constant 16), so checkpoints written while it was
     /// configurable still resume. The last two slots name the engine
     /// behind PODEM and its conflict budget, so a checkpoint of a run
-    /// that settled aborts another way is refused.
+    /// that settled aborts another way is refused. A transition run
+    /// appends a slot naming its model, so a checkpoint never resumes a
+    /// run of the other model; stuck-at runs have no such slot, so their
+    /// checkpoints written before the model was configurable still
+    /// resume.
     pub fn fingerprint(&self, design: &str, universe_len: usize) -> u64 {
-        let text = format!(
+        let mut text = format!(
             "{design}|{universe_len}|{}|{}|{}|{:?}|{}|{DYNAMIC_TARGETS}|sat|{SAT_CONFLICT_BUDGET}",
             self.random_patterns,
             self.seed,
@@ -165,6 +227,9 @@ impl AtpgConfig {
             self.compaction,
             self.guided_backtrace,
         );
+        if self.fault_model == FaultModel::Transition {
+            text.push_str("|transition");
+        }
         fnv1a(text.as_bytes())
     }
 }
@@ -632,6 +697,9 @@ struct Resolved {
 /// Top-off's targets and how to search one.
 struct TopoffSearch<'r, 'n> {
     config: &'r AtpgConfig,
+    design: &'n Netlist,
+    /// The netlist a transition run searches; `None` for stuck-at.
+    expanded: Option<&'n TwoFrame>,
     sat: &'r SatAtpg<'n>,
     trace: &'r TraceHandle,
     /// The faults undetected when top-off starts, in list order, as
@@ -644,6 +712,19 @@ struct TopoffSearch<'r, 'n> {
 }
 
 impl TopoffSearch<'_, '_> {
+    /// `fault` as PODEM and SAT search it, with the net value a test must
+    /// also set: the fault itself, or a transition fault's frame-2
+    /// stuck-at fault and its frame-1 launch value.
+    fn target(&self, fault: Fault) -> (Fault, Option<(GateId, bool)>) {
+        match self.expanded {
+            None => (fault, None),
+            Some(tf) => {
+                let (stuck, launch) = tf.target(self.design, fault);
+                (stuck, Some(launch))
+            }
+        }
+    }
+
     /// Searches target `j`: PODEM, then the SAT engine on a PODEM abort.
     /// A pure function of the netlist, the configuration and the fault,
     /// so any worker may run it ahead of the target's turn; nothing is
@@ -654,11 +735,15 @@ impl TopoffSearch<'_, '_> {
         let (idx, fault) = self.targets[j];
         let sampled = self.trace.fault_sampled(self.base + j as u64);
         let _span = sampled.then(|| self.trace.span_arg("podem", idx as u64));
-        let (result, podem_stats) = podem.search(fault, &[], self.config.backtrack_limit, None);
+        let (fault, launch) = self.target(fault);
+        let constraints = launch.as_slice();
+        let (result, podem_stats) =
+            podem.search(fault, constraints, self.config.backtrack_limit, None);
         let (result, escalation) = match result {
             AtpgResult::Aborted => {
                 let _span = sampled.then(|| self.trace.span_arg("sat", idx as u64));
-                let (result, conflicts) = self.sat.generate(fault, SAT_CONFLICT_BUDGET);
+                let (result, conflicts) =
+                    self.sat.generate(fault, constraints, SAT_CONFLICT_BUDGET);
                 (result, Some(conflicts))
             }
             other => (other, None),
@@ -708,8 +793,9 @@ impl<'a> Atpg<'a> {
         self
     }
 
-    /// Runs the full flow on the single stuck-at universe:
-    /// [`Atpg::run_durable`] with [`Durability::default`].
+    /// Runs the full flow on the universe of
+    /// [`AtpgConfig::fault_model`]: [`Atpg::run_durable`] with
+    /// [`Durability::default`].
     pub fn run(&self, config: &AtpgConfig) -> AtpgRun {
         match self.run_durable(config, &mut Durability::default()) {
             Ok(run) => run,
@@ -719,8 +805,9 @@ impl<'a> Atpg<'a> {
         }
     }
 
-    /// Runs the full flow durably on the single stuck-at universe: the
-    /// token in `dur` is polled at fault boundaries, phase deadlines
+    /// Runs the full flow durably on the universe of
+    /// [`AtpgConfig::fault_model`]: the token in `dur` is polled at
+    /// fault boundaries, phase deadlines
     /// apply, checkpoints stream to the journal, and a fired token
     /// drains the run into [`AtpgError::Interrupted`]. A run resumed
     /// via [`Durability::resume_from`] replays to a result
@@ -730,7 +817,8 @@ impl<'a> Atpg<'a> {
         config: &AtpgConfig,
         dur: &mut Durability,
     ) -> Result<AtpgRun, AtpgError> {
-        let universe = universe_stuck_at(self.nl);
+        let model = config.fault_model;
+        let universe = model.universe(self.nl);
         let mut dur = DurCtx {
             design: self.nl.name().to_owned(),
             config_hash: config.fingerprint(self.nl.name(), universe.len()),
@@ -755,19 +843,22 @@ impl<'a> Atpg<'a> {
             sim = sim.with_chaos(chaos);
         }
         let sim = sim;
-        // Top-off's engines: a PODEM engine per worker (the first is the
-        // committing thread's) and one SAT engine they all share; each
-        // SAT call builds and drops its own solver.
+        // Top-off's engines, on the design or its two-frame expansion: a
+        // PODEM engine per worker (the first is the committing thread's)
+        // and one SAT engine they all share; each SAT call builds and
+        // drops its own solver.
+        let expanded = (model == FaultModel::Transition).then(|| expand_two_frames(self.nl));
+        let search_nl = expanded.as_ref().map_or(self.nl, |tf| &tf.netlist);
         let mut podems: Vec<Podem> = (0..exec.threads())
             .map(|_| {
-                let mut podem = Podem::new(self.nl);
+                let mut podem = Podem::new(search_nl);
                 podem.guided = config.guided_backtrace;
                 podem.set_metrics(self.metrics.clone());
                 podem.set_cancel(dur.d.cancel.clone());
                 podem
             })
             .collect();
-        let mut sat = SatAtpg::new(self.nl);
+        let mut sat = SatAtpg::new(search_nl);
         sat.set_cancel(dur.d.cancel.clone());
 
         let mut w = Working {
@@ -837,7 +928,7 @@ impl<'a> Atpg<'a> {
             dur.arm();
             if config.random_patterns > 0 {
                 let random = PatternSet::random(self.nl, config.random_patterns, config.seed);
-                let stats = sim.fault_batch(&random, &mut w.reps, &exec);
+                let stats = model.simulate(&sim, &random, &mut w.reps, &exec);
                 w.failed_sim_batches += stats.failed_batches;
                 if stats.interrupted {
                     // The interrupted pass marked nothing, so the state
@@ -857,11 +948,24 @@ impl<'a> Atpg<'a> {
         let t_deterministic = self.trace.timed_span("atpg_topoff");
         dur.arm();
         if !resume_signoff {
-            self.topoff(config, &mut podems, &sat, &sim, &mut w, &mut dur)?;
+            let search = TopoffSearch {
+                config,
+                design: self.nl,
+                expanded: expanded.as_ref(),
+                sat: &sat,
+                trace: &self.trace,
+                targets: w
+                    .reps
+                    .undetected()
+                    .map(|i| (i, w.reps.faults()[i]))
+                    .collect(),
+                base: w.fault_ordinal,
+            };
+            self.topoff(&search, &mut podems, &sim, &mut w, &mut dur)?;
             if config.compaction != CompactionMode::None {
                 let _span = self.trace.span_arg("atpg_compact", w.patterns.len() as u64);
                 let (keep, stats) =
-                    reverse_order_compaction(&sim, &w.patterns, universe.clone(), &exec);
+                    reverse_order_compaction(&sim, model, &w.patterns, universe.clone(), &exec);
                 w.failed_sim_batches += stats.failed_batches;
                 if stats.interrupted {
                     return Err(dur.interrupt("topoff", CkptPhase::Topoff, &w));
@@ -888,7 +992,7 @@ impl<'a> Atpg<'a> {
             return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w));
         }
         let mut fault_list = FaultList::new(universe);
-        let stats = sim.fault_batch(&w.patterns, &mut fault_list, &exec);
+        let stats = model.simulate(&sim, &w.patterns, &mut fault_list, &exec);
         w.failed_sim_batches += stats.failed_batches;
         if stats.interrupted {
             return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w));
@@ -956,24 +1060,12 @@ impl<'a> Atpg<'a> {
     /// classified, so the checkpoint always sits at a fault boundary.
     fn topoff(
         &self,
-        config: &AtpgConfig,
+        search: &TopoffSearch<'_, '_>,
         podems: &mut [Podem<'_>],
-        sat: &SatAtpg<'_>,
         sim: &TapeKernel<'_>,
         w: &mut Working,
         dur: &mut DurCtx<'_>,
     ) -> Result<(), AtpgError> {
-        let search = TopoffSearch {
-            config,
-            sat,
-            trace: &self.trace,
-            targets: w
-                .reps
-                .undetected()
-                .map(|i| (i, w.reps.faults()[i]))
-                .collect(),
-            base: w.fault_ordinal,
-        };
         let board = Board::new(search.targets.len());
         let workers = podems.len().min(search.targets.len()).max(1);
         let (own, helpers) = podems
@@ -981,14 +1073,14 @@ impl<'a> Atpg<'a> {
             .expect("a run builds at least one PODEM engine");
         let outcome = std::thread::scope(|scope| {
             for podem in &mut helpers[..workers - 1] {
-                let (board, search) = (&board, &search);
+                let board = &board;
                 scope.spawn(move || board.work(|j| search.resolve(podem, j)));
             }
             // However the commit loop leaves (an interrupt or a panic
             // included), workers claim nothing more and the scope joins
             // them after at most their current search.
             let _stop = StopOnDrop(&board);
-            self.commit_targets(own, &board, &search, sim, w, dur)
+            self.commit_targets(own, &board, search, sim, w, dur)
         });
         if let Some(m) = self.metrics.get() {
             for r in board.into_untaken() {
@@ -1066,7 +1158,7 @@ impl<'a> Atpg<'a> {
                             cube,
                             &w.reps,
                             target_idx,
-                            search.config,
+                            search,
                             &mut w.podem_stats,
                         );
                     }
@@ -1074,7 +1166,12 @@ impl<'a> Atpg<'a> {
                     let pattern = cube.random_fill(w.fill_seed);
                     let mut single = PatternSet::for_netlist(self.nl);
                     single.push(pattern.clone());
-                    let stats = sim.fault_batch(&single, &mut w.reps, &Executor::serial());
+                    let stats = search.config.fault_model.simulate(
+                        sim,
+                        &single,
+                        &mut w.reps,
+                        &Executor::serial(),
+                    );
                     w.failed_sim_batches += stats.failed_batches;
                     if stats.interrupted {
                         // The interrupted pass marked nothing and the
@@ -1127,7 +1224,7 @@ impl<'a> Atpg<'a> {
         mut cube: TestCube,
         reps: &FaultList,
         primary_idx: usize,
-        config: &AtpgConfig,
+        search: &TopoffSearch<'_, '_>,
         stats: &mut PodemStats,
     ) -> TestCube {
         let mut tried = 0usize;
@@ -1139,10 +1236,11 @@ impl<'a> Atpg<'a> {
                 break;
             }
             tried += 1;
-            let secondary = reps.faults()[idx];
+            let (secondary, launch) = search.target(reps.faults()[idx]);
             // A short-leash attempt: secondary targets must be cheap.
-            let limit = (config.backtrack_limit / 8).max(8);
-            let (result, st) = podem.generate_constrained(secondary, &[], limit, Some(&cube));
+            let limit = (search.config.backtrack_limit / 8).max(8);
+            let (result, st) =
+                podem.generate_constrained(secondary, launch.as_slice(), limit, Some(&cube));
             *stats += st;
             if let AtpgResult::Test(extended) = result {
                 cube = extended;
@@ -1470,6 +1568,18 @@ mod tests {
             .expect("resume without deadline completes");
         assert_same_result(&run, &plain, "deadline resume");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn only_a_transition_fingerprint_names_its_model() {
+        let stuck_at = AtpgConfig::default();
+        let text = format!("mac4|100|128|{}|16|Static|true|16|sat|10000", 0x5EED);
+        assert_eq!(stuck_at.fingerprint("mac4", 100), fnv1a(text.as_bytes()));
+        let transition = stuck_at.fault_model(FaultModel::Transition);
+        assert_eq!(
+            transition.fingerprint("mac4", 100),
+            fnv1a(format!("{text}|transition").as_bytes())
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! with SCOAP-guided objective selection and X-path checking, a complete
 //! SAT engine that settles the faults PODEM aborts, a production-shaped
 //! driver (random-pattern phase, deterministic top-off with optional
-//! dynamic cube extension, then reverse-order compaction), and broadside
-//! transition-fault ATPG via two-frame circuit expansion.
+//! dynamic cube extension, then reverse-order compaction) for stuck-at
+//! faults or broadside transition faults, which PODEM and SAT search on a
+//! two-frame circuit expansion.
 //!
 //! # Example
 //!
@@ -30,7 +31,9 @@ mod speculate;
 mod twoframe;
 
 pub use compact::reverse_order_compaction;
-pub use driver::{Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability};
+pub use driver::{
+    Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability, FaultModel,
+};
 pub use miter::{SatAtpg, SAT_CONFLICT_BUDGET};
 pub use podem::{AtpgResult, Podem, PodemStats};
-pub use twoframe::{expand_two_frames, TransitionAtpg, TransitionAtpgRun, TwoFrame};
+pub use twoframe::{expand_two_frames, TwoFrame};

@@ -13,6 +13,10 @@
 //! would be unsound: an effect may die on one branch and be observed on
 //! another. A fault on a flop's D pin is observed only at its own flop,
 //! as the fault simulator models it.
+//!
+//! Constraints (required good values on arbitrary nets, such as a
+//! broadside transition's launch value) are unit clauses over their
+//! nets, which join the good copy.
 
 use dft_checkpoint::CancelToken;
 use dft_fault::Fault;
@@ -82,13 +86,19 @@ impl<'a> SatAtpg<'a> {
         self.cancel = cancel;
     }
 
-    /// Generates a test for `fault` within `max_conflicts` solver
+    /// Generates a test for `fault` subject to `constraints` (required
+    /// good values on arbitrary nets) within `max_conflicts` solver
     /// conflicts. Returns the result and the conflicts spent:
     /// [`AtpgResult::Test`] carries the model's values of the sources the
     /// miter reads, [`AtpgResult::Untestable`] is a proof, and
     /// [`AtpgResult::Aborted`] means the budget ran out (or the token
     /// fired).
-    pub fn generate(&self, fault: Fault, max_conflicts: u64) -> (AtpgResult, u64) {
+    pub fn generate(
+        &self,
+        fault: Fault,
+        constraints: &[(GateId, bool)],
+        max_conflicts: u64,
+    ) -> (AtpgResult, u64) {
         let nl = self.nl;
         let n = nl.num_gates();
         let stuck = fault.kind.stuck_value();
@@ -108,10 +118,16 @@ impl<'a> SatAtpg<'a> {
             return (AtpgResult::Untestable, 0);
         }
 
-        // The good copy: the fanin closure of the cone and the site net.
+        // The good copy: the fanin closure of the cone, the site net and
+        // the constrained nets.
         let mut in_region = vec![false; n];
         let mut region = Vec::new();
-        let mut stack: Vec<GateId> = cone.iter().copied().chain([net]).collect();
+        let mut stack: Vec<GateId> = cone
+            .iter()
+            .copied()
+            .chain([net])
+            .chain(constraints.iter().map(|&(c, _)| c))
+            .collect();
         while let Some(g) = stack.pop() {
             if std::mem::replace(&mut in_region[g.index()], true) {
                 continue;
@@ -145,6 +161,9 @@ impl<'a> SatAtpg<'a> {
         }
         // Activation.
         s.add_clause(&[lit_if(good[net.index()], !stuck)]);
+        for &(c, v) in constraints {
+            s.add_clause(&[lit_if(good[c.index()], v)]);
+        }
 
         if let Some(r) = root {
             // The faulty copy: good values outside the cone.
@@ -311,7 +330,7 @@ mod tests {
         let sim = TapeKernel::compile(nl);
         let mut tested = 0;
         for fault in universe_stuck_at(nl) {
-            match sat.generate(fault, 1000).0 {
+            match sat.generate(fault, &[], 1000).0 {
                 AtpgResult::Test(cube) => {
                     assert!(sim.detects(&cube.random_fill(3), fault), "{fault}: {cube}");
                     tested += 1;
@@ -335,7 +354,10 @@ mod tests {
         let sat = SatAtpg::new(&nl);
         let mut podem = Podem::new(&nl);
         for fault in universe_stuck_at(&nl) {
-            match (sat.generate(fault, 1000).0, podem.generate(fault, 2000).0) {
+            match (
+                sat.generate(fault, &[], 1000).0,
+                podem.generate(fault, 2000).0,
+            ) {
                 (AtpgResult::Test(_), AtpgResult::Test(_))
                 | (AtpgResult::Untestable, AtpgResult::Untestable)
                 | (_, AtpgResult::Aborted) => {}
@@ -350,7 +372,7 @@ mod tests {
         let nl = decoder(4);
         let y0 = nl.find("y0_g").expect("decoder output gate");
         let fault = Fault::stuck_at_output(y0, false);
-        let (AtpgResult::Test(cube), _) = SatAtpg::new(&nl).generate(fault, 1000) else {
+        let (AtpgResult::Test(cube), _) = SatAtpg::new(&nl).generate(fault, &[], 1000) else {
             panic!("decoder fault should be testable");
         };
         assert!(TapeKernel::compile(&nl).detects(&cube.random_fill(9), fault));
@@ -382,10 +404,10 @@ mod tests {
         let or = nl.add_gate(GateKind::Or, vec![a, and], "or");
         nl.add_output(or, "po");
         let sat = SatAtpg::new(&nl);
-        let (result, _) = sat.generate(Fault::stuck_at_output(and, false), 1000);
+        let (result, _) = sat.generate(Fault::stuck_at_output(and, false), &[], 1000);
         assert_eq!(result, AtpgResult::Untestable);
         assert!(sat
-            .generate(Fault::stuck_at_output(and, true), 1000)
+            .generate(Fault::stuck_at_output(and, true), &[], 1000)
             .0
             .is_test());
     }
@@ -398,6 +420,6 @@ mod tests {
         cancel.cancel();
         sat.set_cancel(cancel);
         let fault = universe_stuck_at(&nl)[0];
-        assert_eq!(sat.generate(fault, 1000).0, AtpgResult::Aborted);
+        assert_eq!(sat.generate(fault, &[], 1000).0, AtpgResult::Aborted);
     }
 }

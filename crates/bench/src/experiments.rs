@@ -7,7 +7,7 @@ use dft_core::aichip::{
     criticality_sweep, hierarchical_plan, ssn_plan, Dataset, DeliveryStyle, FaultSiteClass,
     SocConfig,
 };
-use dft_core::atpg::{Atpg, AtpgConfig, CompactionMode, TransitionAtpg};
+use dft_core::atpg::{Atpg, AtpgConfig, CompactionMode, FaultModel};
 use dft_core::bist::{
     insert_test_points, march_c_minus, march_ss, march_x, mats_plus, run_march, LogicBist,
     MemFault, MemFaultKind, SramModel,
@@ -15,9 +15,7 @@ use dft_core::bist::{
 use dft_core::checkpoint::CancelToken;
 use dft_core::compress::ScanEdt;
 use dft_core::diagnosis::{build_failure_log, diagnose};
-use dft_core::fault::{
-    collapse_dominance, collapse_equivalent, universe_stuck_at, universe_transition, FaultList,
-};
+use dft_core::fault::{collapse_dominance, collapse_equivalent, universe_stuck_at, FaultList};
 use dft_core::logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{
@@ -513,21 +511,27 @@ pub fn e10_scan_tradeoff() {
 pub fn e11_transition() {
     println!("E11: broadside transition ATPG (vs stuck-at on the same designs)");
     println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "circuit", "SA cov", "TF cov", "TF testcov", "pairs", "untest"
+        "{:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9}",
+        "circuit", "SA cov", "TF cov", "TF testcov", "pairs", "untest", "abort"
     );
-    for c in selected_circuits(&["s27", "cnt8", "sr16", "mac4"]) {
-        let sa = Atpg::new(&c.netlist).run(&AtpgConfig::default());
-        let tf =
-            TransitionAtpg::new(&c.netlist).run(universe_transition(&c.netlist), 128, 256, 0xE11);
+    let circuits = ["s27", "cnt8", "sr16", "mac4", "mac8", "sys2x2", "sys4x4"];
+    for c in selected_circuits(&circuits) {
+        let sa = Atpg::new(&c.netlist).run(&AtpgConfig::new().threads(threads()));
+        let tf = Atpg::new(&c.netlist).run(
+            &AtpgConfig::new()
+                .fault_model(FaultModel::Transition)
+                .seed(0xE11)
+                .threads(threads()),
+        );
         println!(
-            "{:>8} {:>9.1}% {:>9.1}% {:>9.1}% {:>9} {:>9}",
+            "{:>8} {:>9.1}% {:>9.1}% {:>9.2}% {:>9} {:>9} {:>9}",
             c.name,
             sa.fault_list.fault_coverage() * 100.0,
             tf.fault_list.fault_coverage() * 100.0,
             tf.fault_list.test_coverage() * 100.0,
-            tf.pairs.len(),
-            tf.untestable
+            tf.patterns.len(),
+            tf.untestable,
+            tf.aborted
         );
     }
     println!("shape: TF raw coverage below SA (launch constraint); test coverage recovers after excluding broadside-untestable faults.");

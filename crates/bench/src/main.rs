@@ -7,8 +7,8 @@
 //! cargo run --release -p dft-bench --bin experiments -- all --threads 8
 //! ```
 //!
-//! `--threads N` parallelizes the simulation-heavy experiments (E1, E5);
-//! `0` = one worker per hardware thread. All numbers are bit-identical
+//! `--threads N` parallelizes the simulation- and ATPG-heavy experiments
+//! (E1, E5, E11); `0` = one worker per hardware thread. All numbers are bit-identical
 //! for any thread count.
 
 use std::env;

@@ -765,7 +765,7 @@ fn run_repair_demo(
     let progress = ProgressLine::spawn(trace.clone(), handle.clone());
     let plan = hierarchical_plan(&core, &cfg, &atpg, trace);
     let defective = [4usize, 13];
-    let pass_map = broadcast_screen(&core, &cfg, &atpg, &defective, trace);
+    let pass_map = broadcast_screen(&plan, &defective);
     progress.finish();
     let hplan = plan_degradation(
         &pass_map,

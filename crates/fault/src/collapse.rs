@@ -55,16 +55,6 @@ impl CollapsedFaults {
         }
         self.reps.len() as f64 / original_len as f64
     }
-
-    /// All faults that collapse onto `rep` (including `rep` itself if
-    /// present in the original universe).
-    pub fn class_members(&self, rep: Fault) -> Vec<Fault> {
-        self.class_of
-            .iter()
-            .filter(|&(_, r)| *r == rep)
-            .map(|(f, _)| *f)
-            .collect()
-    }
 }
 
 /// Union-find over faults.
@@ -311,18 +301,5 @@ mod tests {
                 c.name
             );
         }
-    }
-
-    #[test]
-    fn class_members_partition_the_universe() {
-        let nl = c17();
-        let faults = universe_stuck_at(&nl);
-        let col = collapse_equivalent(&nl, &faults);
-        let total: usize = col
-            .representatives()
-            .iter()
-            .map(|&r| col.class_members(r).len())
-            .sum();
-        assert_eq!(total, faults.len());
     }
 }

@@ -73,34 +73,6 @@ impl TestCube {
         self.care_bits() as f64 / self.bits.len() as f64
     }
 
-    /// `true` if the two cubes agree on every bit where both are
-    /// specified.
-    pub fn compatible(&self, other: &TestCube) -> bool {
-        debug_assert_eq!(self.width(), other.width());
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .all(|(a, b)| match (a, b) {
-                (Some(x), Some(y)) => x == y,
-                _ => true,
-            })
-    }
-
-    /// Merges `other` into `self` (union of care bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the cubes are incompatible; call
-    /// [`TestCube::compatible`] first.
-    pub fn merge(&mut self, other: &TestCube) {
-        debug_assert!(self.compatible(other));
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            if a.is_none() {
-                *a = *b;
-            }
-        }
-    }
-
     /// Fills don't-cares with seeded random values, producing a
     /// fully-specified pattern. Random fill is the industry default: it
     /// lets one deterministic cube detect many untargeted faults.
@@ -143,22 +115,6 @@ impl std::fmt::Display for TestCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compatibility_and_merge() {
-        let mut a = TestCube::all_x(4);
-        a.set(0, true);
-        a.set(2, false);
-        let mut b = TestCube::all_x(4);
-        b.set(1, true);
-        b.set(2, false);
-        assert!(a.compatible(&b));
-        a.merge(&b);
-        assert_eq!(a.to_string(), "11".to_owned() + "0X");
-        let mut c = TestCube::all_x(4);
-        c.set(0, false);
-        assert!(!a.compatible(&c));
-    }
 
     #[test]
     fn care_accounting() {

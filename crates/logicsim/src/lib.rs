@@ -68,4 +68,3 @@ pub use kernel::{SimKernel, TapeKernel};
 pub use patterns::{Pattern, PatternSet, Response};
 pub use ppsfp::{Defect, SimStats};
 pub use tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
-pub use transition::broadside_pairs;

@@ -8,32 +8,33 @@
 //! the tutorial calls it out.
 //!
 //! [`crate::SimKernel::transition_batch`] simulates the pairs;
-//! [`broadside_pairs`] derives launch-on-capture pairs from scan patterns.
-
-use dft_netlist::Netlist;
+//! [`TapeKernel::broadside_pairs`] derives launch-on-capture pairs from
+//! scan patterns.
 
 use crate::{Pattern, PatternSet, SimKernel, TapeKernel};
 
-/// Derives broadside (launch-on-capture) pairs from scan patterns: the
-/// launch vector is the scan-loaded pattern; the capture vector keeps the
-/// primary inputs and replaces the pseudo-PI (flop) bits with the
-/// functional response captured from the launch cycle.
-pub fn broadside_pairs(nl: &Netlist, patterns: &PatternSet) -> Vec<(Pattern, Pattern)> {
-    let num_pi = nl.num_inputs();
-    let num_po = nl.num_outputs();
-    let responses = TapeKernel::compile(nl).eval_batch(patterns);
-    patterns
-        .iter()
-        .zip(&responses)
-        .map(|(p, r)| {
-            let mut v2 = p.clone();
-            // Response layout: POs first, then flop D-pin captures.
-            for (ff, &bit) in r[num_po..].iter().enumerate() {
-                v2[num_pi + ff] = bit;
-            }
-            (p.clone(), v2)
-        })
-        .collect()
+impl TapeKernel<'_> {
+    /// Derives broadside (launch-on-capture) pairs from scan patterns: the
+    /// launch vector is the scan-loaded pattern; the capture vector keeps
+    /// the primary inputs and replaces the pseudo-PI (flop) bits with the
+    /// functional response captured from the launch cycle.
+    pub fn broadside_pairs(&self, patterns: &PatternSet) -> Vec<(Pattern, Pattern)> {
+        let num_pi = self.netlist().num_inputs();
+        let num_po = self.netlist().num_outputs();
+        let responses = self.eval_batch(patterns);
+        patterns
+            .iter()
+            .zip(&responses)
+            .map(|(p, r)| {
+                let mut v2 = p.clone();
+                // Response layout: POs first, then flop D-pin captures.
+                for (ff, &bit) in r[num_po..].iter().enumerate() {
+                    v2[num_pi + ff] = bit;
+                }
+                (p.clone(), v2)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -44,7 +45,7 @@ mod tests {
         universe_stuck_at, universe_transition, Fault, FaultKind, FaultList, FaultSite, FaultStatus,
     };
     use dft_netlist::generators::{counter, ripple_adder};
-    use dft_netlist::GateKind;
+    use dft_netlist::{GateKind, Netlist};
 
     /// Does the pair `(launch, capture)` detect transition fault `fault`?
     fn pair_detects(
@@ -110,14 +111,15 @@ mod tests {
     fn broadside_pairs_use_functional_next_state() {
         let nl = counter(4);
         let ps = PatternSet::random(&nl, 8, 3);
-        let pairs = broadside_pairs(&nl, &ps);
+        let sim = TapeKernel::compile(&nl);
+        let pairs = sim.broadside_pairs(&ps);
         assert_eq!(pairs.len(), 8);
         // PI part held constant.
         for (l, c) in &pairs {
             assert_eq!(l[0], c[0], "PI must be held in broadside");
         }
         // The capture PPI bits must equal the launch response: re-simulate.
-        let responses = TapeKernel::compile(&nl).eval_batch(&ps);
+        let responses = sim.eval_batch(&ps);
         for ((_, c), r) in pairs.iter().zip(&responses) {
             for ff in 0..4 {
                 assert_eq!(c[1 + ff], r[4 + ff]);

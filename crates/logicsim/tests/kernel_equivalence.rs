@@ -25,8 +25,8 @@ use dft_fault::{
 };
 use dft_logicsim::testability::scoap;
 use dft_logicsim::{
-    broadside_pairs, DeductiveSim, Executor, FiveSim, GateTape, Implication, Pattern, PatternSet,
-    Response, SimKernel, TapeKernel,
+    DeductiveSim, Executor, FiveSim, GateTape, Implication, Pattern, PatternSet, Response,
+    SimKernel, TapeKernel,
 };
 use dft_netlist::generators::{counter, mac_pe, random_logic, s27};
 use dft_netlist::{GateId, GateKind, Levelization, Logic, Netlist};
@@ -226,7 +226,7 @@ proptest! {
         let nl = random_logic(8, gates, seed);
         let faults = universe_transition(&nl);
         let ps = PatternSet::random(&nl, 96, seed ^ 0x77);
-        let pairs = broadside_pairs(&nl, &ps);
+        let pairs = TapeKernel::compile(&nl).broadside_pairs(&ps);
         let stuck: Vec<Fault> = faults
             .iter()
             .map(|f| Fault {

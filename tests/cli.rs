@@ -1,7 +1,9 @@
 //! The `aidft` command line through the built binary: a stray argument
 //! (a durability flag the command does not honour included) or a zero
-//! `serve` count is a usage error (exit 2) that names the argument, `diagnose` runs on its documented usage, and chaos-injected
-//! worker panics are counted without a panic report.
+//! `serve` count is a usage error (exit 2) that names the argument,
+//! `diagnose` runs on its documented usage, chaos-injected worker panics
+//! are counted without a panic report, and the repair demo runs its core
+//! ATPG once.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -152,5 +154,16 @@ fn chaos_worker_panics_are_counted_without_a_panic_report() {
         );
         assert!(!err.contains("panicked at"), "--threads {threads}: {err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repair_screens_cores_with_the_plans_single_atpg_run() {
+    let dir = scratch_dir("repair-trace");
+    let trace = dir.join("repair.json");
+    let out = aidft(&["repair", "--trace", trace.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let json = std::fs::read_to_string(&trace).expect("trace written");
+    assert_eq!(json.matches(r#""name":"atpg_random""#).count(), 1, "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }

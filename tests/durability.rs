@@ -5,7 +5,9 @@
 
 use std::path::{Path, PathBuf};
 
-use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, AtpgRun, CompactionMode, Durability};
+use dft_core::atpg::{
+    Atpg, AtpgConfig, AtpgError, AtpgRun, CompactionMode, Durability, FaultModel,
+};
 use dft_core::checkpoint::{
     frame_record, CancelToken, ChaosConfig, CkptPhase, CkptState, CkptStatus, FramedJournal,
     CKPT_FORMAT,
@@ -209,9 +211,10 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
 /// being discarded because an earlier commit detected their target:
 /// `atpg_random`'s netlist after the random phase, and mac8 and alu8
 /// with no random phase at all (the first patterns detect many targets
-/// already claimed), plus alu8 under dynamic compaction. Every run
-/// field, every counter and histogram, and a journal holding a record
-/// per committed target must match the serial run.
+/// already claimed), plus alu8 under dynamic compaction and sys2x2's
+/// broadside transition faults. Every run field, every counter and
+/// histogram, and a journal holding a record per committed target must
+/// match the serial run.
 #[test]
 fn topoff_speculation_is_invisible_at_any_thread_count() {
     let deterministic = AtpgConfig::new().random_patterns(0);
@@ -223,6 +226,11 @@ fn topoff_speculation_is_invisible_at_any_thread_count() {
             "alu8-dynamic",
             alu(8),
             deterministic.compaction(CompactionMode::Dynamic),
+        ),
+        (
+            "sys2x2-transition",
+            sys2x2(),
+            AtpgConfig::new().fault_model(FaultModel::Transition),
         ),
     ];
     let mut discarded = 0;
@@ -271,6 +279,44 @@ fn topoff_speculation_is_invisible_at_any_thread_count() {
         discarded > 0,
         "no speculative result was discarded: the cases no longer test it"
     );
+}
+
+/// A broadside transition run tripped mid-top-off resumes, on another
+/// thread count, to the uninterrupted result. A transition run polls the
+/// token once per committed target, so trip `k` lands at the `k`-th.
+#[test]
+fn broadside_kill_and_resume_is_bit_identical_across_threads() {
+    let nl = sys2x2();
+    let cfg = AtpgConfig::new().fault_model(FaultModel::Transition);
+    for (threads, resume_threads) in [(1usize, 4usize), (4, 1)] {
+        let reference = Atpg::new(&nl).run(&cfg.clone().threads(threads));
+        for kill_after in [2u64, 40, 90] {
+            let context = format!("sys2x2 transition t{threads} kill{kill_after}");
+            let path = ckpt_path(&context.replace(' ', "-"));
+            let token = CancelToken::new();
+            token.trip_after_polls(kill_after);
+            let mut dur = Durability::new(token)
+                .with_journal(journal(&path))
+                .checkpoint_every(16);
+            match Atpg::new(&nl).run_durable(&cfg.clone().threads(threads), &mut dur) {
+                Err(AtpgError::Interrupted(int)) => {
+                    assert_eq!(int.phase, "topoff", "{context}");
+                    assert!(int.checkpoint.is_some(), "{context}");
+                }
+                other => panic!("{context}: expected an interrupt, got {other:?}"),
+            }
+            let state = last_state(&path);
+            assert_eq!(stage(&state), "topoff", "{context}");
+            let mut dur = Durability::new(CancelToken::new())
+                .with_journal(journal(&path))
+                .resume_from(state);
+            let resumed = Atpg::new(&nl)
+                .run_durable(&cfg.clone().threads(resume_threads), &mut dur)
+                .expect("resume completes");
+            assert_same_run(&resumed, &reference, &context);
+            std::fs::remove_file(&path).ok();
+        }
+    }
 }
 
 /// The chaos-suite acceptance criterion: >= 50 randomized kill points,

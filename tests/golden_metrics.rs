@@ -301,7 +301,7 @@ fn golden_repair_flow() {
     };
     let atpg = AtpgConfig::new().threads(1);
     let plan = hierarchical_plan(&core, &cfg, &atpg, &TraceHandle::disabled());
-    let pass_map = broadcast_screen(&core, &cfg, &atpg, &[4, 13], &TraceHandle::disabled());
+    let pass_map = broadcast_screen(&plan, &[4, 13]);
     let hplan = plan_degradation(
         &pass_map,
         plan.per_core_cycles,

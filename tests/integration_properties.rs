@@ -2,12 +2,14 @@
 
 use proptest::prelude::*;
 
-use dft_core::atpg::{AtpgResult, Podem, SatAtpg, SAT_CONFLICT_BUDGET};
+use dft_core::atpg::{
+    Atpg, AtpgConfig, AtpgResult, FaultModel, Podem, SatAtpg, SAT_CONFLICT_BUDGET,
+};
 use dft_core::bist::{march_c_minus, run_march, MemFault, MemFaultKind, SramModel};
 use dft_core::compress::EdtCodec;
-use dft_core::fault::{collapse_equivalent, universe_stuck_at, FaultList};
+use dft_core::fault::{collapse_equivalent, universe_stuck_at, FaultList, FaultStatus};
 use dft_core::logicsim::{Executor, FiveSim, PatternSet, SimKernel, TapeKernel, TestCube};
-use dft_core::netlist::generators::{benchmark_suite, random_logic};
+use dft_core::netlist::generators::{benchmark_suite, counter, random_logic, s27};
 use dft_core::netlist::{GateId, GateKind, Netlist};
 
 /// A random netlist of `inputs` primary inputs, `flops` flip-flops and
@@ -62,8 +64,80 @@ fn random_sequential(inputs: usize, flops: usize, gates: usize, seed: u64) -> Ne
     nl
 }
 
+/// Checks a broadside transition `Atpg` run on `nl`, every fault a
+/// top-off target, against simulation of every launch pattern: each
+/// fault ends detected or untestable, no untestable fault has a
+/// detecting launch pattern, and each detected fault's first-detecting
+/// pattern detects it again when simulated on its own.
+fn broadside_verdicts_match_exhaustive_simulation(nl: &Netlist) {
+    let cfg = AtpgConfig::new()
+        .fault_model(FaultModel::Transition)
+        .random_patterns(0)
+        .threads(1);
+    let run = Atpg::new(nl).run(&cfg);
+    let sim = TapeKernel::compile(nl);
+    let width = nl.num_inputs() + nl.num_dffs();
+    let mut all = PatternSet::new(width);
+    for m in 0..1u32 << width {
+        all.push((0..width).map(|b| m >> b & 1 == 1).collect());
+    }
+    let list = &run.fault_list;
+    let mut exhaustive = FaultList::new(list.faults().to_vec());
+    sim.transition_batch(
+        &sim.broadside_pairs(&all),
+        &mut exhaustive,
+        &Executor::serial(),
+    );
+    for (i, &fault) in list.faults().iter().enumerate() {
+        match list.status(i) {
+            FaultStatus::Untestable => assert!(
+                !exhaustive.status(i).is_detected(),
+                "{fault}: untestable, but {:?}",
+                exhaustive.status(i)
+            ),
+            FaultStatus::Detected(p) => {
+                let mut launch = PatternSet::new(width);
+                launch.push(run.patterns.pattern(p as usize).clone());
+                let mut single = FaultList::new(vec![fault]);
+                sim.transition_batch(
+                    &sim.broadside_pairs(&launch),
+                    &mut single,
+                    &Executor::serial(),
+                );
+                assert_eq!(
+                    single.num_detected(),
+                    1,
+                    "{fault}: pattern {p} alone misses"
+                );
+            }
+            other => panic!("{fault}: {other:?}"),
+        }
+    }
+}
+
+/// [`broadside_verdicts_match_exhaustive_simulation`] on s27 and an
+/// 8-bit counter.
+#[test]
+fn broadside_verdicts_agree_with_exhaustive_simulation_on_s27_and_cnt8() {
+    for nl in [s27(), counter(8)] {
+        broadside_verdicts_match_exhaustive_simulation(&nl);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// [`broadside_verdicts_match_exhaustive_simulation`] on random
+    /// sequential netlists of at most 12 sources, flops included.
+    #[test]
+    fn broadside_verdicts_agree_with_exhaustive_simulation(
+        seed in 0u64..u64::MAX,
+        inputs in 1usize..=6,
+        flops in 0usize..=6,
+        gates in 4usize..30,
+    ) {
+        broadside_verdicts_match_exhaustive_simulation(&random_sequential(inputs, flops, gates, seed));
+    }
 
     /// Bit-parallel simulation must agree with scalar simulation on any
     /// circuit and any patterns.
@@ -190,7 +264,7 @@ proptest! {
         let sat = SatAtpg::new(&nl);
         let mut podem = Podem::new(&nl);
         for (&fault, pats) in faults.iter().zip(&detecting) {
-            match sat.generate(fault, SAT_CONFLICT_BUDGET).0 {
+            match sat.generate(fault, &[], SAT_CONFLICT_BUDGET).0 {
                 AtpgResult::Test(cube) => {
                     let fills = (0..1u32 << width).filter(|&m| {
                         (0..width).all(|b| cube.get(b).is_none_or(|v| v == (m >> b & 1 == 1)))
