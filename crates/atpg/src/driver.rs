@@ -4,7 +4,7 @@
 //!
 //! There is one execution path, and it is durable: [`Atpg::run_durable`]
 //! polls a [`dft_checkpoint::CancelToken`] at fault boundaries, applies
-//! per-phase deadlines, appends periodic `aidft-ckpt-v2` journal
+//! per-phase deadlines, appends periodic `aidft-ckpt-v3` journal
 //! checkpoints, and resumes from a prior checkpoint to a
 //! **bit-identical** final result. [`Atpg::run`] is the same path with
 //! [`Durability::default`]: a token that never fires and no journal,
@@ -269,6 +269,10 @@ pub struct AtpgRun {
     pub podem: PodemStats,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
+    /// Wall-clock time of the run's setup: fault-universe enumeration,
+    /// equivalence collapsing, and building the search engines (the
+    /// two-frame expansion, PODEM and SAT).
+    pub setup_time: Duration,
     /// Wall-clock time spent compiling the simulation kernel (tape
     /// levelization and layout; paid once per run, before phase 1).
     pub compile_time: Duration,
@@ -595,6 +599,8 @@ impl DurCtx<'_> {
             fill_seed: w.fill_seed,
             fault_ordinal: w.fault_ordinal,
             random_detected: w.random_detected as u64,
+            failed_sim_batches: w.failed_sim_batches as u64,
+            podem: w.podem_stats.to_array(),
             width: w.patterns.width(),
             main: section_of(&w.reps, &w.patterns, &w.cubes, w.tally),
         }
@@ -783,11 +789,11 @@ impl<'a> Atpg<'a> {
     }
 
     /// Points span recording at `trace`: the run records
-    /// `atpg_random`/`atpg_topoff`/`atpg_signoff` phase spans (whose
-    /// durations are what [`AtpgRun`] reports, so phase times and trace
-    /// spans always agree), sampled per-fault `podem`/`sat` spans, and
-    /// the fault-simulation spans underneath. Durable runs add a
-    /// `ckpt_write` span per journal append.
+    /// `atpg_setup`/`sim_compile`/`atpg_random`/`atpg_topoff`/`atpg_signoff`
+    /// phase spans (whose durations are what [`AtpgRun`] reports, so
+    /// phase times and trace spans always agree), sampled per-fault
+    /// `podem`/`sat` spans, and the fault-simulation spans underneath.
+    /// Durable runs add a `ckpt_write` span per journal append.
     pub fn with_trace(mut self, trace: TraceHandle) -> Atpg<'a> {
         self.trace = trace;
         self
@@ -818,7 +824,30 @@ impl<'a> Atpg<'a> {
         dur: &mut Durability,
     ) -> Result<AtpgRun, AtpgError> {
         let model = config.fault_model;
+        let start = Instant::now();
+        let exec = Executor::with_threads(config.threads);
+        // Setup: the fault universe and its collapse, then top-off's
+        // engines, on the design or its two-frame expansion: a PODEM
+        // engine per worker (the first is the committing thread's) and
+        // one SAT engine they all share; each SAT call builds and drops
+        // its own solver.
+        let t_setup = self.trace.timed_span("atpg_setup");
         let universe = model.universe(self.nl);
+        let collapsed = collapse_equivalent(self.nl, &universe);
+        let expanded = (model == FaultModel::Transition).then(|| expand_two_frames(self.nl));
+        let search_nl = expanded.as_ref().map_or(self.nl, |tf| &tf.netlist);
+        let mut podems: Vec<Podem> = (0..exec.threads())
+            .map(|_| {
+                let mut podem = Podem::new(search_nl);
+                podem.guided = config.guided_backtrace;
+                podem.set_metrics(self.metrics.clone());
+                podem.set_cancel(dur.cancel.clone());
+                podem
+            })
+            .collect();
+        let mut sat = SatAtpg::new(search_nl);
+        sat.set_cancel(dur.cancel.clone());
+        let setup_time = t_setup.finish();
         let mut dur = DurCtx {
             design: self.nl.name().to_owned(),
             config_hash: config.fingerprint(self.nl.name(), universe.len()),
@@ -827,9 +856,6 @@ impl<'a> Atpg<'a> {
             trace: self.trace.clone(),
             d: dur,
         };
-        let start = Instant::now();
-        let exec = Executor::with_threads(config.threads);
-        let collapsed = collapse_equivalent(self.nl, &universe);
         // Compile the simulation kernel once per run; the span is the
         // timing source for the reported compile phase.
         let t_compile = self.trace.timed_span("sim_compile");
@@ -843,23 +869,6 @@ impl<'a> Atpg<'a> {
             sim = sim.with_chaos(chaos);
         }
         let sim = sim;
-        // Top-off's engines, on the design or its two-frame expansion: a
-        // PODEM engine per worker (the first is the committing thread's)
-        // and one SAT engine they all share; each SAT call builds and
-        // drops its own solver.
-        let expanded = (model == FaultModel::Transition).then(|| expand_two_frames(self.nl));
-        let search_nl = expanded.as_ref().map_or(self.nl, |tf| &tf.netlist);
-        let mut podems: Vec<Podem> = (0..exec.threads())
-            .map(|_| {
-                let mut podem = Podem::new(search_nl);
-                podem.guided = config.guided_backtrace;
-                podem.set_metrics(self.metrics.clone());
-                podem.set_cancel(dur.d.cancel.clone());
-                podem
-            })
-            .collect();
-        let mut sat = SatAtpg::new(search_nl);
-        sat.set_cancel(dur.d.cancel.clone());
 
         let mut w = Working {
             reps: FaultList::new(collapsed.representatives().to_vec()),
@@ -909,6 +918,8 @@ impl<'a> Atpg<'a> {
                     w.fill_seed = state.fill_seed;
                     w.fault_ordinal = state.fault_ordinal;
                     w.random_detected = state.random_detected as usize;
+                    w.failed_sim_batches = state.failed_sim_batches as usize;
+                    w.podem_stats = PodemStats::from_array(state.podem);
                     resume_signoff = phase == CkptPhase::Signoff;
                     restored = true;
                 }
@@ -929,12 +940,12 @@ impl<'a> Atpg<'a> {
             if config.random_patterns > 0 {
                 let random = PatternSet::random(self.nl, config.random_patterns, config.seed);
                 let stats = model.simulate(&sim, &random, &mut w.reps, &exec);
-                w.failed_sim_batches += stats.failed_batches;
                 if stats.interrupted {
                     // The interrupted pass marked nothing, so the state
                     // is still the pristine Init state.
                     return Err(dur.interrupt("random", CkptPhase::Init, &w));
                 }
+                w.failed_sim_batches += stats.failed_batches;
                 w.patterns.extend_from(&random);
             }
             w.random_detected = w.reps.num_detected();
@@ -943,8 +954,9 @@ impl<'a> Atpg<'a> {
 
         // Phase 2: deterministic top-off, then one reverse-order fault
         // simulation of the whole set against the full universe. An
-        // interrupted pass marks nothing, so its checkpoint is the
-        // finished top-off, and a resumed run repeats the pass.
+        // interrupted pass marks nothing and counts no lost batch, so
+        // its checkpoint is the finished top-off, and a resumed run
+        // repeats the pass.
         let t_deterministic = self.trace.timed_span("atpg_topoff");
         dur.arm();
         if !resume_signoff {
@@ -966,10 +978,10 @@ impl<'a> Atpg<'a> {
                 let _span = self.trace.span_arg("atpg_compact", w.patterns.len() as u64);
                 let (keep, stats) =
                     reverse_order_compaction(&sim, model, &w.patterns, universe.clone(), &exec);
-                w.failed_sim_batches += stats.failed_batches;
                 if stats.interrupted {
                     return Err(dur.interrupt("topoff", CkptPhase::Topoff, &w));
                 }
+                w.failed_sim_batches += stats.failed_batches;
                 // A lost batch hides its fault's detector, so the pass
                 // could drop that fault's only test: keep the whole set.
                 if stats.failed_batches == 0 {
@@ -993,20 +1005,17 @@ impl<'a> Atpg<'a> {
         }
         let mut fault_list = FaultList::new(universe);
         let stats = model.simulate(&sim, &w.patterns, &mut fault_list, &exec);
-        w.failed_sim_batches += stats.failed_batches;
         if stats.interrupted {
             return Err(dur.interrupt("signoff", CkptPhase::Signoff, &w));
         }
-        for (i, &f) in fault_list.faults().to_vec().iter().enumerate() {
-            let rep = collapsed.representative(f);
-            if let Some(status) = w.reps.status_of(rep) {
-                match status {
-                    FaultStatus::Untestable => fault_list.set_status(i, FaultStatus::Untestable),
-                    FaultStatus::Aborted if !fault_list.status(i).is_detected() => {
-                        fault_list.set_status(i, FaultStatus::Aborted);
-                    }
-                    _ => {}
+        w.failed_sim_batches += stats.failed_batches;
+        for i in 0..fault_list.len() {
+            match w.reps.status(collapsed.class_of(i)) {
+                FaultStatus::Untestable => fault_list.set_status(i, FaultStatus::Untestable),
+                FaultStatus::Aborted if !fault_list.status(i).is_detected() => {
+                    fault_list.set_status(i, FaultStatus::Aborted);
                 }
+                _ => {}
             }
         }
 
@@ -1037,6 +1046,7 @@ impl<'a> Atpg<'a> {
             failed_sim_batches: w.failed_sim_batches,
             podem: w.podem_stats,
             elapsed: start.elapsed(),
+            setup_time,
             compile_time,
             random_time,
             deterministic_time,
@@ -1137,11 +1147,11 @@ impl<'a> Atpg<'a> {
                 None => &resolved.result,
             };
             resolved.podem.record(podem_result, &self.metrics);
-            w.podem_stats += resolved.podem;
             // Everything a cancelled fault simulation may have
             // half-mutated, restored before checkpointing so the record
             // sits exactly at the previous fault boundary.
-            let saved = (w.fill_seed, w.fault_ordinal, w.tally);
+            let saved = (w.fill_seed, w.fault_ordinal, w.tally, w.podem_stats);
+            w.podem_stats += resolved.podem;
             w.fault_ordinal += 1;
             let escalated = resolved.escalation.is_some();
             if let Some(conflicts) = resolved.escalation {
@@ -1172,14 +1182,14 @@ impl<'a> Atpg<'a> {
                         &mut w.reps,
                         &Executor::serial(),
                     );
-                    w.failed_sim_batches += stats.failed_batches;
                     if stats.interrupted {
                         // The interrupted pass marked nothing and the
                         // pattern was not pushed: rolling back the
                         // per-fault counters restores the boundary.
-                        (w.fill_seed, w.fault_ordinal, w.tally) = saved;
+                        (w.fill_seed, w.fault_ordinal, w.tally, w.podem_stats) = saved;
                         return Err(dur.interrupt("topoff", CkptPhase::Topoff, w));
                     }
+                    w.failed_sim_batches += stats.failed_batches;
                     // Guard against a generator/fault-sim disagreement:
                     // a target its own test misses is classified aborted,
                     // not retargeted.

@@ -4,10 +4,11 @@
 //! The sequential behaviour of one launch clock is unrolled into a purely
 //! combinational circuit: frame 1 is driven by the scan-loaded state and
 //! the (held) primary inputs; frame 2's pseudo inputs are frame 1's
-//! next-state functions. A slow-to-rise fault at net `s` is then generated
-//! as a stuck-at-0 at `s` in frame 2 under the constraint `s == 0` in
-//! frame 1 (symmetrically for slow-to-fall), which is exactly the
-//! broadside launch condition ([`TwoFrame::target`]).
+//! next-state functions. A gate no flop feeds sees only the held primary
+//! inputs, so frame 2 shares its frame-1 copy. A slow-to-rise fault at
+//! net `s` is then generated as a stuck-at-0 at `s` in frame 2 under the
+//! constraint `s == 0` in frame 1 (symmetrically for slow-to-fall), which
+//! is exactly the broadside launch condition ([`TwoFrame::target`]).
 
 use dft_fault::{Fault, FaultKind, FaultSite};
 use dft_netlist::{GateId, GateKind, Netlist};
@@ -19,13 +20,15 @@ pub struct TwoFrame {
     pub netlist: Netlist,
     /// Frame-1 copy of every original gate.
     pub frame1: Vec<GateId>,
-    /// Frame-2 copy of every original gate.
+    /// Frame-2 copy of every original gate: the frame-1 copy itself for
+    /// a gate no flop feeds.
     pub frame2: Vec<GateId>,
 }
 
 /// Expands `nl` into the two-frame combinational circuit used for
 /// broadside transition ATPG. Primary inputs are shared (held) across
-/// frames; each flop's frame-2 output is a buffer of its frame-1
+/// frames, and so is every gate no flop feeds, whose frame-2 value is its
+/// frame-1 value; each flop's frame-2 output is a buffer of its frame-1
 /// next-state net; only frame 2 is observed. The expansion's sources are
 /// the primary inputs then one state load per flop, in the design's
 /// order, so a test cube of it is a launch scan pattern of `nl`.
@@ -34,6 +37,8 @@ pub fn expand_two_frames(nl: &Netlist) -> TwoFrame {
     let n = nl.num_gates();
     let mut f1 = vec![GateId(u32::MAX); n];
     let mut f2 = vec![GateId(u32::MAX); n];
+    // Gates with a flop in their transitive fanin.
+    let mut flop_fed = vec![false; n];
 
     // Shared primary inputs.
     for &pi in nl.inputs() {
@@ -45,6 +50,7 @@ pub fn expand_two_frames(nl: &Netlist) -> TwoFrame {
     for &ff in nl.dffs() {
         let id = out.add_input(&format!("{}_ld", nl.gate(ff).name));
         f1[ff.index()] = id;
+        flop_fed[ff.index()] = true;
     }
     // Frame-1 combinational logic, in level order.
     let lv = dft_netlist::Levelization::compute(nl).expect("acyclic");
@@ -58,6 +64,7 @@ pub fn expand_two_frames(nl: &Netlist) -> TwoFrame {
                 f1[id.index()] = f1[g.fanins[0].index()];
             }
             _ => {
+                flop_fed[id.index()] = g.fanins.iter().any(|f| flop_fed[f.index()]);
                 let fanins = g.fanins.iter().map(|&f| f1[f.index()]).collect();
                 f1[id.index()] = out.add_gate(g.kind, fanins, &format!("{}_f1", g.name));
             }
@@ -79,6 +86,7 @@ pub fn expand_two_frames(nl: &Netlist) -> TwoFrame {
                 let src = f2[g.fanins[0].index()];
                 f2[id.index()] = out.add_output(src, &format!("{}_f2", g.name));
             }
+            _ if !flop_fed[id.index()] => f2[id.index()] = f1[id.index()],
             _ => {
                 let fanins = g.fanins.iter().map(|&f| f2[f.index()]).collect();
                 f2[id.index()] = out.add_gate(g.kind, fanins, &format!("{}_f2", g.name));
@@ -131,7 +139,7 @@ mod tests {
     use crate::{Atpg, AtpgConfig, FaultModel};
     use dft_fault::{FaultList, FaultStatus};
     use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
-    use dft_netlist::generators::{counter, s27, shift_register};
+    use dft_netlist::generators::{benchmark_suite, counter, mac_pe, s27, shift_register};
     use dft_netlist::{GateKind, Levelization, NetlistStats};
 
     fn transition(random_patterns: usize, seed: u64) -> AtpgConfig {
@@ -143,17 +151,34 @@ mod tests {
 
     #[test]
     fn expansion_is_combinational_and_doubled() {
-        let nl = s27();
-        let tf = expand_two_frames(&nl);
-        assert_eq!(tf.netlist.num_dffs(), 0);
-        Levelization::compute(&tf.netlist).unwrap();
-        let orig = NetlistStats::of(&nl);
-        let exp = NetlistStats::of(&tf.netlist);
-        assert!(exp.logic_gates >= 2 * orig.logic_gates - 2);
-        // PIs shared; state loads appear once.
-        assert_eq!(tf.netlist.num_inputs(), nl.num_inputs() + nl.num_dffs());
-        // Outputs: frame-2 POs + captures.
-        assert_eq!(tf.netlist.num_outputs(), nl.num_outputs() + nl.num_dffs());
+        for nl in [s27(), mac_pe(4)] {
+            let tf = expand_two_frames(&nl);
+            assert_eq!(tf.netlist.num_dffs(), 0);
+            Levelization::compute(&tf.netlist).unwrap();
+            // Frame 2 has its own copy of exactly the gates a flop feeds.
+            let mut flop_fed = vec![false; nl.num_gates()];
+            let mut own = 0;
+            for &id in Levelization::compute(&nl).unwrap().order() {
+                let g = nl.gate(id);
+                flop_fed[id.index()] = g.kind == GateKind::Dff
+                    || (g.kind.is_logic() && g.fanins.iter().any(|f| flop_fed[f.index()]));
+                if g.kind.is_logic() {
+                    let shared = tf.frame2[id.index()] == tf.frame1[id.index()];
+                    assert_eq!(shared, !flop_fed[id.index()], "{} {}", nl.name(), g.name);
+                    own += usize::from(!shared);
+                }
+            }
+            let orig = NetlistStats::of(&nl);
+            assert!(0 < own && own < orig.logic_gates, "{}", nl.name());
+            // Logic: frame 1, frame 2's own copies, and a frame-2 state
+            // buffer per flop.
+            let exp = NetlistStats::of(&tf.netlist);
+            assert_eq!(exp.logic_gates, orig.logic_gates + own + nl.num_dffs());
+            // PIs shared; state loads appear once.
+            assert_eq!(tf.netlist.num_inputs(), nl.num_inputs() + nl.num_dffs());
+            // Outputs: frame-2 POs + captures.
+            assert_eq!(tf.netlist.num_outputs(), nl.num_outputs() + nl.num_dffs());
+        }
     }
 
     #[test]
@@ -203,6 +228,22 @@ mod tests {
                 assert_eq!(single.num_detected(), 1, "fault {fault} pair {p}");
             }
         }
+    }
+
+    #[test]
+    fn mac8_transition_run_leaves_nothing_aborted() {
+        // E11's mac8 run. Its multiplier reads only primary inputs, so
+        // each of its transition faults is untestable broadside; with the
+        // multiplier shared between the frames, PODEM and SAT prove it
+        // instead of exhausting the SAT budget on a two-copy miter.
+        let nl = benchmark_suite()
+            .into_iter()
+            .find(|c| c.name == "mac8")
+            .expect("mac8 in suite")
+            .netlist;
+        let run = Atpg::new(&nl).run(&transition(128, 0xE11));
+        assert_eq!(run.aborted, 0);
+        assert!((run.test_coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Journal integrity checking and repair — the library behind
 //! `aidft fsck`.
 //!
-//! Works on any of the three framed formats (`aidft-ckpt-v2`,
+//! Works on any of the three framed formats (`aidft-ckpt-v3`,
 //! `aidft-serve-v3`, `aidft-telemetry-v1`): the format id is
 //! autodetected from the first `ckpt <format> <seq>` header, every
 //! candidate record region gets a [`RecordVerdict`] (intact, checksum

@@ -1,9 +1,9 @@
-//! The `aidft-ckpt-v2` checkpoint body: the ATPG resume state and its
+//! The `aidft-ckpt-v3` checkpoint body: the ATPG resume state and its
 //! codec.
 //!
 //! An ATPG checkpoint journal is a [`FramedJournal`] opened with
 //! [`CKPT_FORMAT`]. The framing layer owns everything durable — the
-//! `ckpt aidft-ckpt-v2 <seq>` header, the `end <crc>` trailer, torn-tail
+//! `ckpt aidft-ckpt-v3 <seq>` header, the `end <crc>` trailer, torn-tail
 //! realignment, replicas, disk chaos, newest-first recovery — and this
 //! module owns only the body between header and trailer
 //! ([`CkptState::to_body`] / [`CkptState::parse_body`]). Each record is
@@ -20,6 +20,8 @@
 //! fill_seed <u64>
 //! ordinal <u64>
 //! random_detected <u64>
+//! failed_sim_batches <u64>  # batches lost to worker panics so far
+//! podem <backtracks> <simulations> <decisions> <gate_evals>
 //! width <usize>             # pattern width in bits
 //! section main
 //! tally <untestable> <aborted> <escalated> <rescued>
@@ -30,9 +32,11 @@
 //! cube <0/1/X bits>         # one line per cube
 //! ```
 //!
-//! `aidft-ckpt-v1` records (ATPG with a second, rebuilding top-off
-//! round: `phase topoff <round>` and an optional `section
-//! pre_compaction`) carry another tag, so a v2 journal never loads one.
+//! Older records carry another tag, so a v3 journal never loads one:
+//! `aidft-ckpt-v2` lacks the two effort counters (`failed_sim_batches`,
+//! `podem`), so a run resumed from it would under-report both, and
+//! `aidft-ckpt-v1` is ATPG with a second, rebuilding top-off round
+//! (`phase topoff <round>` and an optional `section pre_compaction`).
 
 use std::fmt;
 use std::io;
@@ -40,7 +44,7 @@ use std::io;
 use crate::framed::{FramedJournal, RecoveryReport};
 
 /// The on-disk format identifier; bump on any incompatible change.
-pub const CKPT_FORMAT: &str = "aidft-ckpt-v2";
+pub const CKPT_FORMAT: &str = "aidft-ckpt-v3";
 
 /// FNV-1a 64-bit hash (also used by callers to fingerprint their
 /// configuration into [`CkptState::config_hash`]).
@@ -97,7 +101,7 @@ pub struct CkptSection {
     pub tally: [u64; 4],
 }
 
-/// A complete `aidft-ckpt-v2` record: everything a run needs to resume
+/// A complete `aidft-ckpt-v3` record: everything a run needs to resume
 /// bit-identically.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CkptState {
@@ -117,6 +121,12 @@ pub struct CkptState {
     pub fault_ordinal: u64,
     /// Collapsed faults detected by the random phase (for reporting).
     pub random_detected: u64,
+    /// Fault-simulation batches lost to worker panics so far.
+    pub failed_sim_batches: u64,
+    /// PODEM effort so far: `[backtracks, simulations, decisions,
+    /// gate_evals]`. A parsed record holds the first three below
+    /// `2^32`.
+    pub podem: [u64; 4],
     /// Pattern width in bits.
     pub width: usize,
     /// The live frontier.
@@ -230,6 +240,11 @@ impl CkptState {
         body.push_str(&format!("fill_seed {}\n", self.fill_seed));
         body.push_str(&format!("ordinal {}\n", self.fault_ordinal));
         body.push_str(&format!("random_detected {}\n", self.random_detected));
+        body.push_str(&format!("failed_sim_batches {}\n", self.failed_sim_batches));
+        let [backtracks, simulations, decisions, gate_evals] = self.podem;
+        body.push_str(&format!(
+            "podem {backtracks} {simulations} {decisions} {gate_evals}\n"
+        ));
         body.push_str(&format!("width {}\n", self.width));
         write_section(&mut body, "main", &self.main);
         body
@@ -258,6 +273,8 @@ impl CkptState {
                 "fill_seed" => state.fill_seed = rest.parse().ok()?,
                 "ordinal" => state.fault_ordinal = rest.parse().ok()?,
                 "random_detected" => state.random_detected = rest.parse().ok()?,
+                "failed_sim_batches" => state.failed_sim_batches = rest.parse().ok()?,
+                "podem" => state.podem = parse_podem(rest)?,
                 "width" => state.width = rest.parse().ok()?,
                 "section" if rest == "main" => state.main = parse_section(&mut lines)?,
                 _ => return None,
@@ -276,6 +293,21 @@ impl CkptState {
             .load_last_parsed(CkptState::parse_body)
             .map(|((_, state), report)| (state, report))
     }
+}
+
+/// The `podem` counters: three that fit in `u32`, then `gate_evals`.
+fn parse_podem(rest: &str) -> Option<[u64; 4]> {
+    let mut fields = rest.split(' ');
+    let mut podem = [0u64; 4];
+    for (i, slot) in podem.iter_mut().enumerate() {
+        let field = fields.next()?;
+        *slot = if i < 3 {
+            u64::from(field.parse::<u32>().ok()?)
+        } else {
+            field.parse().ok()?
+        };
+    }
+    fields.next().is_none().then_some(podem)
 }
 
 fn write_section(out: &mut String, name: &str, s: &CkptSection) {
@@ -374,6 +406,8 @@ mod tests {
             fill_seed: 42 + seq,
             fault_ordinal: 17,
             random_detected: 301,
+            failed_sim_batches: 2,
+            podem: [5, 9, 7, 120],
             width: 5,
             main: CkptSection {
                 statuses: vec![
@@ -414,8 +448,8 @@ mod tests {
     /// The record format, pinned byte for byte: it must parse, and
     /// re-framing the parsed state must reproduce it.
     #[test]
-    fn framed_body_matches_the_ckpt_v2_record_format() {
-        let record = "ckpt aidft-ckpt-v2 3\n\
+    fn framed_body_matches_the_ckpt_v3_record_format() {
+        let record = "ckpt aidft-ckpt-v3 3\n\
             design mac4\n\
             config deadbeef0badf00d\n\
             phase topoff\n\
@@ -423,6 +457,8 @@ mod tests {
             fill_seed 45\n\
             ordinal 17\n\
             random_detected 301\n\
+            failed_sim_batches 2\n\
+            podem 5 9 7 120\n\
             width 5\n\
             section main\n\
             tally 1 2 3 4\n\
@@ -431,9 +467,9 @@ mod tests {
             pat 10110\n\
             ncube 1\n\
             cube 1X0XX\n\
-            end 9cd694c3404c06c1\n";
-        let (seq, body) = parse_framed(record, CKPT_FORMAT).expect("ckpt-v2 record parses");
-        let state = CkptState::parse_body(&body).expect("ckpt-v2 body parses");
+            end 22d0f20698054fcf\n";
+        let (seq, body) = parse_framed(record, CKPT_FORMAT).expect("ckpt-v3 record parses");
+        let state = CkptState::parse_body(&body).expect("ckpt-v3 body parses");
         assert_eq!((seq, &state), (3, &sample(3)));
         assert_eq!(frame_record(CKPT_FORMAT, seq, &state.to_body()), record);
     }
@@ -451,6 +487,10 @@ mod tests {
         assert!(CkptState::parse_body("phase topoff 1\n").is_none());
         assert!(CkptState::parse_body("section pre_compaction\ntally 0 0 0 0\n").is_none());
         assert!(CkptState::parse_body("section main\ntally 1 2\n").is_none());
+        // PODEM's per-run counters are u32 except gate evaluations.
+        assert!(CkptState::parse_body("podem 1 2 3\n").is_none());
+        assert!(CkptState::parse_body("podem 4294967296 0 0 0\n").is_none());
+        assert!(CkptState::parse_body("podem 1 2 3 4294967296\n").is_some());
     }
 
     #[test]

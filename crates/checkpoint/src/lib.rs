@@ -15,7 +15,7 @@
 //!   checksummed records, optionally replicated, so a process killed
 //!   mid-write leaves the previous record intact and a load always
 //!   recovers the newest *complete* one. Each producer owns its body
-//!   codec: [`CkptState`] is the `aidft-ckpt-v2` ATPG checkpoint body
+//!   codec: [`CkptState`] is the `aidft-ckpt-v3` ATPG checkpoint body
 //!   ([`CkptState::to_body`]/[`CkptState::parse_body`]), and the serve
 //!   fleet and telemetry journals bring their own.
 //! * [`ChaosConfig`] — the `AIDFT_CHAOS` fault-injection harness:

@@ -1,4 +1,4 @@
-//! Property tests for the `aidft-ckpt-v2` body codec on a
+//! Property tests for the `aidft-ckpt-v3` body codec on a
 //! `FramedJournal`: frame → parse is the identity for arbitrary states,
 //! and the newest complete record always survives torn tails, bit rot
 //! and garbage.
@@ -81,6 +81,13 @@ impl Gen {
             fill_seed: self.next(),
             fault_ordinal: self.next(),
             random_detected: self.below(100_000),
+            failed_sim_batches: self.below(1_000),
+            podem: [
+                self.below(1 << 32),
+                self.below(1 << 32),
+                self.below(1 << 32),
+                self.next(),
+            ],
             width,
             main: self.section(width),
         }

@@ -76,7 +76,7 @@
 //! them:
 //!
 //! - `--checkpoint <path>` — append resume checkpoints to an
-//!   `aidft-ckpt-v2` journal (schema in EXPERIMENTS.md).
+//!   `aidft-ckpt-v3` journal (schema in EXPERIMENTS.md).
 //! - `--checkpoint-every <n>` — checkpoint cadence in faults
 //!   (default 64; `0` = phase boundaries only).
 //! - `--phase-timeout <ms>` — per-phase deadline; an overrunning phase
@@ -97,7 +97,7 @@
 //! see EXPERIMENTS.md for the knob table.
 //!
 //! `aidft fsck <journal> [--repair]` validates any of the three framed
-//! journal formats (`aidft-ckpt-v2`, `aidft-serve-v3`,
+//! journal formats (`aidft-ckpt-v3`, `aidft-serve-v3`,
 //! `aidft-telemetry-v1`): per-record verdicts (intact / bad-crc /
 //! torn), scrub-index cross-check, and a summary verdict. `--repair`
 //! rewrites the journal as a clean copy holding exactly the intact

@@ -23,7 +23,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Re-export of `dft-checkpoint` (cooperative cancellation, the
-/// `aidft-ckpt-v2` checkpoint journal, and the `AIDFT_CHAOS` fault
+/// `aidft-ckpt-v3` checkpoint journal, and the `AIDFT_CHAOS` fault
 /// injection harness).
 pub use dft_checkpoint as checkpoint;
 
@@ -249,6 +249,7 @@ impl<'a> DftFlow<'a> {
         let compression_time = t_compress.finish();
         let phase_times = PhaseTimes {
             scan: scan_time,
+            setup: run.setup_time,
             compile: run.compile_time,
             random_sim: run.random_time,
             deterministic: run.deterministic_time + run.signoff_time,
@@ -292,6 +293,9 @@ impl<'a> DftFlow<'a> {
 pub struct PhaseTimes {
     /// Scan insertion.
     pub scan: Duration,
+    /// ATPG setup: fault-universe enumeration, equivalence collapsing,
+    /// and building the search engines.
+    pub setup: Duration,
     /// Simulation-kernel compilation (tape levelization and layout;
     /// paid once per run, before the first simulation phase).
     pub compile: Duration,
@@ -312,7 +316,12 @@ pub struct PhaseTimes {
 impl PhaseTimes {
     /// Sum of the per-phase durations (always `<=` [`PhaseTimes::total`]).
     pub fn sum_phases(&self) -> Duration {
-        self.scan + self.compile + self.random_sim + self.deterministic + self.compression
+        self.scan
+            + self.setup
+            + self.compile
+            + self.random_sim
+            + self.deterministic
+            + self.compression
     }
 }
 
@@ -424,8 +433,9 @@ impl fmt::Display for FlowReport {
         let t = &self.phase_times;
         writeln!(
             f,
-            "  timing: scan {:?}, compile {:?}, random sim {:?}, deterministic {:?}, compression {:?}, total {:?} ({} thread{})",
+            "  timing: scan {:?}, setup {:?}, compile {:?}, random sim {:?}, deterministic {:?}, compression {:?}, total {:?} ({} thread{})",
             t.scan,
+            t.setup,
             t.compile,
             t.random_sim,
             t.deterministic,
@@ -481,8 +491,9 @@ mod tests {
             let t = &report.phase_times;
             assert!(
                 t.sum_phases() <= t.total,
-                "phase drift: {:?} + {:?} + {:?} + {:?} + {:?} = {:?} > total {:?}",
+                "phase drift: {:?} + {:?} + {:?} + {:?} + {:?} + {:?} = {:?} > total {:?}",
                 t.scan,
+                t.setup,
                 t.compile,
                 t.random_sim,
                 t.deterministic,
@@ -491,9 +502,9 @@ mod tests {
                 t.total
             );
             assert!(t.total > std::time::Duration::ZERO);
-            // The kernel-compile phase is measured (its span ran), even
-            // if it rounds to zero on tiny designs.
-            assert!(t.sum_phases() >= t.compile);
+            // The setup and kernel-compile phases are measured (their
+            // spans ran), even if they round to zero on tiny designs.
+            assert!(t.sum_phases() >= t.setup + t.compile);
         }
     }
 
@@ -520,6 +531,7 @@ mod tests {
         for phase in [
             "flow",
             "scan_insertion",
+            "atpg_setup",
             "sim_compile",
             "atpg_random",
             "atpg_topoff",
@@ -547,6 +559,7 @@ mod tests {
         assert_eq!(serial.phase_times.threads, 1);
         assert_eq!(parallel.phase_times.threads, 8);
         assert!(parallel.to_string().contains("timing: scan"));
+        assert!(parallel.to_string().contains(", setup "));
         assert!(parallel.to_string().contains("8 threads"));
     }
 

@@ -19,19 +19,67 @@
 //! * `AND`: output SA1 dominates each input SA1. `OR`: output SA0 dominates
 //!   input SA0. `NAND`: output SA0 dominates input SA1. `NOR`: output SA1
 //!   dominates input SA0.
-
-use std::collections::HashMap;
+//!
+//! The bookkeeping is array arithmetic, with no map keyed by fault: a
+//! per-gate offset table numbers every `(gate, pin, kind)` slot, one
+//! slot→position vector places a fault in the slice being collapsed, and
+//! the union-find runs over slice positions.
 
 use dft_netlist::{GateKind, Netlist};
 
 use crate::{Fault, FaultKind, FaultSite};
 
-/// Result of fault collapsing: representative faults plus the mapping from
-/// every original fault to its representative.
+/// Marks an empty slot or an unassigned class.
+const NONE: u32 = u32::MAX;
+
+/// Dense numbering of a netlist's faults: gate `g`'s sites are numbered
+/// from `first[g]` (its output, then each input pin), and each site holds
+/// one slot per [`FaultKind`], so `(gate, pin, kind)` maps to a slot by
+/// arithmetic.
+#[derive(Debug, Clone)]
+struct Slots {
+    /// First site of each gate, plus one entry past the last gate.
+    first: Vec<u32>,
+}
+
+impl Slots {
+    const KINDS: usize = 4;
+
+    fn new(nl: &Netlist) -> Slots {
+        let mut first = Vec::with_capacity(nl.num_gates() + 1);
+        let mut next = 0u32;
+        for (_, g) in nl.iter() {
+            first.push(next);
+            next += 1 + g.fanins.len() as u32;
+        }
+        first.push(next);
+        Slots { first }
+    }
+
+    fn len(&self) -> usize {
+        *self.first.last().expect("one entry past the last gate") as usize * Slots::KINDS
+    }
+
+    /// The slot of `f`, or `None` when the netlist has no such gate or
+    /// pin.
+    fn of(&self, f: Fault) -> Option<usize> {
+        let g = f.site.gate.index();
+        let (&start, &end) = (self.first.get(g)?, self.first.get(g + 1)?);
+        let site = start + f.site.pin.map_or(0, |p| 1 + u32::from(p));
+        (site < end).then(|| site as usize * Slots::KINDS + f.kind as usize)
+    }
+}
+
+/// Result of fault collapsing: representative faults plus the class of
+/// every fault of the collapsed slice.
 #[derive(Debug, Clone)]
 pub struct CollapsedFaults {
     reps: Vec<Fault>,
-    class_of: HashMap<Fault, Fault>,
+    /// Class (index into `reps`) of the fault at each slice position.
+    class: Vec<u32>,
+    slots: Slots,
+    /// Slice position of the first fault in each slot, or `NONE`.
+    pos: Vec<u32>,
 }
 
 impl CollapsedFaults {
@@ -40,11 +88,24 @@ impl CollapsedFaults {
         &self.reps
     }
 
+    /// The class of the fault at position `i` of the collapsed slice: an
+    /// index into [`CollapsedFaults::representatives`].
+    pub fn class_of(&self, i: usize) -> usize {
+        self.class[i] as usize
+    }
+
     /// Maps a fault from the original universe to its representative.
     /// Returns the fault itself if it was not part of the collapsed
     /// universe.
     pub fn representative(&self, f: Fault) -> Fault {
-        self.class_of.get(&f).copied().unwrap_or(f)
+        self.class_of_fault(f).map_or(f, |c| self.reps[c])
+    }
+
+    /// The class of `f`, or `None` if no fault of the slice sits in its
+    /// slot.
+    fn class_of_fault(&self, f: Fault) -> Option<usize> {
+        let p = self.pos[self.slots.of(f)?];
+        (p != NONE).then(|| self.class_of(p as usize))
     }
 
     /// Collapse ratio: `representatives / original`, e.g. `0.55` means the
@@ -57,47 +118,37 @@ impl CollapsedFaults {
     }
 }
 
-/// Union-find over faults.
+/// Union-find over slice positions.
 struct Dsu {
-    parent: HashMap<Fault, Fault>,
+    parent: Vec<u32>,
 }
 
 impl Dsu {
-    fn new(faults: &[Fault]) -> Dsu {
-        Dsu {
-            parent: faults.iter().map(|&f| (f, f)).collect(),
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let up = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = up;
+            x = up;
         }
+        x
     }
 
-    fn find(&mut self, f: Fault) -> Fault {
-        let p = match self.parent.get(&f) {
-            Some(&p) => p,
-            None => return f,
+    /// Merges the classes of positions `a` and `b`. The root is the
+    /// member whose site sorts last by `(pin.is_none(), site)`: an output
+    /// site over a pin, then the higher gate id.
+    fn union(&mut self, a: u32, b: u32, faults: &[Fault]) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        let key = |r: u32| {
+            let site = faults[r as usize].site;
+            (site.pin.is_none(), site)
         };
-        if p == f {
-            return f;
-        }
-        let root = self.find(p);
-        self.parent.insert(f, root);
-        root
-    }
-
-    fn union(&mut self, a: Fault, b: Fault) {
-        if !self.parent.contains_key(&a) || !self.parent.contains_key(&b) {
-            return; // only collapse faults present in the universe
-        }
-        let ra = self.find(a);
-        let rb = self.find(b);
         if ra != rb {
-            // Prefer output-site, lower-id representatives for stable,
-            // human-friendly collapsed lists.
-            let (keep, drop) =
-                if (ra.site.pin.is_none(), ra.site) <= (rb.site.pin.is_none(), rb.site) {
-                    (rb, ra)
-                } else {
-                    (ra, rb)
-                };
-            self.parent.insert(drop, keep);
+            let (keep, drop) = if key(ra) <= key(rb) {
+                (rb, ra)
+            } else {
+                (ra, rb)
+            };
+            self.parent[drop as usize] = keep;
         }
     }
 }
@@ -105,15 +156,58 @@ impl Dsu {
 /// Equivalence-collapses a stuck-at fault universe.
 ///
 /// Only stuck-at faults participate; transition faults are returned
-/// unchanged (their standard universe is already stem-only).
+/// unchanged (their standard universe is already stem-only). A fault
+/// listed twice is one fault, and a fault on a gate or pin `nl` lacks is
+/// its own class.
+///
+/// # Panics
+///
+/// Panics if `faults` holds `u32::MAX` faults or more.
 pub fn collapse_equivalent(nl: &Netlist, faults: &[Fault]) -> CollapsedFaults {
-    let mut dsu = Dsu::new(faults);
+    assert!(
+        faults.len() < NONE as usize,
+        "{} faults overflow the u32 positions",
+        faults.len()
+    );
+    let slots = Slots::new(nl);
+    let mut pos = vec![NONE; slots.len()];
+    // Each position starts as the position of its fault's first
+    // occurrence: the one union-find node of that fault.
+    let mut foreign = Vec::new();
+    let mut class: Vec<u32> = (0u32..)
+        .zip(faults)
+        .map(|(i, &f)| match slots.of(f) {
+            Some(s) => {
+                if pos[s] == NONE {
+                    pos[s] = i;
+                }
+                pos[s]
+            }
+            None => match foreign.iter().find(|&&j| faults[j as usize] == f) {
+                Some(&j) => j,
+                None => {
+                    foreign.push(i);
+                    i
+                }
+            },
+        })
+        .collect();
+    let mut dsu = Dsu {
+        parent: (0..faults.len() as u32).collect(),
+    };
+    let mut unite = |a: Fault, b: Fault| {
+        let at = |f: Fault| slots.of(f).map(|s| pos[s]).filter(|&p| p != NONE);
+        // Only collapse faults present in the slice.
+        if let (Some(a), Some(b)) = (at(a), at(b)) {
+            dsu.union(a, b, faults);
+        }
+    };
     for (id, g) in nl.iter() {
         // Rule 1: single-fanout branch ≡ stem.
         for (pin, &drv) in g.fanins.iter().enumerate() {
             if nl.gate(drv).num_fanouts() == 1 {
                 for value in [false, true] {
-                    dsu.union(
+                    unite(
                         Fault::stuck_at_input(id, pin as u8, value),
                         Fault::stuck_at_output(drv, value),
                     );
@@ -128,7 +222,7 @@ pub fn collapse_equivalent(nl: &Netlist, faults: &[Fault]) -> CollapsedFaults {
             GateKind::Nor => (true, false),
             GateKind::Buf => {
                 for v in [false, true] {
-                    dsu.union(
+                    unite(
                         Fault::stuck_at_input(id, 0, v),
                         Fault::stuck_at_output(id, v),
                     );
@@ -137,7 +231,7 @@ pub fn collapse_equivalent(nl: &Netlist, faults: &[Fault]) -> CollapsedFaults {
             }
             GateKind::Not => {
                 for v in [false, true] {
-                    dsu.union(
+                    unite(
                         Fault::stuck_at_input(id, 0, v),
                         Fault::stuck_at_output(id, !v),
                     );
@@ -147,24 +241,30 @@ pub fn collapse_equivalent(nl: &Netlist, faults: &[Fault]) -> CollapsedFaults {
             _ => continue,
         };
         for pin in 0..g.fanins.len() {
-            dsu.union(
+            unite(
                 Fault::stuck_at_input(id, pin as u8, in_val),
                 Fault::stuck_at_output(id, out_val),
             );
         }
     }
 
-    let mut class_of = HashMap::with_capacity(faults.len());
+    // Number the classes in the order their first member appears.
+    let mut class_at_root = vec![NONE; faults.len()];
     let mut reps = Vec::new();
-    let mut seen: HashMap<Fault, ()> = HashMap::new();
-    for &f in faults {
-        let r = dsu.find(f);
-        class_of.insert(f, r);
-        if seen.insert(r, ()).is_none() {
-            reps.push(r);
+    for c in &mut class {
+        let root = dsu.find(*c) as usize;
+        if class_at_root[root] == NONE {
+            class_at_root[root] = reps.len() as u32;
+            reps.push(faults[root]);
         }
+        *c = class_at_root[root];
     }
-    CollapsedFaults { reps, class_of }
+    CollapsedFaults {
+        reps,
+        class,
+        slots,
+        pos,
+    }
 }
 
 /// Applies dominance collapsing on top of an equivalence-collapsed list:
@@ -175,7 +275,7 @@ pub fn collapse_equivalent(nl: &Netlist, faults: &[Fault]) -> CollapsedFaults {
 /// it detects the full universe) but **not** for coverage reporting —
 /// report coverage on the equivalence classes instead.
 pub fn collapse_dominance(nl: &Netlist, collapsed: &CollapsedFaults) -> Vec<Fault> {
-    let mut drop: HashMap<Fault, ()> = HashMap::new();
+    let mut drop = vec![false; collapsed.reps.len()];
     for (id, g) in nl.iter() {
         if g.fanins.is_empty() {
             continue;
@@ -188,27 +288,29 @@ pub fn collapse_dominance(nl: &Netlist, collapsed: &CollapsedFaults) -> Vec<Faul
             _ => continue,
         };
         // The dominating output fault may be dropped only if at least one
-        // dominated input fault remains in the collapsed list.
-        let out_fault = Fault {
+        // dominated input fault remains in the collapsed list. An input
+        // fault outside the slice counts as kept.
+        let out_class = collapsed.class_of_fault(Fault {
             site: FaultSite::output(id),
             kind: out_kind,
-        };
-        let rep = collapsed.representative(out_fault);
+        });
         let in_val = !g.kind.controlling_value().expect("gate has cv");
         let any_input_kept = (0..g.fanins.len()).any(|pin| {
-            let f = Fault::stuck_at_input(id, pin as u8, in_val);
-            let r = collapsed.representative(f);
-            r != rep && !drop.contains_key(&r)
+            match collapsed.class_of_fault(Fault::stuck_at_input(id, pin as u8, in_val)) {
+                Some(c) => Some(c) != out_class && !drop[c],
+                None => true,
+            }
         });
-        if any_input_kept {
-            drop.insert(rep, ());
+        if let (true, Some(c)) = (any_input_kept, out_class) {
+            drop[c] = true;
         }
     }
     collapsed
         .representatives()
         .iter()
-        .copied()
-        .filter(|f| !drop.contains_key(f))
+        .zip(&drop)
+        .filter(|(_, &dropped)| !dropped)
+        .map(|(&f, _)| f)
         .collect()
 }
 

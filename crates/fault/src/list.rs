@@ -1,7 +1,5 @@
 //! Fault-list bookkeeping shared by fault simulation, ATPG and BIST.
 
-use std::collections::HashMap;
-
 use crate::Fault;
 
 /// Lifecycle status of a fault during test generation / simulation.
@@ -35,19 +33,13 @@ impl FaultStatus {
 pub struct FaultList {
     faults: Vec<Fault>,
     status: Vec<FaultStatus>,
-    index: HashMap<Fault, usize>,
 }
 
 impl FaultList {
     /// Builds a list with every fault `Undetected`.
     pub fn new(faults: Vec<Fault>) -> FaultList {
-        let index = faults.iter().enumerate().map(|(i, &f)| (f, i)).collect();
         let status = vec![FaultStatus::Undetected; faults.len()];
-        FaultList {
-            faults,
-            status,
-            index,
-        }
+        FaultList { faults, status }
     }
 
     /// Number of faults.
@@ -72,16 +64,6 @@ impl FaultList {
     #[inline]
     pub fn status(&self, idx: usize) -> FaultStatus {
         self.status[idx]
-    }
-
-    /// Status of `f`, or `None` if `f` is not in the list.
-    pub fn status_of(&self, f: Fault) -> Option<FaultStatus> {
-        self.index.get(&f).map(|&i| self.status[i])
-    }
-
-    /// Index of `f` in the list.
-    pub fn index_of(&self, f: Fault) -> Option<usize> {
-        self.index.get(&f).copied()
     }
 
     /// Sets the status of the fault at `idx`. Detected faults are never
@@ -191,14 +173,5 @@ mod tests {
         fl.set_status(2, FaultStatus::Aborted);
         let und: Vec<usize> = fl.undetected().collect();
         assert_eq!(und, vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn lookup_by_fault() {
-        let fl = mk(2);
-        let f = Fault::stuck_at_output(GateId(1), true);
-        assert_eq!(fl.index_of(f), Some(3));
-        assert_eq!(fl.status_of(f), Some(FaultStatus::Undetected));
-        assert_eq!(fl.status_of(Fault::stuck_at_output(GateId(9), true)), None);
     }
 }

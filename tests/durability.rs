@@ -37,7 +37,10 @@ fn last_state(path: &Path) -> CkptState {
         .0
 }
 
-fn assert_same_run(run: &AtpgRun, reference: &AtpgRun, context: &str) {
+/// Every deterministic `AtpgRun` field (all but the wall-clock ones):
+/// the result, and the effort counters a resumed run restores from its
+/// checkpoint.
+fn assert_identical_runs(run: &AtpgRun, reference: &AtpgRun, context: &str) {
     assert_eq!(
         run.patterns.len(),
         reference.patterns.len(),
@@ -63,11 +66,6 @@ fn assert_same_run(run: &AtpgRun, reference: &AtpgRun, context: &str) {
         "{context}: untestable"
     );
     assert_eq!(run.aborted, reference.aborted, "{context}: aborted");
-}
-
-/// Every deterministic `AtpgRun` field (all but the wall-clock ones).
-fn assert_identical_runs(run: &AtpgRun, reference: &AtpgRun, context: &str) {
-    assert_same_run(run, reference, context);
     assert_eq!(
         run.fault_list.faults(),
         reference.fault_list.faults(),
@@ -192,7 +190,7 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
                     "{context}"
                 );
                 assert_eq!(resumed.test_coverage, reference.test_coverage, "{context}");
-                assert_same_run(&resumed.atpg_run, &reference.atpg_run, &context);
+                assert_identical_runs(&resumed.atpg_run, &reference.atpg_run, &context);
                 std::fs::remove_file(&checkpoint).ok();
             }
         }
@@ -313,7 +311,7 @@ fn broadside_kill_and_resume_is_bit_identical_across_threads() {
             let resumed = Atpg::new(&nl)
                 .run_durable(&cfg.clone().threads(resume_threads), &mut dur)
                 .expect("resume completes");
-            assert_same_run(&resumed, &reference, &context);
+            assert_identical_runs(&resumed, &reference, &context);
             std::fs::remove_file(&path).ok();
         }
     }
@@ -352,7 +350,7 @@ fn randomized_kill_points_never_corrupt_the_journal() {
             .with_journal(writes)
             .checkpoint_every(8);
         match atpg.run_durable(&cfg, &mut dur) {
-            Ok(run) => assert_same_run(&run, &reference, &context),
+            Ok(run) => assert_identical_runs(&run, &reference, &context),
             Err(AtpgError::Interrupted(i)) => {
                 interrupted += 1;
                 if let Some(ckpt) = i.checkpoint {
@@ -364,7 +362,7 @@ fn randomized_kill_points_never_corrupt_the_journal() {
                     let resumed = atpg
                         .run_durable(&cfg, &mut dur)
                         .unwrap_or_else(|e| panic!("{context}: resume failed: {e}"));
-                    assert_same_run(&resumed, &reference, &context);
+                    assert_identical_runs(&resumed, &reference, &context);
                 }
             }
             Err(other) => panic!("{context}: unexpected error {other}"),
@@ -461,8 +459,71 @@ fn flow_phase_deadline_interrupts_and_resumes() {
         .threads(1)
         .run_durable(&mut dur)
         .expect("resume without deadline completes");
-    assert_same_run(&resumed.atpg_run, &reference.atpg_run, "flow deadline");
+    assert_identical_runs(&resumed.atpg_run, &reference.atpg_run, "flow deadline");
     std::fs::remove_file(&checkpoint).ok();
+}
+
+/// Fault-simulation batches lost before an interrupt are in the
+/// checkpoint, and an interrupted pass counts none: a chaos run stopped
+/// by its phase deadline, or killed in the random phase, top-off, the
+/// compaction pass or sign-off, and resumed under the same worker panics
+/// reports the uninterrupted run's lost batches and PODEM effort.
+#[test]
+fn chaos_resume_keeps_the_lost_batch_count() {
+    let nl = mac_pe(4);
+    let panics = ChaosConfig::parse("panic=0.05,seed=11").unwrap();
+    let reference = DftFlow::new(&nl)
+        .threads(2)
+        .run_durable(&mut Durability::new(CancelToken::new()).with_chaos(panics))
+        .expect("panics are isolated");
+    assert!(reference.failed_sim_batches > 0);
+    let deadline = ChaosConfig::parse("panic=0.05,seed=11,clock=1.0,clock_ms=600000").unwrap();
+    let mut cases = vec![(
+        "deadline".to_owned(),
+        Durability::new(CancelToken::new())
+            .deadline_ms(60_000)
+            .with_chaos(deadline),
+    )];
+    // The run polls about 3100 times: these trips land in the random
+    // phase, top-off, the compaction pass and sign-off.
+    for kill in [300u64, 900, 1700, 2600] {
+        let token = CancelToken::new();
+        token.trip_after_polls(kill);
+        cases.push((
+            format!("kill{kill}"),
+            Durability::new(token).with_chaos(panics),
+        ));
+    }
+    let mut stages = Vec::new();
+    for (context, dur) in cases {
+        let path = ckpt_path(&format!("chaos-{context}"));
+        let mut dur = dur.with_journal(journal(&path));
+        let checkpoint = match DftFlow::new(&nl).threads(2).run_durable(&mut dur) {
+            Err(DftError::Interrupted {
+                checkpoint: Some(p),
+                ..
+            }) => p,
+            other => panic!("{context}: expected checkpointed interrupt, got {other:?}"),
+        };
+        let state = last_state(&checkpoint);
+        stages.push(stage(&state));
+        let mut dur = Durability::new(CancelToken::new())
+            .with_journal(journal(&checkpoint))
+            .with_chaos(panics)
+            .resume_from(state);
+        let resumed = DftFlow::new(&nl)
+            .threads(2)
+            .run_durable(&mut dur)
+            .expect("resume completes");
+        assert_identical_runs(&resumed.atpg_run, &reference.atpg_run, &context);
+        std::fs::remove_file(&checkpoint).ok();
+    }
+    for stage in ["random", "topoff", "compaction", "signoff"] {
+        assert!(
+            stages.contains(&stage),
+            "no chaos trip landed in {stage}: re-pick the trip points"
+        );
+    }
 }
 
 /// A journal of the rebuilding compaction that reverse-order
@@ -484,7 +545,29 @@ fn resume_refuses_a_v1_checkpoint() {
     assert!(v1.ends_with("end feb3453b6ac05399\n"), "{v1}");
     std::fs::write(&path, v1).unwrap();
     let err = CkptState::load_last(&journal(&path)).expect_err("a v1 record does not load");
-    assert!(err.to_string().contains("aidft-ckpt-v2"), "{err}");
+    assert!(err.to_string().contains("aidft-ckpt-v3"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A journal written before checkpoints recorded the run's effort
+/// counters (`aidft-ckpt-v2`: no `failed_sim_batches`, no `podem`) is
+/// refused by its tag, with an error naming the format this build reads,
+/// instead of resuming to a report that under-counts both.
+#[test]
+fn resume_refuses_a_v2_checkpoint() {
+    let path = ckpt_path("v2");
+    let v2 = frame_record(
+        "aidft-ckpt-v2",
+        3,
+        "design mac4\nconfig deadbeef0badf00d\nphase topoff\nseed 24301\n\
+         fill_seed 45\nordinal 17\nrandom_detected 301\nwidth 5\n\
+         section main\ntally 1 2 3 4\nstatus u,d7,x,a\nnpat 1\npat 10110\nncube 1\n\
+         cube 1X0XX\n",
+    );
+    assert!(v2.ends_with("end 9cd694c3404c06c1\n"), "{v2}");
+    std::fs::write(&path, v2).unwrap();
+    let err = CkptState::load_last(&journal(&path)).expect_err("a v2 record does not load");
+    assert!(err.to_string().contains("aidft-ckpt-v3"), "{err}");
     std::fs::remove_file(&path).ok();
 }
 

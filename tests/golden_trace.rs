@@ -22,6 +22,7 @@ use dft_core::DftFlow;
 const GOLDEN_SKELETON: &[(u32, &str, usize)] = &[
     (0, "flow", 1),
     (1, "scan_insertion", 1),
+    (1, "atpg_setup", 1),
     (1, "sim_compile", 1),
     (1, "atpg_random", 1),
     (2, "faultsim_run", 1),

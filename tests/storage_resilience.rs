@@ -2,7 +2,7 @@
 //! N-way replica fallback, and `aidft fsck` — the invariant throughout
 //! is that kill-and-resume stays bit-identical to the uninterrupted
 //! reference whenever at least one intact replica record survives, for
-//! both the ATPG flow (`aidft-ckpt-v1`) and the serve fleet
+//! both the ATPG flow (`aidft-ckpt-v3`) and the serve fleet
 //! (`aidft-serve-v3`), across thread counts.
 
 use std::path::{Path, PathBuf};
