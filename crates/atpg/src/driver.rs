@@ -201,7 +201,8 @@ impl AtpgConfig {
         self
     }
 
-    /// FNV-1a fingerprint of every knob that affects the *result* of a
+    /// [`fnv1a`] fingerprint (FNV-1a in form, multiplier
+    /// `0x1000_0000_01B3`) of every knob that affects the *result* of a
     /// run, plus the design name and fault-universe size. Stored in each
     /// checkpoint; resume refuses a mismatch, because replaying with a
     /// different seed or search limit would silently diverge from the

@@ -4,14 +4,15 @@
 //! checkpoints (`aidft-ckpt-v3`), the serve fleet journal
 //! (`aidft-serve-v3`) and the telemetry event stream
 //! (`aidft-telemetry-v1`). Each record is a `ckpt <format> <seq>`
-//! header, a line-oriented body, and an `end <crc>` trailer whose FNV-1a
-//! checksum covers everything above it. This module owns the framing
-//! and the storage — torn-tail realignment, replicas, disk chaos, and
-//! recovery across replicas — while each producer owns its body codec
-//! (`CkptState::to_body`/`parse_body`, the fleet state's, the event
-//! lines) and hands a body parser to a load so a record counts only
-//! when its framing *and* its body check out: the ATPG checkpoint
-//! resumes from the newest such record
+//! header, a line-oriented body, and an `end <crc>` trailer whose
+//! checksum covers everything above it: [`fnv1a`], FNV-1a in form but
+//! with the multiplier `0x1000_0000_01B3`, not the FNV-64 prime. This
+//! module owns the framing and the storage — torn-tail realignment,
+//! replicas, disk chaos, and recovery across replicas — while each
+//! producer owns its body codec (`CkptState::to_body`/`parse_body`, the
+//! fleet state's, the event lines) and hands a body parser to a load so
+//! a record counts only when its framing *and* its body check out: the
+//! ATPG checkpoint resumes from the newest such record
 //! ([`FramedJournal::load_last_parsed`]), the fleet journal from all of
 //! them ([`FramedJournal::load_all_replicas_parsed`]).
 

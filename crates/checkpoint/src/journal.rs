@@ -46,8 +46,18 @@ use crate::framed::{FramedJournal, RecoveryReport};
 /// The on-disk format identifier; bump on any incompatible change.
 pub const CKPT_FORMAT: &str = "aidft-ckpt-v3";
 
-/// FNV-1a 64-bit hash (also used by callers to fingerprint their
-/// configuration into [`CkptState::config_hash`]).
+/// The toolkit's 64-bit checksum and fingerprint hash (also used by
+/// callers to fingerprint their configuration into
+/// [`CkptState::config_hash`]).
+///
+/// It is FNV-1a in form — FNV-64's offset basis `0xcbf2_9ce4_8422_2325`,
+/// then per byte xor, then multiply — but its multiplier is
+/// `0x1000_0000_01B3` (2^44 + 0x1b3), not the FNV-64 prime
+/// `0x100_0000_01B3` (2^40 + 0x1b3), so its values are not standard
+/// FNV-1a: `fnv1a(b"a")` is `0xaf74_d84c_8601_ec8c`, where FNV-1a gives
+/// `0xaf63_dc4c_8601_ec8c`. Every journal record trailer, scrub entry,
+/// config fingerprint and `aidft-wire-v1` frame checksum carries this
+/// value, so changing the multiplier is a format change.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -396,6 +406,15 @@ fn parse_section<'a, I: Iterator<Item = &'a str>>(
 mod tests {
     use super::*;
     use crate::framed::{frame_record, parse_framed, tearing};
+
+    #[test]
+    fn fnv1a_known_answers() {
+        // The empty input is the FNV-64 offset basis; one byte shows the
+        // multiplier 0x1000_0000_01B3 (standard FNV-1a of "a" is
+        // 0xaf63dc4c8601ec8c).
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+    }
 
     fn sample(seq: u64) -> CkptState {
         CkptState {

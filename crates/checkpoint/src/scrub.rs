@@ -8,8 +8,9 @@
 //! scrub <seq> <len> <crc16hex>
 //! ```
 //!
-//! recording the record's seq, byte length, and the FNV-1a checksum
-//! from its `end` trailer. The sidecar is advisory — journal recovery
+//! recording the record's seq, byte length, and the checksum from its
+//! `end` trailer ([`crate::fnv1a`]: FNV-1a in form, multiplier
+//! `0x1000_0000_01B3`). The sidecar is advisory — journal recovery
 //! never needs it — but `aidft fsck` cross-checks it to tell *silent*
 //! damage (a record present in the index but failing its checksum on
 //! disk, or missing entirely) from records that simply were never
@@ -26,7 +27,7 @@ pub struct ScrubEntry {
     pub seq: u64,
     /// Full framed record length in bytes (header through trailer).
     pub len: u64,
-    /// FNV-1a checksum from the record's `end` trailer.
+    /// Checksum from the record's `end` trailer ([`crate::fnv1a`]).
     pub crc: u64,
 }
 

@@ -117,7 +117,7 @@
 //! `s27`, `add8`, `mult8`, `alu8`, `mac4`, `sys4x4`, ...).
 
 use std::fs;
-use std::io::{IsTerminal, Write};
+use std::io::{self, IsTerminal, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -131,7 +131,9 @@ use dft_core::diagnosis::{diagnose, FailureLog};
 use dft_core::logicsim::PatternSet;
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::benchmark_suite;
-use dft_core::netlist::{kind_histogram, parse_bench, write_bench, Netlist, NetlistStats};
+use dft_core::netlist::{
+    kind_histogram, load_bench, write_bench, Netlist, NetlistError, NetlistStats,
+};
 use dft_core::progress::{self, Dashboard, ProgressLine};
 use dft_core::serve::{run_fleet, BackoffPolicy, ServeConfig, ServeError, ServeOpts, SERVE_FORMAT};
 use dft_core::telemetry::{self, TelemetryConfig, TelemetrySession};
@@ -1061,7 +1063,7 @@ fn write_metrics(out: &Out, path: &Option<String>, handle: &MetricsHandle) -> Re
     Ok(())
 }
 
-/// Parses the design argument (`args[1]`) and hands off to `f` with the
+/// Loads the design argument (`args[1]`) and hands off to `f` with the
 /// arguments after it.
 fn with_design(
     args: &[String],
@@ -1070,13 +1072,14 @@ fn with_design(
     let Some(path) = args.get(1) else {
         return Err(DftError::usage("missing <design.bench> argument"));
     };
-    let text = fs::read_to_string(path).map_err(|e| DftError::io(format!("read {path}"), e))?;
-    let name = path
-        .rsplit('/')
-        .next()
-        .unwrap_or(path)
-        .trim_end_matches(".bench");
-    let nl = parse_bench(name, &text).map_err(|e| DftError::netlist(format!("parse {path}"), e))?;
+    let nl = load_bench(path).map_err(|e| match e {
+        // A failed read is an I/O error, `read <path>: <cause>`, which
+        // names the path once.
+        NetlistError::Io { path, message } => {
+            DftError::io(format!("read {path}"), io::Error::other(message))
+        }
+        e => DftError::netlist(format!("parse {path}"), e),
+    })?;
     f(&nl, &args[2..])
 }
 

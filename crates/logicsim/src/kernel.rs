@@ -16,15 +16,15 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use dft_checkpoint::{CancelToken, ChaosConfig, ChaosSite};
-use dft_fault::{Fault, FaultList};
+use dft_fault::{Fault, FaultKind, FaultList};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::goodsim::push_responses;
 use crate::patterns::pack_bits;
-use crate::tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
-use crate::{Executor, Pattern, PatternSet, Response, SimStats};
+use crate::tape::{GateTape, Sweep, WideWord, LANES, WIDE_PATTERNS};
+use crate::{Defect, Executor, Pattern, PatternSet, Response, SimStats};
 
 /// Below this many fault×pattern propagations the spawn/merge cost
 /// dominates; batches fall back to the calling thread.
@@ -213,21 +213,15 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
         };
         let _run = self.trace.span_arg("faultsim_run", active.len() as u64);
         // Precompute wide good values for every 256-pattern block
-        // (shared read-only across workers), plus a packed copy of lane 0
-        // for the scalar fast path.
-        let blocks: Vec<(usize, Vec<WideWord>, Vec<u64>, WideWord)> = {
+        // (shared read-only across workers).
+        let blocks: Vec<(usize, Vec<WideWord>, WideWord)> = {
             let _g = self.trace.span_arg(
                 "goodsim_eval",
                 patterns.len().div_ceil(WIDE_PATTERNS) as u64,
             );
             let mut blocks = Vec::new();
             self.for_each_block(patterns, |start, count, vals| {
-                blocks.push((
-                    start,
-                    vals.to_vec(),
-                    GateTape::lane_values(vals, 0),
-                    GateTape::wide_mask(count),
-                ));
+                blocks.push((start, vals.to_vec(), GateTape::wide_mask(count)));
             });
             blocks
         };
@@ -244,21 +238,25 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             } else {
                 None
             };
-            let mut ws = TapeWorkspace::new(&self.tape);
+            let mut lane0 = Sweep::<1>::new(&self.tape);
+            let mut wide = Sweep::<LANES>::new(&self.tape);
             let mut detections = Vec::new();
             let mut evals = 0u64;
             let mut failed = 0usize;
             // Block-major over the chunk: faults still alive (undetected,
             // not failed) carry over to the next wide block. Per-fault
             // work and results are identical to fault-major order; this
-            // order lets the workspace keep one block's good lane loaded
-            // across the whole fault sweep.
+            // order lets each sweep keep one block's good values loaded
+            // across the whole fault loop.
             let mut alive: Vec<usize> = part.to_vec();
-            'blocks: for (start, good, lane0, mask) in &blocks {
+            'blocks: for (start, good, mask) in &blocks {
                 if alive.is_empty() {
                     break;
                 }
-                ws.load_lane(lane0);
+                lane0.load(good.iter().map(|w| [w[0]]));
+                if mask[1] != 0 {
+                    wide.load(good.iter().copied());
+                }
                 let mut kept = Vec::with_capacity(alive.len());
                 for &idx in &alive {
                     // Cooperative cancellation: drain at the next fault
@@ -274,8 +272,8 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                     }
                     let fault = faults[idx];
                     // One fault = one batch: contain any panic to it. The
-                    // workspace is safe to reuse after a mid-propagation
-                    // panic because the next injection's re-arm restores
+                    // sweeps are safe to reuse after a mid-propagation
+                    // panic because the next injection's undo restores
                     // the current-value array and frontier bitset.
                     let batch = catch_unwind(AssertUnwindSafe(|| {
                         if let Some(chaos) = &self.chaos {
@@ -290,18 +288,17 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                         }
                         // Fast path: most drops happen within the first
                         // 64 patterns of a block, so propagate lane 0
-                        // alone (scalar, quarter the traffic). Survivors
-                        // pay one wide pass for the remaining three lanes
-                        // together instead of three scalar passes.
-                        let mut e = 0u64;
-                        let (det0, de) = self.tape.detect_lane(mask[0], fault, &mut ws);
-                        e += de;
-                        if det0 != 0 {
-                            return (Some(*start as u32 + det0.trailing_zeros()), e);
+                        // alone (one-lane words, a quarter of the
+                        // traffic). Survivors pay one wide pass for the
+                        // remaining three lanes together instead of three
+                        // one-lane passes.
+                        let (det0, mut e) = lane0.detect(fault.into(), [mask[0]]);
+                        if det0[0] != 0 {
+                            return (Some(*start as u32 + det0[0].trailing_zeros()), e);
                         }
                         if mask[1] != 0 {
                             let tail = [0, mask[1], mask[2], mask[3]];
-                            let (det, de) = self.tape.detect_wide(good, &tail, fault, &mut ws);
+                            let (det, de) = wide.detect(fault.into(), tail);
                             e += de;
                             if let Some(pattern) = Self::first_detection(*start, &det) {
                                 return (Some(pattern), e);
@@ -405,41 +402,55 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
             } else {
                 None
             };
-            let mut ws = TapeWorkspace::new(&self.tape);
+            let mut sweep = Sweep::<LANES>::new(&self.tape);
             let mut out = Vec::new();
             let mut evals = 0u64;
-            'fault: for &idx in part {
-                let fault = faults[idx];
-                let lvv = match fault.kind.launch_value() {
-                    Some(v) => v,
-                    None => continue, // not a transition fault
-                };
-                let site = self.tape.site_position(fault.site);
-                let stuck = Fault {
-                    site: fault.site,
-                    kind: if fault.kind.stuck_value() {
-                        dft_fault::FaultKind::StuckAt1
-                    } else {
-                        dft_fault::FaultKind::StuckAt0
-                    },
-                };
-                for b in &blocks {
-                    // Launch condition: site holds the pre-transition
+            // Block-major, as in `fault_batch`: faults still undetected
+            // carry over to the next block, and the sweep loads each
+            // block's capture values once. A fault that is not a
+            // transition fault is never simulated.
+            let mut alive: Vec<usize> = part
+                .iter()
+                .copied()
+                .filter(|&idx| faults[idx].kind.launch_value().is_some())
+                .collect();
+            for b in &blocks {
+                if alive.is_empty() {
+                    break;
+                }
+                sweep.load(b.good2.iter().copied());
+                alive.retain(|&idx| {
+                    let fault = faults[idx];
+                    // Launch condition: the site holds the pre-transition
                     // value during v1.
-                    let g1 = &b.good1[site];
+                    let lvv = fault.kind.launch_value() == Some(true);
+                    let g1 = &b.good1[self.tape.site_position(fault.site)];
                     let launch_ok: WideWord =
                         std::array::from_fn(|l| (if lvv { g1[l] } else { !g1[l] }) & b.mask[l]);
                     if launch_ok.iter().all(|&w| w == 0) {
-                        continue;
+                        return true;
                     }
-                    let (det, e) = self.tape.detect_wide(&b.good2, &b.mask, stuck, &mut ws);
+                    // The capture cycle sees the late value as stuck at
+                    // the pre-transition value.
+                    let stuck = Fault {
+                        site: fault.site,
+                        kind: if fault.kind.stuck_value() {
+                            FaultKind::StuckAt1
+                        } else {
+                            FaultKind::StuckAt0
+                        },
+                    };
+                    let (det, e) = sweep.detect(Defect::StuckAt(stuck), b.mask);
                     evals += e;
                     let det: WideWord = std::array::from_fn(|l| det[l] & launch_ok[l]);
-                    if let Some(pair) = Self::first_detection(b.start, &det) {
-                        out.push((idx, pair));
-                        continue 'fault;
+                    match Self::first_detection(b.start, &det) {
+                        Some(pair) => {
+                            out.push((idx, pair));
+                            false
+                        }
+                        None => true,
                     }
-                }
+                });
             }
             (out, evals)
         });

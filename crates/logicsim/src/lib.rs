@@ -67,4 +67,4 @@ pub use imply::Implication;
 pub use kernel::{SimKernel, TapeKernel};
 pub use patterns::{Pattern, PatternSet, Response};
 pub use ppsfp::{Defect, SimStats};
-pub use tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
+pub use tape::{GateTape, WideWord, LANES, WIDE_PATTERNS};

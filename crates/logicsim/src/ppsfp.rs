@@ -19,7 +19,7 @@
 use dft_fault::{BridgeFault, Fault};
 
 use crate::goodsim::push_responses;
-use crate::tape::{GateTape, TapeWorkspace};
+use crate::tape::{GateTape, Sweep, LANES};
 use crate::{Pattern, PatternSet, Response, TapeKernel};
 
 /// Summary counters from a fault-simulation run.
@@ -77,13 +77,12 @@ impl TapeKernel<'_> {
         defects: &[D],
     ) -> Vec<Vec<u32>> {
         let mut matrix = vec![Vec::new(); defects.len()];
-        let mut ws = TapeWorkspace::new(self.tape());
+        let mut sweep = Sweep::<LANES>::new(self.tape());
         self.for_each_block(patterns, |start, count, good| {
             let mask = GateTape::wide_mask(count);
+            sweep.load(good.iter().copied());
             for (row, &defect) in matrix.iter_mut().zip(defects) {
-                let (det, _) = self
-                    .tape()
-                    .detect_defect_wide(good, &mask, defect.into(), &mut ws);
+                let (det, _) = sweep.detect(defect.into(), mask);
                 for (lane, &word) in det.iter().enumerate() {
                     let mut w = word;
                     while w != 0 {
@@ -106,10 +105,10 @@ impl TapeKernel<'_> {
     ) -> Vec<Response> {
         let defect = defect.into();
         let mut out = Vec::with_capacity(patterns.len());
-        let mut ws = TapeWorkspace::new(self.tape());
+        let mut sweep = Sweep::<LANES>::new(self.tape());
         self.for_each_block(patterns, |_, count, good| {
-            let mask = GateTape::wide_mask(count);
-            let sinks = self.tape().faulty_sink_words(good, &mask, defect, &mut ws);
+            sweep.load(good.iter().copied());
+            let sinks = sweep.faulty_sink_words(defect, GateTape::wide_mask(count));
             push_responses(&sinks, count, &mut out);
         });
         out

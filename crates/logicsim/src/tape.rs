@@ -1,4 +1,5 @@
-//! Compile-once levelized gate tape with 256-pattern-wide evaluation.
+//! Compile-once levelized gate tape, and the one fault-propagation sweep
+//! that runs on it.
 //!
 //! [`GateTape::compile`] makes one pass over a [`Netlist`] and produces a
 //! flat, levelized, structure-of-arrays instruction tape: gates renumbered
@@ -7,18 +8,28 @@
 //! immutable and reused across every pattern set, so the graph walk is
 //! paid exactly once per design.
 //!
-//! Evaluation is 256 patterns per pass: values are [`WideWord`]s —
-//! `[u64; 4]` lanes, laid out so each lane is one 64-pattern block
-//! (`std::simd`-ready; the lane loops vectorize as straight-line code).
-//! Fault propagation walks a position-ordered bitset frontier, so there
-//! is no frontier insert and no per-gate fanin allocation on the hot
-//! path.
+//! Good-machine evaluation is 256 patterns per pass: values are
+//! [`WideWord`]s — `[u64; 4]` lanes, laid out so each lane is one
+//! 64-pattern block (`std::simd`-ready; the lane loops vectorize as
+//! straight-line code).
+//!
+//! Fault propagation is one routine at two widths, generic over a word of
+//! `N` 64-pattern lanes: `N = 1` for the stuck-at batch's lane-0 fast
+//! path, `N = 4` for everything else. Each worker keeps a current-value
+//! array holding the loaded block's good values with the last injection's
+//! changes on top, and undoes those changes at the next injection. One
+//! injection sets the defect's roots (a stuck net, a re-evaluated gate
+//! with a stuck pin, or both nets of a bridge), and one sweep walks a
+//! position-ordered bitset frontier from them, so there is no frontier
+//! insert, no per-gate fanin gather and no allocation on the hot path.
+//! Every gate, good or faulty, is evaluated by the same branchless
+//! op-mask fold.
 //!
 //! Detection is exact: the detect word of a (defect, pattern block) is a
 //! function of both alone, and first-detection order falls out of
 //! scanning blocks (and lanes within a wide block) in pattern order.
 
-use dft_fault::{Fault, FaultSite};
+use dft_fault::FaultSite;
 use dft_netlist::{GateId, GateKind, Levelization, Netlist};
 
 use crate::{Defect, PatternSet};
@@ -36,55 +47,58 @@ pub type WideWord = [u64; LANES];
 
 const WIDE_ZERO: WideWord = [0; LANES];
 
-#[inline]
-fn wide_all_zero(w: &WideWord) -> bool {
-    w.iter().all(|&x| x == 0)
-}
-
 /// `(a ^ b) & mask`, lane-wise.
 #[inline]
-fn wide_diff(a: &WideWord, b: &WideWord, mask: &WideWord) -> WideWord {
+fn diff<const N: usize>(a: &[u64; N], b: &[u64; N], mask: &[u64; N]) -> [u64; N] {
     std::array::from_fn(|l| (a[l] ^ b[l]) & mask[l])
 }
 
-/// Evaluates `kind` over gathered wide fanin values (mirror of
-/// [`GateKind::eval_word`], lane-parallel).
-fn eval_wide_ins(kind: GateKind, ins: &[WideWord]) -> WideWord {
-    match kind {
-        GateKind::Input => unreachable!("eval on Input gate"),
-        GateKind::Const0 => WIDE_ZERO,
-        GateKind::Const1 => [!0; LANES],
-        GateKind::Output | GateKind::Buf | GateKind::Dff => ins[0],
-        GateKind::Not => std::array::from_fn(|l| !ins[0][l]),
-        GateKind::And => ins
-            .iter()
-            .fold([!0; LANES], |acc, w| std::array::from_fn(|l| acc[l] & w[l])),
-        GateKind::Nand => {
-            let v = ins
-                .iter()
-                .fold([!0; LANES], |acc, w| std::array::from_fn(|l| acc[l] & w[l]));
-            std::array::from_fn(|l| !v[l])
+#[inline]
+fn is_zero<const N: usize>(w: &[u64; N]) -> bool {
+    w.iter().all(|&x| x == 0)
+}
+
+/// Evaluates the gate `nd` over words of `N` lanes, `read(pin, net)`
+/// giving the value on each fanin pin (`fanins[pin]` is `net`). The one
+/// gate function of the tape: good-machine passes, injected pin faults
+/// and the propagation sweep all evaluate through it.
+#[inline(always)]
+fn eval_gate<const N: usize>(
+    nd: Node,
+    fanins: &[u32],
+    read: impl Fn(usize, u32) -> [u64; N],
+) -> [u64; N] {
+    if nd.op != OP_OTHER {
+        // Branchless fold for the common kinds: with p = a & b and
+        // x = a ^ b, AND = p, OR = p | x, XOR = x; the op masks select
+        // one without a data-dependent branch (gate kinds alternate
+        // unpredictably along a cone, so a `match` here pays a mispredict
+        // per event).
+        let m_or = ((nd.op == OP_OR) as u64).wrapping_neg();
+        let m_xor = ((nd.op == OP_XOR) as u64).wrapping_neg();
+        let m_and = !(m_or | m_xor);
+        let mut acc = read(0, fanins[0]);
+        for (pin, &f) in fanins.iter().enumerate().skip(1) {
+            let w = read(pin, f);
+            acc = std::array::from_fn(|l| {
+                let p = acc[l] & w[l];
+                let x = acc[l] ^ w[l];
+                (p & m_and) | ((p | x) & m_or) | (x & m_xor)
+            });
         }
-        GateKind::Or => ins
-            .iter()
-            .fold(WIDE_ZERO, |acc, w| std::array::from_fn(|l| acc[l] | w[l])),
-        GateKind::Nor => {
-            let v = ins
-                .iter()
-                .fold(WIDE_ZERO, |acc, w| std::array::from_fn(|l| acc[l] | w[l]));
-            std::array::from_fn(|l| !v[l])
-        }
-        GateKind::Xor => ins
-            .iter()
-            .fold(WIDE_ZERO, |acc, w| std::array::from_fn(|l| acc[l] ^ w[l])),
-        GateKind::Xnor => {
-            let v = ins
-                .iter()
-                .fold(WIDE_ZERO, |acc, w| std::array::from_fn(|l| acc[l] ^ w[l]));
-            std::array::from_fn(|l| !v[l])
-        }
-        GateKind::Mux2 => {
-            std::array::from_fn(|l| (!ins[0][l] & ins[1][l]) | (ins[0][l] & ins[2][l]))
+        let inv = (nd.inv as u64).wrapping_neg();
+        acc.map(|a| a ^ inv)
+    } else {
+        match nd.kind {
+            GateKind::Mux2 => {
+                let s = read(0, fanins[0]);
+                let a = read(1, fanins[1]);
+                let b = read(2, fanins[2]);
+                std::array::from_fn(|l| (!s[l] & a[l]) | (s[l] & b[l]))
+            }
+            GateKind::Const0 => [0; N],
+            GateKind::Const1 => [!0; N],
+            _ => unreachable!("inputs are never evaluated"),
         }
     }
 }
@@ -131,10 +145,10 @@ pub struct GateTape {
     /// inputs/flops), in tape order.
     pub(crate) eval_list: Vec<u32>,
     /// Hot-loop metadata packed per position (plus one sentinel record):
-    /// the scalar propagation path reads `nodes[pos]`/`nodes[pos + 1]`
-    /// instead of touching four parallel arrays, so one injection event
-    /// costs two adjacent 12-byte loads for all of kind, observability,
-    /// and both CSR ranges.
+    /// the propagation sweep reads `nodes[pos]`/`nodes[pos + 1]` instead
+    /// of touching four parallel arrays, so one event costs two adjacent
+    /// 12-byte loads for all of kind, observability, and both CSR
+    /// ranges.
     pub(crate) nodes: Vec<Node>,
 }
 
@@ -391,38 +405,9 @@ impl GateTape {
             let p = pos as usize;
             let nd = self.nodes[p];
             let fr = &self.fanins[nd.fanin_start as usize..self.nodes[p + 1].fanin_start as usize];
-            // Gather and evaluate fused, reading fanin values in place
-            // (all fanins sit at strictly lower positions); same
-            // branchless op-mask fold as the scalar propagation path.
-            let read = |f: &u32| vals[*f as usize];
-            let val = if nd.op != OP_OTHER {
-                let m_or = ((nd.op == OP_OR) as u64).wrapping_neg();
-                let m_xor = ((nd.op == OP_XOR) as u64).wrapping_neg();
-                let m_and = !(m_or | m_xor);
-                let inv = (nd.inv as u64).wrapping_neg();
-                let mut acc = read(&fr[0]);
-                for f in &fr[1..] {
-                    let w = read(f);
-                    acc = std::array::from_fn(|l| {
-                        let both = acc[l] & w[l];
-                        let x = acc[l] ^ w[l];
-                        (both & m_and) | ((both | x) & m_or) | (x & m_xor)
-                    });
-                }
-                acc.map(|x| x ^ inv)
-            } else {
-                match nd.kind {
-                    GateKind::Mux2 => {
-                        let s = read(&fr[0]);
-                        let a = read(&fr[1]);
-                        let b = read(&fr[2]);
-                        std::array::from_fn(|l| (!s[l] & a[l]) | (s[l] & b[l]))
-                    }
-                    GateKind::Const0 => WIDE_ZERO,
-                    GateKind::Const1 => [!0; LANES],
-                    _ => unreachable!("inputs are not in the eval list"),
-                }
-            };
+            // Fanin values are read in place: all of them sit at strictly
+            // lower positions.
+            let val = eval_gate(nd, fr, |_, f| vals[f as usize]);
             vals[p] = val;
         }
     }
@@ -435,520 +420,253 @@ impl GateTape {
             .map(|&p| vals[p as usize])
             .collect()
     }
+}
 
-    /// Computes the 256-pattern detection word of `fault` against the
-    /// wide good values `good` (from [`GateTape::eval_wide`]): bit `k` of
-    /// lane `l` set means pattern `64*l + k` of the block detects the
-    /// fault. Also returns the number of wide faulty gate evaluations.
+/// One worker's fault-propagation state over words of `N` 64-pattern
+/// lanes: `N = 1` for the stuck-at batch's lane-0 fast path, `N = LANES`
+/// for its wide tail, transition pairs and single-defect simulation.
+///
+/// `cur` holds the loaded block's good values with the last injection's
+/// changes on top. `changed` logs each changed position with its good
+/// value, and the next injection undoes the log first (newest entry
+/// first), so a fanin read is one unconditional load and a sweep that a
+/// panic abandoned leaves nothing the next injection does not repair.
+#[derive(Debug)]
+pub(crate) struct Sweep<'t, const N: usize> {
+    tape: &'t GateTape,
+    cur: Vec<[u64; N]>,
+    changed: Vec<(u32, [u64; N])>,
+    /// Position-indexed frontier bitset. Zero between injections: a
+    /// finished sweep consumes every bit it sets, and `sched_dirty` marks
+    /// one that a panic abandoned mid-flight, which needs a full clear.
+    sched: Vec<u64>,
+    sched_dirty: bool,
+}
+
+impl<'t, const N: usize> Sweep<'t, N> {
+    /// An empty sweep for `tape`; [`Sweep::load`] a block before
+    /// injecting.
+    pub(crate) fn new(tape: &'t GateTape) -> Self {
+        Sweep {
+            tape,
+            cur: Vec::with_capacity(tape.num_positions()),
+            changed: Vec::with_capacity(256),
+            sched: vec![0; tape.num_positions().div_ceil(64)],
+            sched_dirty: false,
+        }
+    }
+
+    /// Loads one block's good values, one word per tape position. Call
+    /// once per (worker, block); the undo at every injection keeps the
+    /// values synced to the block from then on.
+    pub(crate) fn load(&mut self, good: impl IntoIterator<Item = [u64; N]>) {
+        self.cur.clear();
+        self.cur.extend(good);
+        self.changed.clear();
+    }
+
+    /// Undoes the last injection's changes and clears a frontier that a
+    /// panic abandoned.
+    fn undo(&mut self) {
+        for &(pos, good) in self.changed.iter().rev() {
+            self.cur[pos as usize] = good;
+        }
+        self.changed.clear();
+        if self.sched_dirty {
+            self.sched.fill(0);
+            self.sched_dirty = false;
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, pos: usize, w: [u64; N]) {
+        self.changed.push((pos as u32, self.cur[pos]));
+        self.cur[pos] = w;
+    }
+
+    /// Injects `defect` into the loaded block and propagates it: bit `k`
+    /// of lane `l` of the returned detect word is set when pattern
+    /// `64*l + k`, live in `mask`, changes a PO or a captured D pin. Also
+    /// returns the number of faulty gate evaluations.
     ///
-    /// The detect word is exact (complete single-fault propagation), so
-    /// lane `l` is bit-for-bit the [`GateTape::detect_lane`] word of the
-    /// underlying 64-pattern block.
-    pub fn detect_wide(
-        &self,
-        good: &[WideWord],
-        mask: &WideWord,
-        fault: Fault,
-        ws: &mut TapeWorkspace,
-    ) -> (WideWord, u64) {
-        let forced = if fault.kind.stuck_value() {
-            !0u64
-        } else {
-            0u64
-        };
-
-        // Activation: the site must differ from its good value somewhere.
-        let site_pos = self.site_position(fault.site);
-        if wide_all_zero(&wide_diff(&good[site_pos], &[forced; LANES], mask)) {
-            return (WIDE_ZERO, 0);
-        }
-
-        ws.begin();
+    /// A stem fault forces its net; a pin fault re-evaluates its gate
+    /// with the pin forced (on a flop or PO marker it is observed
+    /// directly in the captured value); a bridge sets both nets to the
+    /// values its model computes from their good values, even one that
+    /// keeps its good value, because a net inside the other net's cone
+    /// keeps the static bridged value instead of being re-evaluated.
+    pub(crate) fn detect(&mut self, defect: Defect, mask: [u64; N]) -> ([u64; N], u64) {
+        self.undo();
+        let tape = self.tape;
         let mut evals = 0u64;
-        let gate_pos = self.pos_of[fault.site.gate.index()] as usize;
-        match fault.site.pin {
-            // Stem fault: force the net, propagate from it.
-            None => ws.set(gate_pos, [forced; LANES]),
-            // Branch fault: re-evaluate only the site gate with the
-            // forced pin value.
-            Some(pin) => match self.kinds[gate_pos] {
-                // A fault on a flop's D pin (or a PO marker pin) is
-                // observed directly in the captured value.
-                GateKind::Dff | GateKind::Output => {
-                    let d = good[self.fanin_range(gate_pos)[0] as usize];
-                    return (wide_diff(&d, &[forced; LANES], mask), 0);
+        // The one position the sweep must not re-evaluate: the higher
+        // root of a bridge, which the other root's events can reach. A
+        // single root sits below all of its fanout cone.
+        let mut hold = usize::MAX;
+        match defect {
+            Defect::StuckAt(fault) => {
+                let forced = [if fault.kind.stuck_value() { !0 } else { 0 }; N];
+                // Activation: the site must differ from its good value
+                // somewhere.
+                let site = tape.site_position(fault.site);
+                if is_zero(&diff(&self.cur[site], &forced, &mask)) {
+                    return ([0; N], 0);
                 }
-                kind => {
-                    ws.ins.clear();
-                    for (i, &f) in self.fanin_range(gate_pos).iter().enumerate() {
-                        ws.ins.push(if i == pin as usize {
-                            [forced; LANES]
-                        } else {
-                            good[f as usize]
+                let gate = tape.pos_of[fault.site.gate.index()] as usize;
+                match fault.site.pin {
+                    None => self.set(gate, forced),
+                    Some(_) if matches!(tape.kinds[gate], GateKind::Dff | GateKind::Output) => {
+                        return (diff(&self.cur[site], &forced, &mask), 0);
+                    }
+                    Some(pin) => {
+                        let pin = pin as usize;
+                        evals += 1;
+                        let val = eval_gate(tape.nodes[gate], tape.fanin_range(gate), |k, f| {
+                            if k == pin {
+                                forced
+                            } else {
+                                self.cur[f as usize]
+                            }
                         });
+                        if is_zero(&diff(&val, &self.cur[gate], &mask)) {
+                            return ([0; N], evals);
+                        }
+                        self.set(gate, val);
                     }
-                    evals += 1;
-                    let val = eval_wide_ins(kind, &ws.ins);
-                    if wide_all_zero(&wide_diff(&val, &good[gate_pos], mask)) {
-                        return (WIDE_ZERO, evals);
-                    }
-                    ws.set(gate_pos, val);
                 }
-            },
+            }
+            Defect::Bridge(bridge) => {
+                let (pa, pb) = (tape.position(bridge.a), tape.position(bridge.b));
+                let (va, vb) = (self.cur[pa], self.cur[pb]);
+                let (mut fa, mut fb) = ([0; N], [0; N]);
+                for l in 0..N {
+                    (fa[l], fb[l]) = bridge.faulty_words(va[l], vb[l]);
+                }
+                let excited: [u64; N] = std::array::from_fn(|l| (fa[l] ^ va[l]) | (fb[l] ^ vb[l]));
+                if is_zero(&diff(&excited, &[0; N], &mask)) {
+                    return ([0; N], 0);
+                }
+                self.set(pa, fa);
+                self.set(pb, fb);
+                hold = pa.max(pb);
+            }
         }
-
-        let (det, e) = self.propagate_and_detect(good, mask, ws);
+        let (det, e) = self.propagate(&mask, hold);
         (det, evals + e)
     }
 
-    /// [`GateTape::detect_wide`] for any single [`Defect`]. A bridge sets
-    /// both nets to the values its model computes from their good values
-    /// (one static pass) and propagates from both.
-    pub(crate) fn detect_defect_wide(
-        &self,
-        good: &[WideWord],
-        mask: &WideWord,
-        defect: Defect,
-        ws: &mut TapeWorkspace,
-    ) -> (WideWord, u64) {
-        let bridge = match defect {
-            Defect::StuckAt(fault) => return self.detect_wide(good, mask, fault, ws),
-            Defect::Bridge(bridge) => bridge,
-        };
-        let (pa, pb) = (self.position(bridge.a), self.position(bridge.b));
-        let (va, vb) = (good[pa], good[pb]);
-        let (mut fa, mut fb) = (WIDE_ZERO, WIDE_ZERO);
-        for l in 0..LANES {
-            (fa[l], fb[l]) = bridge.faulty_words(va[l], vb[l]);
-        }
-        let excited: WideWord = std::array::from_fn(|l| (fa[l] ^ va[l]) | (fb[l] ^ vb[l]));
-        if wide_all_zero(&wide_diff(&excited, &WIDE_ZERO, mask)) {
-            return (WIDE_ZERO, 0);
-        }
-        ws.begin();
-        // Set BOTH nets, even one whose bridged value equals its good
-        // value: a net inside the other net's cone keeps the static
-        // bridged value instead of being re-evaluated.
-        ws.set(pa, fa);
-        ws.set(pb, fb);
-        self.propagate_and_detect(good, mask, ws)
-    }
-
-    /// The faulty machine's sink words for one wide block with `defect`
-    /// injected: [`GateTape::sink_words_wide`] of the faulty values, exact
-    /// on every live pattern of `mask`.
-    pub(crate) fn faulty_sink_words(
-        &self,
-        good: &[WideWord],
-        mask: &WideWord,
-        defect: Defect,
-        ws: &mut TapeWorkspace,
-    ) -> Vec<WideWord> {
-        let mut sinks = self.sink_words_wide(good);
-        // A stuck pin of a flop (or PO marker) changes only that sink's
-        // capture; the net it reads keeps its good value.
-        if let Defect::StuckAt(fault) = defect {
-            let gate_pos = self.pos_of[fault.site.gate.index()];
-            if fault.site.pin.is_some()
-                && matches!(
-                    self.kinds[gate_pos as usize],
-                    GateKind::Dff | GateKind::Output
-                )
-            {
-                let forced = [if fault.kind.stuck_value() { !0 } else { 0 }; LANES];
-                for (sink, &p) in sinks.iter_mut().zip(&self.sink_pos) {
-                    if p == gate_pos {
-                        *sink = forced;
-                    }
-                }
-                return sinks;
-            }
-        }
-        let (det, _) = self.detect_defect_wide(good, mask, defect, ws);
-        // An undetected defect leaves every sink at its good value on the
-        // live patterns (and the workspace may hold an older injection).
-        if !wide_all_zero(&det) {
-            for (sink, &p) in sinks.iter_mut().zip(&self.sink_value_pos) {
-                *sink = ws.value_or(p as usize, good);
-            }
-        }
-        sinks
-    }
-
-    /// Extracts one 64-pattern lane of a wide evaluation into a packed
-    /// `u64`-per-position array (the cache-dense input to
-    /// [`TapeWorkspace::load_lane`]).
-    pub fn lane_values(vals: &[WideWord], lane: usize) -> Vec<u64> {
-        vals.iter().map(|w| w[lane]).collect()
-    }
-
-    /// Computes the 64-pattern detection word of `fault` against the lane
-    /// of good values loaded via [`TapeWorkspace::load_lane`]: the exact
-    /// scalar equivalent of [`GateTape::detect_wide`] restricted to one
-    /// 64-pattern block.
+    /// Position-ordered event propagation from the injected roots (the
+    /// positions `changed` holds), with detection folded in.
     ///
-    /// Faults are dropped on first detection and most drops happen in the
-    /// first 64 patterns of a wide block, so propagating the first lane
-    /// alone — packed u64 values, a quarter of the memory traffic —
-    /// before paying for the remaining 192 patterns is the PPSFP fast
-    /// path. The workspace keeps a current-value array that doubles as
-    /// the good machine (changed entries are restored on the next
-    /// injection), so the inner gather is one unconditional load per
-    /// fanin — no per-fanin stamp branch.
-    ///
-    /// The frontier is a position-indexed bitset rather than the wide
-    /// path's level buckets: positions are level-sorted and fanouts point
-    /// strictly forward, so consuming set bits in increasing position
-    /// order visits each gate exactly once, after all of its changed
-    /// fanins are final — the same evaluation order the buckets produce.
-    /// Scheduling is one idempotent OR (multi-fanin convergence needs no
-    /// dedup array), and a consumed sweep leaves the bitset zeroed for
-    /// the next injection. Detection folds into the event loop: a gate
-    /// changes at most once per injection, so OR-ing the difference of
-    /// observable positions as they are set equals the post-hoc scan.
-    pub fn detect_lane(&self, mask: u64, fault: Fault, ws: &mut TapeWorkspace) -> (u64, u64) {
-        let forced = if fault.kind.stuck_value() {
-            !0u64
-        } else {
-            0u64
-        };
-
-        let site_pos = self.site_position(fault.site);
-        if (ws.good_lane[site_pos] ^ forced) & mask == 0 {
-            return (0, 0);
-        }
-
-        ws.begin_lane();
+    /// The frontier is a position-indexed bitset: positions are
+    /// level-sorted and fanouts point strictly forward, so consuming set
+    /// bits in increasing position order visits each gate exactly once,
+    /// after all of its changed fanins are final. Scheduling is one
+    /// idempotent OR (multi-fanin convergence needs no dedup array), and
+    /// a finished sweep leaves the bitset zeroed. An event dies where the
+    /// recomputed value matches the good value on every live pattern. A
+    /// gate changes at most once per injection, so OR-ing the difference
+    /// of observable positions as they change equals a post-hoc scan of
+    /// the sinks: PO markers observe their own value, and any changed net
+    /// feeding a sink flop's D pin is captured.
+    fn propagate(&mut self, mask: &[u64; N], hold: usize) -> ([u64; N], u64) {
+        let tape = self.tape;
         let mut evals = 0u64;
-        let mut det = 0u64;
-        let gate_pos = self.pos_of[fault.site.gate.index()] as usize;
-        let root = match fault.site.pin {
-            None => {
-                ws.cur[gate_pos] = forced;
-                gate_pos
-            }
-            Some(pin) => match self.kinds[gate_pos] {
-                GateKind::Dff | GateKind::Output => {
-                    let d = ws.good_lane[self.fanin_range(gate_pos)[0] as usize];
-                    return ((d ^ forced) & mask, 0);
-                }
-                kind => {
-                    ws.ins_lane.clear();
-                    for (i, &f) in self.fanin_range(gate_pos).iter().enumerate() {
-                        ws.ins_lane.push(if i == pin as usize {
-                            forced
-                        } else {
-                            ws.good_lane[f as usize]
-                        });
-                    }
-                    evals += 1;
-                    let val = kind.eval_word(&ws.ins_lane);
-                    if (val ^ ws.good_lane[gate_pos]) & mask == 0 {
-                        return (0, evals);
-                    }
-                    ws.cur[gate_pos] = val;
-                    gate_pos
-                }
-            },
-        };
-        ws.changed.push(root as u32);
-        if self.observable[root] {
-            det |= (ws.cur[root] ^ ws.good_lane[root]) & mask;
-        }
-
-        // The root's fanouts all sit at strictly higher positions, so the
-        // sweep starts at the root's word and the root itself can never
-        // be rescheduled (no injection-root guard needed). `pending`
-        // counts bits set but not yet consumed, so the sweep stops the
-        // moment the frontier drains instead of scanning the zero tail of
-        // the bitset (events usually die far from the end of the tape).
-        ws.sched_dirty = true;
+        let mut det = [0; N];
+        self.sched_dirty = true;
+        // `pending` counts bits set but not yet consumed, so the sweep
+        // stops the moment the frontier drains instead of scanning the
+        // zero tail of the bitset (events usually die far from the end of
+        // the tape).
         let mut pending = 0u32;
-        for &fo in self.fanout_range(root) {
-            let wi = (fo >> 6) as usize;
-            let m = 1u64 << (fo & 63);
-            pending += (ws.sched[wi] & m == 0) as u32;
-            ws.sched[wi] |= m;
+        let mut w = usize::MAX;
+        for i in 0..self.changed.len() {
+            let (root, good) = self.changed[i];
+            let root = root as usize;
+            w = w.min(root >> 6);
+            if tape.nodes[root].observable {
+                let d = diff(&self.cur[root], &good, mask);
+                det = std::array::from_fn(|l| det[l] | d[l]);
+            }
+            for &fo in tape.fanout_range(root) {
+                let wi = (fo >> 6) as usize;
+                let m = 1u64 << (fo & 63);
+                pending += (self.sched[wi] & m == 0) as u32;
+                self.sched[wi] |= m;
+            }
         }
-        let mut w = root >> 6;
         while pending > 0 {
             // Re-read the word every iteration: a consumed gate may
             // schedule fanouts into its own word (always above the bit
             // just cleared, so the scan never moves backwards, and never
             // below `w`, so `pending > 0` guarantees a bit at or above
             // `w` exists).
-            let bits = ws.sched[w];
+            let bits = self.sched[w];
             if bits == 0 {
                 w += 1;
                 continue;
             }
-            ws.sched[w] = bits & (bits - 1);
+            self.sched[w] = bits & (bits - 1);
             pending -= 1;
             let pos = (w << 6) | bits.trailing_zeros() as usize;
+            if pos == hold {
+                continue;
+            }
             // All hot per-position metadata comes from two adjacent
-            // packed records; the gather is fused with evaluation: `cur`
-            // carries faulty values for the current injection's changed
-            // positions and good values everywhere else, so each fanin is
-            // one load. A scheduled gate always has at least one changed
-            // fanin, so there is no dead-input check to skip.
-            let nd = self.nodes[pos];
-            let nx = self.nodes[pos + 1];
-            let fr = &self.fanins[nd.fanin_start as usize..nx.fanin_start as usize];
-            let read = |f: &u32| ws.cur[*f as usize];
+            // packed records. `cur` holds this injection's faulty values
+            // on the positions it changed and good values everywhere
+            // else, including `pos` itself until it changes.
+            let nd = tape.nodes[pos];
+            let nx = tape.nodes[pos + 1];
+            let fr = &tape.fanins[nd.fanin_start as usize..nx.fanin_start as usize];
             evals += 1;
-            // Branchless fold for the common kinds: with p = a & b and
-            // x = a ^ b, AND = p, OR = p | x, XOR = x; the op masks
-            // select one without a data-dependent branch (gate kinds
-            // alternate unpredictably along a cone, so a `match` here
-            // pays a mispredict per event).
-            let val = if nd.op != OP_OTHER {
-                let m_or = ((nd.op == OP_OR) as u64).wrapping_neg();
-                let m_xor = ((nd.op == OP_XOR) as u64).wrapping_neg();
-                let mut acc = read(&fr[0]);
-                for f in &fr[1..] {
-                    let b = read(f);
-                    let p = acc & b;
-                    let x = acc ^ b;
-                    acc = (p & !(m_or | m_xor)) | ((p | x) & m_or) | (x & m_xor);
-                }
-                acc ^ (nd.inv as u64).wrapping_neg()
-            } else {
-                match nd.kind {
-                    GateKind::Mux2 => {
-                        let s = read(&fr[0]);
-                        (!s & read(&fr[1])) | (s & read(&fr[2]))
+            let val = eval_gate(nd, fr, |_, f| self.cur[f as usize]);
+            let good = self.cur[pos];
+            let d = diff(&val, &good, mask);
+            if is_zero(&d) {
+                continue; // event died here
+            }
+            self.changed.push((pos as u32, good));
+            self.cur[pos] = val;
+            if nd.observable {
+                det = std::array::from_fn(|l| det[l] | d[l]);
+            }
+            for &fo in &tape.fanouts[nd.fanout_start as usize..nx.fanout_start as usize] {
+                let wi = (fo >> 6) as usize;
+                let m = 1u64 << (fo & 63);
+                pending += (self.sched[wi] & m == 0) as u32;
+                self.sched[wi] |= m;
+            }
+        }
+        self.sched_dirty = false;
+        (det, evals)
+    }
+}
+
+impl Sweep<'_, LANES> {
+    /// The faulty machine's sink words for the loaded block with `defect`
+    /// injected: [`GateTape::sink_words_wide`] of the faulty values, exact
+    /// on every live pattern of `mask`.
+    pub(crate) fn faulty_sink_words(&mut self, defect: Defect, mask: WideWord) -> Vec<WideWord> {
+        self.detect(defect, mask);
+        let tape = self.tape;
+        let mut sinks = tape.sink_words_wide(&self.cur);
+        // A stuck pin of a flop (or PO marker) changes only that sink's
+        // capture; the net it reads keeps its good value.
+        if let Defect::StuckAt(fault) = defect {
+            let gate = tape.pos_of[fault.site.gate.index()];
+            if fault.site.pin.is_some()
+                && matches!(tape.kinds[gate as usize], GateKind::Dff | GateKind::Output)
+            {
+                let forced = [if fault.kind.stuck_value() { !0 } else { 0 }; LANES];
+                for (sink, &p) in sinks.iter_mut().zip(&tape.sink_pos) {
+                    if p == gate {
+                        *sink = forced;
                     }
-                    GateKind::Const0 => 0,
-                    GateKind::Const1 => !0,
-                    _ => unreachable!("inputs are never scheduled"),
-                }
-            };
-            let d = (val ^ ws.good_lane[pos]) & mask;
-            if d == 0 {
-                continue; // event died here
-            }
-            ws.cur[pos] = val;
-            ws.changed.push(pos as u32);
-            if nd.observable {
-                det |= d;
-            }
-            for &fo in &self.fanouts[nd.fanout_start as usize..nx.fanout_start as usize] {
-                let wi = (fo >> 6) as usize;
-                let m = 1u64 << (fo & 63);
-                pending += (ws.sched[wi] & m == 0) as u32;
-                ws.sched[wi] |= m;
-            }
-        }
-        ws.sched_dirty = false;
-        (det, evals)
-    }
-
-    /// Position-ordered event propagation from the injected roots with
-    /// detection folded in (same bitset frontier as the scalar path; see
-    /// [`GateTape::detect_lane`]). An event dies where the recomputed
-    /// value matches the good value on every live pattern; an injection
-    /// root keeps its injected value even when another root's events
-    /// reach it (a bridged net inside the other net's cone). Never
-    /// allocates in the loop. Observability: PO markers observe their own
-    /// value; any changed net feeding a sink flop's D pin is captured.
-    fn propagate_and_detect(
-        &self,
-        good: &[WideWord],
-        mask: &WideWord,
-        ws: &mut TapeWorkspace,
-    ) -> (WideWord, u64) {
-        let mut evals = 0u64;
-        let mut det = WIDE_ZERO;
-        ws.sched_dirty = true;
-        let mut pending = 0u32;
-        let mut first = usize::MAX;
-        for ri in 0..ws.changed.len() {
-            let root = ws.changed[ri] as usize;
-            first = first.min(root);
-            if self.observable[root] {
-                let d = wide_diff(&ws.faulty[root], &good[root], mask);
-                for l in 0..LANES {
-                    det[l] |= d[l];
                 }
             }
-            for &fo in self.fanout_range(root) {
-                let wi = (fo >> 6) as usize;
-                let m = 1u64 << (fo & 63);
-                pending += (ws.sched[wi] & m == 0) as u32;
-                ws.sched[wi] |= m;
-            }
         }
-        let mut w = if first == usize::MAX { 0 } else { first >> 6 };
-        while pending > 0 {
-            let bits = ws.sched[w];
-            if bits == 0 {
-                w += 1;
-                continue;
-            }
-            ws.sched[w] = bits & (bits - 1);
-            pending -= 1;
-            let pos = (w << 6) | bits.trailing_zeros() as usize;
-            // Only roots are stamped before the sweep reaches them: any
-            // other position is stamped when it changes, after its one
-            // visit.
-            if ws.stamp[pos] == ws.epoch {
-                continue;
-            }
-            let nd = self.nodes[pos];
-            let nx = self.nodes[pos + 1];
-            // Gather: a fanin stamped this epoch reads its faulty value,
-            // anything else the shared good slice. A scheduled gate
-            // always has at least one changed fanin.
-            ws.ins.clear();
-            for &f in &self.fanins[nd.fanin_start as usize..nx.fanin_start as usize] {
-                let fp = f as usize;
-                ws.ins.push(if ws.stamp[fp] == ws.epoch {
-                    ws.faulty[fp]
-                } else {
-                    good[fp]
-                });
-            }
-            evals += 1;
-            let val = eval_wide_ins(nd.kind, &ws.ins);
-            let d = wide_diff(&val, &good[pos], mask);
-            if wide_all_zero(&d) {
-                continue; // event died here
-            }
-            ws.set(pos, val);
-            if nd.observable {
-                for l in 0..LANES {
-                    det[l] |= d[l];
-                }
-            }
-            for &fo in &self.fanouts[nd.fanout_start as usize..nx.fanout_start as usize] {
-                let wi = (fo >> 6) as usize;
-                let m = 1u64 << (fo & 63);
-                pending += (ws.sched[wi] & m == 0) as u32;
-                ws.sched[wi] |= m;
-            }
-        }
-        ws.sched_dirty = false;
-        (det, evals)
-    }
-}
-
-/// Reusable, allocation-free scratch memory for tape fault propagation
-/// (one per worker thread).
-#[derive(Debug, Clone)]
-pub struct TapeWorkspace {
-    faulty: Vec<WideWord>,
-    /// Current scalar values for [`GateTape::detect_lane`]: the loaded
-    /// good lane with this epoch's changed positions overwritten by their
-    /// faulty values. [`TapeWorkspace::begin`] restores changed entries,
-    /// so reads never need a stamp check. Shares the stamp/changed
-    /// machinery with the wide path (an injection uses one path or the
-    /// other, never both within an epoch).
-    cur: Vec<u64>,
-    /// The packed good lane `cur` is restored against.
-    good_lane: Vec<u64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    changed: Vec<u32>,
-    /// Position-indexed frontier bitset, shared by both propagation
-    /// paths (an injection uses one path at a time). Zero between
-    /// injections; `sched_dirty` marks a sweep that was abandoned
-    /// mid-flight (panic) and needs a full clear.
-    sched: Vec<u64>,
-    sched_dirty: bool,
-    /// Fanin gather buffer.
-    ins: Vec<WideWord>,
-    /// Scalar fanin gather buffer.
-    ins_lane: Vec<u64>,
-}
-
-impl TapeWorkspace {
-    /// Creates a workspace sized for `tape`.
-    pub fn new(tape: &GateTape) -> TapeWorkspace {
-        let n = tape.num_positions();
-        TapeWorkspace {
-            faulty: vec![WIDE_ZERO; n],
-            cur: vec![0; n],
-            good_lane: vec![0; n],
-            stamp: vec![0; n],
-            // Starts at 1 so a fresh workspace has nothing marked.
-            epoch: 1,
-            changed: Vec::with_capacity(256),
-            sched: vec![0; n.div_ceil(64)],
-            sched_dirty: false,
-            ins: Vec::with_capacity(8),
-            ins_lane: Vec::with_capacity(8),
-        }
-    }
-
-    /// Loads one packed good lane (from [`GateTape::lane_values`]) as the
-    /// baseline for [`GateTape::detect_lane`] injections. Call once per
-    /// (worker, block); the per-injection restore in `begin`
-    /// keeps `cur` synced to it from then on.
-    pub fn load_lane(&mut self, good: &[u64]) {
-        self.good_lane.copy_from_slice(good);
-        self.cur.copy_from_slice(good);
-    }
-
-    /// Re-arms the workspace for the next injection. Always restores a
-    /// clean state, even if the previous propagation panicked mid-flight.
-    fn begin(&mut self) {
-        // Undo the previous injection's scalar writes (panic-safe: runs
-        // before every injection, whatever happened to the last one).
-        for i in 0..self.changed.len() {
-            let pos = self.changed[i] as usize;
-            self.cur[pos] = self.good_lane[pos];
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: reset (rare; 4G injections).
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.changed.clear();
-        if self.sched_dirty {
-            self.sched.fill(0);
-            self.sched_dirty = false;
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, pos: usize, w: WideWord) {
-        if self.stamp[pos] != self.epoch {
-            self.stamp[pos] = self.epoch;
-            self.changed.push(pos as u32);
-        }
-        self.faulty[pos] = w;
-    }
-
-    /// Re-arms the scalar-lane state for the next
-    /// [`GateTape::detect_lane`] injection: undoes the previous
-    /// injection's `cur` writes and clears the frontier bitset if a
-    /// panic abandoned a sweep (a completed sweep consumes every bit it
-    /// sets, so the bitset is normally already zero). The lane path
-    /// tracks changes through `changed` alone — no stamps, no epochs —
-    /// because the position-ordered sweep touches each gate at most
-    /// once.
-    fn begin_lane(&mut self) {
-        for i in 0..self.changed.len() {
-            let pos = self.changed[i] as usize;
-            self.cur[pos] = self.good_lane[pos];
-        }
-        self.changed.clear();
-        if self.sched_dirty {
-            self.sched.fill(0);
-            self.sched_dirty = false;
-        }
-    }
-
-    /// Reads the faulty value of the gate at `pos` left by the most
-    /// recent injection, falling back to the good value.
-    #[inline]
-    pub fn value_or(&self, pos: usize, good: &[WideWord]) -> WideWord {
-        if self.stamp[pos] == self.epoch {
-            self.faulty[pos]
-        } else {
-            good[pos]
-        }
+        sinks
     }
 }
 
@@ -999,29 +717,75 @@ mod tests {
     }
 
     #[test]
+    fn gate_fold_matches_eval_bool() {
+        // The op-mask fold is the tape's only gate function: on every
+        // kind it evaluates and every input combination up to four pins,
+        // each bit of a word equals `eval_bool` (bit k of pin i is bit i
+        // of k, so one word covers every combination).
+        let kinds = [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+            GateKind::Output,
+            GateKind::Dff,
+            GateKind::Mux2,
+            GateKind::Const0,
+            GateKind::Const1,
+        ];
+        for kind in kinds {
+            let (op, inv) = Node::classify(kind);
+            let nd = Node {
+                fanin_start: 0,
+                fanout_start: 0,
+                kind,
+                observable: false,
+                op,
+                inv,
+            };
+            let arities = match kind.arity() {
+                Some(n) => n..=n,
+                None => 1..=4,
+            };
+            for pins in arities {
+                let fanins: Vec<u32> = (0..pins as u32).collect();
+                let word = |pin: u32| -> u64 { (0..64).map(|k| (k >> pin & 1) << k).sum() };
+                let got: [u64; 1] = eval_gate(nd, &fanins, |_, f| [word(f)]);
+                for k in 0..1u64 << pins {
+                    let ins: Vec<bool> = (0..pins).map(|i| k >> i & 1 == 1).collect();
+                    let want = kind.eval_bool(&ins);
+                    assert_eq!(got[0] >> k & 1 == 1, want, "{kind:?} inputs {ins:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn wide_detect_words_match_scalar_lanes() {
-        // The wide propagation and the scalar lane-0 fast path are two
-        // implementations of one detect word: lane for lane they agree.
+        // The sweep at its two widths computes one detect word: the wide
+        // word, lane for lane, equals the one-lane word of the same
+        // 64-pattern block.
         for nl in [c17(), ripple_adder(6), counter(5), mac_pe(3)] {
             let tape = GateTape::compile(&nl);
             let ps = PatternSet::random(&nl, 200, 23);
-            let mut ws = TapeWorkspace::new(&tape);
+            let mut wide = Sweep::<LANES>::new(&tape);
+            let mut lane = Sweep::<1>::new(&tape);
             let mut vals = Vec::new();
-            for fault in universe_stuck_at(&nl) {
-                for start in (0..ps.len()).step_by(WIDE_PATTERNS) {
-                    let (src, count) = GateTape::pack_wide(&ps, start);
-                    tape.eval_wide(&src, &mut vals);
-                    let mask = GateTape::wide_mask(count);
-                    let (wide, _) = tape.detect_wide(&vals, &mask, fault, &mut ws);
-                    for lane in 0..count.div_ceil(64) {
-                        ws.load_lane(&GateTape::lane_values(&vals, lane));
-                        let (scalar, _) = tape.detect_lane(mask[lane], fault, &mut ws);
-                        assert_eq!(
-                            wide[lane],
-                            scalar,
-                            "{} fault {fault} lane {lane}",
-                            nl.name()
-                        );
+            for start in (0..ps.len()).step_by(WIDE_PATTERNS) {
+                let (src, count) = GateTape::pack_wide(&ps, start);
+                tape.eval_wide(&src, &mut vals);
+                let mask = GateTape::wide_mask(count);
+                wide.load(vals.iter().copied());
+                for l in 0..count.div_ceil(64) {
+                    lane.load(vals.iter().map(|w| [w[l]]));
+                    for fault in universe_stuck_at(&nl) {
+                        let (word, _) = wide.detect(fault.into(), mask);
+                        let (scalar, _) = lane.detect(fault.into(), [mask[l]]);
+                        assert_eq!(word[l], scalar[0], "{} fault {fault} lane {l}", nl.name());
                     }
                 }
             }

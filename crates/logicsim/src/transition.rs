@@ -81,6 +81,14 @@ mod tests {
         assert!(pair_detects(&sim, &vec![false], &vec![true], f));
         assert!(!pair_detects(&sim, &vec![true], &vec![true], f)); // no launch 0
         assert!(!pair_detects(&sim, &vec![false], &vec![false], f)); // no capture 1
+
+        // Launched but not captured by any pair of the first 256-pair
+        // block, the fault is carried into the next: only pair 280 rises.
+        let mut pairs = vec![(vec![false], vec![false]); 300];
+        pairs[280].1 = vec![true];
+        let mut list = FaultList::new(vec![f]);
+        sim.transition_batch(&pairs, &mut list, &Executor::serial());
+        assert_eq!(list.status(0), FaultStatus::Detected(280));
         let f = Fault {
             site: FaultSite::output(a),
             kind: FaultKind::SlowToFall,

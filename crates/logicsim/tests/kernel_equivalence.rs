@@ -204,11 +204,14 @@ proptest! {
         seed in 0u64..400,
         gates in 20usize..220,
         threads in prop::select(vec![1usize, 2, 4]),
+        patterns in prop::select(vec![150usize, 600]),
     ) {
         let nl = random_logic(8, gates, seed);
         let faults = universe_stuck_at(&nl);
-        // 150 patterns: the lane-0 fast path plus a partial wide tail.
-        let ps = PatternSet::random(&nl, 150, seed ^ 0xC3);
+        // 150 patterns: the lane-0 fast path plus a partial wide tail in
+        // one block. 600: three blocks, so undetected faults carry from
+        // block to block and each worker reloads its good values.
+        let ps = PatternSet::random(&nl, patterns, seed ^ 0xC3);
         let want = DeductiveSim::new(&nl).first_detections(&ps, &faults);
         let mut list = FaultList::new(faults.clone());
         let stats = TapeKernel::compile(&nl).fault_batch(&ps, &mut list, &Executor::with_threads(threads));
@@ -222,10 +225,12 @@ proptest! {
     fn tape_transition_batch_matches_launch_and_capture_oracle(
         seed in 0u64..200,
         gates in 20usize..150,
+        count in prop::select(vec![96usize, 300]),
     ) {
         let nl = random_logic(8, gates, seed);
         let faults = universe_transition(&nl);
-        let ps = PatternSet::random(&nl, 96, seed ^ 0x77);
+        // 300 pairs span two blocks, so undetected faults carry over.
+        let ps = PatternSet::random(&nl, count, seed ^ 0x77);
         let pairs = TapeKernel::compile(&nl).broadside_pairs(&ps);
         let stuck: Vec<Fault> = faults
             .iter()

@@ -191,26 +191,6 @@ impl GateKind {
             }
         }
     }
-
-    /// Evaluates the gate over 64 patterns in parallel (one per bit).
-    ///
-    /// `Input`/`Const*` handling mirrors [`GateKind::eval_bool`].
-    pub fn eval_word(self, inputs: &[u64]) -> u64 {
-        match self {
-            GateKind::Input => panic!("eval_word on Input gate"),
-            GateKind::Const0 => 0,
-            GateKind::Const1 => !0,
-            GateKind::Output | GateKind::Buf | GateKind::Dff => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateKind::Nand => !inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateKind::Or => inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateKind::Nor => !inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateKind::Xor => inputs.iter().fold(0u64, |acc, &w| acc ^ w),
-            GateKind::Xnor => !inputs.iter().fold(0u64, |acc, &w| acc ^ w),
-            GateKind::Mux2 => (!inputs[0] & inputs[1]) | (inputs[0] & inputs[2]),
-        }
-    }
 }
 
 impl fmt::Display for GateKind {
@@ -295,40 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn eval_word_matches_eval_bool() {
-        let kinds = [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ];
-        for kind in kinds {
-            for pat in 0..8u64 {
-                let bits = [(pat & 1) != 0, (pat & 2) != 0, (pat & 4) != 0];
-                let words = [
-                    if bits[0] { !0 } else { 0 },
-                    if bits[1] { !0 } else { 0 },
-                    if bits[2] { !0 } else { 0 },
-                ];
-                let wb = kind.eval_word(&words);
-                let bb = kind.eval_bool(&bits);
-                assert_eq!(wb == !0, bb, "{kind:?} pattern {pat}");
-                assert!(wb == 0 || wb == !0);
-            }
-        }
-    }
-
-    #[test]
     fn mux_truth_table() {
         // fanins are [sel, a, b]
         assert!(!GateKind::Mux2.eval_bool(&[false, false, true]));
         assert!(GateKind::Mux2.eval_bool(&[false, true, false]));
         assert!(GateKind::Mux2.eval_bool(&[true, false, true]));
         assert!(!GateKind::Mux2.eval_bool(&[true, true, false]));
-        assert_eq!(GateKind::Mux2.eval_word(&[0, 0xff, 0xf0f0]), 0xff);
-        assert_eq!(GateKind::Mux2.eval_word(&[!0, 0xff, 0xf0f0]), 0xf0f0);
     }
 
     #[test]

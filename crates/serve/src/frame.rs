@@ -5,17 +5,20 @@
 //! ```text
 //! +--------+------+-------+-----------+-----------------+----------+
 //! | magic  | type | flags | len (u32) | payload (len B) | crc u64  |
-//! | 0xA1DF |  u8  |  u8   | LE        |                 | FNV-1a   |
+//! | 0xA1DF |  u8  |  u8   | LE        |                 | fnv1a    |
 //! +--------+------+-------+-----------+-----------------+----------+
 //! ```
 //!
-//! The checksum covers header and payload, so a torn write, a flipped
-//! bit, or a mid-frame disconnect is always detected ([`FrameError`]),
-//! never misparsed. Bit vectors travel LSB-first-packed with an explicit
-//! bit count ([`dft_compress::pack_bits`]); set padding bits are
-//! rejected so every vector has exactly one encoding. Decoding is
-//! cursor-checked throughout — malformed input yields an error, never a
-//! panic or an out-of-bounds read.
+//! The checksum is [`fnv1a`]: FNV-1a in form, but with the multiplier
+//! `0x1000_0000_01B3` rather than the FNV-64 prime, so a standard
+//! FNV-1a implementation does not reproduce it. It covers header and
+//! payload, so a torn write, a flipped bit, or a mid-frame disconnect
+//! is always detected ([`FrameError`]), never misparsed. Bit vectors
+//! travel LSB-first-packed with an explicit bit count
+//! ([`dft_compress::pack_bits`]); set padding bits are rejected so
+//! every vector has exactly one encoding. Decoding is cursor-checked
+//! throughout — malformed input yields an error, never a panic or an
+//! out-of-bounds read.
 
 use std::io::{self, Read, Write};
 

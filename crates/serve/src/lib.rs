@@ -10,8 +10,9 @@
 //! The moving parts:
 //!
 //! * [`Frame`] / [`Stimulus`] — the `aidft-wire-v1` codec: magic,
-//!   type, length-prefixed payload, FNV-1a trailer. Torn tails and
-//!   malformed payloads are detected, never panics.
+//!   type, length-prefixed payload, and a [`dft_checkpoint::fnv1a`]
+//!   trailer (FNV-1a in form, multiplier `0x1000_0000_01B3`). Torn
+//!   tails and malformed payloads are detected, never panics.
 //! * [`ServedStimulus`] — the compile-once broadcast content: ATPG
 //!   cubes EDT-encoded against the scan architecture, golden responses
 //!   and per-window MISR signatures precomputed through the kernel.

@@ -1,6 +1,7 @@
 //! The `aidft` command line through the built binary: a stray argument
 //! (a durability flag the command does not honour included) or a zero
-//! `serve` count is a usage error (exit 2) that names the argument,
+//! `serve` count is a usage error (exit 2) that names the argument, a
+//! design that cannot be read or parsed exits 1 naming its path once,
 //! `diagnose` runs on its documented usage, chaos-injected worker panics
 //! are counted without a panic report, and the repair demo runs its core
 //! ATPG once.
@@ -103,6 +104,28 @@ fn stray_arguments_are_usage_errors_that_name_the_argument() {
         let out = aidft(args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unreadable_or_malformed_design_exits_1_naming_its_path_once() {
+    let dir = scratch_dir("design");
+    let missing = dir.join("absent.bench").to_str().unwrap().to_owned();
+    let bad = dir.join("bad.bench");
+    std::fs::write(&bad, "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n").unwrap();
+    let bad = bad.to_str().unwrap().to_owned();
+    for (path, op) in [(&missing, "read"), (&bad, "parse")] {
+        for cmd in ["stats", "atpg", "flow", "serve"] {
+            let out = aidft(&[cmd, path]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {path}: {err}");
+            assert!(
+                err.starts_with(&format!("aidft: {op} {path}: ")),
+                "{cmd}: {err}"
+            );
+            assert_eq!(err.matches(path.as_str()).count(), 1, "{cmd}: {err}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -343,6 +343,54 @@ fn golden_repair_flow() {
     assert_eq!(bp(check.harvested_accuracy), g.harvested_acc_bp);
 }
 
+/// Broadside transition ATPG results and simulation work for two scan
+/// designs: `(design, patterns, test coverage in basis points,
+/// transition_gate_evals, transition_detected)`. The flow table above is
+/// stuck-at only, so this row set is what catches `transition_batch`
+/// doing more or less work.
+const GOLDEN_BROADSIDE: &[(&str, usize, u64, u64, u64)] = &[
+    ("sys2x2", 47, 10000, 109833, 3144),
+    ("mac4", 23, 10000, 27879, 498),
+];
+
+#[test]
+fn golden_broadside_transition_work() {
+    use dft_core::atpg::{Atpg, AtpgConfig, FaultModel};
+    use dft_core::metrics::MetricsHandle;
+
+    let cfg = AtpgConfig::new()
+        .fault_model(FaultModel::Transition)
+        .threads(1);
+    let mut failures = Vec::new();
+    for &(name, patterns, tc_bp, evals, detected) in GOLDEN_BROADSIDE {
+        let nl = circuit(name);
+        let metrics = MetricsHandle::enabled();
+        let run = Atpg::new(&nl).with_metrics(metrics.clone()).run(&cfg);
+        let snap = metrics.snapshot().expect("enabled");
+        let got = (
+            name,
+            run.patterns.len(),
+            (run.test_coverage() * 10_000.0).round() as u64,
+            snap.counter("transition_gate_evals"),
+            snap.counter("transition_detected"),
+        );
+        if bless_mode() {
+            println!("    {got:?},");
+        } else if got != (name, patterns, tc_bp, evals, detected) {
+            failures.push(format!(
+                "{got:?}, golden {:?}",
+                (name, patterns, tc_bp, evals, detected)
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "broadside golden drift — if intentional, re-bless with \
+         AIDFT_BLESS_GOLDEN=1 (see file header):\n  {}",
+        failures.join("\n  ")
+    );
+}
+
 /// The snapshot JSON itself is part of the stable surface (CI artifacts
 /// and `--metrics-json` consumers parse it): spot-check shape + ordering.
 #[test]
