@@ -190,27 +190,6 @@ impl<'a> LogicBist<'a> {
         ps
     }
 
-    /// Runs a weighted BIST session (same accounting as [`LogicBist::run`]).
-    pub fn run_weighted(&self, n: usize, seed: u64, weights: &[f64]) -> BistResult {
-        let _session = self.trace.span_arg("lbist_weighted_session", n as u64);
-        if let Some(m) = self.metrics.get() {
-            m.bist_sessions.inc();
-            m.bist_patterns.add(n as u64);
-        }
-        let ps = self.weighted_patterns(n, seed, weights);
-        let sim = TapeKernel::compile(self.nl)
-            .with_metrics(self.metrics.clone())
-            .with_trace(self.trace.clone());
-        let mut list = FaultList::new(universe_stuck_at(self.nl));
-        sim.fault_batch(&ps, &mut list, &self.exec);
-        BistResult {
-            patterns: n,
-            coverage: list.fault_coverage(),
-            signature: self.signature(&ps),
-            undetected: list.len() - list.num_detected(),
-        }
-    }
-
     /// Coverage as a function of pattern count, evaluated at the given
     /// checkpoints (shares fault-dropping work across checkpoints).
     pub fn coverage_curve(&self, checkpoints: &[usize], seed: u64) -> Vec<(usize, f64)> {

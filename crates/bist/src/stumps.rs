@@ -4,15 +4,15 @@
 //! actual hardware — a PRPG (LFSR flops), a phase shifter (XOR spread)
 //! feeding the scan chains of a scan-inserted core, and a MISR compacting
 //! the scan-outs — and simulates whole self-test *sessions* clock by
-//! clock, with optional stuck-at fault injection in the core. This is the
-//! structure an AI chip tapes out for in-field self-test of its MAC
-//! arrays.
+//! clock on the gate tape, with optional stuck-at fault injection in the
+//! core. This is the structure an AI chip tapes out for in-field
+//! self-test of its MAC arrays.
 //!
 //! [`LogicBist`]: crate::LogicBist
 
 use dft_fault::Fault;
-use dft_logicsim::Executor;
-use dft_netlist::{GateId, GateKind, Levelization, Netlist};
+use dft_logicsim::{SimKernel, TapeKernel};
+use dft_netlist::{GateId, GateKind, Netlist};
 use dft_scan::{insert_scan, ScanConfig, ScanInsertion};
 
 /// A netlist with embedded STUMPS self-test hardware.
@@ -174,99 +174,40 @@ fn rewire_readers_of_input(nl: &mut Netlist, input: GateId, new_src: GateId) {
 
 impl StumpsBist {
     /// Runs a self-test session of `patterns` pattern slots, clock by
-    /// clock at gate level, optionally forcing a stem stuck-at fault in
-    /// the core. Returns the final MISR signature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fault` is not a stem (output-site) fault — pin faults
-    /// need per-reader forcing which the session simulator does not
-    /// model.
+    /// clock on the gate tape ([`TapeKernel::clock`]), optionally with a
+    /// stuck-at fault (stem or pin) in the core. Returns the final MISR
+    /// signature.
     pub fn run_session(&self, patterns: usize, fault: Option<Fault>) -> Vec<bool> {
         let nl = &self.netlist;
-        if let Some(f) = fault {
-            assert!(f.site.pin.is_none(), "session sim forces stem faults only");
-        }
-        let lv = Levelization::compute(nl).expect("acyclic");
-        let mut state = vec![false; nl.num_gates()];
-
-        let cycle = |state: &mut Vec<bool>, rst: bool, se: bool| {
-            state[self.rst.index()] = rst;
-            state[self.se.index()] = se;
-            let mut vals = state.clone();
-            // Forced source-side fault (on an Input or flop Q).
-            if let Some(f) = fault {
-                let g = f.site.gate;
-                if matches!(nl.gate(g).kind, GateKind::Input | GateKind::Dff) {
-                    vals[g.index()] = f.kind.stuck_value();
-                }
-            }
-            for &id in lv.order() {
-                let g = nl.gate(id);
-                if matches!(g.kind, GateKind::Input | GateKind::Dff) {
-                    continue;
-                }
-                let ins: Vec<bool> = g.fanins.iter().map(|&x| vals[x.index()]).collect();
-                let mut v = g.kind.eval_bool(&ins);
-                if let Some(f) = fault {
-                    if f.site.gate == id {
-                        v = f.kind.stuck_value();
-                    }
-                }
-                vals[id.index()] = v;
-            }
-            for &ff in nl.dffs() {
-                let d = nl.gate(ff).fanins[0];
-                state[ff.index()] = vals[d.index()];
-            }
+        let sim = TapeKernel::compile(nl);
+        let rst = index_of(nl.inputs(), self.rst);
+        let se = index_of(nl.inputs(), self.se);
+        let mut inputs = vec![false; nl.num_inputs()];
+        let mut state = vec![false; nl.num_dffs()];
+        let mut cycle = |reset: bool, shift: bool| {
+            inputs[rst] = reset;
+            inputs[se] = shift;
+            sim.clock(&inputs, &mut state, fault);
         };
 
         // Reset cycle.
-        cycle(&mut state, true, true);
+        cycle(true, true);
         for _ in 0..patterns {
             for _ in 0..self.shift_len {
-                cycle(&mut state, false, true);
+                cycle(false, true);
             }
-            cycle(&mut state, false, false); // capture
+            cycle(false, false); // capture
         }
-        self.misr.iter().map(|&m| state[m.index()]).collect()
-    }
-
-    /// Runs one self-test session per entry of `faults` (`None` = fault
-    /// free) on `exec`'s worker pool. Sessions are independent gate-level
-    /// simulations, so they parallelize perfectly; signatures are
-    /// returned in input order and are bit-identical to calling
-    /// [`StumpsBist::run_session`] in a loop.
-    pub fn run_sessions(
-        &self,
-        patterns: usize,
-        faults: &[Option<Fault>],
-        exec: &Executor,
-    ) -> Vec<Vec<bool>> {
-        exec.map(faults, |_, &f| self.run_session(patterns, f))
-    }
-
-    /// Fraction of `faults` whose injected-session signature differs from
-    /// the fault-free golden signature — the STUMPS analogue of fault
-    /// coverage, measured end to end through PRPG, phase shifter, scan,
-    /// and MISR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any fault is a pin fault (see [`StumpsBist::run_session`]).
-    pub fn signature_coverage(&self, patterns: usize, faults: &[Fault], exec: &Executor) -> f64 {
-        if faults.is_empty() {
-            return 1.0;
-        }
-        let golden = self.run_session(patterns, None);
-        let wrapped: Vec<Option<Fault>> = faults.iter().copied().map(Some).collect();
-        let flagged = self
-            .run_sessions(patterns, &wrapped, exec)
+        self.misr
             .iter()
-            .filter(|sig| **sig != golden)
-            .count();
-        flagged as f64 / faults.len() as f64
+            .map(|&m| state[index_of(nl.dffs(), m)])
+            .collect()
     }
+}
+
+/// The index of `id` in `ids`, a netlist's input or flop list.
+fn index_of(ids: &[GateId], id: GateId) -> usize {
+    ids.iter().position(|&g| g == id).expect("STUMPS pin")
 }
 
 #[cfg(test)]
@@ -274,6 +215,7 @@ mod tests {
     use super::*;
     use dft_fault::universe_stuck_at;
     use dft_netlist::generators::{counter, mac_pe};
+    use dft_netlist::Levelization;
 
     #[test]
     fn stumps_netlist_is_well_formed() {
@@ -327,40 +269,51 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sessions_match_serial() {
+    fn stem_fault_signatures_are_pinned() {
+        // Golden MISR and the number of core stem faults whose session
+        // signature differs from it, pinned per core and configuration.
+        let check = |core: Netlist, chains, prpg_len, seed, patterns, golden, flagged| {
+            let bist = build_stumps(&core, chains, prpg_len, seed);
+            let sig = bist.run_session(patterns, None);
+            let bits: String = sig.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            assert_eq!(bits, golden, "{}", core.name());
+            let faults: Vec<_> = universe_stuck_at(&core)
+                .into_iter()
+                .filter(|f| f.site.pin.is_none())
+                .collect();
+            let hits = faults
+                .iter()
+                .filter(|&&f| bist.run_session(patterns, Some(f)) != sig)
+                .count();
+            assert_eq!((hits, faults.len()), flagged, "{}", core.name());
+        };
+        check(mac_pe(4), 4, 24, 0x5EED, 64, "01100100", (293, 326));
+        check(counter(8), 2, 16, 0xB1, 32, "01011001", (46, 48));
+    }
+
+    #[test]
+    fn pin_faults_are_injected_like_stems() {
+        // A stuck pin on a net with one reader is the stuck stem of its
+        // driver: both sessions end in the same signature.
         let core = counter(8);
         let bist = build_stumps(&core, 2, 16, 0xB1);
-        let universe = universe_stuck_at(&core);
-        let faults: Vec<Option<_>> = universe
-            .iter()
-            .filter(|f| f.site.pin.is_none())
-            .take(12)
-            .map(|&f| Some(f))
-            .chain(std::iter::once(None))
-            .collect();
-        let serial: Vec<_> = faults.iter().map(|&f| bist.run_session(8, f)).collect();
-        for threads in [1usize, 3, 8] {
-            let exec = Executor::with_threads(threads);
-            assert_eq!(
-                bist.run_sessions(8, &faults, &exec),
-                serial,
-                "threads={threads}"
-            );
+        let golden = bist.run_session(32, None);
+        let (mut flagged, mut single_reader) = (0, 0);
+        for f in universe_stuck_at(&core) {
+            let Some(pin) = f.site.pin else { continue };
+            let sig = bist.run_session(32, Some(f));
+            let driver = bist.netlist.gate(f.site.gate).fanins[pin as usize];
+            if bist.netlist.gate(driver).fanouts.len() == 1 {
+                let stem = Fault::stuck_at_output(driver, f.kind.stuck_value());
+                assert_eq!(sig, bist.run_session(32, Some(stem)), "{f}");
+                single_reader += 1;
+            }
+            flagged += usize::from(sig != golden);
         }
-        // Coverage helper agrees with a hand count.
-        let stems: Vec<_> = universe
-            .iter()
-            .filter(|f| f.site.pin.is_none())
-            .take(12)
-            .copied()
-            .collect();
-        let golden = bist.run_session(8, None);
-        let by_hand = stems
-            .iter()
-            .filter(|&&f| bist.run_session(8, Some(f)) != golden)
-            .count();
-        let cov = bist.signature_coverage(8, &stems, &Executor::with_threads(4));
-        assert!((cov - by_hand as f64 / stems.len() as f64).abs() < 1e-12);
+        assert!(
+            single_reader > 0 && flagged > 0,
+            "{single_reader} {flagged}"
+        );
     }
 
     #[test]

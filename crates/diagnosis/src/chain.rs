@@ -7,7 +7,8 @@
 //! (shift-only, no capture) and deduce the defect position and polarity
 //! from the corrupted unload image.
 
-use dft_netlist::{GateKind, Levelization};
+use dft_logicsim::{SimKernel, TapeKernel};
+use dft_netlist::GateId;
 use dft_scan::ScanInsertion;
 
 /// Behaviour of a defective scan cell during shift.
@@ -32,9 +33,9 @@ pub struct ChainDiagnosis {
 }
 
 /// Simulates a flush test on the scan-inserted netlist with a defective
-/// cell injected, returning the unload image observed at `so{chain}`:
-/// `image[k]` is the bit emerging at shift cycle `k` (for `2 * len`
-/// cycles, the flush vector being `pattern`).
+/// cell injected, clocked on the gate tape, returning the unload image
+/// observed at `so{chain}`: `image[k]` is the bit emerging at shift cycle
+/// `k` (for `2 * len` cycles, the flush vector being `pattern`).
 pub fn flush_unload(
     scan: &ScanInsertion,
     chain: usize,
@@ -42,44 +43,40 @@ pub fn flush_unload(
     pattern: &[bool],
 ) -> Vec<bool> {
     let nl = &scan.netlist;
-    let lv = Levelization::compute(nl).expect("acyclic");
     let len = scan.chains[chain].len();
     assert_eq!(
         pattern.len(),
         2 * len,
         "flush vector must cover 2*len cycles"
     );
-    let mut state = vec![false; nl.num_gates()];
-    state[scan.scan_enable.index()] = true;
+    let sim = TapeKernel::compile(nl);
+    let so = index_of(nl.outputs(), scan.scan_out[chain]);
+    // The defective cell's index in the flop state, if it is in the chain.
+    let cell = defect_pos.and_then(|(pos, defect)| {
+        Some((index_of(nl.dffs(), *scan.chains[chain].get(pos)?), defect))
+    });
+    let mut inputs = vec![false; nl.num_inputs()];
+    inputs[index_of(nl.inputs(), scan.scan_enable)] = true;
+    let si = index_of(nl.inputs(), scan.scan_in[chain]);
+    let mut state = vec![false; nl.num_dffs()];
     let mut out = Vec::with_capacity(2 * len);
     for &bit in pattern {
-        state[scan.scan_in[chain].index()] = bit;
-        let mut vals = state.clone();
-        for &id in lv.order() {
-            let g = nl.gate(id);
-            if matches!(g.kind, GateKind::Input | GateKind::Dff) {
-                continue;
-            }
-            let ins: Vec<bool> = g.fanins.iter().map(|&f| vals[f.index()]).collect();
-            vals[id.index()] = g.kind.eval_bool(&ins);
-        }
-        out.push(vals[scan.scan_out[chain].index()]);
-        for &ff in nl.dffs() {
-            let d = nl.gate(ff).fanins[0];
-            let mut v = vals[d.index()];
-            // Inject the shift-path defect at the cell's capture.
-            if let Some((pos, defect)) = defect_pos {
-                if scan.chains[chain].get(pos) == Some(&ff) {
-                    v = match defect {
-                        ChainDefect::StuckAt(s) => s,
-                        ChainDefect::Inversion => !v,
-                    };
-                }
-            }
-            state[ff.index()] = v;
+        inputs[si] = bit;
+        out.push(sim.clock(&inputs, &mut state, None)[so]);
+        // Inject the shift-path defect at the cell's capture.
+        if let Some((k, defect)) = cell {
+            state[k] = match defect {
+                ChainDefect::StuckAt(s) => s,
+                ChainDefect::Inversion => !state[k],
+            };
         }
     }
     out
+}
+
+/// The index of `id` in `ids`, a netlist's input, output or flop list.
+fn index_of(ids: &[GateId], id: GateId) -> usize {
+    ids.iter().position(|&g| g == id).expect("scan pin or cell")
 }
 
 /// Diagnoses a chain from its flush unload image.

@@ -109,15 +109,6 @@ impl PatternSet {
         let words = pack_bits(&self.patterns[start..start + count], self.width);
         (words, count)
     }
-
-    /// Iterates over `(start_index, packed_words, count)` blocks of up to
-    /// 64 patterns.
-    pub fn blocks(&self) -> impl Iterator<Item = (usize, Vec<u64>, usize)> + '_ {
-        (0..self.patterns.len()).step_by(64).map(move |start| {
-            let (words, count) = self.pack_block(start);
-            (start, words, count)
-        })
-    }
 }
 
 /// Packs at most 64 patterns of `width` bits into one word per source
@@ -231,17 +222,6 @@ mod tests {
                 assert_eq!(words, expect, "width {width} count {count}");
             }
         }
-    }
-
-    #[test]
-    fn blocks_cover_all_patterns() {
-        let nl = c17();
-        let ps = PatternSet::random(&nl, 130, 1);
-        let blocks: Vec<_> = ps.blocks().collect();
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0].2, 64);
-        assert_eq!(blocks[1].0, 64);
-        assert_eq!(blocks[2].2, 2);
     }
 
     #[test]

@@ -9,11 +9,40 @@
 //!
 //! [`crate::SimKernel::transition_batch`] simulates the pairs;
 //! [`TapeKernel::broadside_pairs`] derives launch-on-capture pairs from
-//! scan patterns.
+//! scan patterns. [`TapeKernel::clock`] is the same next-state step for
+//! one functional cycle at a time: what scan-chain checks, chain
+//! diagnosis and STUMPS sessions clock.
 
-use crate::{Pattern, PatternSet, SimKernel, TapeKernel};
+use dft_fault::Fault;
+
+use crate::{Pattern, PatternSet, Response, SimKernel, TapeKernel};
 
 impl TapeKernel<'_> {
+    /// Clocks the design one cycle: `inputs` drive the primary inputs and
+    /// `state` holds every flop's value, both in netlist order. Returns
+    /// the primary outputs and leaves each flop's D-pin capture in
+    /// `state`. A stuck-at `fault`, stem or pin, is injected through
+    /// [`TapeKernel::faulty_responses`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` or `state` does not match the netlist's input
+    /// or flop count.
+    pub fn clock(&self, inputs: &[bool], state: &mut [bool], fault: Option<Fault>) -> Response {
+        let pattern: Pattern = inputs.iter().chain(&*state).copied().collect();
+        let single: PatternSet = std::iter::once(pattern).collect();
+        let mut response = match fault {
+            Some(f) => self.faulty_responses(&single, f),
+            None => self.eval_batch(&single),
+        }
+        .remove(0);
+        // Response layout: POs first, then flop D-pin captures.
+        let num_po = self.netlist().num_outputs();
+        state.copy_from_slice(&response[num_po..]);
+        response.truncate(num_po);
+        response
+    }
+
     /// Derives broadside (launch-on-capture) pairs from scan patterns: the
     /// launch vector is the scan-loaded pattern; the capture vector keeps
     /// the primary inputs and replaces the pseudo-PI (flop) bits with the
@@ -131,6 +160,34 @@ mod tests {
         for ((_, c), r) in pairs.iter().zip(&responses) {
             for ff in 0..4 {
                 assert_eq!(c[1 + ff], r[4 + ff]);
+            }
+        }
+    }
+
+    #[test]
+    fn clock_counts_and_injects_at_one_capture() {
+        // counter(4) with en = 1: each cycle outputs the count and leaves
+        // the next count in the flops.
+        let nl = counter(4);
+        let sim = TapeKernel::compile(&nl);
+        let value = |bits: &[bool]| bits.iter().rev().fold(0, |v, &b| v << 1 | u32::from(b));
+        let bits = |v: u32| (0..4).map(|i| v >> i & 1 == 1).collect::<Vec<_>>();
+        let mut state = vec![false; 4];
+        for cycle in 0..20 {
+            let outputs = sim.clock(&[true], &mut state, None);
+            assert_eq!(value(&outputs), cycle % 16);
+            assert_eq!(value(&state), (cycle + 1) % 16);
+        }
+        // A stuck-at on one flop's D pin changes that flop's capture and
+        // nothing else.
+        for stuck in [false, true] {
+            let fault = Fault::stuck_at_input(nl.dffs()[2], 0, stuck);
+            for count in 0..16 {
+                let (mut good, mut bad) = (bits(count), bits(count));
+                let outputs = sim.clock(&[true], &mut good, None);
+                assert_eq!(sim.clock(&[true], &mut bad, Some(fault)), outputs);
+                good[2] = stuck;
+                assert_eq!(bad, good, "count {count}, stuck-at-{}", u8::from(stuck));
             }
         }
     }

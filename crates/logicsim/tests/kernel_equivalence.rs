@@ -7,8 +7,9 @@
 //! - PPSFP fault statuses (detected / first-detecting pattern) against
 //!   deductive fault simulation ([`DeductiveSim`], fault-list
 //!   propagation);
-//! - transition statuses against the launch value (five-valued) plus
-//!   capture-cycle stuck-at detection (deductive);
+//! - transition statuses of broadside pairs on sequential netlists
+//!   against the launch value (five-valued) plus capture-cycle stuck-at
+//!   detection (deductive);
 //! - bridge responses against a one-pass scalar walk with both bridged
 //!   nets held at their bridged values;
 //! - PODEM's event-driven [`Implication`] against a full five-valued
@@ -227,38 +228,9 @@ proptest! {
         gates in 20usize..150,
         count in prop::select(vec![96usize, 300]),
     ) {
-        let nl = random_logic(8, gates, seed);
-        let faults = universe_transition(&nl);
         // 300 pairs span two blocks, so undetected faults carry over.
-        let ps = PatternSet::random(&nl, count, seed ^ 0x77);
-        let pairs = TapeKernel::compile(&nl).broadside_pairs(&ps);
-        let stuck: Vec<Fault> = faults
-            .iter()
-            .map(|f| Fault {
-                site: f.site,
-                kind: if f.kind.stuck_value() { FaultKind::StuckAt1 } else { FaultKind::StuckAt0 },
-            })
-            .collect();
-        let five = FiveSim::new(&nl);
-        let deductive = DeductiveSim::new(&nl);
-        let mut want = vec![None; faults.len()];
-        for (i, (launch, capture)) in pairs.iter().enumerate() {
-            let assign: Vec<Logic> = launch.iter().map(|&b| Logic::from_bool(b)).collect();
-            let launched = five.simulate(&assign, None);
-            let detected = deductive.detected(capture, &stuck);
-            for (fi, f) in faults.iter().enumerate() {
-                let site = f.site.net(&nl);
-                if want[fi].is_none()
-                    && detected[fi]
-                    && launched[site.index()].good() == f.kind.launch_value()
-                {
-                    want[fi] = Some(i as u32);
-                }
-            }
-        }
-        let mut list = FaultList::new(faults.clone());
-        TapeKernel::compile(&nl).transition_batch(&pairs, &mut list, &Executor::serial());
-        prop_assert_eq!(first_detections(&list), want);
+        let (want, got) = transition_statuses(&mixed_logic(seed, gates), count, seed ^ 0x77);
+        prop_assert_eq!(got, want);
     }
 
     /// Stuck-at faulty responses agree sink for sink with five-valued
@@ -298,6 +270,64 @@ proptest! {
             }
         }
     }
+}
+
+/// First detecting broadside pair of every transition fault of `nl` over
+/// `count` random scan patterns: `(oracle, tape)`. The oracle is the
+/// launch value (five-valued) plus capture-cycle stuck-at detection
+/// (deductive). The netlist must be sequential: on a combinational one
+/// each capture vector equals its launch vector and nothing is detected.
+fn transition_statuses(
+    nl: &Netlist,
+    count: usize,
+    seed: u64,
+) -> (Vec<Option<u32>>, Vec<Option<u32>>) {
+    let faults = universe_transition(nl);
+    let ps = PatternSet::random(nl, count, seed);
+    let tape = TapeKernel::compile(nl);
+    let pairs = tape.broadside_pairs(&ps);
+    let stuck: Vec<Fault> = faults
+        .iter()
+        .map(|f| Fault {
+            site: f.site,
+            kind: if f.kind.stuck_value() {
+                FaultKind::StuckAt1
+            } else {
+                FaultKind::StuckAt0
+            },
+        })
+        .collect();
+    let five = FiveSim::new(nl);
+    let deductive = DeductiveSim::new(nl);
+    let mut want = vec![None; faults.len()];
+    for (i, (launch, capture)) in pairs.iter().enumerate() {
+        let assign: Vec<Logic> = launch.iter().map(|&b| Logic::from_bool(b)).collect();
+        let launched = five.simulate(&assign, None);
+        let detected = deductive.detected(capture, &stuck);
+        for (fi, f) in faults.iter().enumerate() {
+            let site = f.site.net(nl);
+            if want[fi].is_none()
+                && detected[fi]
+                && launched[site.index()].good() == f.kind.launch_value()
+            {
+                want[fi] = Some(i as u32);
+            }
+        }
+    }
+    let mut list = FaultList::new(faults);
+    tape.transition_batch(&pairs, &mut list, &Executor::serial());
+    (want, first_detections(&list))
+}
+
+/// The transition property checks detections, not only their absence: on
+/// a fixed sequential netlist the oracle expects some, two of them past
+/// the first 256-pair block, and the tape finds the same first pairs.
+#[test]
+fn transition_oracle_expects_detections_on_a_sequential_netlist() {
+    let (want, got) = transition_statuses(&mixed_logic(17, 120), 300, 17 ^ 0x77);
+    let late = want.iter().flatten().filter(|&&p| p >= 256).count();
+    assert_eq!(late, 2, "detections past the first block");
+    assert_eq!(got, want);
 }
 
 /// Flop D-pin and Q faults only occur in sequential designs, which the

@@ -1,5 +1,6 @@
 //! Structural scan insertion.
 
+use dft_logicsim::{SimKernel, TapeKernel};
 use dft_netlist::{GateId, GateKind, Levelization, Netlist};
 
 /// Scan-architecture parameters.
@@ -57,56 +58,43 @@ impl ScanInsertion {
     }
 
     /// Verifies chain connectivity by shifting a marker sequence through
-    /// every chain with `se = 1` and checking it emerges at the scan
-    /// outputs in order. Returns `true` when every chain shifts correctly.
+    /// every chain with `se = 1`, clocked on the gate tape, and checking
+    /// it emerges at the scan outputs in order. Returns `true` when every
+    /// chain shifts correctly, and `false` on a combinational loop.
     pub fn verify_chains(&self) -> bool {
         let nl = &self.netlist;
-        let lv = match Levelization::compute(nl) {
-            Ok(lv) => lv,
-            Err(_) => return false,
-        };
-        let mut state = vec![false; nl.num_gates()];
-        state[self.scan_enable.index()] = true;
-        // Shift in a pseudo-random but per-chain-distinct sequence.
-        let len = self.shift_cycles();
-        let seq = |c: usize, t: usize| -> bool { ((t * 7 + c * 3 + 1) % 5) < 2 };
-        let mut outputs: Vec<Vec<bool>> = vec![Vec::new(); self.chains.len()];
-        for t in 0..2 * len {
-            for (c, &si) in self.scan_in.iter().enumerate() {
-                state[si.index()] = seq(c, t);
-            }
-            // Combinational settle.
-            let mut vals = state.clone();
-            for &id in lv.order() {
-                let g = nl.gate(id);
-                if matches!(g.kind, GateKind::Input | GateKind::Dff) {
-                    continue;
-                }
-                let ins: Vec<bool> = g.fanins.iter().map(|&f| vals[f.index()]).collect();
-                vals[id.index()] = g.kind.eval_bool(&ins);
-            }
-            for (c, &so) in self.scan_out.iter().enumerate() {
-                outputs[c].push(vals[so.index()]);
-            }
-            // Clock.
-            for &ff in nl.dffs() {
-                let d = nl.gate(ff).fanins[0];
-                state[ff.index()] = vals[d.index()];
-            }
+        // The tape compiles acyclic netlists only.
+        if Levelization::compute(nl).is_err() {
+            return false;
         }
-        // After `chain_len` cycles of latency, the input sequence appears
-        // at the output. The scan-out is combinational from the last flop,
-        // so output at time t equals input at time t - chain_len.
-        for (c, chain) in self.chains.iter().enumerate() {
-            let lat = chain.len();
-            for (t, &bit) in outputs[c].iter().enumerate().take(2 * len).skip(lat) {
-                if bit != seq(c, t - lat) {
+        let sim = TapeKernel::compile(nl);
+        let mut inputs = vec![false; nl.num_inputs()];
+        inputs[index_of(nl.inputs(), self.scan_enable)] = true;
+        let mut state = vec![false; nl.num_dffs()];
+        // Shift in a pseudo-random but per-chain-distinct sequence.
+        let seq = |c: usize, t: usize| -> bool { ((t * 7 + c * 3 + 1) % 5) < 2 };
+        for t in 0..2 * self.shift_cycles() {
+            for (c, &si) in self.scan_in.iter().enumerate() {
+                inputs[index_of(nl.inputs(), si)] = seq(c, t);
+            }
+            let outputs = sim.clock(&inputs, &mut state, None);
+            // The scan-out is combinational from the last flop, so the
+            // bit out at time t went in at t - chain length.
+            for (c, (chain, &so)) in self.chains.iter().zip(&self.scan_out).enumerate() {
+                if t >= chain.len()
+                    && outputs[index_of(nl.outputs(), so)] != seq(c, t - chain.len())
+                {
                     return false;
                 }
             }
         }
         true
     }
+}
+
+/// The index of `id` in `ids`, a netlist's input, output or flop list.
+fn index_of(ids: &[GateId], id: GateId) -> usize {
+    ids.iter().position(|&g| g == id).expect("scan pin")
 }
 
 /// Inserts full scan into a copy of `nl`.
@@ -223,35 +211,28 @@ mod tests {
         let nl = counter(4);
         let scan = insert_scan(&nl, &ScanConfig { num_chains: 1 });
         let snl = &scan.netlist;
-        let lv = Levelization::compute(snl).unwrap();
+        let sim = TapeKernel::compile(snl);
         let en = snl.find("en").unwrap();
-        let q: Vec<GateId> = (0..4)
-            .map(|i| snl.find(&format!("q{i}")).unwrap())
-            .collect();
-        let mut state = vec![false; snl.num_gates()];
-        state[en.index()] = true;
+        let inputs: Vec<bool> = snl.inputs().iter().map(|&g| g == en).collect();
+        let mut state = vec![false; snl.num_dffs()];
         for clock in 0..20u64 {
-            let mut vals = state.clone();
-            for &id in lv.order() {
-                let g = snl.gate(id);
-                if matches!(g.kind, GateKind::Input | GateKind::Dff) {
-                    continue;
-                }
-                let ins: Vec<bool> = g.fanins.iter().map(|&f| vals[f.index()]).collect();
-                vals[id.index()] = g.kind.eval_bool(&ins);
-            }
-            let count: u64 = q
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (state[g.index()] as u64) << i)
-                .sum();
+            // Outputs qo0..qo3 show the count, so0 comes after them.
+            let outputs = sim.clock(&inputs, &mut state, None);
+            let count: u64 = (0..4).map(|i| (outputs[i] as u64) << i).sum();
             assert_eq!(count, clock % 16);
-            for &ff in snl.dffs() {
-                let d = snl.gate(ff).fanins[0];
-                state[ff.index()] = vals[d.index()];
-            }
-            state[en.index()] = true;
         }
+    }
+
+    #[test]
+    fn combinational_loop_fails_verification() {
+        // Closing a loop through a scan mux: verification says no rather
+        // than panicking in the tape compiler.
+        let mut scan = insert_scan(&counter(4), &ScanConfig { num_chains: 1 });
+        let mux = scan.netlist.gate(scan.chains[0][0]).fanins[0];
+        let d_func = scan.netlist.gate(mux).fanins[1];
+        scan.netlist.rewire_fanin(d_func, 0, mux);
+        assert!(Levelization::compute(&scan.netlist).is_err());
+        assert!(!scan.verify_chains());
     }
 
     #[test]

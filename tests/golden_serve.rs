@@ -91,9 +91,11 @@ fn golden_fleet_summary() {
     );
 }
 
-/// Length and FNV-1a of the journal file the golden fleet writes on one
-/// client, checkpointing every 4 dies: five records, the last one
-/// empty, each die in exactly one of them.
+/// Length and `fnv1a` hash of the journal file the golden fleet writes
+/// on one client, checkpointing every 4 dies: five records, the last one
+/// empty, each die in exactly one of them. `fnv1a` is FNV-1a in form
+/// with the multiplier `0x1000_0000_01B3`, not the FNV-64 prime, so this
+/// is not a standard FNV-1a value.
 const GOLDEN_JOURNAL: (usize, u64) = (1203, 0x8856cb4964beeccc);
 
 /// At one client the dies finish in id order, so the journal is a pure
