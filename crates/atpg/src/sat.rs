@@ -3,11 +3,13 @@
 //!
 //! Two watched literals with blocking literals, first-UIP learning with
 //! local minimisation, VSIDS decisions, Luby restarts and phase saving.
-//! Learned clauses are never deleted: a solver lives for one query, and
-//! its conflict budget bounds how many it learns. Clauses live in one
-//! flat arena. Everything is deterministic: the decision heap breaks
-//! activity ties by variable index, nothing is random, and the budget
-//! counts conflicts, not time.
+//! Learned clauses are never deleted: a solver answers one query at a
+//! time, and its conflict budget bounds how many it learns. Clauses live
+//! in one flat arena. [`Solver::reset`] empties the solver for the next
+//! query but keeps its memory, so a search never sees a learned clause,
+//! an activity or a saved phase of an earlier one. Everything is
+//! deterministic: the decision heap breaks activity ties by variable
+//! index, nothing is random, and the budget counts conflicts, not time.
 
 use dft_checkpoint::CancelToken;
 
@@ -69,12 +71,15 @@ struct Watch {
     blocker: Lit,
 }
 
-/// One SAT query's solver state.
+/// A SAT solver's state: one query's clauses and search, in buffers
+/// that [`Solver::reset`] keeps for the next query.
 #[derive(Debug, Default)]
 pub(crate) struct Solver {
     /// Clause arena: a length word, then that many literals.
     arena: Vec<u32>,
     /// Per literal: the clauses watching it, visited when it turns false.
+    /// Lists past the current variables are an earlier query's, kept for
+    /// their capacity and emptied when [`Solver::new_var`] reuses them.
     watches: Vec<Vec<Watch>>,
     /// Per literal: `TRUE`, `FALSE` or `UNDEF`.
     values: Vec<i8>,
@@ -93,6 +98,10 @@ pub(crate) struct Solver {
     seen: Vec<bool>,
     /// Scratch for [`Solver::add_clause`].
     scratch: Vec<Lit>,
+    /// Scratch for [`Solver::analyze`]: the learned clause, and which
+    /// of its literals minimisation keeps.
+    learnt: Vec<Lit>,
+    keep: Vec<bool>,
     /// An empty clause was added or derived at level 0.
     unsat: bool,
     conflicts: u64,
@@ -106,11 +115,38 @@ impl Solver {
         }
     }
 
+    /// Empties the solver for a new query: no variable, clause, learned
+    /// clause, activity or saved phase survives, but every buffer keeps
+    /// its capacity.
+    pub(crate) fn reset(&mut self) {
+        self.arena.clear();
+        self.values.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.heap.clear();
+        self.heap_slot.clear();
+        self.phase.clear();
+        self.seen.clear();
+        self.unsat = false;
+        self.conflicts = 0;
+    }
+
     /// Adds a fresh variable and returns it.
     pub(crate) fn new_var(&mut self) -> u32 {
         let v = self.level.len() as u32;
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        let pos = Lit::pos(v).idx();
+        if pos < self.watches.len() {
+            self.watches[pos].clear();
+            self.watches[pos + 1].clear();
+        } else {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+        }
         self.values.extend([UNDEF, UNDEF]);
         self.level.push(0);
         self.reason.push(NO_REASON);
@@ -257,11 +293,13 @@ impl Solver {
         None
     }
 
-    /// First-UIP conflict analysis: returns the learned clause (its
-    /// asserting literal first, a literal of the backjump level second)
-    /// and the backjump level.
-    fn analyze(&mut self, mut conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learnt = vec![Lit(0)];
+    /// First-UIP conflict analysis: leaves the learned clause in
+    /// `self.learnt` (its asserting literal first, a literal of the
+    /// backjump level second) and returns the backjump level.
+    fn analyze(&mut self, mut conflict: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit(0));
         let mut pending = 0;
         let mut index = self.trail.len();
         let mut implied: Option<Lit> = None;
@@ -300,19 +338,17 @@ impl Solver {
         }
         // Local minimisation: drop a literal whose reason's other
         // literals are all in the clause already (or fixed at level 0).
-        let keep: Vec<bool> = learnt
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| {
-                let r = self.reason[q.var()];
-                i == 0
-                    || r == NO_REASON
-                    || self.clause(r)[1..].iter().any(|&l| {
-                        let v = Lit(l).var();
-                        !self.seen[v] && self.level[v] > 0
-                    })
-            })
-            .collect();
+        let mut keep = std::mem::take(&mut self.keep);
+        keep.clear();
+        keep.extend(learnt.iter().enumerate().map(|(i, &q)| {
+            let r = self.reason[q.var()];
+            i == 0
+                || r == NO_REASON
+                || self.clause(r)[1..].iter().any(|&l| {
+                    let v = Lit(l).var();
+                    !self.seen[v] && self.level[v] > 0
+                })
+        }));
         for q in &learnt[1..] {
             self.seen[q.var()] = false;
         }
@@ -333,7 +369,9 @@ impl Solver {
             learnt.swap(1, deepest);
             back = self.level[learnt[1].var()];
         }
-        (learnt, back)
+        self.learnt = learnt;
+        self.keep = keep;
+        back
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -358,7 +396,7 @@ impl Solver {
     }
 
     /// Solves the clauses added so far within `max_conflicts` conflicts,
-    /// giving up early once `cancel` fires. Call once per solver.
+    /// giving up early once `cancel` fires. Call once per query.
     pub(crate) fn solve(&mut self, max_conflicts: u64, cancel: &CancelToken) -> Outcome {
         if self.unsat || self.propagate().is_some() {
             return Outcome::Unsat;
@@ -374,14 +412,16 @@ impl Solver {
                 if self.decision_level() == 0 {
                     return Outcome::Unsat;
                 }
-                let (learnt, back) = self.analyze(conflict);
+                let back = self.analyze(conflict);
                 self.cancel_until(back);
+                let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
                     self.assign(learnt[0], NO_REASON);
                 } else {
                     let at = self.attach(&learnt);
                     self.assign(learnt[0], at);
                 }
+                self.learnt = learnt;
                 self.var_inc /= 0.95;
                 if self.conflicts >= max_conflicts {
                     return Outcome::Unknown;
@@ -576,6 +616,43 @@ mod tests {
             assert_ne!(out, Outcome::Unknown);
             if out == Outcome::Sat {
                 assert!(satisfied(&s, &clauses), "model violates {clauses:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reset_solver_searches_as_a_fresh_one() {
+        // Random 3-SAT near the threshold, so searches learn clauses,
+        // bump activities and save phases that a reset must forget.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut reused = Solver::new();
+        for round in 0..200 {
+            let vars = rng.gen_range(8..=40u32);
+            let n = (vars as f64 * 4.3) as usize;
+            let clauses: Vec<Vec<Lit>> = (0..n)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| Lit::of(rng.gen_range(0..vars), rng.gen_bool(0.5)))
+                        .collect()
+                })
+                .collect();
+            let budget = if round % 7 == 0 { 3 } else { u64::MAX };
+            let mut fresh = Solver::new();
+            reused.reset();
+            for s in [&mut fresh, &mut reused] {
+                for _ in 0..vars {
+                    s.new_var();
+                }
+                for c in &clauses {
+                    s.add_clause(c);
+                }
+            }
+            let out = fresh.solve(budget, &CancelToken::new());
+            assert_eq!(reused.solve(budget, &CancelToken::new()), out);
+            assert_eq!(reused.conflicts(), fresh.conflicts());
+            let model = |s: &Solver| (0..vars).map(|v| s.model(Lit::pos(v))).collect::<Vec<_>>();
+            if out == Outcome::Sat {
+                assert_eq!(model(&reused), model(&fresh));
             }
         }
     }

@@ -263,7 +263,7 @@ proptest! {
         }
         let faults = universe_stuck_at(&nl);
         let detecting = sim.detection_matrix(&all, &faults);
-        let sat = SatAtpg::new(&nl);
+        let mut sat = SatAtpg::new(&nl);
         let mut podem = Podem::new(&nl);
         for (&fault, pats) in faults.iter().zip(&detecting) {
             match sat.generate(fault, &[], SAT_CONFLICT_BUDGET).0 {
