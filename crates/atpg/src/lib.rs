@@ -6,7 +6,9 @@
 //! driver (random-pattern phase, deterministic top-off with optional
 //! dynamic cube extension, then reverse-order compaction) for stuck-at
 //! faults or broadside transition faults, which PODEM and SAT search on a
-//! two-frame circuit expansion.
+//! two-frame circuit expansion. A durable run journals its resume points
+//! as `aidft-ckpt-v3` checkpoints ([`CkptState`]), whose codec lives here
+//! beside the driver that writes and reads them.
 //!
 //! # Example
 //!
@@ -24,6 +26,7 @@
 
 mod compact;
 mod driver;
+mod journal;
 mod miter;
 mod podem;
 mod sat;
@@ -33,7 +36,9 @@ mod twoframe;
 pub use compact::reverse_order_compaction;
 pub use driver::{
     Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CompactionMode, Durability, FaultModel,
+    TopoffTally,
 };
+pub use journal::{CkptPhase, CkptState, CKPT_FORMAT};
 pub use miter::{SatAtpg, SAT_CONFLICT_BUDGET};
 pub use podem::{AtpgResult, Podem, PodemStats};
 pub use twoframe::{expand_two_frames, TwoFrame};

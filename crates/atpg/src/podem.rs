@@ -59,29 +59,6 @@ impl std::ops::AddAssign for PodemStats {
 }
 
 impl PodemStats {
-    /// The counters as a checkpoint stores them:
-    /// `[backtracks, simulations, decisions, gate_evals]`.
-    pub(crate) fn to_array(self) -> [u64; 4] {
-        [
-            self.backtracks.into(),
-            self.simulations.into(),
-            self.decisions.into(),
-            self.gate_evals,
-        ]
-    }
-
-    /// The inverse of [`PodemStats::to_array`] on a parsed checkpoint,
-    /// which holds the first three counters below `2^32`.
-    pub(crate) fn from_array(a: [u64; 4]) -> PodemStats {
-        let counter = |v: u64| u32::try_from(v).expect("a parsed checkpoint bounds it to u32");
-        PodemStats {
-            backtracks: counter(a[0]),
-            simulations: counter(a[1]),
-            decisions: counter(a[2]),
-            gate_evals: a[3],
-        }
-    }
-
     /// Adds one search's counters and outcome to `metrics`. Every PODEM
     /// call is recorded here: [`Podem::generate_constrained`] right after
     /// its search, the ATPG driver's top-off only when it commits the

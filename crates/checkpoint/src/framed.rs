@@ -9,10 +9,11 @@
 //! with the multiplier `0x1000_0000_01B3`, not the FNV-64 prime. This
 //! module owns the framing and the storage — torn-tail realignment,
 //! replicas, disk chaos, and recovery across replicas — while each
-//! producer owns its body codec (`CkptState::to_body`/`parse_body`, the
-//! fleet state's, the event lines) and hands a body parser to a load so
-//! a record counts only when its framing *and* its body check out: the
-//! ATPG checkpoint resumes from the newest such record
+//! producer owns its body codec (the ATPG checkpoint state's in
+//! `dft-atpg`, the fleet state's in `dft-serve`, the event lines in
+//! `dft-telemetry`) and hands a body parser to a load so a record counts
+//! only when its framing *and* its body check out: the ATPG checkpoint
+//! resumes from the newest such record
 //! ([`FramedJournal::load_last_parsed`]), the fleet journal from all of
 //! them ([`FramedJournal::load_all_replicas_parsed`]).
 
@@ -303,16 +304,6 @@ impl FramedJournal {
         }))
     }
 
-    /// Loads the newest complete, checksum-valid record as
-    /// `(seq, body)`. Torn tails and corrupt records are skipped, and
-    /// with replicas configured the newest intact record *anywhere*
-    /// wins; only a journal with *no* valid record on any replica is
-    /// an error.
-    pub fn load_last(&self) -> Result<(u64, String), CkptError> {
-        self.load_last_parsed(|body| Some(body.to_owned()))
-            .map(|(rec, _)| rec)
-    }
-
     /// The scan every replica load shares: each readable replica,
     /// primary first, is split into record regions whose framing is
     /// checked newest-first. `visit(replica, seq, body)` sees each
@@ -432,6 +423,7 @@ impl FramedJournal {
     fn no_valid_record(&self) -> CkptError {
         CkptError::NoValidRecord {
             path: self.path.display().to_string(),
+            format: self.format,
         }
     }
 }
@@ -447,6 +439,12 @@ pub(crate) fn tearing(j: &FramedJournal) -> FramedJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The newest intact record as `(seq, body)`, any body accepted.
+    fn newest(j: &FramedJournal) -> Result<(u64, String), CkptError> {
+        j.load_last_parsed(|body| Some(body.to_owned()))
+            .map(|(record, _)| record)
+    }
 
     fn temp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("aidft-framed-test-{}", std::process::id()));
@@ -474,10 +472,10 @@ mod tests {
         let j = FramedJournal::new(temp("framed.ckpt"), "test-v1");
         j.append(0, "state a\n").unwrap();
         assert!(tearing(&j).append(1, "state b\n").is_err());
-        assert_eq!(j.load_last().unwrap(), (0, "state a\n".to_owned()));
+        assert_eq!(newest(&j).unwrap(), (0, "state a\n".to_owned()));
         // Realignment keeps the next record loadable.
         j.append(2, "state c\n").unwrap();
-        assert_eq!(j.load_last().unwrap(), (2, "state c\n".to_owned()));
+        assert_eq!(newest(&j).unwrap(), (2, "state c\n".to_owned()));
         std::fs::remove_file(j.path()).unwrap();
     }
 
@@ -497,8 +495,8 @@ mod tests {
                 (3, "c\n".to_owned()),
             ]
         );
-        // load_last still sees only the newest; load_all agrees on it.
-        assert_eq!(j.load_last().unwrap(), all.last().unwrap().clone());
+        // The newest record is load_all's last.
+        assert_eq!(newest(&j).unwrap(), all.last().unwrap().clone());
         std::fs::remove_file(j.path()).unwrap();
     }
 
@@ -520,12 +518,12 @@ mod tests {
 
         // Even a *deleted* primary is survivable.
         std::fs::remove_file(j.path()).unwrap();
-        assert_eq!(j.load_last().unwrap(), (1, "state b\n".to_owned()));
+        assert_eq!(newest(&j).unwrap(), (1, "state b\n".to_owned()));
         assert_eq!(j.load_all().unwrap().len(), 2);
 
         // But losing every replica is a clean Io error.
         std::fs::remove_file(&r1).unwrap();
-        assert!(matches!(j.load_last(), Err(CkptError::Io { .. })));
+        assert!(matches!(newest(&j), Err(CkptError::Io { .. })));
         let _ = std::fs::remove_file(crate::scrub::scrub_path(j.path()));
     }
 
@@ -552,10 +550,7 @@ mod tests {
         // bitrot=1.0 rots *every* replica: the append reports success
         // (silent corruption) but nothing intact survives.
         j.append(0, "state a\n").unwrap();
-        assert!(matches!(
-            j.load_last(),
-            Err(CkptError::NoValidRecord { .. })
-        ));
+        assert!(matches!(newest(&j), Err(CkptError::NoValidRecord { .. })));
 
         // At a partial probability the replicas draw independently;
         // scan seeds until exactly one replica is rotted, then prove

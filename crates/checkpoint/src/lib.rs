@@ -14,20 +14,16 @@
 //! * [`FramedJournal`] — the one journal type: append-only, framed and
 //!   checksummed records, optionally replicated, so a process killed
 //!   mid-write leaves the previous record intact and a load always
-//!   recovers the newest *complete* one. Each producer owns its body
-//!   codec: [`CkptState`] is the `aidft-ckpt-v3` ATPG checkpoint body
-//!   ([`CkptState::to_body`]/[`CkptState::parse_body`]), and the serve
-//!   fleet and telemetry journals bring their own.
+//!   recovers the newest *complete* one. The body between a record's
+//!   header and trailer is opaque text here: each producer owns its
+//!   codec (`dft-atpg` the `aidft-ckpt-v3` checkpoint, `dft-serve` the
+//!   `aidft-serve-v3` fleet journal, `dft-telemetry` the
+//!   `aidft-telemetry-v1` event stream).
 //! * [`ChaosConfig`] — the `AIDFT_CHAOS` fault-injection harness:
 //!   seeded, deterministic decisions to panic a worker batch, delay a
 //!   batch, tear or rot a journal write, or skip the deadline clock
 //!   forward. The chaos test suite uses it to prove kill-at-any-point →
 //!   resume → identical-output.
-//!
-//! The serialized state model ([`CkptState`]) is plain data (strings,
-//! integers, bit vectors) so this crate stays at the bottom of the
-//! dependency graph; the ATPG driver converts its working state to and
-//! from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +40,4 @@ pub use cancel::CancelToken;
 pub use chaos::{ChaosConfig, ChaosSite};
 pub use framed::{frame_record, parse_framed, replica_path, FramedJournal, RecoveryReport};
 pub use io_chaos::{decide as decide_disk_fault, disk_ordinal, ChaosWriter, DiskFault};
-pub use journal::{
-    fnv1a, verify_identity, CkptError, CkptPhase, CkptSection, CkptState, CkptStatus, CKPT_FORMAT,
-};
+pub use journal::{fnv1a, verify_identity, CkptError};

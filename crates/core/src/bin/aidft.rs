@@ -122,11 +122,9 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use dft_core::atpg::{Atpg, AtpgConfig, Durability};
+use dft_core::atpg::{Atpg, AtpgConfig, CkptState, Durability, CKPT_FORMAT};
 use dft_core::bist::LogicBist;
-use dft_core::checkpoint::{
-    fsck, CancelToken, ChaosConfig, CkptError, CkptState, FramedJournal, CKPT_FORMAT,
-};
+use dft_core::checkpoint::{fsck, CancelToken, ChaosConfig, CkptError, FramedJournal};
 use dft_core::diagnosis::{diagnose, FailureLog};
 use dft_core::logicsim::PatternSet;
 use dft_core::metrics::MetricsHandle;
@@ -135,10 +133,10 @@ use dft_core::netlist::{
     kind_histogram, load_bench, write_bench, Netlist, NetlistError, NetlistStats,
 };
 use dft_core::progress::{self, Dashboard, ProgressLine};
-use dft_core::serve::{run_fleet, BackoffPolicy, ServeConfig, ServeError, ServeOpts, SERVE_FORMAT};
+use dft_core::serve::{run_fleet, BackoffPolicy, ServeConfig, ServeOpts, SERVE_FORMAT};
 use dft_core::telemetry::{self, TelemetryConfig, TelemetrySession};
 use dft_core::trace::{TraceConfig, TraceHandle, TraceSession};
-use dft_core::{DftError, DftFlow, PartialResult};
+use dft_core::{DftError, DftFlow};
 
 /// Set by the `SIGINT`/`SIGTERM` handler; a watcher thread converts it
 /// into a [`CancelToken`] fire so the engines drain cooperatively.
@@ -333,7 +331,7 @@ fn main() -> ExitCode {
                 .with_metrics(handle.clone())
                 .with_trace(trace.clone())
                 .run_durable(&cfg, &mut dur)
-                .map_err(|e| DftError::atpg(nl.name(), e));
+                .map_err(|e| DftError::atpg(format!("atpg {}", nl.name()), e));
             progress.finish();
             let run = run?;
             say!(
@@ -530,7 +528,7 @@ fn main() -> ExitCode {
                     fin.final_sample.window_p99_us
                 );
             }
-            let report = report.map_err(|e| lift_serve_error(nl.name(), e))?;
+            let report = report.map_err(|e| DftError::serve(nl.name(), e))?;
             if report.resumed_dies > 0 {
                 say!(
                     out,
@@ -576,12 +574,10 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("aidft: {e}");
-            if let DftError::Interrupted {
-                checkpoint: Some(path),
-                ..
-            } = &e
-            {
-                eprintln!("aidft: checkpoint written to {}", path.display());
+            if let DftError::Interrupted { progress, .. } = &e {
+                if let Some(path) = progress.checkpoint() {
+                    eprintln!("aidft: checkpoint written to {}", path.display());
+                }
             }
             ExitCode::from(match e {
                 DftError::Usage(_) => 2,
@@ -591,32 +587,6 @@ fn main() -> ExitCode {
                 _ => 1,
             })
         }
-    }
-}
-
-/// Lifts a serve-layer fleet error into the CLI error type. An
-/// interrupted fleet maps onto the standard interrupt shape (exit 3,
-/// checkpoint path printed) with dies standing in for faults.
-fn lift_serve_error(design: &str, e: ServeError) -> DftError {
-    match e {
-        ServeError::Interrupted {
-            checkpoint,
-            done,
-            dies,
-        } => DftError::Interrupted {
-            checkpoint,
-            partial: Box::new(PartialResult {
-                design: design.to_owned(),
-                phase: "serve",
-                patterns: done,
-                detected: done,
-                total_faults: dies,
-                deadline: false,
-            }),
-        },
-        ServeError::Checkpoint(e) => DftError::Checkpoint(e),
-        ServeError::Io(e) => DftError::io(format!("serve {design}"), e),
-        ServeError::Client(msg) => DftError::die_client(format!("serve {design}"), msg),
     }
 }
 

@@ -74,7 +74,7 @@ pub use dft_telemetry as telemetry;
 mod error;
 pub mod progress;
 
-pub use error::{DftError, PartialResult};
+pub use error::{DftError, Progress};
 
 use dft_atpg::{Atpg, AtpgConfig, Durability};
 use dft_compress::{CompressionStats, ScanEdt};
@@ -202,8 +202,8 @@ impl<'a> DftFlow<'a> {
     /// [`Durability::default`].
     ///
     /// On interruption the ATPG engine writes a final checkpoint and
-    /// this returns [`DftError::Interrupted`] carrying the journal path
-    /// and a [`PartialResult`] progress summary; a stale or mismatched
+    /// this returns [`DftError::Interrupted`] carrying the ATPG
+    /// engine's [`Progress`], journal path included; a stale or mismatched
     /// resume state returns [`DftError::Checkpoint`]. EDT compression
     /// also polls the token — cubes skipped by a late cancel are counted
     /// in [`CompressionStats::skipped`] rather than failing the run,
@@ -231,7 +231,7 @@ impl<'a> DftFlow<'a> {
             .with_trace(self.trace.clone());
         let run = atpg
             .run_durable(&atpg_cfg, dur)
-            .map_err(|e| DftError::atpg(&design, e))?;
+            .map_err(|e| DftError::atpg(format!("flow {design}"), e))?;
         let timing = TestTimeModel::for_architecture(&scan, run.patterns.len(), self.shift_mhz);
         let t_compress = self.trace.phase_span("compression");
         let compression = if self.nl.num_dffs() > 0 && !run.cubes.is_empty() {

@@ -8,6 +8,8 @@ use std::fmt;
 pub enum NetlistError {
     /// A gate was created with the wrong number of fanins for its kind.
     BadArity {
+        /// The net the gate drives.
+        net: String,
         /// The offending gate kind name.
         kind: &'static str,
         /// Fanins the kind requires.
@@ -50,10 +52,14 @@ impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetlistError::BadArity {
+                net,
                 kind,
                 expected,
                 got,
-            } => write!(f, "gate kind {kind} requires {expected} fanins, got {got}"),
+            } => write!(
+                f,
+                "gate `{net}`: kind {kind} requires {expected} fanins, got {got}"
+            ),
             NetlistError::DuplicateName(n) => write!(f, "duplicate net name `{n}`"),
             NetlistError::UndefinedNet(n) => write!(f, "undefined net `{n}`"),
             NetlistError::CombinationalLoop(n) => {
@@ -79,11 +85,12 @@ mod tests {
     #[test]
     fn display_messages_are_lowercase_and_informative() {
         let e = NetlistError::BadArity {
+            net: "y".into(),
             kind: "NOT",
             expected: 1,
             got: 2,
         };
-        assert_eq!(e.to_string(), "gate kind NOT requires 1 fanins, got 2");
+        assert_eq!(e.to_string(), "gate `y`: kind NOT requires 1 fanins, got 2");
         let e = NetlistError::Parse {
             line: 3,
             message: "missing `=`".into(),

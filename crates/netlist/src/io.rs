@@ -156,6 +156,7 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, NetlistError> {
         if let Def::Gate(GateKind::Dff, args) = def {
             if args.len() != 1 {
                 return Err(NetlistError::BadArity {
+                    net: net.clone(),
                     kind: "DFF",
                     expected: 1,
                     got: args.len(),
@@ -346,14 +347,15 @@ G23 = NAND(G16, G19)
     fn wrong_fanin_count_is_bad_arity() {
         let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n";
         let err = parse_bench("bad", text).unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
             NetlistError::BadArity {
+                net: "y".into(),
                 kind: "NOT",
                 expected: 1,
                 got: 2
             }
-        ));
+        );
     }
 
     #[test]

@@ -204,6 +204,7 @@ impl Netlist {
         match kind.arity() {
             Some(n) if fanins.len() != n => {
                 return Err(NetlistError::BadArity {
+                    net: name.to_owned(),
                     kind: kind.bench_name(),
                     expected: n,
                     got: fanins.len(),
@@ -211,6 +212,7 @@ impl Netlist {
             }
             None if fanins.is_empty() => {
                 return Err(NetlistError::BadArity {
+                    net: name.to_owned(),
                     kind: kind.bench_name(),
                     expected: 1,
                     got: 0,

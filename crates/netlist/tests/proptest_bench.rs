@@ -145,7 +145,12 @@ proptest! {
                 let got = fanins.len();
                 prop_assert_eq!(
                     parse_bench("bad", &redefine(&nl, &text, g, &fanins)).err(),
-                    Some(NetlistError::BadArity { kind: kind.bench_name(), expected, got })
+                    Some(NetlistError::BadArity {
+                        net: name.clone(),
+                        kind: kind.bench_name(),
+                        expected,
+                        got,
+                    })
                 );
             }
             2 => {

@@ -20,6 +20,14 @@ use dft_trace::TraceHandle;
 
 use crate::frame::{encode_window, FrameError, Stimulus};
 
+/// Scan chains the broadcast's design is cut into for EDT.
+const CHAINS: usize = 4;
+/// EDT channels of the broadcast.
+const CHANNELS: usize = 2;
+/// Bad cores a failing die may have disabled and still ship degraded:
+/// the harvesting floor `plan_degradation` screens against.
+pub(crate) const MAX_BAD_CORES: usize = 2;
+
 /// Everything that parameterizes one fleet run. Execution knobs
 /// (`client_threads`, `checkpoint_every`) do not enter the
 /// [`fingerprint`](ServeConfig::fingerprint), so a resumed run may use
@@ -36,16 +44,8 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Fraction of dies seeded with a defect (deterministic per die).
     pub defect_rate: f64,
-    /// Scan chains inserted for EDT.
-    pub chains: usize,
-    /// EDT channel count.
-    pub channels: usize,
-    /// EDT ring length; 0 derives `shift_cycles().clamp(8, 32)`.
-    pub ring_len: usize,
     /// Client worker threads driving die sessions.
     pub client_threads: usize,
-    /// Harvesting floor forwarded to `plan_degradation`.
-    pub max_bad_cores: usize,
     /// Checkpoint cadence: journal the fleet state every N finished
     /// dies.
     pub checkpoint_every: usize,
@@ -66,8 +66,6 @@ pub struct ServeConfig {
     /// uploader before the idle-session reaper closes it.
     /// Liveness-only: excluded from the fingerprint.
     pub max_heartbeats: u32,
-    /// SoC geometry for the harvest path.
-    pub soc: dft_aichip::SocConfig,
 }
 
 impl Default for ServeConfig {
@@ -78,17 +76,12 @@ impl Default for ServeConfig {
             random_patterns: 48,
             seed: 0xD1E5,
             defect_rate: 0.25,
-            chains: 4,
-            channels: 2,
-            ring_len: 0,
             client_threads: 1,
-            max_bad_cores: 2,
             checkpoint_every: 4,
             max_reconnects: 32,
             backoff_base_ms: 1,
             io_timeout_ms: 5000,
             max_heartbeats: 16,
-            soc: dft_aichip::SocConfig::default(),
         }
     }
 }
@@ -100,21 +93,22 @@ impl ServeConfig {
     /// deadline, heartbeat tolerance) are excluded so a resume may cross
     /// any of them. The
     /// reconnect budget `max_reconnects` decides quarantine verdicts,
-    /// so it is included.
+    /// so it is included. So is the fixed geometry (4 scan chains, 2 EDT
+    /// channels, the derived ring length as `ring=0`, a harvesting floor
+    /// of 2 bad cores and the default SoC's 16 cores), spelled as when
+    /// it was configurable, so every journal written then still
+    /// resumes.
     pub fn fingerprint(&self, design: &str) -> u64 {
         let canon = format!(
             "serve design={design} dies={} window={} random={} seed={} defect={:x} \
-             chains={} channels={} ring={} maxbad={} cores={} reconnects={}",
+             chains={CHAINS} channels={CHANNELS} ring=0 maxbad={MAX_BAD_CORES} cores={} \
+             reconnects={}",
             self.dies,
             self.window_patterns,
             self.random_patterns,
             self.seed,
             self.defect_rate.to_bits(),
-            self.chains,
-            self.channels,
-            self.ring_len,
-            self.max_bad_cores,
-            self.soc.num_cores,
+            dft_aichip::SocConfig::default().num_cores,
             self.max_reconnects,
         );
         fnv1a(canon.as_bytes())
@@ -133,8 +127,6 @@ impl ServeConfig {
 pub struct ServedStimulus<'nl> {
     nl: &'nl Netlist,
     scan: Option<ScanInsertion>,
-    channels: usize,
-    ring_len: usize,
     /// Wire form: `windows[w]` is the stimulus list of window `w`.
     pub windows: Vec<Vec<Stimulus>>,
     /// Each window's `Frame::Window` wire bytes, encoded once for the
@@ -169,12 +161,7 @@ impl<'nl> ServedStimulus<'nl> {
     ) -> ServedStimulus<'nl> {
         let _t = trace.phase_span("serve_build");
         let scannable = nl.num_dffs() > 0;
-        let scan = scannable.then(|| insert_scan(nl, &ScanConfig::new().num_chains(cfg.chains)));
-        let ring_len = match (cfg.ring_len, &scan) {
-            (0, Some(s)) => s.shift_cycles().clamp(8, 32),
-            (0, None) => 8,
-            (r, _) => r,
-        };
+        let scan = scannable.then(|| insert_scan(nl, &ScanConfig::new().num_chains(CHAINS)));
 
         // The broadcast is the regenerated random prefix plus `run.cubes`,
         // not `run.patterns`, so compacting the set would only cost time
@@ -197,9 +184,7 @@ impl<'nl> ServedStimulus<'nl> {
             patterns.push(p.clone());
             edt_flat += 1;
         }
-        let edt = scan
-            .as_ref()
-            .map(|s| ScanEdt::new(nl, s, cfg.channels, ring_len, 0xED7));
+        let edt = scan.as_ref().map(|s| scan_edt(nl, s));
         let num_pi = nl.num_inputs();
         for (i, cube) in run.cubes.iter().enumerate() {
             let fill = cube.random_fill(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
@@ -247,8 +232,6 @@ impl<'nl> ServedStimulus<'nl> {
         ServedStimulus {
             nl,
             scan,
-            channels: cfg.channels,
-            ring_len,
             windows,
             window_frames,
             pattern_width: patterns.width(),
@@ -276,14 +259,17 @@ impl<'nl> ServedStimulus<'nl> {
     /// EDT binding).
     pub fn decoder(&self) -> StimulusDecoder<'_> {
         StimulusDecoder {
-            edt: self
-                .scan
-                .as_ref()
-                .map(|s| ScanEdt::new(self.nl, s, self.channels, self.ring_len, 0xED7)),
+            edt: self.scan.as_ref().map(|s| scan_edt(self.nl, s)),
             num_pi: self.nl.num_inputs(),
             width: self.pattern_width,
         }
     }
+}
+
+/// The broadcast's EDT codec on `scan`: [`CHANNELS`] channels and a
+/// ring generator of the scan's shift length, clamped to 8..=32 bits.
+fn scan_edt<'a>(nl: &'a Netlist, scan: &'a ScanInsertion) -> ScanEdt<'a> {
+    ScanEdt::new(nl, scan, CHANNELS, scan.shift_cycles().clamp(8, 32), 0xED7)
 }
 
 /// Turns wire [`Stimulus`] values back into full simulation patterns —

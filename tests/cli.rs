@@ -3,8 +3,8 @@
 //! `serve` count is a usage error (exit 2) that names the argument, a
 //! design that cannot be read or parsed exits 1 naming its path once,
 //! `diagnose` runs on its documented usage, chaos-injected worker panics
-//! are counted without a panic report, and the repair demo runs its core
-//! ATPG once.
+//! are counted without a panic report, an interrupt names the command it
+//! stopped, and the repair demo runs its core ATPG once.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -177,6 +177,35 @@ fn chaos_worker_panics_are_counted_without_a_panic_report() {
         );
         assert!(!err.contains("panicked at"), "--threads {threads}: {err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A minute-long phase deadline that a ten-minute chaos clock skip at
+/// the first checkpoint write overruns: exit 3, and the message names
+/// `atpg`, not the flow.
+#[test]
+fn an_interrupt_names_the_command_it_stopped() {
+    let dir = scratch_dir("interrupt");
+    let (d, _) = mac4_design(&dir);
+    let ckpt = dir.join("d.ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_aidft"))
+        .args(["atpg", &d, "--phase-timeout", "60000", "--checkpoint", ckpt])
+        .env("AIDFT_CHAOS", "clock=1.0,clock_ms=600000")
+        .output()
+        .expect("spawn aidft");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(
+        err.starts_with("aidft: atpg mac4 interrupted in topoff phase (phase deadline): "),
+        "{err}"
+    );
+    assert!(
+        err.contains(&format!(
+            "; resume with --resume {ckpt}\naidft: checkpoint written to {ckpt}\n"
+        )),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

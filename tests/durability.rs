@@ -6,18 +6,17 @@
 use std::path::{Path, PathBuf};
 
 use dft_core::atpg::{
-    Atpg, AtpgConfig, AtpgError, AtpgRun, CompactionMode, Durability, FaultModel,
+    Atpg, AtpgConfig, AtpgError, AtpgInterrupt, AtpgRun, CkptPhase, CkptState, CompactionMode,
+    Durability, FaultModel, CKPT_FORMAT,
 };
-use dft_core::checkpoint::{
-    frame_record, CancelToken, ChaosConfig, CkptPhase, CkptState, CkptStatus, FramedJournal,
-    CKPT_FORMAT,
-};
+use dft_core::checkpoint::{frame_record, CancelToken, ChaosConfig, FramedJournal};
+use dft_core::fault::FaultStatus;
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{
     alu, benchmark_suite, decoder, mac_pe, random_logic, systolic_array, SystolicConfig,
 };
 use dft_core::netlist::Netlist;
-use dft_core::{DftError, DftFlow};
+use dft_core::{DftError, DftFlow, Progress};
 
 fn ckpt_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("aidft-durability-{}", std::process::id()));
@@ -95,7 +94,7 @@ fn assert_identical_runs(run: &AtpgRun, reference: &AtpgRun, context: &str) {
 fn stage(state: &CkptState) -> &'static str {
     match state.phase {
         CkptPhase::Init => "random",
-        CkptPhase::Topoff if state.main.statuses.contains(&CkptStatus::Undetected) => "topoff",
+        CkptPhase::Topoff if state.statuses.contains(&FaultStatus::Undetected) => "topoff",
         CkptPhase::Topoff => "compaction",
         CkptPhase::Signoff => "signoff",
     }
@@ -162,11 +161,16 @@ fn kill_and_resume_is_bit_identical_across_designs_and_threads() {
                     .expect_err("trip point fires well before completion");
                 let checkpoint = match err {
                     DftError::Interrupted {
-                        checkpoint: Some(p),
-                        partial,
+                        context: command,
+                        progress:
+                            Progress::Atpg(AtpgInterrupt {
+                                checkpoint: Some(p),
+                                total_faults,
+                                ..
+                            }),
                     } => {
-                        assert_eq!(partial.design, nl.name(), "{context}");
-                        assert!(partial.total_faults > 0, "{context}");
+                        assert_eq!(command, format!("flow {}", nl.name()), "{context}");
+                        assert!(total_faults > 0, "{context}");
                         p
                     }
                     other => panic!("{context}: expected checkpointed interrupt, got {other}"),
@@ -443,10 +447,15 @@ fn flow_phase_deadline_interrupts_and_resumes() {
         .expect_err("skipped deadline fires");
     let checkpoint = match err {
         DftError::Interrupted {
-            checkpoint: Some(p),
-            partial,
+            progress:
+                Progress::Atpg(AtpgInterrupt {
+                    checkpoint: Some(p),
+                    deadline,
+                    ..
+                }),
+            ..
         } => {
-            assert!(partial.deadline, "cause must be the phase deadline");
+            assert!(deadline, "cause must be the phase deadline");
             p
         }
         other => panic!("expected checkpointed interrupt, got {other}"),
@@ -500,7 +509,11 @@ fn chaos_resume_keeps_the_lost_batch_count() {
         let mut dur = dur.with_journal(journal(&path));
         let checkpoint = match DftFlow::new(&nl).threads(2).run_durable(&mut dur) {
             Err(DftError::Interrupted {
-                checkpoint: Some(p),
+                progress:
+                    Progress::Atpg(AtpgInterrupt {
+                        checkpoint: Some(p),
+                        ..
+                    }),
                 ..
             }) => p,
             other => panic!("{context}: expected checkpointed interrupt, got {other:?}"),
@@ -586,7 +599,11 @@ fn resume_refuses_a_foreign_checkpoint() {
         .expect_err("trip fires");
     let checkpoint = match err {
         DftError::Interrupted {
-            checkpoint: Some(p),
+            progress:
+                Progress::Atpg(AtpgInterrupt {
+                    checkpoint: Some(p),
+                    ..
+                }),
             ..
         } => p,
         other => panic!("expected checkpointed interrupt, got {other}"),

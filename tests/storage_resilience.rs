@@ -8,12 +8,11 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use dft_core::checkpoint::{
-    fsck, replica_path, scrub, CancelToken, ChaosConfig, CkptState, FramedJournal, CKPT_FORMAT,
-};
+use dft_core::atpg::{AtpgInterrupt, CkptState, Durability, CKPT_FORMAT};
+use dft_core::checkpoint::{fsck, replica_path, scrub, CancelToken, ChaosConfig, FramedJournal};
 use dft_core::netlist::generators::mac_pe;
 use dft_core::serve::{run_fleet, ServeConfig, ServeError, ServeOpts, SERVE_FORMAT};
-use dft_core::{atpg::Durability, DftError, DftFlow};
+use dft_core::{DftError, DftFlow, Progress};
 
 fn ckpt_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("aidft-storage-test-{}", std::process::id()));
@@ -21,6 +20,11 @@ fn ckpt_path(tag: &str) -> PathBuf {
     let path = dir.join(format!("{tag}.ckpt"));
     cleanup(&path);
     path
+}
+
+/// The newest intact record of `j` as `(seq, body)`, any body accepted.
+fn newest(j: &FramedJournal) -> (u64, String) {
+    j.load_last_parsed(|body| Some(body.to_owned())).unwrap().0
 }
 
 /// Appends record `seq`, then cuts the file back to the first half of
@@ -69,7 +73,11 @@ fn atpg_resume_with_bitrot_chaos_and_replicas_is_bit_identical() {
             .expect_err("trip point fires well before completion");
         let checkpoint = match err {
             DftError::Interrupted {
-                checkpoint: Some(p),
+                progress:
+                    Progress::Atpg(AtpgInterrupt {
+                        checkpoint: Some(p),
+                        ..
+                    }),
                 ..
             } => p,
             other => panic!("{context}: expected checkpointed interrupt, got {other}"),
@@ -218,7 +226,7 @@ fn fsck_scan_and_repair_roundtrip() {
     assert!(repaired.repaired);
     assert!(repaired.is_clean());
     assert_eq!(repaired.intact(), 2);
-    assert_eq!(j.load_last().unwrap(), (1, "beta\n".to_owned()));
+    assert_eq!(newest(&j), (1, "beta\n".to_owned()));
     cleanup(&path);
 }
 
@@ -250,7 +258,7 @@ fn fsck_cli_exit_codes() {
     assert_eq!(out.status.code(), Some(0), "successful repair exits 0");
     assert!(String::from_utf8_lossy(&out.stdout).contains("verdict=repaired"));
     // The repaired journal loads cleanly and rescans clean.
-    assert_eq!(j.load_last().unwrap(), (0, "alpha\n".to_owned()));
+    assert_eq!(newest(&j), (0, "alpha\n".to_owned()));
     let out = aidft_fsck(&[p]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("verdict=clean"));
